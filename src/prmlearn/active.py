@@ -172,61 +172,21 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
     return episodes
 
 
-class HypothesisEvaluator:
-    """Cached matrix view of a hypothesis for per-trace counterexample checks."""
-
-    def __init__(self, h: Prm, alphabet):
-        self.h = h
-        self.label_mats = {label: h.label_matrix(label) for label in alphabet}
-        self.cond_mats = {
-            label: {gamma: h.reward_conditional_matrix(gamma, label) for gamma in h.gamma}
-            for label in alphabet
-        }
-
-    def expected_next_rewards(self, vec: np.ndarray, label) -> dict:
-        out = {}
-        denom = float((vec @ self.label_mats[label]).sum())
-        if denom <= 0.0:
-            return out
-        for gamma, mat in self.cond_mats[label].items():
-            mass = float((vec @ mat).sum())
-            if mass > 0.0:
-                out[gamma] = mass / denom
-        return out
-
-    def advance(self, vec: np.ndarray, label) -> np.ndarray:
-        return vec @ self.label_mats[label]
-
-    def bottom_mass(self, vec: np.ndarray) -> float:
-        if self.h.bottom is None:
-            return 0.0
-        return float(vec[self.h.bottom])
-
-
-def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int,
-                      evaluator: HypothesisEvaluator | None = None):
+def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int):
     """Returns the offending prefix word, or None.
 
     A prefix is a counterexample when (a) it is fully absorbed by the
     failure state despite being sampled at least n_check times, or (b)
     its empirical reward distribution is statistically different from
     the hypothesis prediction at that prefix."""
-    if evaluator is None:
-        evaluator = HypothesisEvaluator(h, table.alphabet)
     m_total = max(table.total_samples(), 1)
     vec = h.initial_vector()
     word = []
     for label, _ in trace:
-        if label not in evaluator.label_mats:
-            evaluator.label_mats[label] = h.label_matrix(label)
-            evaluator.cond_mats[label] = {
-                gamma: h.reward_conditional_matrix(gamma, label) for gamma in h.gamma
-            }
-        expected = evaluator.expected_next_rewards(vec, label)
-        vec = evaluator.advance(vec, label)
+        vec, expected = h.advance(vec, label)
         word.append(label)
         prefix = tuple(word)
-        if evaluator.bottom_mass(vec) >= 1.0 - 1e-12:
+        if h.bottom is not None and vec[h.bottom] >= 1.0 - 1e-12:
             if table.sample_count(prefix) >= n_check:
                 return prefix
             continue
@@ -241,13 +201,12 @@ def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis:
     """Run equivalence-mode teacher episodes against the hypothesis until a
     counterexample appears or n_stop episodes elapse.  Returns
     (counterexample word or None, episodes run)."""
-    evaluator = HypothesisEvaluator(hypothesis, table.alphabet)
     episodes = 0
     while episodes < cfg.n_stop:
         trace = teacher_query(q_h, m, hypothesis, "equivalence", cfg, rng, terminal_labels)
         table.record(trace)
         episodes += 1
-        ce = is_counterexample(table, hypothesis, trace, cfg.n_check, evaluator)
+        ce = is_counterexample(table, hypothesis, trace, cfg.n_check)
         if ce is not None:
             return ce, episodes
     return None, episodes

@@ -153,9 +153,9 @@ def cmd_eval_encoding(args) -> int:
     truth = load_prm(args.truth)
     report = encoding_distance(hypothesis, truth, args.max_len)
     print(report.distance)
-    if report.bottom_words:
+    if report.bottom_count:
         print("%d words fully absorbed by the failure state, e.g. %s"
-              % (len(report.bottom_words), word_str(report.bottom_words[0])))
+              % (report.bottom_count, word_str(report.first_bottom_word)))
     return 0
 
 

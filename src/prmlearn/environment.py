@@ -24,9 +24,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import Prm, sample_index, unit_vector
-
-PROB_TOL = 1e-9
+from .machine import PROB_TOL, Prm, sample_index, unit_vector
 
 ACTIONS = ("N", "S", "E", "W")
 MOVES = {"N": (-1, 0), "S": (1, 0), "E": (0, 1), "W": (0, -1)}

@@ -90,6 +90,10 @@ class Prm:
         self.bottom = bottom
         self.implicit_bottom = implicit_bottom
         self.tags = None if tags is None else tuple(float(t) for t in tags)
+        # label -> (H(label), {gamma: H(gamma, label)}), filled by _view on
+        # first use: membership queries build a machine per word and read
+        # few of its labels.  A machine is not changed after construction.
+        self._views = {}
 
         n = len(self.states)
         if not 0 <= self.init < n:
@@ -161,34 +165,59 @@ class Prm:
 
     # -- matrix semantics --------------------------------------------------
 
-    def label_matrix(self, label: Label) -> np.ndarray:
+    def _view(self, label: Label) -> tuple:
+        """(H(label), {gamma: H(gamma, label)}), built once per label and
+        read-only."""
+        view = self._views.get(label)
+        if view is not None:
+            return view
         self.ap.validate_label(label)
         n = len(self.states)
-        out = np.zeros((n, n))
+        mat = np.zeros((n, n))
         for y in range(n):
-            out[y] = self.successor_vector(y, label)
-        return out
+            mat[y] = self.successor_vector(y, label)
+        cond = {}
+        for gamma in self.gamma:
+            if self.convention == "target":
+                out = mat * np.array([1.0 if t == gamma else 0.0 for t in self.tags])
+            else:
+                out = np.zeros((n, n))
+                for y in range(n):
+                    vec = self.tau.get((y, label))
+                    if vec is not None:
+                        if float(self.rho[(y, label)]) == gamma:
+                            out[y] = vec
+                    elif self.implicit_bottom and gamma == 0.0:
+                        out[y, self.bottom] = 1.0
+            out.flags.writeable = False
+            cond[gamma] = out
+        mat.flags.writeable = False
+        view = self._views[label] = (mat, cond)
+        return view
+
+    def label_matrix(self, label: Label) -> np.ndarray:
+        return self._view(label)[0]
 
     def reward_conditional_matrix(self, gamma: float, label: Label) -> np.ndarray:
         gamma = float(gamma)
         if gamma not in self.gamma:
             raise ValueError("reward %r is not in gamma %r" % (gamma, self.gamma))
-        self.ap.validate_label(label)
-        n = len(self.states)
-        out = np.zeros((n, n))
-        if self.convention == "target":
-            mask = np.array([1.0 if t == gamma else 0.0 for t in self.tags])
-            for y in range(n):
-                out[y] = self.successor_vector(y, label) * mask
-        else:
-            for y in range(n):
-                vec = self.tau.get((y, label))
-                if vec is not None:
-                    if float(self.rho[(y, label)]) == gamma:
-                        out[y] = vec
-                elif self.implicit_bottom and gamma == 0.0:
-                    out[y, self.bottom] = 1.0
-        return out
+        return self._view(label)[1][gamma]
+
+    def advance(self, vec: np.ndarray, label: Label) -> tuple:
+        """Read `label` from the state distribution `vec`: returns vec·H(label)
+        and the normalized distribution of the reward emitted, which is
+        empty when `vec` has no mass that can read the label."""
+        mat, cond = self._view(label)
+        nxt = vec @ mat
+        denom = float(nxt.sum())
+        dist = {}
+        if denom > 0.0:
+            for gamma, cmat in cond.items():
+                mass = float((vec @ cmat).sum())
+                if mass > 0.0:
+                    dist[gamma] = mass / denom
+        return nxt, dist
 
     def reward_matrix(self, gamma: float, cap: int = DEFAULT_LABEL_CAP) -> np.ndarray:
         n = len(self.states)
@@ -221,30 +250,16 @@ class Prm:
         vec = vec @ self.reward_matrix(gamma, cap)
         return float(vec.sum())
 
-    def reward_sequence_given_labels(self, labels: Word, rewards) -> float:
-        """Probability of emitting `rewards` while reading `labels`."""
-        if len(labels) != len(rewards):
-            raise ValueError("label and reward sequences differ in length")
-        vec = self.initial_vector()
-        for label, gamma in zip(labels, rewards):
-            vec = vec @ self.reward_conditional_matrix(float(gamma), label)
-        return float(vec.sum())
-
     def next_reward_distribution(self, prefix: Word, label: Label) -> dict:
         """Normalized distribution of the reward emitted on reading `label`
         after driving the machine with `prefix`."""
         vec = self.initial_vector() @ self.word_matrix(prefix)
-        denom = float((vec @ self.label_matrix(label)).sum())
-        if denom <= 0.0:
+        _, dist = self.advance(vec, label)
+        if not dist:
             raise UnreachableWordError(
                 "unreachable word: %s then %s" % ("".join("<%s>" % label_str(l) for l in prefix), label_str(label))
             )
-        out = {}
-        for gamma in self.gamma:
-            mass = float((vec @ self.reward_conditional_matrix(gamma, label)).sum())
-            if mass > 0.0:
-                out[gamma] = mass / denom
-        return out
+        return dist
 
     def bottom_mass(self, word: Word) -> float:
         """Probability that reading `word` ends in the failure state."""

@@ -261,9 +261,8 @@ class ObservationTable:
                 table.sample[word] = int(row["sample"])
                 words.add(word)
         table._total_samples = sum(table.sample.values())
-        table.num_traces = max(
-            (table.sample[w] for w in words if len(w) == 1), default=0
-        )
+        # every recorded trace is nonempty and counted under its first label
+        table.num_traces = sum(table.sample[w] for w in words if len(w) == 1)
         if alphabet is None:
             observed = {label for word in words for label in word}
             table.alphabet = sorted(observed, key=label_sort_key)

@@ -143,10 +143,23 @@ def total_variation(p: dict, q: dict) -> float:
 
 @dataclass
 class EncodingReport:
+    """Result of `encoding_distance`.  `bottom_words` lists the words
+    counted in `bottom_count`, in breadth-first order; it is built on
+    first access, and can be exponentially long."""
+
     distance: float
     worst_word: Word | None
-    bottom_words: list = field(default_factory=list)
     words_checked: int = 0
+    bottom_count: int = 0
+    first_bottom_word: Word | None = None
+    _list_bottom: object = field(default=None, init=False, repr=False, compare=False)
+    _bottom_words: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def bottom_words(self) -> list:
+        if self._bottom_words is None:
+            self._bottom_words = [] if self._list_bottom is None else self._list_bottom()
+        return self._bottom_words
 
     def __float__(self) -> float:
         return self.distance
@@ -157,44 +170,117 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     distributions of h and truth over all truth-realizable words of
     length at most max_len.  Words whose probability mass in h is fully
     absorbed by the failure state (or vanishes) count as distance 1 and
-    are also listed separately."""
+    are counted in `bottom_count`.
+
+    Words are checked in breadth-first order, labels in index order;
+    `worst_word` is the first word that reaches the distance.  The walk
+    goes layer by layer over distinct belief pairs (truth state vector,
+    hypothesis state vector), carrying the number of words that reach
+    each pair and the first of them, so its cost grows with the number of
+    distinct pairs per layer, not with the |labels|^max_len words."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative, got %d" % max_len)
     labels = sorted(set(l for _, l in truth.tau), key=label_sort_key)
+    pair_ids, pairs = {}, []   # bytes of both vectors -> pair id -> vectors
+
+    def intern(tvec, hvec) -> int:
+        key = tvec.tobytes() + hvec.tobytes()
+        pair = pair_ids.get(key)
+        if pair is None:
+            pair = pair_ids[key] = len(pairs)
+            pairs.append((tvec, hvec))
+        return pair
+
+    # (pair, label index) -> (successor pair, distance, absorbed), or None
+    # when the truth cannot read the label
+    steps = {}
+
+    def step(pair, i):
+        key = (pair, i)
+        if key in steps:
+            return steps[key]
+        tvec, hvec = pairs[pair]
+        tnext, truth_dist = truth.advance(tvec, labels[i])
+        if not truth_dist:
+            steps[key] = None
+            return None
+        hnext, h_dist = h.advance(hvec, labels[i])
+        live = float(hnext.sum())
+        if h.bottom is not None:
+            live -= float(hnext[h.bottom])
+        absorbed = live <= 1e-15
+        value = 1.0 if absorbed else total_variation(h_dist, truth_dist)
+        out = steps[key] = (intern(tnext, hnext), value, absorbed)
+        return out
+
+    root = intern(truth.initial_vector(), h.initial_vector())
+
     report = EncodingReport(distance=0.0, worst_word=None)
-
-    def h_mass_vector(word: Word):
-        vec = h.initial_vector()
-        for label in word:
-            vec = vec @ h.label_matrix(label)
-        return vec
-
-    # BFS over truth-realizable prefixes, carrying the truth state vector.
-    frontier = [((), truth.initial_vector())]
+    layers = []
+    # pair -> [words reaching it, first such word as label indices]; dict
+    # order is the order of the first words
+    layer = {root: [1, ()]}
     for _ in range(max_len):
-        nxt = []
-        for prefix, tvec in frontier:
-            for label in labels:
-                tnext = tvec @ truth.label_matrix(label)
-                mass = float(tnext.sum())
-                if mass <= 0.0:
+        layers.append(tuple(layer))
+        nxt = {}
+        for pair, (count, first) in layer.items():
+            for i in range(len(labels)):
+                out = step(pair, i)
+                if out is None:
                     continue
-                word = prefix + (label,)
-                report.words_checked += 1
-                truth_dist = truth.next_reward_distribution(prefix, label)
-                hvec = h_mass_vector(prefix) @ h.label_matrix(label)
-                live = float(hvec.sum())
-                if h.bottom is not None:
-                    live -= float(hvec[h.bottom])
-                if live <= 1e-15:
-                    report.bottom_words.append(word)
-                    if report.distance < 1.0:
-                        report.distance = 1.0
-                        report.worst_word = word
+                succ, value, absorbed = out
+                report.words_checked += count
+                if absorbed:
+                    if report.first_bottom_word is None:
+                        report.first_bottom_word = first + (i,)
+                    report.bottom_count += count
+                if value > report.distance:
+                    report.distance = value
+                    report.worst_word = first + (i,)
+                slot = nxt.get(succ)
+                if slot is None:
+                    nxt[succ] = [count, first + (i,)]
                 else:
-                    h_dist = h.next_reward_distribution(prefix, label)
-                    tv = total_variation(h_dist, truth_dist)
-                    if tv > report.distance:
-                        report.distance = tv
-                        report.worst_word = word
-                nxt.append((word, tnext))
-        frontier = nxt
+                    slot[0] += count
+        layer = nxt
+
+    def word(indices):
+        return None if indices is None else tuple(labels[i] for i in indices)
+
+    report.worst_word = word(report.worst_word)
+    report.first_bottom_word = word(report.first_bottom_word)
+    if report.bottom_count:
+        report._list_bottom = lambda: _bottom_words(layers, steps, labels, root)
     return report
+
+
+def _bottom_words(layers, steps, labels, root) -> list:
+    """Every absorbed word in breadth-first order, walking only prefixes
+    whose pair can still reach an absorbed step within the length bound."""
+    # alive[d]: pairs at depth d with an absorbed step at some depth > d
+    alive = [set() for _ in range(len(layers) + 1)]
+    for d in range(len(layers) - 1, -1, -1):
+        for pair in layers[d]:
+            for i in range(len(labels)):
+                out = steps.get((pair, i))
+                if out is not None and (out[2] or out[0] in alive[d + 1]):
+                    alive[d].add(pair)
+                    break
+    words = []
+    frontier = [((), root)] if root in alive[0] else []
+    for d in range(len(layers)):
+        later = alive[d + 1]
+        nxt = []
+        for prefix, pair in frontier:
+            for i, label in enumerate(labels):
+                out = steps.get((pair, i))
+                if out is None:
+                    continue
+                succ, _, absorbed = out
+                word = prefix + (label,)
+                if absorbed:
+                    words.append(word)
+                if succ in later:
+                    nxt.append((word, succ))
+        frontier = nxt
+    return words

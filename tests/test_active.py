@@ -12,7 +12,6 @@ from prmlearn import (
     patrol_prm,
 )
 from prmlearn.active import (
-    HypothesisEvaluator,
     epsilon_greedy_action,
     equivalence_query,
     is_counterexample,

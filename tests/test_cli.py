@@ -117,6 +117,36 @@ def test_eval_encoding_identical_files(capsys):
     assert capsys.readouterr().out.strip() == "0.0"
 
 
+def test_eval_encoding_negative_max_len(capsys):
+    truth = ASSETS / "patrol_truth.prm"
+    code = run_cli(["eval-encoding", "--hypothesis", truth, "--truth", truth, "--max-len", "-1"])
+    assert code == 1
+    assert "max_len" in capsys.readouterr().err
+
+
+def test_eval_encoding_reports_bottom_words(tmp_path, capsys):
+    empty = tmp_path / "empty.prm"
+    empty.write_text(
+        "ap: c\ngamma: 0,1\ninit: q0\nconvention: target\nbottom: bot\n"
+        "implicit_bottom: true\ntag: q0 0\ntag: bot 0\n",
+        encoding="utf-8",
+    )
+    truth = ASSETS / "patrol_truth.prm"
+    code = run_cli(["eval-encoding", "--hypothesis", empty, "--truth", truth, "--max-len", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "1.0",
+        "14 words fully absorbed by the failure state, e.g. ε",
+    ]
+
+
+def test_eval_encoding_long_words_on_office(capsys):
+    truth = ASSETS / "coffee_truth.prm"
+    code = run_cli(["eval-encoding", "--hypothesis", truth, "--truth", truth, "--max-len", "50"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0.0"
+
+
 # -- mq -----------------------------------------------------------------------------------
 
 

@@ -80,6 +80,20 @@ def test_label_matrix_partial_machine_zero_row():
     assert np.array_equal(prm.label_matrix(A), np.zeros((2, 2)))
 
 
+def test_label_matrices_cached_lazily_and_read_only(coffee):
+    assert not coffee._views  # construction builds no matrix
+    mat = coffee.label_matrix(C)
+    assert coffee.label_matrix(C) is mat
+    assert coffee.reward_conditional_matrix(1.0, C) is coffee.reward_conditional_matrix(1.0, C)
+    assert list(coffee._views) == [C]
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        coffee.reward_conditional_matrix(0.0, C)[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        coffee.label_matrix(frozenset({"zzz"}))
+
+
 def test_reward_conditional_matrix_filters(coffee):
     # zero machine: gamma=0 passes everything
     zero = single_state_zero_prm()

@@ -279,9 +279,16 @@ def test_csv_round_trip(tmp_path):
     table = make_table()
     table.record([(C, 0.0), (O, 1.0)])
     table.record([(C, 0.0)])
+    for _ in range(5):
+        table.record([(O, 0.0), (C, 0.0)])
     path = tmp_path / "table.csv"
     table.to_csv(path)
     again = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
     assert again.freq((C,)) == table.freq((C,))
     assert again.freq((C, O)) == table.freq((C, O))
+    assert again.freq((O, C)) == table.freq((O, C))
     assert again.sample_count((C,)) == table.sample_count((C,))
+    # traces with different first labels all count toward epsilon
+    assert again.num_traces == table.num_traces == 7
+    assert again.sample_count(()) == table.sample_count(()) == 7
+    assert again.total_samples() == table.total_samples()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pathlib import Path
 
 from prmlearn import (
+    Alphabet,
     BudgetExceededError,
     UnreachableWordError,
     brute_force_reward_distribution,
@@ -11,17 +16,21 @@ from prmlearn import (
     encoding_distance,
     parse_gridmap,
     patrol_prm,
+    load_env_config,
+    prm_to_text,
     random_prm,
     total_variation,
 )
-from prmlearn.alphabet import EMPTY_LABEL
+from prmlearn.alphabet import EMPTY_LABEL, label_sort_key
 from prmlearn.environment import free_nmdp
-from prmlearn.machine import prm_from_text
+from prmlearn.machine import Prm, prm_from_text
 from prmlearn.verify import machine_reward_distribution
 
-from conftest import C, O, STAR, single_state_zero_prm, two_cell_nmdp
+from conftest import C, O, STAR, dyadic_vector, single_state_zero_prm, two_cell_nmdp
 
 from test_environment import OFFICE_MAP
+
+OFFICE = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets" / "office.yaml"
 
 
 # -- realizability oracle -------------------------------------------------------
@@ -189,3 +198,160 @@ def test_encoding_distance_all_bottom():
     report = encoding_distance(empty, truth, max_len=3)
     assert report.distance == 1.0
     assert len(report.bottom_words) == report.words_checked
+
+
+def test_encoding_distance_rejects_negative_max_len():
+    truth = coffee_prm()
+    with pytest.raises(ValueError):
+        encoding_distance(truth, truth, max_len=-1)
+    assert encoding_distance(truth, truth, max_len=0).words_checked == 0
+
+
+def test_encoding_distance_counts_bottom_words():
+    truth = patrol_prm()
+    # reads only {c}, and only from q0: every word but {c} itself is absorbed
+    text = "\n".join([
+        "ap: c", "gamma: 0,1", "init: q0", "convention: target",
+        "bottom: bot", "implicit_bottom: true", "tag: q0 0", "tag: q1 1", "tag: bot 0",
+        "q0 --c/1--> q1 : 1.0",
+    ])
+    h = prm_from_text(text)
+    report = encoding_distance(h, truth, max_len=3)
+    assert report.words_checked == 2 + 4 + 8
+    assert report.bottom_count == report.words_checked - 1
+    assert report.first_bottom_word == (EMPTY_LABEL,)
+    assert report.bottom_words[0] == (EMPTY_LABEL,)
+    assert len(report.bottom_words) == report.bottom_count
+    assert (C,) not in report.bottom_words
+
+
+def test_encoding_distance_long_words_on_office():
+    truth = load_env_config(OFFICE).truth
+    copy = prm_from_text(prm_to_text(truth))
+    report = encoding_distance(copy, truth, max_len=30)
+    assert report.distance <= 1e-12
+    assert report.words_checked == sum(8 ** k for k in range(1, 31))
+    assert report.bottom_count == 0
+    assert report.bottom_words == []
+
+
+def reference_encoding_distance(h: Prm, truth: Prm, max_len: int) -> dict:
+    """Word-by-word breadth-first walk over every truth-realizable word,
+    recomputing each prefix from scratch: the definition that
+    `encoding_distance` computes over belief pairs instead."""
+    labels = sorted(set(l for _, l in truth.tau), key=label_sort_key)
+    out = {"distance": 0.0, "worst_word": None, "words_checked": 0, "bottom_words": []}
+
+    def h_mass_vector(word):
+        vec = h.initial_vector()
+        for label in word:
+            vec = vec @ h.label_matrix(label)
+        return vec
+
+    frontier = [((), truth.initial_vector())]
+    for _ in range(max_len):
+        nxt = []
+        for prefix, tvec in frontier:
+            for label in labels:
+                tnext = tvec @ truth.label_matrix(label)
+                if float(tnext.sum()) <= 0.0:
+                    continue
+                word = prefix + (label,)
+                out["words_checked"] += 1
+                truth_dist = truth.next_reward_distribution(prefix, label)
+                hvec = h_mass_vector(prefix) @ h.label_matrix(label)
+                live = float(hvec.sum())
+                if h.bottom is not None:
+                    live -= float(hvec[h.bottom])
+                if live <= 1e-15:
+                    out["bottom_words"].append(word)
+                    if out["distance"] < 1.0:
+                        out["distance"] = 1.0
+                        out["worst_word"] = word
+                else:
+                    tv = total_variation(h.next_reward_distribution(prefix, label), truth_dist)
+                    if tv > out["distance"]:
+                        out["distance"] = tv
+                        out["worst_word"] = word
+                nxt.append((word, tnext))
+        frontier = nxt
+    return out
+
+
+def random_machine(rng, kind: str, *, dyadic: bool) -> Prm:
+    """A small random machine over {a, b}: `total`, `partial` (each pair
+    defined with probability 0.7) or `bottom` (partial, target rewards,
+    undefined pairs absorbed by an implicit failure state)."""
+    ap = Alphabet(["a", "b"])
+    n = int(rng.integers(1, 4)) + (kind == "bottom")
+    rewards = [0.0, 1.0, 2.0]
+    tau, rho = {}, {}
+    for y in range(n):
+        for label in ap.labels():
+            if kind != "total" and rng.random() < 0.3:
+                continue
+            if dyadic:
+                vec = dyadic_vector(rng, n, grain=4)
+            else:
+                vec = rng.random(n) + 1e-3
+                vec = vec / vec.sum()
+            tau[(y, label)] = vec
+            rho[(y, label)] = rewards[int(rng.integers(0, len(rewards)))]
+    names = ["y%d" % i for i in range(n)]
+    if kind != "bottom":
+        return Prm(ap, rewards, names, 0, tau, rho)
+    tags = [rewards[int(rng.integers(0, len(rewards)))] for _ in range(n - 1)] + [0.0]
+    return Prm(ap, rewards, names, 0, tau, rho, tags=tags, convention="target",
+               bottom=n - 1, implicit_bottom=True)
+
+
+def perturbed(rng, prm: Prm) -> Prm:
+    """`prm` with about a third of its transition rows redrawn (dyadic):
+    the same structure and rewards, different probabilities."""
+    tau = {
+        key: dyadic_vector(rng, prm.n_states(), grain=4) if rng.random() < 0.3 else vec
+        for key, vec in prm.tau.items()
+    }
+    return Prm(prm.ap, prm.gamma, prm.states, prm.init, tau, prm.rho, tags=prm.tags,
+               convention=prm.convention, bottom=prm.bottom, implicit_bottom=prm.implicit_bottom)
+
+
+KINDS = st.sampled_from(["total", "partial", "bottom"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h_kind=KINDS, truth_kind=KINDS,
+       max_len=st.integers(0, 4), h_from=st.sampled_from(["random", "perturbed", "same"]))
+def test_encoding_distance_matches_word_walk(seed, h_kind, truth_kind, max_len, h_from):
+    # dyadic probabilities keep every product exact, so the word walk's
+    # matrix-matrix chains and the pair walk's vector chains agree bit for bit
+    rng = np.random.default_rng(seed)
+    truth = random_machine(rng, truth_kind, dyadic=True)
+    if h_from == "random":
+        h = random_machine(rng, h_kind, dyadic=True)
+    else:
+        h = truth if h_from == "same" else perturbed(rng, truth)
+    report = encoding_distance(h, truth, max_len)
+    ref = reference_encoding_distance(h, truth, max_len)
+    assert report.distance == ref["distance"]
+    assert report.worst_word == ref["worst_word"]
+    assert report.words_checked == ref["words_checked"]
+    assert report.bottom_count == len(ref["bottom_words"])
+    assert report.first_bottom_word == (ref["bottom_words"][0] if ref["bottom_words"] else None)
+    assert report.bottom_words == ref["bottom_words"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), h_kind=KINDS, truth_kind=KINDS,
+       max_len=st.integers(1, 3))
+def test_encoding_distance_matches_word_walk_non_dyadic(seed, h_kind, truth_kind, max_len):
+    # the two walks multiply in different orders: sums may differ in the
+    # last bits, counts and absorbed words may not
+    rng = np.random.default_rng(seed)
+    truth = random_machine(rng, truth_kind, dyadic=False)
+    h = random_machine(rng, h_kind, dyadic=False)
+    report = encoding_distance(h, truth, max_len)
+    ref = reference_encoding_distance(h, truth, max_len)
+    assert report.distance == pytest.approx(ref["distance"], abs=1e-12)
+    assert report.words_checked == ref["words_checked"]
+    assert report.bottom_words == ref["bottom_words"]
