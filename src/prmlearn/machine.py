@@ -237,6 +237,15 @@ class Prm:
         vec[self.init] = 1.0
         return vec
 
+    def _read(self, word: Word) -> np.ndarray:
+        """The state distribution after `word`, by the vector chain
+        y_I·H(l_1)·...·H(l_k): the successor vectors `advance` gives, in
+        O(k·n²) where `word_matrix` multiplies n×n matrices."""
+        vec = self.initial_vector()
+        for label in word:
+            vec = vec @ self._view(label)[0]
+        return vec
+
     def reward_sequence_probability(self, rewards, cap: int = DEFAULT_LABEL_CAP) -> float:
         """y_I H(r_1)...H(r_n) 1.  Not normalized over reward sequences."""
         vec = self.initial_vector()
@@ -253,8 +262,7 @@ class Prm:
     def next_reward_distribution(self, prefix: Word, label: Label) -> dict:
         """Normalized distribution of the reward emitted on reading `label`
         after driving the machine with `prefix`."""
-        vec = self.initial_vector() @ self.word_matrix(prefix)
-        _, dist = self.advance(vec, label)
+        _, dist = self.advance(self._read(prefix), label)
         if not dist:
             raise UnreachableWordError(
                 "unreachable word: %s then %s" % ("".join("<%s>" % label_str(l) for l in prefix), label_str(label))
@@ -265,8 +273,7 @@ class Prm:
         """Probability that reading `word` ends in the failure state."""
         if self.bottom is None:
             return 0.0
-        vec = self.initial_vector() @ self.word_matrix(word)
-        return float(vec[self.bottom])
+        return float(self._read(word)[self.bottom])
 
     # -- sampling ----------------------------------------------------------
 

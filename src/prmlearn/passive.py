@@ -96,8 +96,6 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         table.add_state(w)
 
     repair_on_frozen_data(table)
-    closed, witness = table.is_closed()
-    assert closed, witness
     report.n_s, report.n_e = len(table.s), len(table.e)
     hypothesis = build_hypothesis(table, cfg.n_check, rho_convention=cfg.rho_convention)
     return PassiveResult(table=table, hypothesis=hypothesis, report=report)

@@ -18,6 +18,7 @@ from .alphabet import (
     Alphabet,
     EPSILON,
     Label,
+    WORD_SEPARATOR,
     Word,
     format_reward,
     label_sort_key,
@@ -81,6 +82,10 @@ class ObservationTable:
         self.sample: dict = {}
         self.num_traces = 0
         self._total_samples = 0
+        # row word -> frozenset of the indices into E of the columns with
+        # samples at row.e; filled by _columns on first use, cleared
+        # whenever the counts or E change
+        self._cols: dict = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -88,6 +93,7 @@ class ObservationTable:
         """Count every nonempty prefix of a trace of (label, reward) pairs."""
         if not trace:
             return
+        self._cols.clear()
         self.num_traces += 1
         word = []
         for label, reward in trace:
@@ -102,6 +108,7 @@ class ObservationTable:
             self._total_samples += 1
 
     def merge(self, other: "ObservationTable") -> None:
+        self._cols.clear()
         for word, counter in other.t.items():
             mine = self.t.setdefault(word, Counter())
             mine.update(counter)
@@ -139,10 +146,30 @@ class ObservationTable:
     def add_experiment(self, word: Word) -> bool:
         if word not in self.e:
             self.e.append(word)
+            self._cols.clear()
             return True
         return False
 
     # -- compatibility ------------------------------------------------------
+    #
+    # `diff` is False whenever either word has no samples, so a row sweep
+    # only visits the experiment columns that both rows have samples for:
+    # it gives the results and witnesses of a loop over all of E, and
+    # costs the number of shared sampled columns, not |E|.
+
+    def _columns(self, s: Word) -> frozenset:
+        cols = self._cols.get(s)
+        if cols is None:
+            t = self.t
+            cols = self._cols[s] = frozenset(
+                i for i, e in enumerate(self.e) if sum(t.get(s + e, _EMPTY).values()) > 0
+            )
+        return cols
+
+    def _shared_columns(self, s: Word, s_prime: Word) -> list:
+        """The experiments sampled at both s.e and s_prime.e, in E order."""
+        e = self.e
+        return [e[i] for i in sorted(self._columns(s) & self._columns(s_prime))]
 
     def compatible_cells(self, w: Word, w_prime: Word) -> bool:
         m_total = max(self.total_samples(), 1)
@@ -150,22 +177,19 @@ class ObservationTable:
 
     def compatible_rows(self, s: Word, s_prime: Word) -> bool:
         m_total = max(self.total_samples(), 1)
-        for e in self.e:
+        for e in self._shared_columns(s, s_prime):
             if diff(self.freq, s + e, s_prime + e, m_total):
                 return False
         return True
 
     def rows_share_evidence(self, s: Word, s_prime: Word) -> bool:
         """True when some experiment column has samples for both rows."""
-        for e in self.e:
-            if self.total(s + e) > 0 and self.total(s_prime + e) > 0:
-                return True
-        return False
+        return not self._columns(s).isdisjoint(self._columns(s_prime))
 
     # -- closedness / consistency -------------------------------------------
 
     def row_has_data(self, s: Word) -> bool:
-        return any(self.total(s + e) > 0 for e in self.e)
+        return bool(self._columns(s))
 
     def is_closed(self):
         """Returns (True, None) or (False, (s, label)) with a witness row
@@ -195,7 +219,7 @@ class ObservationTable:
                     continue
                 for label in self.alphabet:
                     left, right = s + (label,), s_prime + (label,)
-                    for e in self.e:
+                    for e in self._shared_columns(left, right):
                         if diff(self.freq, left + e, right + e, m_total):
                             return False, (s, s_prime, label, e)
         return True, None
@@ -207,23 +231,6 @@ class ObservationTable:
 
     def _pick(self, candidates):
         return min(candidates, key=lambda w: (-self.rank(w), len(w), word_str(w)))
-
-    def representative(self, s: Word, require_shared_evidence: bool = True) -> Word:
-        """Highest-rank compatible member of S (ties: shortest, then
-        lexicographic).  By default candidates other than s itself must
-        share at least one sampled experiment column with s; without
-        that restriction sparsely sampled tables collapse every row into
-        one vacuously compatible class."""
-        candidates = []
-        for s_prime in self.s:
-            if not self.compatible_rows(s, s_prime):
-                continue
-            if require_shared_evidence and s_prime != s and not self.rows_share_evidence(s, s_prime):
-                continue
-            candidates.append(s_prime)
-        if not candidates:
-            candidates = [s_prime for s_prime in self.s if self.compatible_rows(s, s_prime)]
-        return self._pick(candidates)
 
     def resolve_to_member(self, w: Word) -> Word:
         """Map an arbitrary word to a compatible member of S, preferring
@@ -249,17 +256,22 @@ class ObservationTable:
 
     @classmethod
     def from_csv(cls, path, ap: Alphabet, alphabet=None) -> "ObservationTable":
-        from .alphabet import parse_word
-
         table = cls(ap, alphabet)
         words = set()
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
-                word = parse_word(row["word"])
+                # recorded words are nonempty, so a lone "ε" is the one-label
+                # word of the empty label (word_str writes both it and the
+                # empty word as "ε")
+                word = tuple(parse_label(part) for part in row["word"].split(WORD_SEPARATOR))
+                count, sample = int(row["count"]), int(row["sample"])
+                if count < 0 or sample < 0:
+                    raise ValueError("negative count in table row %r" % (row,))
                 counter = table.t.setdefault(word, Counter())
-                counter[parse_reward(row["reward"])] += int(row["count"])
-                table.sample[word] = int(row["sample"])
+                counter[parse_reward(row["reward"])] += count
+                table.sample[word] = sample
                 words.add(word)
+        table._cols.clear()  # the counts were written into t directly
         table._total_samples = sum(table.sample.values())
         # every recorded trace is nonempty and counted under its first label
         table.num_traces = sum(table.sample[w] for w in words if len(w) == 1)

@@ -1,0 +1,40 @@
+"""The learned machine stays byte-identical for a fixed seed.
+
+The digests are of `prm_to_text` of machines learned before the
+observation table's row sweeps were indexed by sampled column; a change
+to the table, the sampling or the RNG draw order that alters a learned
+machine fails here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import prmlearn
+from prmlearn import LearnerConfig, PassiveConfig, learn_active, learn_passive, prm_to_text
+from prmlearn.environment import load_env_config, uniform_policy
+
+OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
+
+PASSIVE_OFFICE_SHA256 = "851b0a5e3f434c6dba7402c4a01146954c5be981e38c470104d973b7f15a5bf2"
+ACTIVE_OFFICE_SHA256 = "05f3c9d2eaf502d1348afdd9e262c6755bf4c0ab873cf6656502eb13c95b876d"
+
+
+def digest(prm) -> str:
+    return hashlib.sha256(prm_to_text(prm).encode("utf-8")).hexdigest()
+
+
+def test_passive_office_machine_is_pinned():
+    env = load_env_config(OFFICE)
+    cfg = PassiveConfig(
+        n_check=40, n_episode=env.n_episode, terminal_labels=env.terminal_labels, seed=7
+    )
+    result = learn_passive(env.nmdp, uniform_policy(env.nmdp), 300, cfg)
+    assert digest(result.hypothesis) == PASSIVE_OFFICE_SHA256
+
+
+def test_active_office_machine_is_pinned():
+    # the acceptance-4 budget
+    env = load_env_config(OFFICE)
+    cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=0)
+    result = learn_active(env.nmdp, cfg, env.terminal_labels)
+    assert digest(result.hypothesis) == ACTIVE_OFFICE_SHA256

@@ -157,6 +157,39 @@ def test_next_reward_distribution_unreachable():
         prm.next_reward_distribution((), A)
 
 
+# Fixed before looking at any result: the matrix chain rounds differently
+# from the vector chain, by a few ulps on these small machines.
+CHAIN_TOL = 1e-12
+
+
+def test_prefix_semantics_follow_the_vector_chain():
+    """next_reward_distribution and bottom_mass read the prefix vector by
+    vector, bit for bit as `advance` does, and agree with the matrix chain
+    y_I·word_matrix(prefix) to CHAIN_TOL on non-dyadic machines."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        base = random_prm(rng, n, ["a", "b"], [0.0, 1.0, 2.5])
+        prm = Prm(base.ap, base.gamma, base.states, base.init, base.tau, base.rho, bottom=n - 1)
+        labels = prm.ap.labels()
+        prefix = tuple(labels[i] for i in rng.integers(0, len(labels), size=int(rng.integers(0, 7))))
+        label = labels[int(rng.integers(0, len(labels)))]
+
+        vec = prm.initial_vector()
+        for symbol in prefix:
+            vec, _ = prm.advance(vec, symbol)
+        _, chain_dist = prm.advance(vec, label)
+        assert prm.next_reward_distribution(prefix, label) == chain_dist
+        assert prm.bottom_mass(prefix) == float(vec[n - 1])
+
+        matrix_vec = prm.initial_vector() @ prm.word_matrix(prefix)
+        _, matrix_dist = prm.advance(matrix_vec, label)
+        assert set(matrix_dist) == set(chain_dist)
+        for gamma, p in chain_dist.items():
+            assert abs(p - matrix_dist[gamma]) <= CHAIN_TOL
+        assert abs(prm.bottom_mass(prefix) - float(matrix_vec[n - 1])) <= CHAIN_TOL
+
+
 # -- sampling --------------------------------------------------------------------
 
 

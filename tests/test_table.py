@@ -1,8 +1,12 @@
 import math
+import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL
@@ -186,14 +190,171 @@ def test_rank_and_representative():
     for _ in range(5):
         table.record([(C, 0.0), (O, 0.0)])
     assert table.rank((C,)) == 10
-    # singleton class: representative is the word itself
-    assert table.representative(EPSILON) == EPSILON
-    # two compatible words: the higher-rank one wins
+    # singleton class: a word resolves to itself
+    assert table.resolve_to_member(EPSILON) == EPSILON
     table.add_state((C,))
     for _ in range(5):
         table.record([(EMPTY_LABEL, 0.0), (C, 0.0)])
     # (eps-label) row compatible with (c) row; (c) has higher rank
     assert table.rank((C,)) > table.rank((EMPTY_LABEL,))
+    # eps shares no sampled column with (eps-label), so (c) is preferred
+    assert table.resolve_to_member((EMPTY_LABEL,)) == (C,)
+    # two compatible members with shared evidence: the higher-rank one wins,
+    # even over the word itself
+    table.add_state((EMPTY_LABEL,))
+    assert table.resolve_to_member((EMPTY_LABEL,)) == (C,)
+
+
+# -- row sweeps against the full column loops ------------------------------------------
+#
+# The table's sweeps visit only the experiment columns both rows have
+# samples for; these are the loops over all of E they replace.
+
+
+def ref_compatible_rows(table, s, s_prime):
+    m_total = max(table.total_samples(), 1)
+    return not any(diff(table.freq, s + e, s_prime + e, m_total) for e in table.e)
+
+
+def ref_rows_share_evidence(table, s, s_prime):
+    return any(table.total(s + e) > 0 and table.total(s_prime + e) > 0 for e in table.e)
+
+
+def ref_row_has_data(table, s):
+    return any(table.total(s + e) > 0 for e in table.e)
+
+
+def ref_is_closed(table):
+    for s in table.s:
+        for label in table.alphabet:
+            extended = s + (label,)
+            if not ref_row_has_data(table, extended):
+                continue
+            covered = any(
+                ref_compatible_rows(table, extended, s_prime)
+                and (s_prime == extended or ref_rows_share_evidence(table, extended, s_prime))
+                for s_prime in table.s
+            )
+            if not covered:
+                return False, (s, label)
+    return True, None
+
+
+def ref_is_consistent(table):
+    m_total = max(table.total_samples(), 1)
+    for i, s in enumerate(table.s):
+        for s_prime in table.s[i + 1:]:
+            if not ref_compatible_rows(table, s, s_prime):
+                continue
+            for label in table.alphabet:
+                left, right = s + (label,), s_prime + (label,)
+                for e in table.e:
+                    if diff(table.freq, left + e, right + e, m_total):
+                        return False, (s, s_prime, label, e)
+    return True, None
+
+
+def sweep(table):
+    """Every sweep result over the rows S and S.alphabet, checked against
+    the reference loops; returns the closedness and consistency results."""
+    rows = list(dict.fromkeys(
+        list(table.s) + [s + (label,) for s in table.s for label in table.alphabet]
+    ))
+    for u in rows:
+        assert table.row_has_data(u) == ref_row_has_data(table, u)
+        for v in rows:
+            assert table.compatible_rows(u, v) == ref_compatible_rows(table, u, v)
+            assert table.rows_share_evidence(u, v) == ref_rows_share_evidence(table, u, v)
+    closed, consistent = table.is_closed(), table.is_consistent()
+    assert closed == ref_is_closed(table)
+    assert consistent == ref_is_consistent(table)
+    return closed, consistent
+
+
+SWEEP_LABELS = [EMPTY_LABEL, C, O]
+sweep_words = st.lists(st.sampled_from(SWEEP_LABELS), min_size=1, max_size=2).map(tuple)
+# repeated traces: the Hoeffding test needs tens of samples per word to fire
+sweep_traces = st.tuples(
+    st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), st.sampled_from([0.0, 1.0])), max_size=4),
+    st.integers(1, 60),
+)
+sweep_ops = st.one_of(
+    st.tuples(st.just("record"), sweep_traces),
+    st.tuples(st.just("state"), sweep_words),
+    st.tuples(st.just("experiment"), sweep_words),
+    st.tuples(st.just("merge"), st.lists(sweep_traces, max_size=3), sweep_words, sweep_words),
+    st.tuples(st.just("sweep")),
+)
+
+
+def record_repeated(table, traces):
+    for trace, times in traces:
+        for _ in range(times):
+            table.record(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(sweep_ops, max_size=14))
+def test_row_sweeps_match_full_column_loops(ops):
+    table = make_table(alphabet=SWEEP_LABELS)
+    for op in ops:
+        if op[0] == "record":
+            record_repeated(table, [op[1]])
+        elif op[0] == "state":
+            table.add_state(op[1])
+        elif op[0] == "experiment":
+            table.add_experiment(op[1])
+        elif op[0] == "merge":
+            other = make_table(alphabet=SWEEP_LABELS)
+            record_repeated(other, op[1])
+            other.add_state(op[2])
+            other.add_experiment(op[3])
+            table.merge(other)
+        else:
+            sweep(table)
+    results = sweep(table)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        table.to_csv(path)
+        again = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
+    for word in table.s:
+        again.add_state(word)
+    for word in table.e:
+        again.add_experiment(word)
+    assert sweep(again) == results
+
+
+def test_row_sweeps_follow_new_counts_and_columns():
+    # each step sweeps, changes the counts or E, and sweeps again: the
+    # second sweep must not read columns cached by the first
+    table = make_table(alphabet=[EMPTY_LABEL, C])
+    table.add_state((EMPTY_LABEL,))
+    assert not table.row_has_data((C,))
+    table.record([(C, 1.0)])
+    assert table.row_has_data((C,))
+
+    assert not table.row_has_data(EPSILON)
+    table.add_experiment((C,))
+    assert table.row_has_data(EPSILON)
+
+    other = make_table(alphabet=[EMPTY_LABEL, C])
+    other.record([(EMPTY_LABEL, 0.0)])
+    assert not table.rows_share_evidence((EMPTY_LABEL,), (C,))
+    table.merge(other)
+    assert table.rows_share_evidence((EMPTY_LABEL,), (C,))
+
+    # rows eps and (eps) are consistent until their c-extensions have
+    # enough samples to differ
+    table = make_table(alphabet=[EMPTY_LABEL, C])
+    table.add_state((EMPTY_LABEL,))
+    for times in (5, 300):
+        for _ in range(times):
+            table.record([(EMPTY_LABEL, 0.0), (C, 1.0)])
+            table.record([(C, 0.0)])
+        if times == 5:
+            assert sweep(table)[1] == (True, None)
+    assert sweep(table)[1] == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
 
 
 # -- hypothesis construction ------------------------------------------------------------
@@ -292,3 +453,25 @@ def test_csv_round_trip(tmp_path):
     assert again.num_traces == table.num_traces == 7
     assert again.sample_count(()) == table.sample_count(()) == 7
     assert again.total_samples() == table.total_samples()
+
+
+def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
+    # the word of one empty label is written "ε", as the empty word would
+    # be; the table never stores the empty word, so it reads back as itself
+    table = make_table()
+    for _ in range(3):
+        table.record([(EMPTY_LABEL, 0.0), (C, 1.0)])
+    table.record([(C, 0.0)])
+    path = tmp_path / "table.csv"
+    table.to_csv(path)
+    again = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+    assert again.t == table.t
+    assert again.sample == table.sample
+    assert again.num_traces == table.num_traces == 4
+
+
+def test_csv_negative_count_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\nc,0,-3,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="negative count"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
