@@ -8,29 +8,40 @@ trace prefixes that contradict it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
-from .environment import Nmdp, membership_reward_machine, sample_action, step, word_realizable
-from .machine import Prm, sample_index
+from .environment import Nmdp, membership_reward_machine, step, word_realizable
+# sample_index is unused here; the benchmark tracer wraps it as active.sample_index
+from .machine import Prm, sample_index  # noqa: F401
 from .table import ObservationTable, build_hypothesis, diff_against_distribution
 
 
 class QTable:
-    """Action values keyed by (machine state, environment state, action);
-    unseen keys read as 0."""
+    """Action values of (machine state, environment state, action), stored
+    as one list of floats per (machine state, environment state) indexed
+    by action; unseen entries read as 0."""
 
     def __init__(self):
-        self.values = {}
+        self.rows = {}
+
+    def row(self, y: int, x: int, width: int) -> list:
+        """The values of (y, x), at least `width` long, created as zeros."""
+        row = self.rows.get((y, x))
+        if row is None:
+            row = self.rows[(y, x)] = [0.0] * width
+        elif len(row) < width:
+            row.extend([0.0] * (width - len(row)))
+        return row
 
     def get(self, y: int, x: int, a: int) -> float:
-        return self.values.get((y, x, a), 0.0)
+        row = self.rows.get((y, x))
+        return row[a] if row is not None and a < len(row) else 0.0
 
     def set(self, y: int, x: int, a: int, value: float) -> None:
-        self.values[(y, x, a)] = value
+        self.row(y, x, a + 1)[a] = value
 
     def best(self, y: int, x: int, actions) -> float:
         return max((self.get(y, x, a) for a in actions), default=0.0)
@@ -39,7 +50,7 @@ class QTable:
         return max(actions, key=lambda a: (self.get(y, x, a), -a))
 
     def reset(self) -> None:
-        self.values.clear()
+        self.rows.clear()
 
 
 @dataclass
@@ -72,22 +83,20 @@ class LearnerConfig:
 
 
 def epsilon_greedy_action(q: QTable, y: int, x: int, actions, explore: float, rng) -> int:
+    return _choose(q.row(y, x, max(actions) + 1), actions, explore, rng)
+
+
+def _choose(row: list, actions, explore: float, rng) -> int:
+    """The epsilon-greedy choice on one row of Q-values."""
     if explore > 0.0 and rng.random() < explore:
         return int(actions[int(rng.integers(0, len(actions)))])
-    best = max(q.get(y, x, a) for a in actions)
-    top = [a for a in actions if q.get(y, x, a) == best]
+    best = max([row[a] for a in actions])
+    top = [a for a in actions if row[a] == best]
     if len(top) == 1:
         return top[0]
     # break ties randomly: a fixed tie-break turns a flat Q-table into a
     # wall-hugging policy and starves exploration
     return int(top[int(rng.integers(0, len(top)))])
-
-
-def advance_machine(h: Prm, y: int, label, mode: str, rng) -> int:
-    vec = h.successor_vector(y, label)
-    if mode == "argmax":
-        return int(np.argmax(vec))
-    return sample_index(vec, rng)
 
 
 def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng, terminal_labels=()):
@@ -101,23 +110,27 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
         raise ValueError("unknown query mode %r" % (mode,))
     terminal = set(terminal_labels)
     session = m.reward_source.session(rng)
+    available, width = m.available, len(m.actions)
+    membership = mode == "membership"
+    sample = cfg.machine_advance == "sample"
+    explore, learn_rate, discount = cfg.explore, cfg.learn_rate, cfg.discount
     x, y = m.x_init, h.init
+    row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
     trace = []
     for _ in range(cfg.n_episode):
-        actions = m.available[x]
-        a = epsilon_greedy_action(q, y, x, actions, cfg.explore, rng)
+        a = _choose(row, available[x], explore, rng)
         x_next, label, r = step(m, x, a, rng, session)
-        y_next = advance_machine(h, y, label, cfg.machine_advance, rng)
+        if sample:
+            y_next = h.sample_successor(y, label, rng)
+        else:
+            y_next = int(np.argmax(h.successor_vector(y, label)))
         r_machine = h.edge_reward(y, label, y_next)
-        target = r_machine if mode == "membership" else r
-        best_next = q.best(y_next, x_next, m.available[x_next])
-        q.set(
-            y, x, a,
-            (1.0 - cfg.learn_rate) * q.get(y, x, a)
-            + cfg.learn_rate * (target + cfg.discount * best_next),
-        )
+        target = r_machine if membership else r
+        row_next = q.row(y_next, x_next, width)
+        best_next = max([row_next[b] for b in available[x_next]])
+        row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
         trace.append((label, r))
-        x, y = x_next, y_next
+        x, y, row = x_next, y_next, row_next
         if label in terminal:
             break
     return trace
@@ -134,7 +147,7 @@ def rollout_greedy(q: QTable, m: Nmdp, h: Prm, n_episode: int, rng, terminal_lab
     for _ in range(n_episode):
         a = q.greedy_action(y, x, m.available[x])
         x_next, label, r = step(m, x, a, rng, session)
-        y_next = advance_machine(h, y, label, "sample", rng)
+        y_next = h.sample_successor(y, label, rng)
         total_machine_reward += h.edge_reward(y, label, y_next)
         trace.append((label, r))
         x, y = x_next, y_next
@@ -172,21 +185,33 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
     return episodes
 
 
-def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int):
+def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, steps=None):
     """Returns the offending prefix word, or None.
 
     A prefix is a counterexample when (a) it is fully absorbed by the
     failure state despite being sampled at least n_check times, or (b)
     its empirical reward distribution is statistically different from
-    the hypothesis prediction at that prefix."""
+    the hypothesis prediction at that prefix.
+
+    `steps` memoises `h.advance` by (bytes of the state vector, label); a
+    caller checking many traces against one hypothesis passes the same
+    dict to every call."""
+    if steps is None:
+        steps = {}
     m_total = max(table.total_samples(), 1)
     vec = h.initial_vector()
+    key = vec.tobytes()
     word = []
     for label, _ in trace:
-        vec, expected = h.advance(vec, label)
+        hit = steps.get((key, label))
+        if hit is None:
+            nxt, expected = h.advance(vec, label)
+            absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
+            hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, absorbed)
+        vec, key, expected, absorbed = hit
         word.append(label)
         prefix = tuple(word)
-        if h.bottom is not None and vec[h.bottom] >= 1.0 - 1e-12:
+        if absorbed:
             if table.sample_count(prefix) >= n_check:
                 return prefix
             continue
@@ -202,11 +227,12 @@ def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis:
     counterexample appears or n_stop episodes elapse.  Returns
     (counterexample word or None, episodes run)."""
     episodes = 0
+    steps = {}  # is_counterexample's memo of hypothesis steps
     while episodes < cfg.n_stop:
         trace = teacher_query(q_h, m, hypothesis, "equivalence", cfg, rng, terminal_labels)
         table.record(trace)
         episodes += 1
-        ce = is_counterexample(table, hypothesis, trace, cfg.n_check)
+        ce = is_counterexample(table, hypothesis, trace, cfg.n_check, steps)
         if ce is not None:
             return ce, episodes
     return None, episodes
@@ -229,7 +255,6 @@ class ActiveReport:
     total_equivalence_episodes: int = 0
     total_counterexamples: int = 0
     truncated: bool = False
-    wall_time: float = 0.0   # not rendered: report files must be reproducible
 
     def render(self) -> str:
         lines = []
@@ -271,7 +296,6 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
     queries until closed and consistent, pose an equivalence query, feed
     counterexample prefixes back into S, and stop after n_stop
     consecutive counterexample-free equivalence rounds."""
-    start_time = time.monotonic()
     rng = np.random.default_rng(cfg.seed)
     alphabet = m.label_alphabet()
     table = ObservationTable(m.ap, alphabet)
@@ -349,5 +373,4 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
     else:
         report.truncated = True
 
-    report.wall_time = time.monotonic() - start_time
     return ActiveResult(hypothesis=hypothesis, table=table, report=report)

@@ -24,7 +24,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, sample_index, unit_vector
+from .machine import PROB_TOL, Prm, draw_row, sample_index, sampling_row, unit_vector
 
 ACTIONS = ("N", "S", "E", "W")
 MOVES = {"N": (-1, 0), "S": (1, 0), "E": (0, 1), "W": (0, -1)}
@@ -53,8 +53,7 @@ class _PrmSession:
         self.y = prm.init
 
     def observe(self, label: Label) -> float:
-        vec = self.prm.successor_vector(self.y, label)
-        y_next = sample_index(vec, self.rng)
+        y_next = self.prm.sample_successor(self.y, label, self.rng)
         reward = self.prm.edge_reward(self.y, label, y_next)
         self.y = y_next
         return reward
@@ -104,14 +103,20 @@ class Nmdp:
     ap: Alphabet
     labeling: dict          # (state, action, state) -> Label
     reward_source: object
+    # (state, action) -> (sampling_row of the successor vector, the label of
+    # a deterministic row or None), filled by step on first use.  An Nmdp is
+    # not changed after construction.
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for x, acts in enumerate(self.available):
             if not acts:
                 raise ValueError("state %r has no available actions" % (self.states[x],))
+            if any(not 0 <= a < len(self.actions) for a in acts):
+                raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
-            if abs(vec.sum() - 1.0) > PROB_TOL or np.any(vec < 0):
+            if not np.all(np.isfinite(vec)) or abs(vec.sum() - 1.0) > PROB_TOL or np.any(vec < 0):
                 raise ValueError("bad transition distribution at (%d, %d)" % (x, a))
             self.p[(x, a)] = vec
             for j in np.flatnonzero(vec):
@@ -155,14 +160,6 @@ class PositionalPolicy:
         return dist
 
 
-class GeneralPolicy:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def distribution(self, history, x: int, m: Nmdp) -> dict:
-        return self.fn(history, x)
-
-
 def uniform_policy(m: Nmdp) -> PositionalPolicy:
     probs = {}
     for x in range(len(m.states)):
@@ -200,12 +197,22 @@ def trajectory_probability(m: Nmdp, policy, t: Trajectory) -> float:
 
 
 def step(m: Nmdp, x: int, a: int, rng, reward_session):
-    """One environment step.  The reward session carries the label history."""
-    if a not in m.available[x]:
-        raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
-    vec = m.p[(x, a)]
-    x_next = sample_index(vec, rng)
-    label = m.labeling[(x, a, x_next)]
+    """One environment step.  The reward session carries the label history.
+    The successor is drawn as `sample_index(m.p[(x, a)], rng)` would, from
+    the pair's compiled row."""
+    move = m._moves.get((x, a))
+    if move is None:
+        if a not in m.available[x]:
+            raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
+        row = sampling_row(m.p[(x, a)])
+        label = m.labeling[(x, a, row)] if row.__class__ is int else None
+        move = m._moves[(x, a)] = (row, label)
+    row, label = move
+    if label is None:
+        x_next = draw_row(row, rng)
+        label = m.labeling[(x, a, x_next)]
+    else:
+        x_next = row
     reward = reward_session.observe(label)
     return x_next, label, reward
 

@@ -18,6 +18,8 @@ which keeps approximate hypotheses total without materializing 2^AP.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .alphabet import (
@@ -44,6 +46,25 @@ def sample_index(vec: np.ndarray, rng) -> int:
         return j
     k = int(np.searchsorted(np.cumsum(vec), rng.random(), side="right"))
     return min(k, len(vec) - 1)
+
+
+def sampling_row(vec: np.ndarray):
+    """What `sample_index` draws from, compiled once: the index of a
+    deterministic row (argmax at least 1.0, no draw), else the cumulative
+    row as a list of floats, which `draw_row` searches."""
+    j = int(np.argmax(vec))
+    if vec[j] >= 1.0:
+        return j
+    return np.cumsum(vec).tolist()
+
+
+def draw_row(row, rng) -> int:
+    """`sample_index` on a compiled row: the same index and the same draws
+    (bisect_right on the cumulative list is searchsorted side="right")."""
+    if row.__class__ is int:
+        return row
+    k = bisect_right(row, rng.random())
+    return k if k < len(row) else len(row) - 1
 
 
 class UndefinedTransitionError(KeyError):
@@ -94,6 +115,9 @@ class Prm:
         # first use: membership queries build a machine per word and read
         # few of its labels.  A machine is not changed after construction.
         self._views = {}
+        # (state, label) -> sampling_row of its successor vector, filled by
+        # sample_successor on first use
+        self._rows = {}
 
         n = len(self.states)
         if not 0 <= self.init < n:
@@ -112,6 +136,8 @@ class Prm:
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (n,):
                 raise ValueError("transition vector has wrong length at (%r, %s)" % (y, label_str(label)))
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("non-finite transition probability at (%r, %s)" % (y, label_str(label)))
             if np.any(vec < 0):
                 raise ValueError("negative transition probability at (%r, %s)" % (y, label_str(label)))
             if abs(vec.sum() - 1.0) > PROB_TOL:
@@ -153,6 +179,15 @@ class Prm:
         if self.implicit_bottom:
             out[self.bottom] = 1.0
         return out
+
+    def sample_successor(self, y: int, label: Label, rng) -> int:
+        """`sample_index(self.successor_vector(y, label), rng)` from a row
+        compiled on first use; an undefined pair without implicit_bottom
+        has an all-zero row and draws the last state, as sample_index does."""
+        row = self._rows.get((y, label))
+        if row is None:
+            row = self._rows[(y, label)] = sampling_row(self.successor_vector(y, label))
+        return draw_row(row, rng)
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:
         if self.convention == "target":
@@ -286,8 +321,7 @@ class Prm:
             self.ap.validate_label(label)
             if (y, label) not in self.tau and not self.implicit_bottom:
                 raise UndefinedTransitionError(self.states[y], label)
-            vec = self.successor_vector(y, label)
-            y_next = sample_index(vec, rng)
+            y_next = self.sample_successor(y, label, rng)
             out.append((y_next, self.edge_reward(y, label, y_next)))
             y = y_next
         return out

@@ -59,9 +59,16 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     n = sum(freq.values())
     if n == 0:
         return False
-    scaled = {gamma: p * n for gamma, p in dist.items()}
-    lookup = {0: freq, 1: scaled}
-    return diff(lambda w: lookup[w], 0, 1, m_total)
+    # the expected count of gamma is dist[gamma] * n, and diff's gap of
+    # gamma is |count/n - expected/n_prime|
+    n_prime = sum([p * n for p in dist.values()])
+    if n_prime == 0:
+        return False
+    threshold = hoeffding_threshold(n, n_prime, m_total)
+    for gamma in freq.keys() | dist.keys():
+        if abs(freq.get(gamma, 0) / n - dist.get(gamma, 0) * n / n_prime) > threshold:
+            return True
+    return False
 
 
 class ObservationTable:
@@ -80,6 +87,7 @@ class ObservationTable:
         self.e: list = [EPSILON]
         self.t: dict = {}
         self.sample: dict = {}
+        self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
         # row word -> frozenset of the indices into E of the columns with
@@ -103,7 +111,9 @@ class ObservationTable:
             if counter is None:
                 counter = Counter()
                 self.t[key] = counter
-            counter[float(reward)] += 1
+            reward = float(reward)
+            counter[reward] += 1
+            self.rewards.add(reward)
             self.sample[key] = self.sample.get(key, 0) + 1
             self._total_samples += 1
 
@@ -112,6 +122,7 @@ class ObservationTable:
         for word, counter in other.t.items():
             mine = self.t.setdefault(word, Counter())
             mine.update(counter)
+        self.rewards |= other.rewards
         for word, count in other.sample.items():
             self.sample[word] = self.sample.get(word, 0) + count
             self._total_samples += count
@@ -268,7 +279,9 @@ class ObservationTable:
                 if count < 0 or sample < 0:
                     raise ValueError("negative count in table row %r" % (row,))
                 counter = table.t.setdefault(word, Counter())
-                counter[parse_reward(row["reward"])] += count
+                reward = parse_reward(row["reward"])
+                counter[reward] += count
+                table.rewards.add(reward)
                 table.sample[word] = sample
                 words.add(word)
         table._cols.clear()  # the counts were written into t directly
@@ -413,12 +426,9 @@ def build_hypothesis(
         tau[(y, label)] = vec
         rho[(y, label)] = state[0]  # source-state annotation per the construction
 
-    gamma = {0.0}
-    for counter in table.t.values():
-        gamma.update(counter)
     return Prm(
         table.ap,
-        sorted(gamma),
+        sorted({0.0} | table.rewards),
         names,
         index[start],
         tau,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from prmlearn import (
     Alphabet,
@@ -41,6 +42,19 @@ def dyadic_vector(rng, n, grain=64):
     """A probability vector whose entries are multiples of 1/grain."""
     cuts = sorted(rng.integers(0, grain + 1, size=n - 1).tolist())
     return np.diff([0] + cuts + [grain]).astype(float) / grain
+
+
+def probability_vectors(n):
+    """A hypothesis strategy of probability vectors of length n:
+    deterministic, dyadic and non-dyadic."""
+    deterministic = st.integers(0, n - 1).map(lambda i: unit_vector(n, i))
+    dyadic = st.lists(st.integers(0, 64), min_size=n - 1, max_size=n - 1).map(
+        lambda cuts: np.diff([0] + sorted(cuts) + [64]).astype(float) / 64
+    )
+    non_dyadic = st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n).map(
+        lambda parts: np.array(parts) / sum(parts)
+    )
+    return st.one_of(deterministic, dyadic, non_dyadic)
 
 
 def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, truth=None):

@@ -1,5 +1,10 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import prmlearn
 
 from prmlearn import (
     Alphabet,
@@ -21,11 +26,13 @@ from prmlearn.active import (
     teacher_query,
 )
 from prmlearn.alphabet import EMPTY_LABEL
-from prmlearn.environment import free_nmdp
-from prmlearn.machine import prm_from_text
-from prmlearn.table import build_hypothesis, repair_on_frozen_data
+from prmlearn.environment import free_nmdp, load_env_config
+from prmlearn.machine import prm_from_text, random_prm, sample_index
+from prmlearn.table import build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
-from conftest import C, O, single_state_zero_prm, two_cell_nmdp
+from conftest import C, O, random_nmdp, single_state_zero_prm, two_cell_nmdp
+
+OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
 
 def config(**kw):
@@ -99,7 +106,118 @@ def test_q_update_arithmetic():
     trace = teacher_query(q, m, machine, "membership", cfg, rng)
     (label, _reward), = trace
     expected = 0.5 if label == C else 0.0
-    assert set(q.values.values()) == {expected}
+    visited = (0, 0, 1 if label == C else 0)   # action 1 enters the marked cell
+    assert q.get(*visited) == expected
+    for key in itertools.product(range(2), range(2), range(2)):
+        if key != visited:
+            assert q.get(*key) == 0.0
+
+
+# The teacher episode as it was written before the Q-table stored rows and
+# the environment and machines sampled from compiled rows: a dict keyed by
+# (y, x, a), and sample_index on every successor vector.
+
+
+class RefQTable:
+    def __init__(self):
+        self.values = {}
+
+    def get(self, y, x, a):
+        return self.values.get((y, x, a), 0.0)
+
+    def set(self, y, x, a, value):
+        self.values[(y, x, a)] = value
+
+    def best(self, y, x, actions):
+        return max((self.get(y, x, a) for a in actions), default=0.0)
+
+
+def ref_epsilon_greedy_action(q, y, x, actions, explore, rng):
+    if explore > 0.0 and rng.random() < explore:
+        return int(actions[int(rng.integers(0, len(actions)))])
+    best = max(q.get(y, x, a) for a in actions)
+    top = [a for a in actions if q.get(y, x, a) == best]
+    if len(top) == 1:
+        return top[0]
+    return int(top[int(rng.integers(0, len(top)))])
+
+
+def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
+    terminal = set(terminal_labels)
+    truth = m.reward_source.prm
+    x, y, y_truth = m.x_init, h.init, truth.init
+    trace = []
+    for _ in range(cfg.n_episode):
+        actions = m.available[x]
+        a = ref_epsilon_greedy_action(q, y, x, actions, cfg.explore, rng)
+        x_next = sample_index(m.p[(x, a)], rng)
+        label = m.labeling[(x, a, x_next)]
+        y_truth_next = sample_index(truth.successor_vector(y_truth, label), rng)
+        r = truth.edge_reward(y_truth, label, y_truth_next)
+        y_truth = y_truth_next
+        vec = h.successor_vector(y, label)
+        if cfg.machine_advance == "argmax":
+            y_next = int(np.argmax(vec))
+        else:
+            y_next = sample_index(vec, rng)
+        r_machine = h.edge_reward(y, label, y_next)
+        target = r_machine if mode == "membership" else r
+        best_next = q.best(y_next, x_next, m.available[x_next])
+        q.set(
+            y, x, a,
+            (1.0 - cfg.learn_rate) * q.get(y, x, a)
+            + cfg.learn_rate * (target + cfg.discount * best_next),
+        )
+        trace.append((label, r))
+        x, y = x_next, y_next
+        if label in terminal:
+            break
+    return trace
+
+
+def teacher_cases():
+    """(name, environment, terminal labels, [(mode, machine), ...])."""
+    patrol = patrol_prm()
+    two_cell = two_cell_nmdp(patrol)
+    office = load_env_config(OFFICE)
+    rng = np.random.default_rng(5)
+    props = ("a", "b")
+    stochastic = random_nmdp(
+        rng, n_states=4, n_actions=3, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0])
+    )
+    return [
+        ("two_cell", two_cell, (), [
+            ("membership", membership_reward_machine(two_cell.ap, (C, EMPTY_LABEL))),
+            ("equivalence", patrol),
+        ]),
+        ("office", office.nmdp, office.terminal_labels, [
+            ("membership", membership_reward_machine(office.nmdp.ap, (C, O))),
+            ("equivalence", office.truth),
+        ]),
+        ("random", stochastic, (), [
+            ("membership", membership_reward_machine(stochastic.ap, stochastic.label_alphabet()[:2])),
+            ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
+        ]),
+    ]
+
+
+@pytest.mark.parametrize("explore", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("advance", ["sample", "argmax"])
+def test_teacher_query_matches_reference_loop(advance, explore):
+    for name, m, terminal, machines in teacher_cases():
+        for mode, h in machines:
+            cfg = config(n_episode=30, explore=explore, machine_advance=advance)
+            rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+            q, ref_q = QTable(), RefQTable()
+            for _ in range(15):
+                trace = teacher_query(q, m, h, mode, cfg, rng, terminal)
+                assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal), (name, mode)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
+            for key, value in ref_q.values.items():
+                assert q.get(*key) == value, (name, mode, key)
+            for (y, x), row in q.rows.items():
+                for a, value in enumerate(row):
+                    assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
 
 
 def test_teacher_query_records_environment_rewards():
@@ -271,6 +389,47 @@ def test_is_counterexample_bottom_absorption():
     table2 = ObservationTable(ap, [EMPTY_LABEL, C])
     table2.record([(EMPTY_LABEL, 0.0)])
     assert is_counterexample(table2, h, [(EMPTY_LABEL, 0.0)], n_check=50) is None
+
+
+def ref_is_counterexample(table, h, trace, n_check):
+    """is_counterexample without the memo of hypothesis steps."""
+    m_total = max(table.total_samples(), 1)
+    vec = h.initial_vector()
+    word = []
+    for label, _ in trace:
+        vec, expected = h.advance(vec, label)
+        word.append(label)
+        prefix = tuple(word)
+        if h.bottom is not None and vec[h.bottom] >= 1.0 - 1e-12:
+            if table.sample_count(prefix) >= n_check:
+                return prefix
+            continue
+        freq = table.freq(prefix)
+        if sum(freq.values()) > 0 and expected and diff_against_distribution(freq, expected, m_total):
+            return prefix
+    return None
+
+
+def test_is_counterexample_memo_matches_fresh_walk():
+    # a learned office hypothesis (stochastic rows, implicit failure state)
+    # checked against equivalence traces, some of them counterexamples
+    office = load_env_config(OFFICE)
+    m = office.nmdp
+    cfg = config(n_check=30, n_query=100, n_stop=5, n_episode=office.n_episode, seed=3)
+    result = learn_active(m, cfg, office.terminal_labels)
+    h, table = result.hypothesis, result.table
+    rng = np.random.default_rng(4)
+    q, steps = QTable(), {}
+    verdicts = []
+    for _ in range(60):
+        trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode, explore=0.5),
+                              rng, office.terminal_labels)
+        table.record(trace)
+        verdict = is_counterexample(table, h, trace, cfg.n_check, steps)
+        assert verdict == ref_is_counterexample(table, h, trace, cfg.n_check)
+        verdicts.append(verdict)
+    assert any(v is None for v in verdicts) and any(v is not None for v in verdicts)
+    assert steps
 
 
 # -- the outer loop -------------------------------------------------------------------------

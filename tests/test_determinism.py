@@ -1,9 +1,13 @@
-"""The learned machine stays byte-identical for a fixed seed.
+"""The learned machine and the active run's report stay byte-identical
+for a fixed seed.
 
-The digests are of `prm_to_text` of machines learned before the
+The machine digests are of `prm_to_text` of machines learned before the
 observation table's row sweeps were indexed by sampled column; a change
 to the table, the sampling or the RNG draw order that alters a learned
-machine fails here.
+machine fails here.  The report digest is of the active run's rendered
+report (episodes and counterexample of every round) before the sampling
+path was compiled to rows, so a change to the draw order that happens to
+leave the final machine unchanged still fails.
 """
 
 import hashlib
@@ -17,10 +21,15 @@ OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
 PASSIVE_OFFICE_SHA256 = "851b0a5e3f434c6dba7402c4a01146954c5be981e38c470104d973b7f15a5bf2"
 ACTIVE_OFFICE_SHA256 = "05f3c9d2eaf502d1348afdd9e262c6755bf4c0ab873cf6656502eb13c95b876d"
+ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
 
 
 def digest(prm) -> str:
-    return hashlib.sha256(prm_to_text(prm).encode("utf-8")).hexdigest()
+    return sha256(prm_to_text(prm))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_passive_office_machine_is_pinned():
@@ -38,3 +47,4 @@ def test_active_office_machine_is_pinned():
     cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=0)
     result = learn_active(env.nmdp, cfg, env.terminal_labels)
     assert digest(result.hypothesis) == ACTIVE_OFFICE_SHA256
+    assert sha256(result.report.render()) == ACTIVE_OFFICE_REPORT_SHA256

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmlearn import (
     Alphabet,
@@ -20,6 +24,7 @@ from prmlearn import (
 from prmlearn.environment import (
     ACTIONS,
     MapParseError,
+    Nmdp,
     PrmBacked,
     TableBacked,
     UnavailableActionError,
@@ -32,8 +37,11 @@ from prmlearn.environment import (
     word_realizable,
     free_nmdp,
 )
+from prmlearn.machine import Prm, sample_index, unit_vector
 
-from conftest import C, O, STAR, random_nmdp, single_state_zero_prm, two_cell_nmdp
+from conftest import (
+    C, O, STAR, probability_vectors, random_nmdp, single_state_zero_prm, two_cell_nmdp,
+)
 
 OFFICE_MAP = """\
 #######
@@ -101,6 +109,107 @@ def test_unavailable_action_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(UnavailableActionError):
         step(m, 0, 99, rng, m.reward_source.session(rng))
+
+
+def test_action_index_outside_the_actions_rejected():
+    with pytest.raises(ValueError, match="action index"):
+        Nmdp(
+            states=("x0",),
+            x_init=0,
+            actions=("loop",),
+            available=[[0, 1]],
+            p={(0, 0): unit_vector(1, 0), (0, 1): unit_vector(1, 0)},
+            ap=Alphabet(["a"]),
+            labeling={(0, 0, 0): EMPTY_LABEL, (0, 1, 0): EMPTY_LABEL},
+            reward_source=None,
+        )
+
+
+def test_non_finite_transition_rejected():
+    with pytest.raises(ValueError, match="bad transition distribution"):
+        Nmdp(
+            states=("x0", "x1"),
+            x_init=0,
+            actions=("loop",),
+            available=[[0], [0]],
+            p={(0, 0): np.array([np.nan, np.nan]), (1, 0): unit_vector(2, 1)},
+            ap=Alphabet(["a"]),
+            labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
+            reward_source=None,
+        )
+
+
+def ref_step(m, x, a, rng, truth, y):
+    """One step as sample_index draws it from the uncompiled rows: the
+    environment's successor, then the truth machine's."""
+    if a not in m.available[x]:
+        raise UnavailableActionError("action %r unavailable" % (a,))
+    x_next = sample_index(m.p[(x, a)], rng)
+    label = m.labeling[(x, a, x_next)]
+    y_next = sample_index(truth.successor_vector(y, label), rng)
+    return x_next, label, truth.edge_reward(y, label, y_next), y_next
+
+
+@st.composite
+def environment_and_actions(draw):
+    ap = Alphabet(["a", "b"])
+    labels = ap.labels()
+    n_truth = draw(st.integers(1, 3))
+    tau, rho = {}, {}
+    for y in range(n_truth):
+        for label in labels:
+            tau[(y, label)] = draw(probability_vectors(n_truth))
+            rho[(y, label)] = draw(st.sampled_from([0.0, 1.0]))
+    truth = Prm(ap, [0.0, 1.0], ["y%d" % i for i in range(n_truth)], 0, tau, rho)
+    n, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    p, labeling = {}, {}
+    for x in range(n):
+        for a in range(n_actions):
+            vec = p[(x, a)] = draw(probability_vectors(n))
+            for j in np.flatnonzero(vec):
+                labeling[(x, a, int(j))] = draw(st.sampled_from(labels))
+    m = Nmdp(
+        states=tuple("x%d" % i for i in range(n)),
+        x_init=0,
+        actions=tuple("a%d" % i for i in range(n_actions)),
+        available=[list(range(n_actions)) for _ in range(n)],
+        p=p,
+        ap=ap,
+        labeling=labeling,
+        reward_source=PrmBacked(truth),
+    )
+    actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=1, max_size=40))
+    return m, actions, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=environment_and_actions())
+def test_step_draws_as_sample_index(case):
+    # deterministic, dyadic and non-dyadic environment and truth rows: the
+    # compiled step gives the successor, label and reward of sample_index
+    # on the rows and leaves the Generator in the same state
+    m, actions, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    session = m.reward_source.session(rng)
+    x = ref_x = m.x_init
+    y = m.reward_source.prm.init
+    for a in actions:
+        x, label, reward = step(m, x, a, rng, session)
+        ref_x, ref_label, ref_reward, y = ref_step(m, ref_x, a, ref_rng, m.reward_source.prm, y)
+        assert (x, label, reward) == (ref_x, ref_label, ref_reward)
+        assert session.y == y
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_unavailable_action_rejected_after_other_steps():
+    m = random_nmdp(np.random.default_rng(0), n_states=2, n_actions=2)
+    m = dataclasses.replace(m, available=[[0], [0, 1]])   # (0, 1) has a row in p
+    rng = np.random.default_rng(0)
+    session = m.reward_source.session(rng)
+    step(m, 0, 0, rng, session)
+    assert m._moves
+    with pytest.raises(UnavailableActionError):
+        step(m, 0, 1, rng, session)
 
 
 # -- reward sources ------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmlearn import (
     Alphabet,
@@ -16,9 +18,9 @@ from prmlearn import (
     random_prm,
     save_prm,
 )
-from prmlearn.machine import unit_vector
+from prmlearn.machine import draw_row, sample_index, sampling_row, unit_vector
 
-from conftest import C, O, STAR, single_state_zero_prm
+from conftest import C, O, STAR, probability_vectors, single_state_zero_prm
 
 A = frozenset({"a"})
 
@@ -38,6 +40,18 @@ def test_negative_probability_rejected():
     rho = {(0, A): 0.0}
     with pytest.raises(ValueError):
         Prm(ap, [0.0], ["y0", "y1"], 0, tau, rho)
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.nan, np.nan], [np.inf, -np.inf]])
+def test_non_finite_probability_rejected(bad):
+    # NaN passes both the sum and the sign check; sampling from such a row
+    # is undefined
+    ap = Alphabet(["a"])
+    names = ["y%d" % i for i in range(len(bad))]
+    with pytest.raises(ValueError, match="non-finite"):
+        Prm(ap, [0.0], names, 0, {(0, A): np.array(bad)}, {(0, A): 0.0})
+    with pytest.raises(ValueError, match="non-finite"):
+        prm_from_text("ap: a\ngamma: 0\ninit: y0\ny0 --a/0--> y0 : nan\n")
 
 
 def test_tau_rho_same_domain():
@@ -219,6 +233,73 @@ def test_sample_run_coffee_split_monte_carlo(coffee):
         if run[-1][1] == 1.0:
             hits += 1
     assert abs(hits / n - 0.9) <= 0.01
+
+
+def row_strategy(n):
+    """Successor rows of length n, and None for an undefined pair."""
+    return st.one_of(probability_vectors(n), st.none())
+
+
+@st.composite
+def machine_and_queries(draw):
+    n = draw(st.integers(1, 5))
+    implicit_bottom = draw(st.booleans())
+    ap = Alphabet(["a"])
+    tau, rho = {}, {}
+    for y in range(n):
+        for label in ap.labels():
+            vec = draw(row_strategy(n))
+            if vec is not None:
+                tau[(y, label)], rho[(y, label)] = vec, 0.0
+    prm = Prm(ap, [0.0], ["y%d" % i for i in range(n)], 0, tau, rho,
+              bottom=n - 1 if implicit_bottom else None, implicit_bottom=implicit_bottom)
+    queries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(ap.labels())),
+                            min_size=1, max_size=30))
+    return prm, queries, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=machine_and_queries())
+def test_sample_successor_draws_as_sample_index(case):
+    # deterministic, dyadic and non-dyadic rows, all-zero rows of undefined
+    # pairs and e_bottom rows of implicit-bottom pairs: the compiled row
+    # gives the index sample_index gives and leaves the Generator in the
+    # same state
+    prm, queries, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for y, label in queries:
+        expected = sample_index(prm.successor_vector(y, label), ref_rng)
+        assert prm.sample_successor(y, label, rng) == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class ScriptedRng:
+    """Returns the given floats from `random()`, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vec=probability_vectors(4), u=st.floats(0.0, 1.0, exclude_max=True))
+def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
+    # draws on a cumulative boundary, past the last cumulative value (a row
+    # summing to just under 1) and anywhere else pick the same index
+    row = sampling_row(vec)
+    cum = np.cumsum(vec).tolist()
+    short = vec * (1.0 - 1e-10)
+    for value in cum + [u, float(np.cumsum(short)[-1])]:
+        assert draw_row(row, ScriptedRng([value])) == sample_index(vec, ScriptedRng([value]))
+        assert draw_row(sampling_row(short), ScriptedRng([value])) == sample_index(short, ScriptedRng([value]))
+
+
+def test_sample_successor_rows_are_compiled_lazily(coffee):
+    assert coffee._rows == {}
+    coffee.sample_successor(0, C, np.random.default_rng(0))
+    assert list(coffee._rows) == [(0, C)]
 
 
 def test_membership_machine_run():

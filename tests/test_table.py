@@ -75,6 +75,35 @@ def test_diff_against_distribution():
     assert diff_against_distribution(Counter(), {0.0: 1.0}, 200) is False
 
 
+def ref_diff_against_distribution(freq, dist, m_total):
+    """diff_against_distribution as it was: `diff` on a lookup of the
+    frequency map and the distribution scaled to its sample size."""
+    n = sum(freq.values())
+    if n == 0:
+        return False
+    scaled = {gamma: p * n for gamma, p in dist.items()}
+    lookup = {0: freq, 1: scaled}
+    return diff(lambda w: lookup[w], 0, 1, m_total)
+
+
+DIFF_REWARDS = [0.0, 0.5, 1.0, 2.0]
+counters = st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 400)).map(Counter)
+dyadic_dists = st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 64), min_size=1).map(
+    lambda parts: {g: k / 64 for g, k in parts.items()}
+)
+float_dists = st.dictionaries(st.sampled_from(DIFF_REWARDS), st.floats(1e-6, 1.0), min_size=1).map(
+    lambda parts: {g: p / sum(parts.values()) for g, p in parts.items()}
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(freq=counters, dist=st.one_of(dyadic_dists, float_dists), m_total=st.integers(1, 10 ** 5))
+def test_diff_against_distribution_matches_reference(freq, dist, m_total):
+    assert diff_against_distribution(freq, dist, m_total) == ref_diff_against_distribution(
+        freq, dist, m_total
+    )
+
+
 # -- recording --------------------------------------------------------------------
 
 
@@ -323,6 +352,51 @@ def test_row_sweeps_match_full_column_loops(ops):
     for word in table.e:
         again.add_experiment(word)
     assert sweep(again) == results
+
+
+table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
+reward_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=4)),
+        st.tuples(st.just("merge"), st.lists(st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=3), max_size=3)),
+    ),
+    max_size=10,
+)
+
+
+def rewards_in_t(table):
+    return set().union(*table.t.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=reward_ops)
+def test_reward_set_follows_record_merge_and_csv(ops):
+    table = make_table(alphabet=SWEEP_LABELS)
+    for kind, arg in ops:
+        if kind == "record":
+            table.record(arg)
+        else:
+            other = make_table(alphabet=SWEEP_LABELS)
+            for trace in arg:
+                other.record(trace)
+            table.merge(other)
+        assert table.rewards == rewards_in_t(table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        table.to_csv(path)
+        again = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
+    assert again.rewards == rewards_in_t(again) == table.rewards
+
+
+def test_reward_set_keeps_zero_count_rewards_read_from_csv(tmp_path):
+    # a zero count still makes the reward a key of the word's counter, and
+    # so a reward of the hypothesis built from the table
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\nc,0,3,3\nc,0.5,0,3\n", encoding="utf-8")
+    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+    assert table.rewards == rewards_in_t(table) == {0.0, 0.5}
+    repair_on_frozen_data(table)
+    assert build_hypothesis(table, n_check=1).gamma == (0.0, 0.5)
 
 
 def test_row_sweeps_follow_new_counts_and_columns():
