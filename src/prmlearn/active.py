@@ -43,9 +43,6 @@ class QTable:
     def set(self, y: int, x: int, a: int, value: float) -> None:
         self.row(y, x, a + 1)[a] = value
 
-    def best(self, y: int, x: int, actions) -> float:
-        return max((self.get(y, x, a) for a in actions), default=0.0)
-
     def greedy_action(self, y: int, x: int, actions) -> int:
         return max(actions, key=lambda a: (self.get(y, x, a), -a))
 
@@ -63,8 +60,6 @@ class LearnerConfig:
     discount: float = 0.9
     explore: float = 0.1
     seed: int = 0
-    machine_advance: str = "sample"   # or "argmax"
-    rho_convention: str = "target"
     max_rounds: int = 500
     max_repairs_per_round: int = 100
 
@@ -78,8 +73,6 @@ class LearnerConfig:
             raise ValueError("discount must be in (0, 1)")
         if not 0.0 <= self.explore <= 1.0:
             raise ValueError("explore must be in [0, 1]")
-        if self.machine_advance not in ("sample", "argmax"):
-            raise ValueError("machine_advance must be 'sample' or 'argmax'")
 
 
 def epsilon_greedy_action(q: QTable, y: int, x: int, actions, explore: float, rng) -> int:
@@ -103,16 +96,15 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     """One Q-learning episode on the implicit product of m and h.
 
     In membership mode the update target uses the machine reward; in
-    equivalence mode it uses the environment reward.  Returns the trace
-    of (environment label, environment reward) pairs; q is updated in
-    place."""
+    equivalence mode it uses the environment reward, and the machine is
+    only advanced.  Returns the trace of (environment label, environment
+    reward) pairs; q is updated in place."""
     if mode not in ("membership", "equivalence"):
         raise ValueError("unknown query mode %r" % (mode,))
     terminal = set(terminal_labels)
     session = m.reward_source.session(rng)
     available, width = m.available, len(m.actions)
     membership = mode == "membership"
-    sample = cfg.machine_advance == "sample"
     explore, learn_rate, discount = cfg.explore, cfg.learn_rate, cfg.discount
     x, y = m.x_init, h.init
     row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
@@ -120,12 +112,8 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     for _ in range(cfg.n_episode):
         a = _choose(row, available[x], explore, rng)
         x_next, label, r = step(m, x, a, rng, session)
-        if sample:
-            y_next = h.sample_successor(y, label, rng)
-        else:
-            y_next = int(np.argmax(h.successor_vector(y, label)))
-        r_machine = h.edge_reward(y, label, y_next)
-        target = r_machine if membership else r
+        y_next = h.sample_successor(y, label, rng)
+        target = h.edge_reward(y, label, y_next) if membership else r
         row_next = q.row(y_next, x_next, width)
         best_next = max([row_next[b] for b in available[x_next]])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
@@ -340,9 +328,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
                 continue
             break
 
-        hypothesis = build_hypothesis(
-            table, cfg.n_check, rho_convention=cfg.rho_convention
-        )
+        hypothesis = build_hypothesis(table, cfg.n_check)
         if hypothesis.n_states() != last_shape:
             q_h.reset()
             last_shape = hypothesis.n_states()

@@ -9,6 +9,7 @@ label and labels inside a word are separated by ";".
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterable
 
@@ -107,4 +108,7 @@ def format_reward(value: float) -> str:
 
 
 def parse_reward(text: str) -> float:
-    return float(text.strip())
+    value = float(text.strip())
+    if not math.isfinite(value):
+        raise ValueError("reward must be finite: %r" % (text,))
+    return value

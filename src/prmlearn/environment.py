@@ -153,7 +153,7 @@ class PositionalPolicy:
     def __init__(self, action_probs: dict):
         self.action_probs = dict(action_probs)
 
-    def distribution(self, history, x: int, m: Nmdp) -> dict:
+    def distribution(self, x: int, m: Nmdp) -> dict:
         dist = self.action_probs.get(x)
         if dist is None:
             return {m.available[x][0]: 1.0}
@@ -178,18 +178,16 @@ def trajectory_probability(m: Nmdp, policy, t: Trajectory) -> float:
     if t.states[0] != m.x_init:
         raise ValueError("trajectory does not start at the initial state")
     prob = 1.0
-    history = []
     for k, a in enumerate(t.actions):
         x, x_next = t.states[k], t.states[k + 1]
         if a not in m.available[x]:
             raise UnavailableActionError(
                 "action %r unavailable at state %r" % (a, m.states[x])
             )
-        dist = policy.distribution(history, x, m)
+        dist = policy.distribution(x, m)
         prob *= dist.get(a, 0.0) * float(m.p[(x, a)][x_next])
         if prob == 0.0:
             return 0.0
-        history.append((x, a))
     return prob
 
 
@@ -222,13 +220,11 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):
     terminal = set(terminal_labels)
     session = m.reward_source.session(rng)
     x = m.x_init
-    history = []
     trace = []
     for _ in range(n_episode):
-        a = sample_action(policy.distribution(history, x, m), rng)
+        a = sample_action(policy.distribution(x, m), rng)
         x_next, label, reward = step(m, x, a, rng, session)
         trace.append((label, reward))
-        history.append((x, a))
         x = x_next
         if label in terminal:
             break

@@ -35,7 +35,6 @@ from .alphabet import (
 )
 
 PROB_TOL = 1e-9
-DEFAULT_LABEL_CAP = 2 ** 16
 
 
 def sample_index(vec: np.ndarray, rng) -> int:
@@ -154,6 +153,8 @@ class Prm:
         gamma.update(float(r) for r in self.rho.values())
         if self.tags is not None:
             gamma.update(self.tags)
+        if not all(np.isfinite(g) for g in gamma):
+            raise ValueError("non-finite reward in %r" % (sorted(gamma),))
         self.gamma = tuple(sorted(gamma))
 
     # -- structure ---------------------------------------------------------
@@ -164,10 +165,10 @@ class Prm:
     def defined(self, y: int, label: Label) -> bool:
         return (y, label) in self.tau or self.implicit_bottom
 
-    def is_total(self, cap: int = DEFAULT_LABEL_CAP) -> bool:
+    def is_total(self) -> bool:
         if self.implicit_bottom:
             return True
-        labels = self.ap.labels(cap)
+        labels = self.ap.labels()
         return all((y, l) in self.tau for y in range(len(self.states)) for l in labels)
 
     def successor_vector(self, y: int, label: Label) -> np.ndarray:
@@ -254,10 +255,10 @@ class Prm:
                     dist[gamma] = mass / denom
         return nxt, dist
 
-    def reward_matrix(self, gamma: float, cap: int = DEFAULT_LABEL_CAP) -> np.ndarray:
+    def reward_matrix(self, gamma: float) -> np.ndarray:
         n = len(self.states)
         out = np.zeros((n, n))
-        for label in self.ap.labels(cap):
+        for label in self.ap.labels():
             out += self.reward_conditional_matrix(gamma, label)
         return out
 
@@ -281,17 +282,17 @@ class Prm:
             vec = vec @ self._view(label)[0]
         return vec
 
-    def reward_sequence_probability(self, rewards, cap: int = DEFAULT_LABEL_CAP) -> float:
+    def reward_sequence_probability(self, rewards) -> float:
         """y_I H(r_1)...H(r_n) 1.  Not normalized over reward sequences."""
         vec = self.initial_vector()
         for gamma in rewards:
-            vec = vec @ self.reward_matrix(gamma, cap)
+            vec = vec @ self.reward_matrix(gamma)
         return float(vec.sum())
 
-    def conditional_reward_probability(self, gamma: float, word: Word, cap: int = DEFAULT_LABEL_CAP) -> float:
+    def conditional_reward_probability(self, gamma: float, word: Word) -> float:
         """y_I H(l_1...l_k) H(gamma) 1, literally per the definition."""
         vec = self.initial_vector() @ self.word_matrix(word)
-        vec = vec @ self.reward_matrix(gamma, cap)
+        vec = vec @ self.reward_matrix(gamma)
         return float(vec.sum())
 
     def next_reward_distribution(self, prefix: Word, label: Label) -> dict:
@@ -431,6 +432,7 @@ def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False, grai
 # [bottom: name]            (only for hypothesis machines)
 # [implicit_bottom: true]
 # [tag: name value]         (one per state, target machines only)
+# [state: name]             (a state that no other line names)
 # y0 --c/0--> y1 : 0.9
 
 
@@ -448,6 +450,12 @@ def prm_to_text(prm: Prm) -> str:
     if prm.tags is not None:
         for name, tag in zip(prm.states, prm.tags):
             lines.append("tag: %s %s" % (name, format_reward(tag)))
+    else:
+        named = {prm.init, prm.bottom}
+        for (y, _), vec in prm.tau.items():
+            named.add(y)
+            named.update(np.flatnonzero(vec).tolist())
+        lines.extend("state: %s" % name for y, name in enumerate(prm.states) if y not in named)
     keys = sorted(prm.tau, key=lambda k: (k[0], label_sort_key(k[1])))
     for y, label in keys:
         vec = prm.tau[(y, label)]
@@ -468,6 +476,7 @@ def prm_from_text(text: str) -> Prm:
     bottom_name = None
     implicit_bottom = False
     tag_lines = []
+    state_lines = []
     edges = []  # (src, label, reward, dst, prob)
     for raw in text.splitlines():
         line = raw.strip()
@@ -488,6 +497,8 @@ def prm_from_text(text: str) -> Prm:
         elif line.startswith("tag:"):
             name, value = line[4:].split()
             tag_lines.append((name, parse_reward(value)))
+        elif line.startswith("state:"):
+            state_lines.append(line[6:].strip())
         else:
             head, prob = line.rsplit(":", 1)
             src, rest = head.split("--", 1)
@@ -500,19 +511,10 @@ def prm_from_text(text: str) -> Prm:
         raise ValueError("machine text is missing its ap or init header")
 
     names = []
-    for name, _, _, _, _ in edges:
-        if name not in names:
+    named = [e[0] for e in edges] + [e[3] for e in edges] + [name for name, _ in tag_lines]
+    for name in named + state_lines + [init_name, bottom_name]:
+        if name is not None and name not in names:
             names.append(name)
-    for _, _, _, name, _ in edges:
-        if name not in names:
-            names.append(name)
-    for name, _ in tag_lines:
-        if name not in names:
-            names.append(name)
-    if init_name not in names:
-        names.append(init_name)
-    if bottom_name is not None and bottom_name not in names:
-        names.append(bottom_name)
     index = {name: i for i, name in enumerate(names)}
 
     tau, rho = {}, {}

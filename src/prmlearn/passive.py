@@ -26,7 +26,6 @@ class PassiveConfig:
     max_states: int = 500
     seed: int = 0
     jobs: int = 1
-    rho_convention: str = "target"
 
     def __post_init__(self):
         if self.n_check <= 0:
@@ -86,7 +85,7 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
     # enough data would be routed to the failure state anyway, and the seed
     # stops sparse rows from collapsing into one vacuously compatible class.
     seeds = sorted(
-        (w for w, n in table.sample.items() if n >= cfg.n_check),
+        (w for w in table.t if table.sample_count(w) >= cfg.n_check),
         key=lambda w: (len(w), word_str(w)),
     )
     for w in seeds:
@@ -97,7 +96,7 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
 
     repair_on_frozen_data(table)
     report.n_s, report.n_e = len(table.s), len(table.e)
-    hypothesis = build_hypothesis(table, cfg.n_check, rho_convention=cfg.rho_convention)
+    hypothesis = build_hypothesis(table, cfg.n_check)
     return PassiveResult(table=table, hypothesis=hypothesis, report=report)
 
 

@@ -1,9 +1,10 @@
 """Sampling observation tables.
 
 The table tracks reward frequencies T(w) for every prefix of every
-recorded trace, plus per-word sample counters.  Statistical difference
-between two empirical reward distributions uses a Hoeffding bound at
-confidence alpha = 1/M^3 where M is the total number of samples so far.
+recorded trace; a word's sample count is the sum of its frequencies.
+Statistical difference between two empirical reward distributions uses a
+Hoeffding bound at confidence alpha = 1/M^3 where M is the total number
+of samples so far.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     return False
 
 
+CSV_COLUMNS = ("word", "reward", "count", "sample")
+
+
 class ObservationTable:
-    """Observation table (S, E, T) with per-word sample counters.
+    """Observation table (S, E, T).
 
     `alphabet` is the list of labels iterated by the closedness and
     consistency checks (typically the labels occurring in the
@@ -86,7 +90,6 @@ class ObservationTable:
         self.s: list = [EPSILON]
         self.e: list = [EPSILON]
         self.t: dict = {}
-        self.sample: dict = {}
         self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
@@ -114,7 +117,6 @@ class ObservationTable:
             reward = float(reward)
             counter[reward] += 1
             self.rewards.add(reward)
-            self.sample[key] = self.sample.get(key, 0) + 1
             self._total_samples += 1
 
     def merge(self, other: "ObservationTable") -> None:
@@ -123,9 +125,7 @@ class ObservationTable:
             mine = self.t.setdefault(word, Counter())
             mine.update(counter)
         self.rewards |= other.rewards
-        for word, count in other.sample.items():
-            self.sample[word] = self.sample.get(word, 0) + count
-            self._total_samples += count
+        self._total_samples += other._total_samples
         self.num_traces += other.num_traces
         for word in other.s:
             self.add_state(word)
@@ -141,9 +141,10 @@ class ObservationTable:
         return sum(self.freq(word).values())
 
     def sample_count(self, word: Word) -> int:
+        """How often `word` was a trace prefix; ε counts every trace."""
         if not word:
             return self.num_traces
-        return self.sample.get(tuple(word), 0)
+        return self.total(word)
 
     def total_samples(self) -> int:
         return self._total_samples
@@ -181,10 +182,6 @@ class ObservationTable:
         """The experiments sampled at both s.e and s_prime.e, in E order."""
         e = self.e
         return [e[i] for i in sorted(self._columns(s) & self._columns(s_prime))]
-
-    def compatible_cells(self, w: Word, w_prime: Word) -> bool:
-        m_total = max(self.total_samples(), 1)
-        return not diff(self.freq, w, w_prime, m_total)
 
     def compatible_rows(self, s: Word, s_prime: Word) -> bool:
         m_total = max(self.total_samples(), 1)
@@ -255,41 +252,51 @@ class ObservationTable:
     # -- serialization ---------------------------------------------------------
 
     def to_csv(self, path) -> None:
+        """One row per (word, reward): the word, the reward, its count, and
+        the word's sample count (the sum of its counts)."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["word", "reward", "count", "sample"])
+            writer.writerow(CSV_COLUMNS)
             for word in sorted(self.t, key=lambda w: (len(w), word_str(w))):
                 counter = self.t[word]
+                sample = sum(counter.values())
                 for reward in sorted(counter):
-                    writer.writerow(
-                        [word_str(word), format_reward(reward), counter[reward], self.sample[word]]
-                    )
+                    writer.writerow([word_str(word), format_reward(reward), counter[reward], sample])
 
     @classmethod
     def from_csv(cls, path, ap: Alphabet, alphabet=None) -> "ObservationTable":
         table = cls(ap, alphabet)
-        words = set()
+        claims = []  # (word, the sample column of one of its rows)
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError("table CSV has no %s column" % " or ".join(missing))
+            for row in reader:
+                if None in row.values():
+                    raise ValueError("table row %r has too few fields" % (row,))
                 # recorded words are nonempty, so a lone "ε" is the one-label
                 # word of the empty label (word_str writes both it and the
                 # empty word as "ε")
                 word = tuple(parse_label(part) for part in row["word"].split(WORD_SEPARATOR))
                 count, sample = int(row["count"]), int(row["sample"])
-                if count < 0 or sample < 0:
+                if count < 0:
                     raise ValueError("negative count in table row %r" % (row,))
+                claims.append((word, sample))
                 counter = table.t.setdefault(word, Counter())
                 reward = parse_reward(row["reward"])
                 counter[reward] += count
                 table.rewards.add(reward)
-                table.sample[word] = sample
-                words.add(word)
+        for word, sample in claims:
+            if sample != table.total(word):
+                raise ValueError("word %s has sample %d, but its counts sum to %d"
+                                 % (word_str(word), sample, table.total(word)))
         table._cols.clear()  # the counts were written into t directly
-        table._total_samples = sum(table.sample.values())
+        table._total_samples = sum(table.total(word) for word in table.t)
         # every recorded trace is nonempty and counted under its first label
-        table.num_traces = sum(table.sample[w] for w in words if len(w) == 1)
+        table.num_traces = sum(table.total(word) for word in table.t if len(word) == 1)
         if alphabet is None:
-            observed = {label for word in words for label in word}
+            observed = {label for word in table.t for label in word}
             table.alphabet = sorted(observed, key=label_sort_key)
         return table
 
@@ -301,13 +308,7 @@ class TableNotReadyError(ValueError):
     pass
 
 
-def build_hypothesis(
-    table: ObservationTable,
-    n_check: int,
-    *,
-    rho_convention: str = "target",
-    label_cap: int = 2 ** 16,
-) -> Prm:
+def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     """Construct the hypothesis machine from a closed and consistent table.
 
     States are (reward, representative row) pairs reachable from
@@ -322,8 +323,6 @@ def build_hypothesis(
     consistent, witness = table.is_consistent()
     if not consistent:
         raise TableNotReadyError("table is not consistent (witness %r)" % (witness,))
-    if rho_convention not in ("source", "target"):
-        raise ValueError("unknown rho convention %r" % (rho_convention,))
 
     # Compatibility classes by greedy complete linkage in rank order: a row
     # joins the first class it is compatible with every member of (rows with
@@ -403,7 +402,7 @@ def build_hypothesis(
 
     # the failure state only exists when some (state, label) pair actually
     # routes to it; a fully covered table yields a machine without it
-    all_labels = table.ap.labels(label_cap)
+    all_labels = table.ap.labels()
     needs_bottom = any(
         (state, label) not in edges or edges[(state, label)] is None
         for state in order
@@ -434,7 +433,7 @@ def build_hypothesis(
         tau,
         rho,
         tags=tags,
-        convention=rho_convention,
+        convention="target",
         bottom=bottom,
         implicit_bottom=needs_bottom,
     )

@@ -199,7 +199,7 @@ def random_closed_consistent_table(rng):
             trace.append((label, reward))
         table.record(trace)
     # seed S with a few sampled prefixes so the classes are not all vacuous
-    prefixes = sorted(table.sample, key=lambda w: (len(w), str(w)))
+    prefixes = sorted(table.t, key=lambda w: (len(w), str(w)))
     for w in prefixes[: int(rng.integers(0, 6))]:
         table.add_state(w)
     repair_on_frozen_data(table)

@@ -72,3 +72,9 @@ def test_reward_formatting():
     assert format_reward(0) == "0"
     assert parse_reward(format_reward(0.5)) == 0.5
     assert parse_reward("1") == 1.0
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_reward_rejected(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_reward(text)

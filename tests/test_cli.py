@@ -205,3 +205,23 @@ def test_console_script_installed():
     # argparse prints help and exits 0
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+@pytest.mark.parametrize("reward", ["inf", "nan"])
+def test_learn_passive_rejects_non_finite_reward(patrol_env, tmp_path, capsys, reward):
+    traces = tmp_path / "traces.log"
+    traces.write_text("c;%s\n" % reward, encoding="utf-8")
+    out = tmp_path / "learned.prm"
+    code = run_cli(["learn-passive", "--env", patrol_env, "--traces", traces,
+                    "--n-check", "1", "--out", out])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_dot_rejects_non_finite_reward(tmp_path, capsys):
+    prm = tmp_path / "inf.prm"
+    prm.write_text("ap: c\ngamma: 0\ninit: y0\ny0 --c/inf--> y0 : 1.0\n", encoding="utf-8")
+    code = run_cli(["export-dot", "--prm", prm, "--out", tmp_path / "inf.dot"])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err

@@ -7,7 +7,10 @@ to the table, the sampling or the RNG draw order that alters a learned
 machine fails here.  The report digest is of the active run's rendered
 report (episodes and counterexample of every round) before the sampling
 path was compiled to rows, so a change to the draw order that happens to
-leave the final machine unchanged still fails.
+leave the final machine unchanged still fails.  The table digest is of
+the passive run's `to_csv` output while the table still kept a separate
+per-word sample counter; its `sample` column is now each word's summed
+count, and must write the same bytes.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 PASSIVE_OFFICE_SHA256 = "851b0a5e3f434c6dba7402c4a01146954c5be981e38c470104d973b7f15a5bf2"
 ACTIVE_OFFICE_SHA256 = "05f3c9d2eaf502d1348afdd9e262c6755bf4c0ab873cf6656502eb13c95b876d"
 ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
+PASSIVE_OFFICE_TABLE_SHA256 = "66a78c0743148a4ec07e86f3f8ce5cb3fd6eb8ea17807e42d72dfde8330d4341"
 
 
 def digest(prm) -> str:
@@ -32,13 +36,16 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_passive_office_machine_is_pinned():
+def test_passive_office_machine_is_pinned(tmp_path):
     env = load_env_config(OFFICE)
     cfg = PassiveConfig(
         n_check=40, n_episode=env.n_episode, terminal_labels=env.terminal_labels, seed=7
     )
     result = learn_passive(env.nmdp, uniform_policy(env.nmdp), 300, cfg)
     assert digest(result.hypothesis) == PASSIVE_OFFICE_SHA256
+    path = tmp_path / "table.csv"
+    result.table.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PASSIVE_OFFICE_TABLE_SHA256
 
 
 def test_active_office_machine_is_pinned():

@@ -351,3 +351,40 @@ def test_dot_export(coffee):
     # the edge annotation format is <label, reward> : probability
     assert "⟨c, 0⟩ : 0.9" in dot
     assert dot == prm_to_dot(coffee)  # deterministic
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reward_rejected(bad):
+    ap = Alphabet(["a"])
+    tau = {(0, A): np.ones(1)}
+    for gamma, rho, tags in [
+        ([0.0], bad, None),            # an edge reward
+        ([0.0, bad], 0.0, None),       # a declared reward
+        ([0.0], 0.0, [bad]),           # a state's reward tag
+    ]:
+        with pytest.raises(ValueError, match="non-finite reward"):
+            Prm(ap, gamma, ["y0"], 0, tau, {(0, A): rho}, tags=tags,
+                convention="source" if tags is None else "target")
+
+
+@pytest.mark.parametrize("text", [
+    "ap: a\ngamma: 0,inf\ninit: y0\ny0 --a/0--> y0 : 1.0\n",
+    "ap: a\ngamma: 0\ninit: y0\ny0 --a/nan--> y0 : 1.0\n",
+    "ap: a\ngamma: 0\ninit: y0\nconvention: target\ntag: y0 -inf\ny0 --a/0--> y0 : 1.0\n",
+], ids=["gamma", "edge", "tag"])
+def test_text_non_finite_reward_rejected(text):
+    with pytest.raises(ValueError, match="finite"):
+        prm_from_text(text)
+
+
+def test_text_keeps_states_no_other_line_names():
+    # a partial machine's state without edges, tag, init or bottom role
+    # still has a line of its own, so the machine reads back with it
+    ap = Alphabet(["a"])
+    prm = Prm(ap, [0.0], ["y0", "lost"], 0, {(0, A): unit_vector(2, 0)}, {(0, A): 0.0})
+    text = prm_to_text(prm)
+    assert "state: lost" in text.splitlines()
+    again = prm_from_text(text)
+    assert again.states == ("y0", "lost")
+    assert prm_to_text(again) == text
+    assert "state:" not in prm_to_text(coffee_prm())

@@ -137,7 +137,7 @@ def test_record_additivity_and_order_independence():
     t2.record(trace_b)
     t2.record(trace_a)
     assert t1.t == t2.t
-    assert t1.sample == t2.sample
+    assert {w: t1.sample_count(w) for w in t1.t} == {w: t2.sample_count(w) for w in t2.t}
     t1.record(trace_a)
     assert t1.freq((C,)) == Counter({0.0: 2})
 
@@ -540,7 +540,7 @@ def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
     table.to_csv(path)
     again = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
     assert again.t == table.t
-    assert again.sample == table.sample
+    assert {w: again.sample_count(w) for w in again.t} == {w: table.sample_count(w) for w in table.t}
     assert again.num_traces == table.num_traces == 4
 
 
@@ -548,4 +548,40 @@ def test_csv_negative_count_rejected(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("word,reward,count,sample\nc,0,-3,3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="negative count"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+
+
+@pytest.mark.parametrize("missing", ["word", "reward", "count", "sample"])
+def test_csv_missing_column_rejected(tmp_path, missing):
+    fields = {"word": "c", "reward": "0", "count": "3", "sample": "3"}
+    del fields[missing]
+    path = tmp_path / "table.csv"
+    path.write_text("%s\n%s\n" % (",".join(fields), ",".join(fields.values())), encoding="utf-8")
+    with pytest.raises(ValueError, match="no %s column" % missing):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+
+
+def test_csv_empty_file_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="column"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+
+
+def test_csv_short_row_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\nc,0,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="too few fields"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+
+
+@pytest.mark.parametrize("rows", [
+    "c,0,3,5\n",                        # 3 samples counted, 5 claimed
+    "c,0,3,5\nc,1,2,4\n",               # the word's rows disagree
+    "c,0,3,3\nc,1,2,3\n",               # rows agree, counts sum to 5
+])
+def test_csv_sample_must_be_the_summed_count(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match="sample"):
         ObservationTable.from_csv(path, Alphabet(["c", "o"]))
