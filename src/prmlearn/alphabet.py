@@ -22,6 +22,11 @@ EPSILON: Word = ()
 EMPTY_LABEL_CHAR = "ε"  # ε
 CLI_EMPTY_LABEL_CHAR = "~"
 WORD_SEPARATOR = ";"
+# What the text formats split on: "&" within a label, ";" between labels
+# and trace fields, "," in a machine's `ap:` line, and ":", "/" and "--"
+# in its edge lines.  A proposition name holds none of them and no
+# whitespace, which the formats strip or split lines on.
+RESERVED_MARKS = ("&", ";", ",", ":", "/", "--")
 
 
 class Alphabet:
@@ -32,7 +37,12 @@ class Alphabet:
         if len(set(props)) != len(props):
             raise ValueError("duplicate proposition names: %r" % (props,))
         for p in props:
-            if not p or "&" in p or ";" in p or p in (EMPTY_LABEL_CHAR, CLI_EMPTY_LABEL_CHAR):
+            if (
+                not p
+                or p in (EMPTY_LABEL_CHAR, CLI_EMPTY_LABEL_CHAR)
+                or any(mark in p for mark in RESERVED_MARKS)
+                or any(ch.isspace() for ch in p)
+            ):
                 raise ValueError("invalid proposition name: %r" % (p,))
         self.props = props
         self._index = {p: i for i, p in enumerate(props)}

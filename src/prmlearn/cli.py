@@ -67,7 +67,7 @@ def resolve_policy(arg: str, setup: EnvSetup):
     for state, action in mapping.items():
         if state not in state_index:
             raise ConfigurationError("policy names unknown state %r" % state)
-        if action not in action_index:
+        if not isinstance(action, str) or action not in action_index:
             raise ConfigurationError("policy names unknown action %r" % action)
         probs[state_index[state]] = {action_index[action]: 1.0}
     return PositionalPolicy(probs)

@@ -148,16 +148,33 @@ class UnavailableActionError(ValueError):
 class PositionalPolicy:
     """Map from state to a distribution over actions.  Missing states fall
     back to the first available action (they are never visited by the
-    rollouts the policy was built for)."""
+    rollouts the policy was built for).  A policy is not changed after
+    construction."""
 
     def __init__(self, action_probs: dict):
         self.action_probs = dict(action_probs)
+        # state -> (its actions sorted, sampling_row of their probabilities),
+        # filled by action_row on first use
+        self._rows = {}
 
     def distribution(self, x: int, m: Nmdp) -> dict:
         dist = self.action_probs.get(x)
         if dist is None:
             return {m.available[x][0]: 1.0}
         return dist
+
+    def action_row(self, x: int, m: Nmdp) -> tuple:
+        """(actions, row): `actions[draw_row(row, rng)]` draws the action at
+        x as `sample_index` on the sorted actions' probabilities would.  A
+        missing state gives its first available action and no draw."""
+        compiled = self._rows.get(x)
+        if compiled is None:
+            dist = self.action_probs.get(x)
+            if dist is None:
+                return (int(m.available[x][0]),), 0
+            actions = tuple(int(a) for a in sorted(dist))
+            compiled = self._rows[x] = (actions, sampling_row(np.array([dist[a] for a in actions])))
+        return compiled
 
 
 def uniform_policy(m: Nmdp) -> PositionalPolicy:
@@ -166,12 +183,6 @@ def uniform_policy(m: Nmdp) -> PositionalPolicy:
         acts = m.available[x]
         probs[x] = {a: 1.0 / len(acts) for a in acts}
     return PositionalPolicy(probs)
-
-
-def sample_action(dist: dict, rng) -> int:
-    actions = sorted(dist)
-    probs = np.array([dist[a] for a in actions])
-    return int(actions[sample_index(probs, rng)])
 
 
 def trajectory_probability(m: Nmdp, policy, t: Trajectory) -> float:
@@ -222,7 +233,8 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):
     x = m.x_init
     trace = []
     for _ in range(n_episode):
-        a = sample_action(policy.distribution(x, m), rng)
+        actions, row = policy.action_row(x, m)
+        a = actions[draw_row(row, rng)]
         x_next, label, reward = step(m, x, a, rng, session)
         trace.append((label, reward))
         x = x_next
@@ -519,20 +531,28 @@ def load_env_config(path) -> EnvSetup:
     for key in ("map", "truth_prm"):
         if key not in cfg:
             raise ValueError("environment config is missing %r" % (key,))
+        if not isinstance(cfg[key], str):
+            raise ValueError("environment config %r must be a file name" % (key,))
+    terminal = cfg.get("terminal_labels", [])
+    if not isinstance(terminal, list) or not all(isinstance(t, str) for t in terminal):
+        raise ValueError("environment config 'terminal_labels' must be a list of labels")
+    try:
+        n_episode, seed = int(cfg.get("n_episode", 100)), int(cfg.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("environment config 'n_episode' and 'seed' must be integers") from exc
     base = path.parent
     gridmap = load_gridmap(base / cfg["map"])
     from .machine import load_prm
 
     truth = load_prm(base / cfg["truth_prm"])
     nmdp = build_office_nmdp(gridmap, truth)
-    terminal = tuple(parse_label(t) for t in cfg.get("terminal_labels", []))
     return EnvSetup(
         nmdp=nmdp,
         gridmap=gridmap,
         truth=truth,
-        n_episode=int(cfg.get("n_episode", 100)),
-        terminal_labels=terminal,
-        seed=int(cfg.get("seed", 0)),
+        n_episode=n_episode,
+        terminal_labels=tuple(parse_label(t) for t in terminal),
+        seed=seed,
     )
 
 
@@ -563,8 +583,9 @@ def save_traces(traces, path) -> None:
 
 
 def load_traces(path):
+    """One trace per line; a blank line is an empty trace."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [trace_from_line(line) for line in fh if line.strip()]
+        return [trace_from_line(line) for line in fh]
 
 
 # -- parallel trace collection -------------------------------------------------------

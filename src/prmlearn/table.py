@@ -31,9 +31,42 @@ from .alphabet import (
 from .machine import Prm
 
 
-def hoeffding_threshold(n: int, n_prime: int, m_total: int) -> float:
+def _hoeffding_factor(m_total: int) -> float:
+    """sqrt(0.5 ln(2/alpha)) at alpha = 1/M^3: the threshold of two words
+    with n and n' samples is this factor times sqrt(1/n) + sqrt(1/n')."""
     alpha = 1.0 / m_total ** 3
-    return math.sqrt(0.5 * math.log(2.0 / alpha)) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
+    return math.sqrt(0.5 * math.log(2.0 / alpha))
+
+
+def hoeffding_threshold(n: int, n_prime: int, m_total: int) -> float:
+    return _hoeffding_factor(m_total) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
+
+
+def _word_inputs(freq):
+    """What the Hoeffding test reads of one word's frequency map with n
+    samples: ({reward: count/n}, sqrt(1/n)); None without samples."""
+    n = sum(freq.values())
+    if n == 0:
+        return None
+    return {gamma: count / n for gamma, count in freq.items()}, math.sqrt(1.0 / n)
+
+
+def _differ(a, b, factor: float) -> bool:
+    """The Hoeffding test on two words' `_word_inputs`: some reward's gap
+    |p - p'| exceeds factor * (sqrt(1/n) + sqrt(1/n')).  False whenever
+    either word has no samples."""
+    if a is None or b is None:
+        return False
+    (p, root), (p_prime, root_prime) = a, b
+    threshold = factor * (root + root_prime)
+    for gamma, q in p.items():
+        if abs(q - p_prime.get(gamma, 0.0)) > threshold:
+            return True
+    for gamma, q in p_prime.items():
+        # a reward of only the second word: its gap is |0.0 - q| = q
+        if gamma not in p and q > threshold:
+            return True
+    return False
 
 
 def diff(f, s: Word, s_prime: Word, m_total: int) -> bool:
@@ -41,17 +74,7 @@ def diff(f, s: Word, s_prime: Word, m_total: int) -> bool:
 
     `f` maps words to frequency maps (reward -> count).  False whenever
     either word has no samples."""
-    fs, fs_prime = f(s), f(s_prime)
-    n = sum(fs.values())
-    n_prime = sum(fs_prime.values())
-    if n == 0 or n_prime == 0:
-        return False
-    threshold = hoeffding_threshold(n, n_prime, m_total)
-    for gamma in set(fs) | set(fs_prime):
-        gap = abs(fs.get(gamma, 0) / n - fs_prime.get(gamma, 0) / n_prime)
-        if gap > threshold:
-            return True
-    return False
+    return _differ(_word_inputs(f(s)), _word_inputs(f(s_prime)), _hoeffding_factor(m_total))
 
 
 def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
@@ -93,10 +116,24 @@ class ObservationTable:
         self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
+        # Caches derived from the counts and E, filled on first use and
+        # dropped together by _invalidate:
         # row word -> frozenset of the indices into E of the columns with
-        # samples at row.e; filled by _columns on first use, cleared
-        # whenever the counts or E change
+        # samples at row.e
         self._cols: dict = {}
+        # word -> its _word_inputs, or None without samples
+        self._inputs: dict = {}
+        # (row, row') and (row', row) -> the compatible_rows verdict
+        self._verdicts: dict = {}
+        # _hoeffding_factor of the current sample total
+        self._factor = None
+
+    def _invalidate(self) -> None:
+        """Drop every derived cache; called whenever the counts or E change."""
+        self._cols.clear()
+        self._inputs.clear()
+        self._verdicts.clear()
+        self._factor = None
 
     # -- recording ---------------------------------------------------------
 
@@ -104,7 +141,7 @@ class ObservationTable:
         """Count every nonempty prefix of a trace of (label, reward) pairs."""
         if not trace:
             return
-        self._cols.clear()
+        self._invalidate()
         self.num_traces += 1
         word = []
         for label, reward in trace:
@@ -120,7 +157,7 @@ class ObservationTable:
             self._total_samples += 1
 
     def merge(self, other: "ObservationTable") -> None:
-        self._cols.clear()
+        self._invalidate()
         for word, counter in other.t.items():
             mine = self.t.setdefault(word, Counter())
             mine.update(counter)
@@ -158,16 +195,18 @@ class ObservationTable:
     def add_experiment(self, word: Word) -> bool:
         if word not in self.e:
             self.e.append(word)
-            self._cols.clear()
+            self._invalidate()
             return True
         return False
 
     # -- compatibility ------------------------------------------------------
     #
-    # `diff` is False whenever either word has no samples, so a row sweep
+    # `diff` is False whenever either word has no samples, so a row test
     # only visits the experiment columns that both rows have samples for:
     # it gives the results and witnesses of a loop over all of E, and
-    # costs the number of shared sampled columns, not |E|.
+    # costs the number of shared sampled columns, not |E|.  Each word's
+    # test inputs and each row pair's verdict are then computed once
+    # until the counts or E change.
 
     def _columns(self, s: Word) -> frozenset:
         cols = self._cols.get(s)
@@ -178,17 +217,30 @@ class ObservationTable:
             )
         return cols
 
-    def _shared_columns(self, s: Word, s_prime: Word) -> list:
-        """The experiments sampled at both s.e and s_prime.e, in E order."""
-        e = self.e
-        return [e[i] for i in sorted(self._columns(s) & self._columns(s_prime))]
+    def _inputs_of(self, word: Word):
+        inputs = self._inputs.get(word, _UNSET)
+        if inputs is _UNSET:
+            inputs = self._inputs[word] = _word_inputs(self.t.get(word, _EMPTY))
+        return inputs
+
+    def _differing_columns(self, s: Word, s_prime: Word, columns):
+        """The indices i of `columns` at which s.E[i] and s_prime.E[i]
+        differ, by the test `diff` runs, in the order of `columns`."""
+        factor = self._factor
+        if factor is None:
+            factor = self._factor = _hoeffding_factor(max(self.total_samples(), 1))
+        inputs, e = self._inputs_of, self.e
+        return (i for i in columns if _differ(inputs(s + e[i]), inputs(s_prime + e[i]), factor))
 
     def compatible_rows(self, s: Word, s_prime: Word) -> bool:
-        m_total = max(self.total_samples(), 1)
-        for e in self._shared_columns(s, s_prime):
-            if diff(self.freq, s + e, s_prime + e, m_total):
-                return False
-        return True
+        verdict = self._verdicts.get((s, s_prime))
+        if verdict is None:
+            shared = self._columns(s) & self._columns(s_prime)
+            verdict = next(self._differing_columns(s, s_prime, shared), None) is None
+            # the test is symmetric; tuples of labels have no order to
+            # pick one key by, so the pair is stored both ways
+            self._verdicts[(s, s_prime)] = self._verdicts[(s_prime, s)] = verdict
+        return verdict
 
     def rows_share_evidence(self, s: Word, s_prime: Word) -> bool:
         """True when some experiment column has samples for both rows."""
@@ -219,17 +271,19 @@ class ObservationTable:
         return True, None
 
     def is_consistent(self):
-        """Returns (True, None) or (False, (s, s', label, e))."""
-        m_total = max(self.total_samples(), 1)
+        """Returns (True, None) or (False, (s, s', label, e)), e the first
+        column of E at which s.label and s'.label differ."""
         for i, s in enumerate(self.s):
             for s_prime in self.s[i + 1:]:
                 if not self.compatible_rows(s, s_prime):
                     continue
                 for label in self.alphabet:
                     left, right = s + (label,), s_prime + (label,)
-                    for e in self._shared_columns(left, right):
-                        if diff(self.freq, left + e, right + e, m_total):
-                            return False, (s, s_prime, label, e)
+                    if self.compatible_rows(left, right):
+                        continue
+                    shared = sorted(self._columns(left) & self._columns(right))
+                    first = next(self._differing_columns(left, right, shared))
+                    return False, (s, s_prime, label, self.e[first])
         return True, None
 
     # -- representatives ------------------------------------------------------
@@ -269,10 +323,14 @@ class ObservationTable:
         claims = []  # (word, the sample column of one of its rows)
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+            try:
+                columns, rows = reader.fieldnames or (), list(reader)
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                raise ValueError("malformed table CSV: %s" % (exc,)) from exc
+            missing = [name for name in CSV_COLUMNS if name not in columns]
             if missing:
                 raise ValueError("table CSV has no %s column" % " or ".join(missing))
-            for row in reader:
+            for row in rows:
                 if None in row.values():
                     raise ValueError("table row %r has too few fields" % (row,))
                 # recorded words are nonempty, so a lone "ε" is the one-label
@@ -291,7 +349,7 @@ class ObservationTable:
             if sample != table.total(word):
                 raise ValueError("word %s has sample %d, but its counts sum to %d"
                                  % (word_str(word), sample, table.total(word)))
-        table._cols.clear()  # the counts were written into t directly
+        table._invalidate()  # the counts were written into t directly
         table._total_samples = sum(table.total(word) for word in table.t)
         # every recorded trace is nonempty and counted under its first label
         table.num_traces = sum(table.total(word) for word in table.t if len(word) == 1)
@@ -302,6 +360,7 @@ class ObservationTable:
 
 
 _EMPTY = Counter()
+_UNSET = object()
 
 
 class TableNotReadyError(ValueError):

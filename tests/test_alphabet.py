@@ -21,6 +21,10 @@ def test_alphabet_rejects_duplicates_and_bad_names():
         Alphabet(["a&b"])
     with pytest.raises(ValueError):
         Alphabet(["a;b"])
+    # marks the text formats split on, and whitespace, which they strip
+    for name in ["a,b", "a:b", "a/b", "a--b", "a b", "a\tb", " a", "a ", "a\n", "\u2028a"]:
+        with pytest.raises(ValueError):
+            Alphabet([name])
 
 
 def test_labels_enumerates_power_set_in_canonical_order():

@@ -70,6 +70,19 @@ def test_learn_passive_from_traces_file(patrol_env, tmp_path):
     assert table.read_text(encoding="utf-8").startswith("word,reward,count,sample")
 
 
+def test_learn_passive_reports_every_logged_episode(patrol_env, tmp_path, capsys):
+    # an empty episode is a blank line of the log, and still an episode
+    traces = tmp_path / "traces.log"
+    run_cli(["simulate", "--env", patrol_env, "--episodes", "4", "--out", traces, "--seed", "2"])
+    lines = traces.read_text(encoding="utf-8").splitlines()
+    traces.write_text("\n".join(["", *lines[:2], "", *lines[2:], ""]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(["learn-passive", "--env", patrol_env, "--traces", traces,
+                    "--n-check", "1", "--out", tmp_path / "learned.prm"])
+    assert code == 0
+    assert "from 7 traces" in capsys.readouterr().out
+
+
 def test_learn_passive_deterministic(patrol_env, tmp_path):
     outs = []
     for name in ("a.prm", "b.prm"):

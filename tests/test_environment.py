@@ -25,6 +25,7 @@ from prmlearn.environment import (
     ACTIONS,
     MapParseError,
     Nmdp,
+    PositionalPolicy,
     PrmBacked,
     TableBacked,
     UnavailableActionError,
@@ -201,6 +202,53 @@ def test_step_draws_as_sample_index(case):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@st.composite
+def environment_and_policy(draw):
+    """An environment as above, available actions listed in a random
+    order, and a positional policy that leaves some states out."""
+    m, _, seed = draw(environment_and_actions())
+    n_actions = len(m.actions)
+    m = dataclasses.replace(
+        m, available=[draw(st.permutations(range(n_actions))) for _ in m.states]
+    )
+    probs = {}
+    for x in range(len(m.states)):
+        if draw(st.booleans()):
+            continue   # missing: the first available action, no draw
+        vec = draw(probability_vectors(n_actions))
+        order = draw(st.permutations(range(n_actions)))   # dict order is not sorted
+        probs[x] = {a: float(vec[a]) for a in order}
+    terminal = draw(st.sets(st.sampled_from(m.ap.labels()), max_size=2))
+    return m, PositionalPolicy(probs), terminal, draw(st.integers(1, 30)), seed
+
+
+def ref_episode(m, policy, rng, n_episode, terminal_labels):
+    """run_episode as sample_index draws it: the action from the sorted
+    actions' probabilities, then the step from the uncompiled rows."""
+    truth = m.reward_source.prm
+    x, y, trace = m.x_init, truth.init, []
+    for _ in range(n_episode):
+        dist = policy.distribution(x, m)
+        actions = sorted(dist)
+        a = int(actions[sample_index(np.array([dist[a] for a in actions]), rng)])
+        x, label, reward, y = ref_step(m, x, a, rng, truth, y)
+        trace.append((label, reward))
+        if label in terminal_labels:
+            break
+    return trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=environment_and_policy())
+def test_run_episode_draws_as_sample_index(case):
+    m, policy, terminal, n_episode, seed = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):   # later episodes read the rows the first one compiled
+        trace = run_episode(m, policy, rng, n_episode, terminal)
+        assert trace == ref_episode(m, policy, ref_rng, n_episode, terminal)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_unavailable_action_rejected_after_other_steps():
     m = random_nmdp(np.random.default_rng(0), n_states=2, n_actions=2)
     m = dataclasses.replace(m, available=[[0], [0, 1]])   # (0, 1) has a row in p
@@ -333,7 +381,7 @@ def test_trace_log_round_trip(tmp_path):
     ]
     path = tmp_path / "traces.log"
     save_traces(traces, path)
-    assert load_traces(path) == [traces[0], traces[2]]  # blank line for the empty trace
+    assert load_traces(path) == traces  # a blank line is the empty trace
     line = trace_to_line(traces[0])
     assert line == "c;0;o;1"
     assert trace_from_line(line) == traces[0]

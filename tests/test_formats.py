@@ -1,18 +1,32 @@
-"""Property tests of the text formats: machine files, trace lines and the
-observation-table CSV each read back what was written."""
+"""Property tests of the text formats: machine files, trace lines, grid
+maps and the observation-table CSV each read back what was written, and
+reject corrupted text with a ValueError (exit 1 on the command line)."""
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prmlearn import Alphabet, ObservationTable, Prm, prm_from_text, prm_to_text
+from prmlearn import Alphabet, ObservationTable, Prm, load_prm, prm_from_text, prm_to_text
 from prmlearn.alphabet import EPSILON
-from prmlearn.environment import trace_from_line, trace_to_line
+from prmlearn.cli import main
+from prmlearn.environment import (
+    load_env_config,
+    load_gridmap,
+    load_traces,
+    parse_gridmap,
+    trace_from_line,
+    trace_to_line,
+)
 
 from conftest import probability_vectors
+
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets"
 
 PROPS = ["a", "b", "*"]
 finite_rewards = st.floats(allow_nan=False, allow_infinity=False)
@@ -130,3 +144,204 @@ def test_table_csv_round_trip(ops):
     assert again.total_samples() == table.total_samples()
     for word in [EPSILON, *table.t]:
         assert again.sample_count(word) == table.sample_count(word)
+
+
+# -- proposition names ---------------------------------------------------------------
+
+
+def accepted(name: str) -> bool:
+    try:
+        Alphabet([name])
+    except ValueError:
+        return False
+    return True
+
+
+prop_names = st.text(min_size=1, max_size=4).filter(accepted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    props=st.lists(prop_names, min_size=1, max_size=2, unique=True),
+    rewards=st.lists(finite_rewards, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_accepted_names_round_trip_through_every_format(props, rewards, data):
+    ap = Alphabet(props)
+    labels = ap.labels()
+    tau = {(y, label): data.draw(probability_vectors(2)) for y in range(2) for label in labels}
+    rho = {key: data.draw(st.sampled_from(rewards)) for key in tau}
+    prm = Prm(ap, rewards, ["y0", "y1"], 0, tau, rho)
+    assert_same_machine(prm, prm_from_text(prm_to_text(prm)))
+
+    trace = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(rewards)), min_size=1, max_size=5))
+    assert trace_from_line(trace_to_line(trace)) == trace
+
+    table = ObservationTable(ap)
+    table.record(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        table.to_csv(path)
+        again = ObservationTable.from_csv(path, ap)
+    assert again.t == table.t
+
+
+# -- malformed input -------------------------------------------------------------------
+#
+# Each parser either reads a corrupted text or raises ValueError; any other
+# exception is a defect.  On the command line a ValueError is exit 1.
+
+SYNTAX = [":", "-", "--", "-->", "/", ",", ";", "&", "#", "~", "ε", " ", "\t", "\n", "\r", '"',
+          "0", "1", "0.5", "-1", "1e999", "nan", "inf", "c", "o", "*", "A", ".", "y0",
+          "ap:", "gamma:", "init:", "tag:", "state:", "bottom:", "convention: target",
+          "implicit_bottom: true", "\x00", "\u2028", "\ufeff"]
+pieces = st.one_of(st.sampled_from(SYNTAX), st.text(max_size=3))
+edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace", "duplicate line", "drop line"]),
+              st.integers(0, 10 ** 6), st.integers(1, 4), pieces),
+    min_size=1,
+    max_size=4,
+)
+
+
+def corrupt(text: str, steps) -> str:
+    for kind, pos, width, piece in steps:
+        if kind in ("duplicate line", "drop line"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                k = pos % len(lines)
+                lines[k:k + 1] = [lines[k]] * (2 if kind == "duplicate line" else 0)
+            text = "".join(lines)
+            continue
+        k = pos % (len(text) + 1)
+        if kind == "insert":
+            text = text[:k] + piece + text[k:]
+        elif kind == "delete":
+            text = text[:k] + text[k + width:]
+        else:
+            text = text[:k] + piece + text[k + width:]
+    return text
+
+
+def reads_or_rejects(parse, text) -> bool:
+    """True when `parse(text)` reads the text, False when it raises
+    ValueError; any other exception escapes."""
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def texts_from(sources):
+    return st.one_of(
+        st.tuples(sources, edits).map(lambda pair: corrupt(*pair)),
+        st.text(max_size=40),
+    )
+
+
+machine_texts = texts_from(machines().map(prm_to_text))
+trace_texts = texts_from(traces.map(trace_to_line))
+MAPS = [(ASSETS / name).read_text(encoding="utf-8") for name in ("officeworld.map", "patrol.map")]
+map_texts = texts_from(st.sampled_from(MAPS))
+
+
+def csv_text(ops) -> str:
+    table = ObservationTable(CSV_AP)
+    for kind, arg in ops:
+        for trace in [arg] if kind == "record" else arg:
+            table.record(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        table.to_csv(path)
+        return Path(path).read_text(encoding="utf-8")
+
+
+def read_csv_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        return ObservationTable.from_csv(path, CSV_AP)
+
+
+@pytest.mark.parametrize("texts, parse", [
+    (machine_texts, prm_from_text),
+    (trace_texts, trace_from_line),
+    (map_texts, parse_gridmap),
+    (texts_from(csv_ops.map(csv_text)), read_csv_text),
+], ids=["machine", "trace", "map", "csv"])
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_parser_reads_or_rejects_malformed_text(texts, parse, data):
+    reads_or_rejects(parse, data.draw(texts))
+
+
+# The command line reads machine files (export-dot), trace logs
+# (learn-passive --traces) and maps (through an environment config); a
+# file its reader rejects exits 1, and no file escapes as a traceback.
+
+
+def patrol_copy(tmp: Path) -> Path:
+    for name in ("patrol.yaml", "patrol.map", "patrol_truth.prm"):
+        (tmp / name).write_bytes((ASSETS / name).read_bytes())
+    return tmp / "patrol.yaml"
+
+
+@pytest.mark.parametrize("texts, load, name, command", [
+    (machine_texts, load_prm, "bad.prm",
+     lambda tmp: ["export-dot", "--prm", tmp / "bad.prm", "--out", tmp / "bad.dot"]),
+    (trace_texts, load_traces, "bad.log",
+     lambda tmp: ["learn-passive", "--env", patrol_copy(tmp), "--traces", tmp / "bad.log",
+                  "--n-check", "1", "--out", tmp / "learned.prm"]),
+    (map_texts, load_gridmap, "patrol.map",
+     lambda tmp: ["simulate", "--env", patrol_copy(tmp), "--episodes", "2", "--out", tmp / "traces.log"]),
+], ids=["machine", "trace", "map"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_exits_1_on_malformed_file(texts, load, name, command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [str(arg) for arg in command(tmp)]
+        (tmp / name).write_text(data.draw(texts), encoding="utf-8")
+        read = reads_or_rejects(load, tmp / name)
+        code = main(argv)
+    assert code in ((0, 1) if read else (1,))
+
+
+yaml_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 200), st.floats(), st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.text(max_size=3), st.sampled_from(["c", "*", "~"])), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+config_values = {
+    "map": st.one_of(st.just("patrol.map"), yaml_values),
+    "truth_prm": st.one_of(st.just("patrol_truth.prm"), yaml_values),
+    "n_episode": st.one_of(st.integers(1, 20), yaml_values),
+    "seed": yaml_values,
+    "terminal_labels": st.one_of(st.just(["c"]), yaml_values),
+}
+configs = st.fixed_dictionaries({}, optional=config_values)
+policy_files = st.dictionaries(
+    st.one_of(st.sampled_from(["(0,0)", "(0,1)"]), st.text(max_size=4), st.integers()),
+    st.one_of(st.sampled_from(["N", "S", "E", "W"]), yaml_values),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, policy=policy_files)
+def test_cli_malformed_environment_config_and_policy(cfg, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = patrol_copy(tmp)
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        policy_file = tmp / "policy.yaml"
+        policy_file.write_text(yaml.safe_dump(policy), encoding="utf-8")
+        try:
+            load_env_config(config)
+            read = True
+        except (ValueError, OSError):   # OSError: a file the config names is missing
+            read = False
+        code = main(["simulate", "--env", str(config), "--policy", str(policy_file),
+                     "--episodes", "2", "--out", str(tmp / "traces.log")])
+    assert code in ((0, 1) if read else (1,))

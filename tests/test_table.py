@@ -292,7 +292,10 @@ def sweep(table):
     for u in rows:
         assert table.row_has_data(u) == ref_row_has_data(table, u)
         for v in rows:
-            assert table.compatible_rows(u, v) == ref_compatible_rows(table, u, v)
+            # the verdict is memoised per unordered pair: ask both orders
+            expected = ref_compatible_rows(table, u, v)
+            assert table.compatible_rows(u, v) == expected
+            assert table.compatible_rows(v, u) == expected
             assert table.rows_share_evidence(u, v) == ref_rows_share_evidence(table, u, v)
     closed, consistent = table.is_closed(), table.is_consistent()
     assert closed == ref_is_closed(table)
@@ -340,7 +343,8 @@ def test_row_sweeps_match_full_column_loops(ops):
             other.add_experiment(op[3])
             table.merge(other)
         else:
-            sweep(table)
+            # the second sweep reads what the first one cached
+            assert sweep(table) == sweep(table)
     results = sweep(table)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -429,6 +433,43 @@ def test_row_sweeps_follow_new_counts_and_columns():
         if times == 5:
             assert sweep(table)[1] == (True, None)
     assert sweep(table)[1] == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
+
+
+def test_row_verdicts_follow_counts_columns_and_sample_total():
+    # every change to the counts, E or the sample total M must reach a
+    # memoised verdict, a cached word input and the cached Hoeffding factor
+    table = make_table(alphabet=[EMPTY_LABEL, C, O])
+    for _ in range(30):
+        table.record([(C, 1.0)])
+        table.record([(O, 0.0)])
+    # gap 1.0 against 2.55 * 2 / sqrt(30) = 0.93 at M = 60
+    assert not table.compatible_rows((C,), (O,))
+    # 200 traces elsewhere raise M to 260 and the threshold to 1.08
+    for _ in range(200):
+        table.record([(EMPTY_LABEL, 0.0)])
+    assert table.compatible_rows((C,), (O,))
+
+    table = make_table(alphabet=[EMPTY_LABEL, C, O])
+    for _ in range(100):
+        table.record([(C, 0.0)])
+        table.record([(O, 0.0)])
+    assert table.compatible_rows((C,), (O,))
+    other = make_table(alphabet=[EMPTY_LABEL, C, O])
+    for _ in range(300):
+        other.record([(O, 1.0)])
+    table.merge(other)   # T(o) is now 100 zeros and 300 ones
+    assert not table.compatible_rows((C,), (O,))
+
+    table = make_table(alphabet=[EMPTY_LABEL, C, O])
+    for _ in range(100):
+        table.record([(C, 0.0), (C, 1.0)])
+        table.record([(O, 0.0), (C, 0.0)])
+    assert table.compatible_rows((C,), (O,))
+    table.add_experiment((C,))   # the column where the rows differ
+    assert not table.compatible_rows((C,), (O,))
+    for _ in range(100):
+        table.record([(O, 0.0), (C, 1.0)])
+    assert table.compatible_rows((C,), (O,)) == ref_compatible_rows(table, (C,), (O,))
 
 
 # -- hypothesis construction ------------------------------------------------------------
@@ -584,4 +625,12 @@ def test_csv_sample_must_be_the_summed_count(tmp_path, rows):
     path = tmp_path / "table.csv"
     path.write_text("word,reward,count,sample\n" + rows, encoding="utf-8")
     with pytest.raises(ValueError, match="sample"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+
+
+def test_csv_oversized_field_rejected(tmp_path):
+    # the csv module raises csv.Error, not a ValueError, past its field limit
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\n%s,0,1,1\n" % ";".join(["c"] * 70_000), encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed table CSV"):
         ObservationTable.from_csv(path, Alphabet(["c", "o"]))
