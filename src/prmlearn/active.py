@@ -15,7 +15,7 @@ import numpy as np
 from .alphabet import EPSILON, Word, label_str, word_str
 from .environment import Nmdp, membership_reward_machine, step, word_realizable
 # sample_index is unused here; the benchmark tracer wraps it as active.sample_index
-from .machine import Prm, sample_index  # noqa: F401
+from .machine import Prm, draw_row, sample_index  # noqa: F401
 from .table import ObservationTable, build_hypothesis, diff_against_distribution
 
 
@@ -112,8 +112,12 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     for _ in range(cfg.n_episode):
         a = _choose(row, available[x], explore, rng)
         x_next, label, r = step(m, x, a, rng, session)
-        y_next = h.sample_successor(y, label, rng)
-        target = h.edge_reward(y, label, y_next) if membership else r
+        h_row, reward = h.compiled_step(y, label)
+        y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
+        if membership:
+            target = reward if reward is not None else h.edge_reward(y, label, y_next)
+        else:
+            target = r
         row_next = q.row(y_next, x_next, width)
         best_next = max([row_next[b] for b in available[x_next]])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
@@ -189,23 +193,20 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     m_total = max(table.total_samples(), 1)
     vec = h.initial_vector()
     key = vec.tobytes()
-    word = []
-    for label, _ in trace:
+    for k, ((label, _), freq) in enumerate(zip(trace, table.prefix_counts(trace))):
         hit = steps.get((key, label))
         if hit is None:
             nxt, expected = h.advance(vec, label)
             absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
             hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, absorbed)
         vec, key, expected, absorbed = hit
-        word.append(label)
-        prefix = tuple(word)
+        # freq is the prefix's counts, so its sum is the prefix's sample count
         if absorbed:
-            if table.sample_count(prefix) >= n_check:
-                return prefix
+            if sum(freq.values()) >= n_check:
+                return tuple(label for label, _ in trace[:k + 1])
             continue
-        freq = table.freq(prefix)
-        if sum(freq.values()) > 0 and expected and diff_against_distribution(freq, expected, m_total):
-            return prefix
+        if expected and diff_against_distribution(freq, expected, m_total):
+            return tuple(label for label, _ in trace[:k + 1])
     return None
 
 

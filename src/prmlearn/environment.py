@@ -53,10 +53,10 @@ class _PrmSession:
         self.y = prm.init
 
     def observe(self, label: Label) -> float:
-        y_next = self.prm.sample_successor(self.y, label, self.rng)
-        reward = self.prm.edge_reward(self.y, label, y_next)
-        self.y = y_next
-        return reward
+        y = self.y
+        row, reward = self.prm.compiled_step(y, label)
+        y_next = self.y = row if row.__class__ is int else draw_row(row, self.rng)
+        return reward if reward is not None else self.prm.edge_reward(y, label, y_next)
 
 
 class TableBacked:
@@ -230,10 +230,11 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):
     """Roll out one episode; returns the trace as [(label, reward), ...]."""
     terminal = set(terminal_labels)
     session = m.reward_source.session(rng)
+    compiled = policy._rows
     x = m.x_init
     trace = []
     for _ in range(n_episode):
-        actions, row = policy.action_row(x, m)
+        actions, row = compiled.get(x) or policy.action_row(x, m)
         a = actions[draw_row(row, rng)]
         x_next, label, reward = step(m, x, a, rng, session)
         trace.append((label, reward))

@@ -114,9 +114,8 @@ class Prm:
         # first use: membership queries build a machine per word and read
         # few of its labels.  A machine is not changed after construction.
         self._views = {}
-        # (state, label) -> sampling_row of its successor vector, filled by
-        # sample_successor on first use
-        self._rows = {}
+        # (state, label) -> compiled_step of the pair, filled on first use
+        self._steps = {}
 
         n = len(self.states)
         if not 0 <= self.init < n:
@@ -181,14 +180,25 @@ class Prm:
             out[self.bottom] = 1.0
         return out
 
+    def compiled_step(self, y: int, label: Label) -> tuple:
+        """(row, reward) of the pair, compiled on first use.  `draw_row(row,
+        rng)` draws the successor as `sample_index(self.successor_vector(y,
+        label), rng)` does; an undefined pair without implicit_bottom has an
+        all-zero row and draws the last state.  `reward` is the pair's
+        `edge_reward`, or None where that depends on the successor: its tag
+        under the target convention, or the error of an undefined pair."""
+        step = self._steps.get((y, label))
+        if step is None:
+            reward = None
+            if self.convention == "source" and self.defined(y, label):
+                reward = self.edge_reward(y, label, None)   # the successor is not read
+            step = self._steps[(y, label)] = (sampling_row(self.successor_vector(y, label)), reward)
+        return step
+
     def sample_successor(self, y: int, label: Label, rng) -> int:
-        """`sample_index(self.successor_vector(y, label), rng)` from a row
-        compiled on first use; an undefined pair without implicit_bottom
-        has an all-zero row and draws the last state, as sample_index does."""
-        row = self._rows.get((y, label))
-        if row is None:
-            row = self._rows[(y, label)] = sampling_row(self.successor_vector(y, label))
-        return draw_row(row, rng)
+        """`sample_index(self.successor_vector(y, label), rng)`, drawn from
+        the pair's compiled step."""
+        return draw_row(self.compiled_step(y, label)[0], rng)
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:
         if self.convention == "target":

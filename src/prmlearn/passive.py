@@ -64,22 +64,22 @@ class PassiveResult:
 
 
 def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> PassiveResult:
-    """Algorithm core over pre-recorded traces of (label, reward) pairs."""
+    """Algorithm core over pre-recorded traces of (label, reward) pairs.
+    A label with a proposition outside `ap` raises ValueError."""
     report = PassiveReport(episodes=len(traces))
-    if alphabet is None:
-        observed = {label for trace in traces for label, _ in trace}
-        alphabet = sorted(observed, key=label_sort_key)
-    table = ObservationTable(ap, alphabet)
+    observed = sorted({label for trace in traces for label, _ in trace}, key=label_sort_key)
+    for label in observed:
+        ap.validate_label(label)
+    table = ObservationTable(ap, observed if alphabet is None else alphabet)
 
     for trace in traces:
         table.record(trace)
         word = tuple(label for label, _ in trace)
-        for k in range(len(word)):
-            suffix = word[k:]
-            if len(suffix) > cfg.max_experiment_len:
-                report.dropped_suffixes += 1
-                continue
-            table.add_experiment(suffix)
+        # the suffixes longer than the cap are the first ones
+        first = max(len(word) - cfg.max_experiment_len, 0)
+        report.dropped_suffixes += first
+        for k in range(first, len(word)):
+            table.add_experiment(word[k:])
 
     # Seed S with every prefix sampled at least n_check times: rows without
     # enough data would be routed to the failure state anyway, and the seed

@@ -10,6 +10,7 @@ of samples so far.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections import Counter
 
@@ -31,9 +32,12 @@ from .alphabet import (
 from .machine import Prm
 
 
+@functools.lru_cache(maxsize=1)
 def _hoeffding_factor(m_total: int) -> float:
     """sqrt(0.5 ln(2/alpha)) at alpha = 1/M^3: the threshold of two words
-    with n and n' samples is this factor times sqrt(1/n) + sqrt(1/n')."""
+    with n and n' samples is this factor times sqrt(1/n) + sqrt(1/n').
+    The last M's factor is kept: a sweep or a counterexample check asks
+    for it once per test, at one M."""
     alpha = 1.0 / m_total ** 3
     return math.sqrt(0.5 * math.log(2.0 / alpha))
 
@@ -112,62 +116,99 @@ class ObservationTable:
         self.alphabet = list(alphabet) if alphabet is not None else ap.labels()
         self.s: list = [EPSILON]
         self.e: list = [EPSILON]
+        self._s_set = {EPSILON}
+        self._e_set = {EPSILON}
         self.t: dict = {}
         self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
-        # Caches derived from the counts and E, filled on first use and
-        # dropped together by _invalidate:
-        # row word -> frozenset of the indices into E of the columns with
-        # samples at row.e
-        self._cols: dict = {}
-        # word -> its _word_inputs, or None without samples
+        # Word ids.  Every prefix of a word in t has one, ε has 0, and the
+        # ids form a prefix tree: record walks it one label at a time and
+        # builds a word's tuple only when it adds the word's id.  A prefix
+        # that from_csv interns but the file does not list has an id and no
+        # entry in t.
+        self._child: dict = {}            # (parent id, label) -> id
+        self._id: dict = {EPSILON: 0}     # word -> id
+        self._words: list = [EPSILON]     # id -> word
+        self._counts: list = [None]       # id -> the Counter t holds for the word, or None
+        # Caches derived from the counts and E, filled on first use.  Word
+        # inputs and word-pair verdicts depend on the counts alone (and on
+        # the sample total, which the counts fix); the columns and the row
+        # verdicts also depend on E.
+        # id -> its _word_inputs, or None without samples
         self._inputs: dict = {}
+        # (id, id') with id < id' -> whether the two words differ
+        self._pairs: dict = {}
+        # row word -> {index into E of a column with samples at row.e: the id of row.e}
+        self._cols: dict = {}
         # (row, row') and (row', row) -> the compatible_rows verdict
         self._verdicts: dict = {}
-        # _hoeffding_factor of the current sample total
-        self._factor = None
 
-    def _invalidate(self) -> None:
-        """Drop every derived cache; called whenever the counts or E change."""
-        self._cols.clear()
+    def _counts_changed(self) -> None:
         self._inputs.clear()
+        self._pairs.clear()
+        self._columns_changed()
+
+    def _columns_changed(self) -> None:
+        self._cols.clear()
         self._verdicts.clear()
-        self._factor = None
 
     # -- recording ---------------------------------------------------------
+
+    def _intern(self, parent: int, label: Label) -> int:
+        """The new id of the word with id `parent` extended by `label`."""
+        word = self._words[parent] + (label,)
+        new = self._child[(parent, label)] = self._id[word] = len(self._words)
+        self._words.append(word)
+        self._counts.append(None)
+        return new
+
+    def _intern_word(self, word: Word) -> int:
+        """The id of `word`, added with its prefixes' where missing."""
+        node = 0
+        for label in word:
+            nxt = self._child.get((node, label))
+            node = nxt if nxt is not None else self._intern(node, label)
+        return node
+
+    def _counter(self, node: int) -> Counter:
+        """The Counter of the word with id `node`, entered into t if new."""
+        counter = self._counts[node]
+        if counter is None:
+            counter = self._counts[node] = self.t[self._words[node]] = Counter()
+        return counter
 
     def record(self, trace) -> None:
         """Count every nonempty prefix of a trace of (label, reward) pairs."""
         if not trace:
             return
-        self._invalidate()
+        self._counts_changed()
         self.num_traces += 1
-        word = []
+        child, counts, rewards = self._child, self._counts, self.rewards
+        node = 0
         for label, reward in trace:
-            word.append(label)
-            key = tuple(word)
-            counter = self.t.get(key)
+            nxt = child.get((node, label))
+            if nxt is None:
+                nxt = self._intern(node, label)
+            counter = counts[nxt]
             if counter is None:
-                counter = Counter()
-                self.t[key] = counter
+                counter = self._counter(nxt)
             reward = float(reward)
             counter[reward] += 1
-            self.rewards.add(reward)
-            self._total_samples += 1
+            rewards.add(reward)
+            node = nxt
+        self._total_samples += len(trace)
 
-    def merge(self, other: "ObservationTable") -> None:
-        self._invalidate()
-        for word, counter in other.t.items():
-            mine = self.t.setdefault(word, Counter())
-            mine.update(counter)
-        self.rewards |= other.rewards
-        self._total_samples += other._total_samples
-        self.num_traces += other.num_traces
-        for word in other.s:
-            self.add_state(word)
-        for word in other.e:
-            self.add_experiment(word)
+    def prefix_counts(self, trace):
+        """The Counter of every nonempty prefix of a trace's label word, in
+        order, found by walking the word ids; empty past the words in t."""
+        child, counts = self._child, self._counts
+        node = 0
+        for label, _ in trace:
+            if node is not None:
+                node = child.get((node, label))
+            counter = None if node is None else counts[node]
+            yield _EMPTY if counter is None else counter
 
     # -- lookups -----------------------------------------------------------
 
@@ -187,17 +228,19 @@ class ObservationTable:
         return self._total_samples
 
     def add_state(self, word: Word) -> bool:
-        if word not in self.s:
-            self.s.append(word)
-            return True
-        return False
+        if word in self._s_set:
+            return False
+        self._s_set.add(word)
+        self.s.append(word)
+        return True
 
     def add_experiment(self, word: Word) -> bool:
-        if word not in self.e:
-            self.e.append(word)
-            self._invalidate()
-            return True
-        return False
+        if word in self._e_set:
+            return False
+        self._e_set.add(word)
+        self.e.append(word)
+        self._columns_changed()
+        return True
 
     # -- compatibility ------------------------------------------------------
     #
@@ -205,38 +248,57 @@ class ObservationTable:
     # only visits the experiment columns that both rows have samples for:
     # it gives the results and witnesses of a loop over all of E, and
     # costs the number of shared sampled columns, not |E|.  Each word's
-    # test inputs and each row pair's verdict are then computed once
+    # test inputs and each word pair's verdict are computed once until the
+    # counts change; rows (s, s') at column l.e and rows (s.l, s'.l) at
+    # column e test the same two words.  Each row pair's verdict is kept
     # until the counts or E change.
 
-    def _columns(self, s: Word) -> frozenset:
+    def _columns(self, s: Word) -> dict:
+        """{index i into E: the id of s.E[i]} over the columns with samples
+        at s.E[i], in E order."""
         cols = self._cols.get(s)
         if cols is None:
-            t = self.t
-            cols = self._cols[s] = frozenset(
-                i for i, e in enumerate(self.e) if sum(t.get(s + e, _EMPTY).values()) > 0
-            )
+            cols = self._cols[s] = {}
+            if s in self._id:   # the ids are prefix-closed: else no s.e has one
+                ids, counts = self._id, self._counts
+                for i, e in enumerate(self.e):
+                    node = ids.get(s + e)
+                    if node is not None:
+                        counter = counts[node]
+                        if counter is not None and sum(counter.values()) > 0:
+                            cols[i] = node
         return cols
 
-    def _inputs_of(self, word: Word):
-        inputs = self._inputs.get(word, _UNSET)
+    def _inputs_of(self, node: int):
+        inputs = self._inputs.get(node, _UNSET)
         if inputs is _UNSET:
-            inputs = self._inputs[word] = _word_inputs(self.t.get(word, _EMPTY))
+            inputs = self._inputs[node] = _word_inputs(self._counts[node])
         return inputs
 
-    def _differing_columns(self, s: Word, s_prime: Word, columns):
-        """The indices i of `columns` at which s.E[i] and s_prime.E[i]
-        differ, by the test `diff` runs, in the order of `columns`."""
-        factor = self._factor
-        if factor is None:
-            factor = self._factor = _hoeffding_factor(max(self.total_samples(), 1))
-        inputs, e = self._inputs_of, self.e
-        return (i for i in columns if _differ(inputs(s + e[i]), inputs(s_prime + e[i]), factor))
+    def _first_difference(self, s: Word, s_prime: Word):
+        """The first index i in E order at which s.E[i] and s_prime.E[i]
+        differ by the test `diff` runs, or None."""
+        cols, cols_prime = self._columns(s), self._columns(s_prime)
+        factor = _hoeffding_factor(max(self._total_samples, 1))
+        pairs = self._pairs
+        if len(cols_prime) < len(cols):
+            cols, cols_prime = cols_prime, cols
+        for i, a in cols.items():
+            b = cols_prime.get(i)
+            if b is None:
+                continue
+            key = (a, b) if a < b else (b, a)
+            differ = pairs.get(key)
+            if differ is None:
+                differ = pairs[key] = _differ(self._inputs_of(a), self._inputs_of(b), factor)
+            if differ:
+                return i
+        return None
 
     def compatible_rows(self, s: Word, s_prime: Word) -> bool:
         verdict = self._verdicts.get((s, s_prime))
         if verdict is None:
-            shared = self._columns(s) & self._columns(s_prime)
-            verdict = next(self._differing_columns(s, s_prime, shared), None) is None
+            verdict = self._first_difference(s, s_prime) is None
             # the test is symmetric; tuples of labels have no order to
             # pick one key by, so the pair is stored both ways
             self._verdicts[(s, s_prime)] = self._verdicts[(s_prime, s)] = verdict
@@ -244,7 +306,7 @@ class ObservationTable:
 
     def rows_share_evidence(self, s: Word, s_prime: Word) -> bool:
         """True when some experiment column has samples for both rows."""
-        return not self._columns(s).isdisjoint(self._columns(s_prime))
+        return not self._columns(s).keys().isdisjoint(self._columns(s_prime))
 
     # -- closedness / consistency -------------------------------------------
 
@@ -279,11 +341,9 @@ class ObservationTable:
                     continue
                 for label in self.alphabet:
                     left, right = s + (label,), s_prime + (label,)
-                    if self.compatible_rows(left, right):
-                        continue
-                    shared = sorted(self._columns(left) & self._columns(right))
-                    first = next(self._differing_columns(left, right, shared))
-                    return False, (s, s_prime, label, self.e[first])
+                    if not self.compatible_rows(left, right):
+                        first = self._first_difference(left, right)
+                        return False, (s, s_prime, label, self.e[first])
         return True, None
 
     # -- representatives ------------------------------------------------------
@@ -341,7 +401,7 @@ class ObservationTable:
                 if count < 0:
                     raise ValueError("negative count in table row %r" % (row,))
                 claims.append((word, sample))
-                counter = table.t.setdefault(word, Counter())
+                counter = table._counter(table._intern_word(word))
                 reward = parse_reward(row["reward"])
                 counter[reward] += count
                 table.rewards.add(reward)
@@ -349,7 +409,7 @@ class ObservationTable:
             if sample != table.total(word):
                 raise ValueError("word %s has sample %d, but its counts sum to %d"
                                  % (word_str(word), sample, table.total(word)))
-        table._invalidate()  # the counts were written into t directly
+        table._counts_changed()  # the counts were written into the counters directly
         table._total_samples = sum(table.total(word) for word in table.t)
         # every recorded trace is nonempty and counted under its first label
         table.num_traces = sum(table.total(word) for word in table.t if len(word) == 1)

@@ -27,7 +27,7 @@ from prmlearn.active import (
 )
 from prmlearn.alphabet import EMPTY_LABEL
 from prmlearn.environment import free_nmdp, load_env_config
-from prmlearn.machine import prm_from_text, random_prm, sample_index
+from prmlearn.machine import Prm, UndefinedTransitionError, prm_from_text, random_prm, sample_index
 from prmlearn.table import build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
 from conftest import C, O, random_nmdp, single_state_zero_prm, two_cell_nmdp
@@ -154,8 +154,7 @@ def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
         r = truth.edge_reward(y_truth, label, y_truth_next)
         y_truth = y_truth_next
         y_next = sample_index(h.successor_vector(y, label), rng)
-        r_machine = h.edge_reward(y, label, y_next)
-        target = r_machine if mode == "membership" else r
+        target = h.edge_reward(y, label, y_next) if mode == "membership" else r
         best_next = q.best(y_next, x_next, m.available[x_next])
         q.set(
             y, x, a,
@@ -169,6 +168,24 @@ def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
     return trace
 
 
+def target_prm(rng, n_states, props, rewards):
+    """A random total machine with stochastic rows under the target
+    convention: the reward is the successor's tag."""
+    base = random_prm(rng, n_states, props, rewards)
+    tags = [rewards[int(rng.integers(0, len(rewards)))] for _ in range(n_states)]
+    return Prm(base.ap, rewards, base.states, 0, base.tau, base.rho, tags=tags, convention="target")
+
+
+def partial_prm(rng, n_states, props, rewards):
+    """A random source-convention machine defined on the first label only,
+    without implicit bottom: every other label is an undefined pair."""
+    base = random_prm(rng, n_states, props, rewards)
+    first = base.ap.labels()[0]
+    keep = [key for key in base.tau if key[1] == first]
+    return Prm(base.ap, rewards, base.states, 0,
+               {key: base.tau[key] for key in keep}, {key: base.rho[key] for key in keep})
+
+
 def teacher_cases():
     """(name, environment, terminal labels, [(mode, machine), ...])."""
     patrol = patrol_prm()
@@ -179,6 +196,10 @@ def teacher_cases():
     stochastic = random_nmdp(
         rng, n_states=4, n_actions=3, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0])
     )
+    tagged = random_nmdp(
+        rng, n_states=4, n_actions=3, props=props, truth=target_prm(rng, 3, props, [0.0, 0.5, 1.0])
+    )
+    partial = partial_prm(rng, 3, props, [0.0, 1.0])
     return [
         ("two_cell", two_cell, (), [
             ("membership", membership_reward_machine(two_cell.ap, (C, EMPTY_LABEL))),
@@ -192,6 +213,16 @@ def teacher_cases():
             ("membership", membership_reward_machine(stochastic.ap, stochastic.label_alphabet()[:2])),
             ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
+        ("target", tagged, (), [
+            ("membership", target_prm(rng, 3, props, [0.0, 1.0])),
+            ("equivalence", target_prm(rng, 4, props, [0.0, 0.5, 1.0])),
+        ]),
+        # undefined pairs: membership mode reads the machine reward and
+        # raises; equivalence mode only advances the machine
+        ("partial", stochastic, (), [
+            ("membership", partial),
+            ("equivalence", partial),
+        ]),
     ]
 
 
@@ -203,6 +234,13 @@ def test_teacher_query_matches_reference_loop(explore):
             cfg = config(n_episode=30, explore=explore)
             rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
             q, ref_q = QTable(), RefQTable()
+            if mode == "membership" and not h.is_total():
+                with pytest.raises(UndefinedTransitionError):
+                    teacher_query(q, m, h, mode, cfg, rng, terminal)
+                with pytest.raises(UndefinedTransitionError):
+                    ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
+                continue
             for _ in range(15):
                 trace = teacher_query(q, m, h, mode, cfg, rng, terminal)
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal), (name, mode)

@@ -232,6 +232,18 @@ def test_learn_passive_rejects_non_finite_reward(patrol_env, tmp_path, capsys, r
     assert not out.exists()
 
 
+def test_learn_passive_rejects_labels_outside_the_propositions(patrol_env, tmp_path, capsys):
+    # the patrol environment has the one proposition c
+    traces = tmp_path / "traces.log"
+    traces.write_text("c;0\nx;1;c;0\nq&c;0\n", encoding="utf-8")
+    out = tmp_path / "learned.prm"
+    code = run_cli(["learn-passive", "--env", patrol_env, "--traces", traces,
+                    "--n-check", "1", "--out", out])
+    assert code == 1
+    assert "unknown proposition 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_dot_rejects_non_finite_reward(tmp_path, capsys):
     prm = tmp_path / "inf.prm"
     prm.write_text("ap: c\ngamma: 0\ninit: y0\ny0 --c/inf--> y0 : 1.0\n", encoding="utf-8")

@@ -7,10 +7,13 @@ to the table, the sampling or the RNG draw order that alters a learned
 machine fails here.  The report digest is of the active run's rendered
 report (episodes and counterexample of every round) before the sampling
 path was compiled to rows, so a change to the draw order that happens to
-leave the final machine unchanged still fails.  The table digest is of
-the passive run's `to_csv` output while the table still kept a separate
+leave the final machine unchanged still fails.  The passive table digest
+is of the run's `to_csv` output while the table still kept a separate
 per-word sample counter; its `sample` column is now each word's summed
-count, and must write the same bytes.
+count, and must write the same bytes.  The active table digest is of the
+active run's `to_csv` output while the table still keyed its counts by
+word tuples alone, so a change to recording that alters the active table
+fails even where the machine and the report stay the same.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ PASSIVE_OFFICE_SHA256 = "851b0a5e3f434c6dba7402c4a01146954c5be981e38c470104d973b
 ACTIVE_OFFICE_SHA256 = "05f3c9d2eaf502d1348afdd9e262c6755bf4c0ab873cf6656502eb13c95b876d"
 ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
 PASSIVE_OFFICE_TABLE_SHA256 = "66a78c0743148a4ec07e86f3f8ce5cb3fd6eb8ea17807e42d72dfde8330d4341"
+ACTIVE_OFFICE_TABLE_SHA256 = "8bf31854409e1e58e26f4b5543eac6c2252ba9226b34d6018d28a24f7953a830"
 
 
 def digest(prm) -> str:
@@ -48,10 +52,13 @@ def test_passive_office_machine_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PASSIVE_OFFICE_TABLE_SHA256
 
 
-def test_active_office_machine_is_pinned():
+def test_active_office_machine_is_pinned(tmp_path):
     # the acceptance-4 budget
     env = load_env_config(OFFICE)
     cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=0)
     result = learn_active(env.nmdp, cfg, env.terminal_labels)
     assert digest(result.hypothesis) == ACTIVE_OFFICE_SHA256
     assert sha256(result.report.render()) == ACTIVE_OFFICE_REPORT_SHA256
+    path = tmp_path / "table.csv"
+    result.table.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ACTIVE_OFFICE_TABLE_SHA256

@@ -155,13 +155,24 @@ def ref_step(m, x, a, rng, truth, y):
 def environment_and_actions(draw):
     ap = Alphabet(["a", "b"])
     labels = ap.labels()
+    # a truth under either reward convention; with implicit bottom, some
+    # pairs are undefined and go to the last state
     n_truth = draw(st.integers(1, 3))
+    convention = draw(st.sampled_from(["source", "target"]))
+    implicit_bottom = draw(st.booleans())
     tau, rho = {}, {}
     for y in range(n_truth):
         for label in labels:
+            if implicit_bottom and draw(st.booleans()):
+                continue
             tau[(y, label)] = draw(probability_vectors(n_truth))
             rho[(y, label)] = draw(st.sampled_from([0.0, 1.0]))
-    truth = Prm(ap, [0.0, 1.0], ["y%d" % i for i in range(n_truth)], 0, tau, rho)
+    tags = None
+    if convention == "target":
+        tags = [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n_truth)]
+    truth = Prm(ap, [0.0, 1.0], ["y%d" % i for i in range(n_truth)], 0, tau, rho, tags=tags,
+                convention=convention, bottom=n_truth - 1 if implicit_bottom else None,
+                implicit_bottom=implicit_bottom)
     n, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     p, labeling = {}, {}
     for x in range(n):

@@ -114,27 +114,15 @@ CSV_AP = Alphabet(["c", "o", "*"])
 csv_traces = st.lists(
     st.tuples(st.frozensets(st.sampled_from(CSV_AP.props), max_size=2), finite_rewards), max_size=4
 )
-csv_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("record"), csv_traces),
-        st.tuples(st.just("merge"), st.lists(csv_traces, max_size=3)),
-    ),
-    max_size=10,
-)
+csv_trace_lists = st.lists(csv_traces, max_size=20)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=csv_ops)
-def test_table_csv_round_trip(ops):
+@given(traces=csv_trace_lists)
+def test_table_csv_round_trip(traces):
     table = ObservationTable(CSV_AP)
-    for kind, arg in ops:
-        if kind == "record":
-            table.record(arg)
-        else:
-            other = ObservationTable(CSV_AP)
-            for trace in arg:
-                other.record(trace)
-            table.merge(other)
+    for trace in traces:
+        table.record(trace)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         table.to_csv(path)
@@ -246,11 +234,10 @@ MAPS = [(ASSETS / name).read_text(encoding="utf-8") for name in ("officeworld.ma
 map_texts = texts_from(st.sampled_from(MAPS))
 
 
-def csv_text(ops) -> str:
+def csv_text(traces) -> str:
     table = ObservationTable(CSV_AP)
-    for kind, arg in ops:
-        for trace in [arg] if kind == "record" else arg:
-            table.record(trace)
+    for trace in traces:
+        table.record(trace)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         table.to_csv(path)
@@ -268,7 +255,7 @@ def read_csv_text(text):
     (machine_texts, prm_from_text),
     (trace_texts, trace_from_line),
     (map_texts, parse_gridmap),
-    (texts_from(csv_ops.map(csv_text)), read_csv_text),
+    (texts_from(csv_trace_lists.map(csv_text)), read_csv_text),
 ], ids=["machine", "trace", "map", "csv"])
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())

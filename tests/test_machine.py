@@ -297,9 +297,9 @@ def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
 
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
-    assert coffee._rows == {}
+    assert coffee._steps == {}
     coffee.sample_successor(0, C, np.random.default_rng(0))
-    assert list(coffee._rows) == [(0, C)]
+    assert list(coffee._steps) == [(0, C)]
 
 
 def test_membership_machine_run():

@@ -44,6 +44,14 @@ def test_single_trace_example():
     assert closed
 
 
+@pytest.mark.parametrize("alphabet", [None, [EMPTY_LABEL, C]], ids=["observed", "given"])
+def test_trace_label_outside_the_propositions_rejected(alphabet):
+    ap = Alphabet(["c"])
+    traces = [[(C, 0.0), (EMPTY_LABEL, 1.0)], [(frozenset({"q", "c"}), 0.0)]]
+    with pytest.raises(ValueError, match="c&q"):
+        learn_passive_from_traces(traces, ap, PassiveConfig(n_check=1), alphabet)
+
+
 def test_suffix_length_cap_reported():
     ap = Alphabet(["c"])
     long_trace = [(C, 0.0)] * 6

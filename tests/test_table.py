@@ -142,15 +142,18 @@ def test_record_additivity_and_order_independence():
     assert t1.freq((C,)) == Counter({0.0: 2})
 
 
-def test_merge_sums_frequencies():
-    t1, t2 = make_table(), make_table()
-    t1.record([(C, 0.0)])
-    t2.record([(C, 1.0)])
-    t2.add_state((C,))
-    t1.merge(t2)
-    assert t1.freq((C,)) == Counter({0.0: 1, 1.0: 1})
-    assert (C,) in t1.s
-    assert t1.num_traces == 2
+@settings(max_examples=100, deadline=None)
+@given(recorded=st.lists(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                            st.sampled_from([0.0, 1.0])), max_size=5), max_size=8),
+       query=st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]), st.just(0.0)), max_size=6))
+def test_prefix_counts_match_word_lookups(recorded, query):
+    # recorded traces and others, which leave the recorded words part way
+    table = make_table()
+    for trace in recorded:
+        table.record(trace)
+    for trace in recorded + [query]:
+        expected = [table.freq(tuple(label for label, _ in trace[:k + 1])) for k in range(len(trace))]
+        assert list(table.prefix_counts(trace)) == expected
 
 
 def test_untracked_words_read_empty():
@@ -314,7 +317,6 @@ sweep_ops = st.one_of(
     st.tuples(st.just("record"), sweep_traces),
     st.tuples(st.just("state"), sweep_words),
     st.tuples(st.just("experiment"), sweep_words),
-    st.tuples(st.just("merge"), st.lists(sweep_traces, max_size=3), sweep_words, sweep_words),
     st.tuples(st.just("sweep")),
 )
 
@@ -336,12 +338,6 @@ def test_row_sweeps_match_full_column_loops(ops):
             table.add_state(op[1])
         elif op[0] == "experiment":
             table.add_experiment(op[1])
-        elif op[0] == "merge":
-            other = make_table(alphabet=SWEEP_LABELS)
-            record_repeated(other, op[1])
-            other.add_state(op[2])
-            other.add_experiment(op[3])
-            table.merge(other)
         else:
             # the second sweep reads what the first one cached
             assert sweep(table) == sweep(table)
@@ -359,12 +355,8 @@ def test_row_sweeps_match_full_column_loops(ops):
 
 
 table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
-reward_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("record"), st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=4)),
-        st.tuples(st.just("merge"), st.lists(st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=3), max_size=3)),
-    ),
-    max_size=10,
+reward_traces = st.lists(
+    st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=4), max_size=10
 )
 
 
@@ -373,17 +365,11 @@ def rewards_in_t(table):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=reward_ops)
-def test_reward_set_follows_record_merge_and_csv(ops):
+@given(traces=reward_traces)
+def test_reward_set_follows_record_and_csv(traces):
     table = make_table(alphabet=SWEEP_LABELS)
-    for kind, arg in ops:
-        if kind == "record":
-            table.record(arg)
-        else:
-            other = make_table(alphabet=SWEEP_LABELS)
-            for trace in arg:
-                other.record(trace)
-            table.merge(other)
+    for trace in traces:
+        table.record(trace)
         assert table.rewards == rewards_in_t(table)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
@@ -416,10 +402,8 @@ def test_row_sweeps_follow_new_counts_and_columns():
     table.add_experiment((C,))
     assert table.row_has_data(EPSILON)
 
-    other = make_table(alphabet=[EMPTY_LABEL, C])
-    other.record([(EMPTY_LABEL, 0.0)])
     assert not table.rows_share_evidence((EMPTY_LABEL,), (C,))
-    table.merge(other)
+    table.record([(EMPTY_LABEL, 0.0)])
     assert table.rows_share_evidence((EMPTY_LABEL,), (C,))
 
     # rows eps and (eps) are consistent until their c-extensions have
@@ -454,10 +438,8 @@ def test_row_verdicts_follow_counts_columns_and_sample_total():
         table.record([(C, 0.0)])
         table.record([(O, 0.0)])
     assert table.compatible_rows((C,), (O,))
-    other = make_table(alphabet=[EMPTY_LABEL, C, O])
     for _ in range(300):
-        other.record([(O, 1.0)])
-    table.merge(other)   # T(o) is now 100 zeros and 300 ones
+        table.record([(O, 1.0)])   # T(o) is now 100 zeros and 300 ones
     assert not table.compatible_rows((C,), (O,))
 
     table = make_table(alphabet=[EMPTY_LABEL, C, O])
@@ -465,7 +447,12 @@ def test_row_verdicts_follow_counts_columns_and_sample_total():
         table.record([(C, 0.0), (C, 1.0)])
         table.record([(O, 0.0), (C, 0.0)])
     assert table.compatible_rows((C,), (O,))
+    pairs = dict(table._pairs)   # the verdict of each word pair tested so far
+    assert pairs
     table.add_experiment((C,))   # the column where the rows differ
+    # a word pair's verdict depends on the counts alone and survives the
+    # new column; the row verdict does not
+    assert table._pairs == pairs
     assert not table.compatible_rows((C,), (O,))
     for _ in range(100):
         table.record([(O, 0.0), (C, 1.0)])
@@ -568,6 +555,47 @@ def test_csv_round_trip(tmp_path):
     assert again.num_traces == table.num_traces == 7
     assert again.sample_count(()) == table.sample_count(()) == 7
     assert again.total_samples() == table.total_samples()
+
+
+def test_csv_words_need_not_be_prefix_closed(tmp_path):
+    # c;o and c;c;o are listed without c and c;c: reading the file gives
+    # their prefixes word ids but no counts, so t, the written bytes and
+    # every sweep are those of the file's words alone
+    text = (
+        "word,reward,count,sample\n"
+        "o,0,50,50\n"
+        "c;o,1,50,50\n"
+        "o;o,0,20,20\n"
+        "c;c;o,0,4,50\n"
+        "c;c;o,1,46,50\n"
+    )
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), [C, O])
+    assert table.t == {
+        (O,): Counter({0.0: 50}),
+        (C, O): Counter({1.0: 50}),
+        (O, O): Counter({0.0: 20}),
+        (C, C, O): Counter({0.0: 4, 1.0: 46}),
+    }
+    assert table.num_traces == 50
+    again = tmp_path / "again.csv"
+    table.to_csv(again)
+    assert again.read_text(encoding="utf-8") == text
+    for word in [(C,), (C, C), (O,)]:
+        table.add_state(word)
+    table.add_experiment((O,))
+    sweep(table)   # every sweep equals the reference column loops
+    assert not table.compatible_rows(EPSILON, (C,))
+    assert table.compatible_rows((C,), (C, C))
+    # the unlisted prefix c has an id but no counts
+    assert list(table.prefix_counts([(C, 0.0), (O, 0.0), (O, 0.0)])) == [
+        Counter(), Counter({1.0: 50}), Counter()]
+    # recording through it gives it its counts
+    table.record([(C, 0.0), (O, 1.0)])
+    assert table.freq((C,)) == Counter({0.0: 1})
+    assert table.freq((C, O)) == Counter({1.0: 51})
+    sweep(table)
 
 
 def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
