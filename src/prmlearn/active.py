@@ -50,6 +50,10 @@ class QTable:
         self.rows.clear()
 
 
+MAX_ROUNDS = 500
+MAX_REPAIRS_PER_ROUND = 100
+
+
 @dataclass
 class LearnerConfig:
     n_check: int
@@ -60,8 +64,6 @@ class LearnerConfig:
     discount: float = 0.9
     explore: float = 0.1
     seed: int = 0
-    max_rounds: int = 500
-    max_repairs_per_round: int = 100
 
     def __post_init__(self):
         for name in ("n_check", "n_query", "n_stop", "n_episode"):
@@ -313,9 +315,9 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
                         exhausted.add(zeta)
         return episodes
 
-    for round_no in range(1, cfg.max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         membership_episodes = 0
-        for _ in range(cfg.max_repairs_per_round):
+        for _ in range(MAX_REPAIRS_PER_ROUND):
             membership_episodes += fill_table()
             consistent, witness = table.is_consistent()
             if not consistent:

@@ -22,6 +22,7 @@ EPSILON: Word = ()
 EMPTY_LABEL_CHAR = "ε"  # ε
 CLI_EMPTY_LABEL_CHAR = "~"
 WORD_SEPARATOR = ";"
+LABELS_CAP = 2 ** 16
 # What the text formats split on: "&" within a label, ";" between labels
 # and trace fields, "," in a machine's `ap:` line, and ":", "/" and "--"
 # in its edge lines.  A proposition name holds none of them and no
@@ -62,12 +63,12 @@ class Alphabet:
                 raise ValueError("label %s uses unknown proposition %r" % (label_str(label), p))
         return label
 
-    def labels(self, cap: int = 2 ** 16) -> list:
-        """All of 2^AP in canonical order.  Errors out past `cap` labels."""
+    def labels(self) -> list:
+        """All of 2^AP in canonical order.  Errors out past LABELS_CAP labels."""
         n = 2 ** len(self.props)
-        if n > cap:
+        if n > LABELS_CAP:
             raise ValueError(
-                "enumeration of 2^AP needs %d labels, exceeding the cap of %d" % (n, cap)
+                "enumeration of 2^AP needs %d labels, exceeding the cap of %d" % (n, LABELS_CAP)
             )
         out = [EMPTY_LABEL]
         for k in range(1, len(self.props) + 1):
@@ -81,9 +82,9 @@ def label_sort_key(label: Label):
     return (len(label), tuple(sorted(label)))
 
 
-def label_str(label: Label, empty: str = EMPTY_LABEL_CHAR) -> str:
+def label_str(label: Label) -> str:
     if not label:
-        return empty
+        return EMPTY_LABEL_CHAR
     return "&".join(sorted(label))
 
 
@@ -97,10 +98,10 @@ def parse_label(text: str) -> Label:
     return frozenset(parts)
 
 
-def word_str(word: Word, empty: str = EMPTY_LABEL_CHAR) -> str:
+def word_str(word: Word) -> str:
     if not word:
-        return empty
-    return WORD_SEPARATOR.join(label_str(l, empty) for l in word)
+        return EMPTY_LABEL_CHAR
+    return WORD_SEPARATOR.join(label_str(l) for l in word)
 
 
 def parse_word(text: str) -> Word:

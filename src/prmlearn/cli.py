@@ -28,7 +28,7 @@ from .environment import (
     uniform_policy,
 )
 from .machine import load_prm, prm_to_dot, save_prm
-from .passive import PassiveConfig, learn_passive_from_traces
+from .passive import PassiveConfig, learn_passive, learn_passive_from_traces
 from .verify import BudgetExceededError, brute_force_word_realizability, encoding_distance
 
 BUILTIN_ENVS = {"office": "office.yaml"}
@@ -104,23 +104,19 @@ def cmd_learn_passive(args) -> int:
         jobs=args.jobs,
     )
     if args.traces:
-        traces = load_traces(args.traces)
+        result = learn_passive_from_traces(
+            load_traces(args.traces), setup.nmdp.ap, cfg, alphabet=setup.nmdp.label_alphabet()
+        )
     else:
         policy = resolve_policy(args.policy, setup)
-        traces = collect_traces(
-            setup.nmdp, policy, args.episodes, cfg.seed, cfg.n_episode,
-            cfg.terminal_labels, jobs=cfg.jobs,
-        )
-    result = learn_passive_from_traces(
-        traces, setup.nmdp.ap, cfg, alphabet=setup.nmdp.label_alphabet()
-    )
+        result = learn_passive(setup.nmdp, policy, args.episodes, cfg)
     save_prm(result.hypothesis, args.out)
     if args.dot:
         Path(args.dot).write_text(prm_to_dot(result.hypothesis), encoding="utf-8")
     if args.table:
         result.table.to_csv(args.table)
     print("learned %d-state machine from %d traces; wrote %s"
-          % (result.hypothesis.n_states(), len(traces), args.out))
+          % (result.hypothesis.n_states(), result.report.episodes, args.out))
     return 0
 
 

@@ -20,15 +20,21 @@ from .alphabet import (
     Label,
     Word,
     format_reward,
+    label_sort_key,
     label_str,
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, draw_row, sample_index, sampling_row, unit_vector
+from .machine import PROB_TOL, Prm, draw_row, load_prm, sample_index, sampling_row, unit_vector
 
 ACTIONS = ("N", "S", "E", "W")
 MOVES = {"N": (-1, 0), "S": (1, 0), "E": (0, 1), "W": (0, -1)}
 CELL_CHARS = ".#co*A"
+
+
+def is_distribution(vec: np.ndarray) -> bool:
+    """Finite, non-negative and summing to 1 within PROB_TOL."""
+    return bool(np.all(np.isfinite(vec)) and np.all(vec >= 0) and abs(vec.sum() - 1.0) <= PROB_TOL)
 
 
 # -- reward sources -----------------------------------------------------------
@@ -65,9 +71,8 @@ class TableBacked:
 
     def __init__(self, dists: dict):
         for word, dist in dists.items():
-            total = sum(dist.values())
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValueError("distribution for %r sums to %r" % (word, total))
+            if not (np.all(np.isfinite(list(dist))) and is_distribution(np.array(list(dist.values())))):
+                raise ValueError("bad reward distribution for %r: %r" % (word, dist))
         self.dists = dict(dists)
 
     def session(self, rng):
@@ -116,7 +121,7 @@ class Nmdp:
                 raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
-            if not np.all(np.isfinite(vec)) or abs(vec.sum() - 1.0) > PROB_TOL or np.any(vec < 0):
+            if not is_distribution(vec):
                 raise ValueError("bad transition distribution at (%d, %d)" % (x, a))
             self.p[(x, a)] = vec
             for j in np.flatnonzero(vec):
@@ -125,8 +130,6 @@ class Nmdp:
 
     def label_alphabet(self) -> list:
         """Labels that actually occur on transitions, in canonical order."""
-        from .alphabet import label_sort_key
-
         return sorted(set(self.labeling.values()), key=label_sort_key)
 
 
@@ -441,7 +444,7 @@ class ProductMdp:
 
 def product(m: Nmdp, h: Prm) -> ProductMdp:
     missing = []
-    needed = sorted(set(m.labeling.values()), key=lambda l: (len(l), tuple(sorted(l))))
+    needed = m.label_alphabet()
     for y in range(h.n_states()):
         for label in needed:
             if not h.defined(y, label):
@@ -543,8 +546,6 @@ def load_env_config(path) -> EnvSetup:
         raise ValueError("environment config 'n_episode' and 'seed' must be integers") from exc
     base = path.parent
     gridmap = load_gridmap(base / cfg["map"])
-    from .machine import load_prm
-
     truth = load_prm(base / cfg["truth_prm"])
     nmdp = build_office_nmdp(gridmap, truth)
     return EnvSetup(
@@ -604,6 +605,8 @@ def _collect_chunk(args):
 def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, terminal_labels=(), jobs: int = 1):
     """Roll out `episodes` episodes with per-episode child rngs; results are
     deterministic and independent of the number of jobs."""
+    if episodes < 0:
+        raise ValueError("episodes must be at least 0, got %d" % episodes)
     seeds = np.random.SeedSequence(seed).spawn(episodes)
     if jobs <= 1:
         return _collect_chunk((m, policy, seeds, n_episode, terminal_labels))[:]

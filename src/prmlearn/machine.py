@@ -24,7 +24,6 @@ import numpy as np
 
 from .alphabet import (
     Alphabet,
-    EMPTY_LABEL,
     Label,
     Word,
     format_reward,
@@ -351,65 +350,19 @@ def coffee_prm() -> Prm:
     """Ground truth for the probabilistic office task: picking up coffee
     has a 10% chance of producing weak coffee that is rejected (reward 0)
     at delivery; stepping on a decoration fails the task."""
-    ap = Alphabet(["c", "o", "*"])
-    names = ["y0", "y_good", "y_weak", "y_done", "y_fail"]
-    n = len(names)
-    c, o, star = frozenset({"c"}), frozenset({"o"}), frozenset({"*"})
-    tau, rho = {}, {}
-
-    def rule(y, label, vec, reward):
-        tau[(y, label)] = vec
-        rho[(y, label)] = reward
-
-    for label in ap.labels():
-        # y0: waiting for coffee
-        if label == star:
-            rule(0, label, unit_vector(n, 4), 0.0)
-        elif label == c:
-            vec = np.zeros(n)
-            vec[1], vec[2] = 0.9, 0.1
-            rule(0, label, vec, 0.0)
-        else:
-            rule(0, label, unit_vector(n, 0), 0.0)
-        # y_good: holding good coffee
-        if label == star:
-            rule(1, label, unit_vector(n, 4), 0.0)
-        elif label == o:
-            rule(1, label, unit_vector(n, 3), 1.0)
-        else:
-            rule(1, label, unit_vector(n, 1), 0.0)
-        # y_weak: holding weak coffee
-        if label == star:
-            rule(2, label, unit_vector(n, 4), 0.0)
-        elif label == o:
-            rule(2, label, unit_vector(n, 3), 0.0)
-        else:
-            rule(2, label, unit_vector(n, 2), 0.0)
-        # absorbing done / fail
-        rule(3, label, unit_vector(n, 3), 0.0)
-        rule(4, label, unit_vector(n, 4), 0.0)
-    return Prm(ap, [0.0, 1.0], names, 0, tau, rho)
+    return _bundled_prm("coffee_truth.prm")
 
 
 def patrol_prm() -> Prm:
     """Deterministic two-state machine: reward 1 for alternating between
     the marked cell and an unmarked one, 0 for staying put."""
-    ap = Alphabet(["c"])
-    names = ["u_out", "u_in"]
-    c = frozenset({"c"})
-    tau = {
-        (0, EMPTY_LABEL): unit_vector(2, 0),
-        (0, c): unit_vector(2, 1),
-        (1, EMPTY_LABEL): unit_vector(2, 0),
-        (1, c): unit_vector(2, 1),
-    }
-    rho = {
-        (0, EMPTY_LABEL): 0.0,
-        (0, c): 1.0,
-        (1, EMPTY_LABEL): 1.0,
-        (1, c): 0.0,
-    }
-    return Prm(ap, [0.0, 1.0], names, 0, tau, rho)
+    return _bundled_prm("patrol_truth.prm")
+
+
+def _bundled_prm(name: str) -> Prm:
+    from pathlib import Path
+
+    return load_prm(Path(__file__).parent / "assets" / name)
 
 
 def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False, grain: int = 64) -> Prm:

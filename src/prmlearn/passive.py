@@ -17,13 +17,15 @@ from .machine import Prm
 from .table import ObservationTable, build_hypothesis, repair_on_frozen_data
 
 
+MAX_STATES = 500
+
+
 @dataclass
 class PassiveConfig:
     n_check: int
     n_episode: int = 100
     terminal_labels: tuple = ()
     max_experiment_len: int = 12
-    max_states: int = 500
     seed: int = 0
     jobs: int = 1
 
@@ -89,8 +91,8 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         key=lambda w: (len(w), word_str(w)),
     )
     for w in seeds:
-        if len(table.s) >= cfg.max_states:
-            report.notes.append("state seeding stopped at max_states=%d" % cfg.max_states)
+        if len(table.s) >= MAX_STATES:
+            report.notes.append("state seeding stopped at max_states=%d" % MAX_STATES)
             break
         table.add_state(w)
 

@@ -100,6 +100,7 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
 
 
 CSV_COLUMNS = ("word", "reward", "count", "sample")
+REPAIR_MAX_STEPS = 10_000
 
 
 class ObservationTable:
@@ -558,10 +559,10 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     )
 
 
-def repair_on_frozen_data(table: ObservationTable, max_steps: int = 10_000) -> None:
+def repair_on_frozen_data(table: ObservationTable) -> None:
     """Alternate closedness and consistency repairs without new samples
     until the table is closed and consistent."""
-    for _ in range(max_steps):
+    for _ in range(REPAIR_MAX_STEPS):
         closed, witness = table.is_closed()
         if not closed:
             s, label = witness
@@ -573,4 +574,4 @@ def repair_on_frozen_data(table: ObservationTable, max_steps: int = 10_000) -> N
             table.add_experiment((label,) + e)
             continue
         return
-    raise RuntimeError("table repair did not terminate within %d steps" % (max_steps,))
+    raise RuntimeError("table repair did not terminate within %d steps" % (REPAIR_MAX_STEPS,))

@@ -59,6 +59,8 @@ def brute_force_word_realizability(
     """
     if criterion not in ("label_only", "positive_reward"):
         raise ValueError("unknown criterion %r" % (criterion,))
+    for label in w:
+        m.ap.validate_label(label)
     if max_len is not None and max_len < len(w):
         raise ValueError("max_len %d is shorter than the word (%d)" % (max_len, len(w)))
     if criterion == "positive_reward" and not isinstance(m.reward_source, PrmBacked):

@@ -177,6 +177,15 @@ def test_mq_no_witness(capsys):
     assert "no witness" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("word", ["z", "c&z"])
+def test_mq_rejects_unknown_proposition(capsys, word):
+    code = run_cli(["mq", "--env", "office", "--word", word])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: label %s uses unknown proposition 'z'" % word]
+
+
 def test_mq_budget_exit_code(capsys):
     code = run_cli(["mq", "--env", "office", "--word", "~;~;~;~;~;~;c;c", "--node-budget", "10"])
     assert code == 2
@@ -209,6 +218,18 @@ def test_unknown_policy_file(patrol_env, tmp_path, capsys):
     code = run_cli(["simulate", "--env", patrol_env, "--policy", "no-such-policy",
                     "--episodes", "1", "--out", tmp_path / "x.log"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command, episodes", [("simulate", "-3"), ("learn-passive", "0"), ("learn-passive", "-2")]
+)
+def test_bad_episode_count_is_configuration_error(tmp_path, capsys, command, episodes):
+    out = tmp_path / "out"
+    code = run_cli([command, "--env", "office", "--episodes", episodes, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_console_script_installed():

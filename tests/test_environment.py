@@ -310,8 +310,17 @@ def test_table_backed_rewards():
 
 
 def test_table_backed_validates_distributions():
-    with pytest.raises(ValueError):
-        TableBacked({(C,): {1.0: 0.5}})
+    # short mass; an over-unit weight offset by a negative one; a NaN
+    # weight, which no sum check rejects; non-finite rewards
+    for dist in (
+        {1.0: 0.5},
+        {1.0: 1.5, 0.0: -0.5},
+        {1.0: float("nan"), 0.0: 1.0},
+        {float("inf"): 1.0},
+        {float("nan"): 0.5, 0.0: 0.5},
+    ):
+        with pytest.raises(ValueError):
+            TableBacked({(C,): dist})
 
 
 def test_office_delivery_split_monte_carlo():

@@ -73,6 +73,48 @@ def test_coffee_is_total_and_patrol_partial_logic():
     assert not partial.is_total()
 
 
+def _edges(prm):
+    """(state, label) -> ({successor: probability}, reward) by name."""
+    out = {}
+    for (y, label), vec in prm.tau.items():
+        succ = {prm.states[int(j)]: float(vec[j]) for j in np.flatnonzero(vec)}
+        out[(prm.states[y], label)] = (succ, prm.rho[(y, label)])
+    return out
+
+
+def test_builtin_truths_follow_their_rules():
+    coffee = coffee_prm()
+    assert coffee.ap.props == ("c", "o", "*")
+    assert coffee.gamma == (0.0, 1.0)
+    assert coffee.states == ("y0", "y_good", "y_weak", "y_done", "y_fail")
+    assert coffee.states[coffee.init] == "y0"
+    expected = {}
+    for state in coffee.states:
+        for label in coffee.ap.labels():
+            if label == STAR and state in ("y0", "y_good", "y_weak"):
+                rule = ({"y_fail": 1.0}, 0.0)
+            elif label == C and state == "y0":
+                rule = ({"y_good": 0.9, "y_weak": 0.1}, 0.0)
+            elif label == O and state in ("y_good", "y_weak"):
+                rule = ({"y_done": 1.0}, 1.0 if state == "y_good" else 0.0)
+            else:
+                rule = ({state: 1.0}, 0.0)
+            expected[(state, label)] = rule
+    assert _edges(coffee) == expected
+
+    patrol = patrol_prm()
+    assert patrol.ap.props == ("c",)
+    assert patrol.gamma == (0.0, 1.0)
+    assert patrol.states == ("u_out", "u_in")
+    assert patrol.states[patrol.init] == "u_out"
+    assert _edges(patrol) == {
+        ("u_out", frozenset()): ({"u_out": 1.0}, 0.0),
+        ("u_out", C): ({"u_in": 1.0}, 1.0),
+        ("u_in", frozenset()): ({"u_out": 1.0}, 1.0),
+        ("u_in", C): ({"u_in": 1.0}, 0.0),
+    }
+
+
 # -- matrix semantics -----------------------------------------------------------
 
 

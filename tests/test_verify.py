@@ -76,6 +76,13 @@ def test_budget_error_reports_nodes():
     assert err.value.nodes_expanded > 50
 
 
+def test_word_with_unknown_proposition_rejected():
+    m = two_cell_nmdp(patrol_prm())
+    for word in [(frozenset({"z"}),), (C, frozenset({"c", "z"}))]:
+        with pytest.raises(ValueError, match="unknown proposition 'z'"):
+            brute_force_word_realizability(m, word)
+
+
 def test_max_len_shorter_than_word_rejected():
     m = two_cell_nmdp(patrol_prm())
     with pytest.raises(ValueError):
