@@ -28,23 +28,16 @@ class QTable:
         self.rows = {}
 
     def row(self, y: int, x: int, width: int) -> list:
-        """The values of (y, x), at least `width` long, created as zeros."""
+        """The values of (y, x), created as `width` zeros."""
         row = self.rows.get((y, x))
         if row is None:
             row = self.rows[(y, x)] = [0.0] * width
-        elif len(row) < width:
-            row.extend([0.0] * (width - len(row)))
         return row
 
-    def get(self, y: int, x: int, a: int) -> float:
-        row = self.rows.get((y, x))
-        return row[a] if row is not None and a < len(row) else 0.0
-
-    def set(self, y: int, x: int, a: int, value: float) -> None:
-        self.row(y, x, a + 1)[a] = value
-
     def greedy_action(self, y: int, x: int, actions) -> int:
-        return max(actions, key=lambda a: (self.get(y, x, a), -a))
+        """The best action of (y, x); the lowest index wins ties."""
+        row = self.rows.get((y, x))
+        return max(actions, key=lambda a: (row[a] if row else 0.0, -a))
 
     def reset(self) -> None:
         self.rows.clear()
@@ -52,6 +45,9 @@ class QTable:
 
 MAX_ROUNDS = 500
 MAX_REPAIRS_PER_ROUND = 100
+LEARN_RATE = 0.5
+DISCOUNT = 0.9
+EXPLORE = 0.1
 
 
 @dataclass
@@ -60,25 +56,12 @@ class LearnerConfig:
     n_query: int
     n_stop: int
     n_episode: int
-    learn_rate: float = 0.5
-    discount: float = 0.9
-    explore: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         for name in ("n_check", "n_query", "n_stop", "n_episode"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
-        if not 0.0 < self.learn_rate <= 1.0:
-            raise ValueError("learn_rate must be in (0, 1]")
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must be in (0, 1)")
-        if not 0.0 <= self.explore <= 1.0:
-            raise ValueError("explore must be in [0, 1]")
-
-
-def epsilon_greedy_action(q: QTable, y: int, x: int, actions, explore: float, rng) -> int:
-    return _choose(q.row(y, x, max(actions) + 1), actions, explore, rng)
 
 
 def _choose(row: list, actions, explore: float, rng) -> int:
@@ -107,7 +90,7 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     session = m.reward_source.session(rng)
     available, width = m.available, len(m.actions)
     membership = mode == "membership"
-    explore, learn_rate, discount = cfg.explore, cfg.learn_rate, cfg.discount
+    explore, learn_rate, discount = EXPLORE, LEARN_RATE, DISCOUNT
     x, y = m.x_init, h.init
     row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
     trace = []

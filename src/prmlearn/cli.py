@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 search budget exhausted.
+Exit codes: 0 success, 1 configuration or usage error, 2 search budget exhausted.
 All randomness is controlled by --seed; outputs with a fixed seed are
 byte-identical across runs.
 """
@@ -29,7 +29,12 @@ from .environment import (
 )
 from .machine import load_prm, prm_to_dot, save_prm
 from .passive import PassiveConfig, learn_passive, learn_passive_from_traces
-from .verify import BudgetExceededError, brute_force_word_realizability, encoding_distance
+from .verify import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
+    brute_force_word_realizability,
+    encoding_distance,
+)
 
 BUILTIN_ENVS = {"office": "office.yaml"}
 
@@ -159,11 +164,7 @@ def cmd_mq(args) -> int:
     setup = resolve_env(args.env)
     word = parse_word(args.word)
     witness = brute_force_word_realizability(
-        setup.nmdp,
-        word,
-        args.max_len,
-        criterion=args.criterion,
-        node_budget=args.node_budget,
+        setup.nmdp, word, criterion=args.criterion, node_budget=args.node_budget
     )
     if witness is None:
         print("no witness")
@@ -230,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mq", help="brute-force membership query oracle")
     p.add_argument("--env", required=True)
     p.add_argument("--word", required=True, help='";"-separated labels, "~" for the empty label')
-    p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--criterion", choices=["label_only", "positive_reward"], default="label_only")
-    p.add_argument("--node-budget", type=int, default=1000)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_mq)
 
     p = sub.add_parser("export-dot", help="render a machine file to DOT")
@@ -245,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except BudgetExceededError as exc:

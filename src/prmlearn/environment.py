@@ -138,7 +138,6 @@ class Trajectory:
     states: list            # x_0 ... x_n (indices)
     actions: list           # a_1 ... a_n (indices)
     labels: list            # l_1 ... l_n
-    rewards: list | None = None
 
 
 class UnavailableActionError(ValueError):
@@ -266,6 +265,12 @@ class GridMap:
     def is_wall(self, row: int, col: int) -> bool:
         return self.cells[row][col] == "#"
 
+    def open_cells(self) -> list:
+        """The (row, col) of every cell that is not a wall, row by row; state
+        i of the office environment is the i-th of them."""
+        return [(r, c) for r in range(self.height) for c in range(self.width)
+                if not self.is_wall(r, c)]
+
 
 class MapParseError(ValueError):
     pass
@@ -304,12 +309,7 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
     """Deterministic gridworld: moves blocked by walls and borders are
     self-loops; a transition is labeled with the propositions of its
     destination cell; rewards come from the hidden ground-truth machine."""
-    cells = [
-        (r, c)
-        for r in range(gridmap.height)
-        for c in range(gridmap.width)
-        if not gridmap.is_wall(r, c)
-    ]
+    cells = gridmap.open_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     names = tuple("(%d,%d)" % cell for cell in cells)
     n = len(cells)
@@ -340,21 +340,18 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
 
 
 def shortest_path_policy(gridmap: GridMap, m: Nmdp) -> PositionalPolicy:
-    """Positional policy following the shortest start -> coffee -> office
-    path, avoiding decorations.  Fails if the two legs conflict on a cell."""
-    cells = {}
-    for r in range(gridmap.height):
-        for c in range(gridmap.width):
-            ch = gridmap.cells[r][c]
-            if ch in ("c", "o"):
-                cells.setdefault(ch, (r, c))
-    if "c" not in cells or "o" not in cells:
+    """Positional policy on `m = build_office_nmdp(gridmap, ...)` following
+    the shortest start -> coffee -> office path, avoiding decorations.
+    Fails if the two legs conflict on a cell."""
+    cells = gridmap.open_cells()
+    if len(cells) != len(m.states):
+        raise ValueError("the environment is not the office of this map")
+    index = {cell: i for i, cell in enumerate(cells)}
+    first = {}  # cell character -> its first cell
+    for r, c in cells:
+        first.setdefault(gridmap.cells[r][c], (r, c))
+    if "c" not in first or "o" not in first:
         raise ValueError("map has no coffee or office cell")
-
-    index = {}
-    for i, name in enumerate(m.states):
-        r, c = name.strip("()").split(",")
-        index[(int(r), int(c))] = i
 
     def bfs(src, dst):
         from collections import deque
@@ -381,7 +378,7 @@ def shortest_path_policy(gridmap: GridMap, m: Nmdp) -> PositionalPolicy:
             cur = before
         return list(reversed(steps))
 
-    legs = bfs(gridmap.start, cells["c"]) + bfs(cells["c"], cells["o"])
+    legs = bfs(gridmap.start, first["c"]) + bfs(first["c"], first["o"])
     probs = {}
     for cell, action in legs:
         x = index[cell]

@@ -365,9 +365,10 @@ def _bundled_prm(name: str) -> Prm:
     return load_prm(Path(__file__).parent / "assets" / name)
 
 
-def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False, grain: int = 64) -> Prm:
+def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False) -> Prm:
     """A random total machine, for tests.  With `dyadic` every probability
-    is a multiple of 1/grain, so products with dyadic factors stay exact."""
+    is a multiple of 1/64, so products with dyadic factors stay exact."""
+    grain = 64
     ap = Alphabet(props)
     rewards = [float(r) for r in rewards]
     names = ["y%d" % i for i in range(n_states)]
@@ -376,8 +377,7 @@ def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False, grai
         for label in ap.labels():
             if dyadic:
                 cuts = sorted(rng.integers(0, grain + 1, size=n_states - 1).tolist())
-                parts = np.diff([0] + cuts + [grain]).astype(float) / grain
-                vec = parts
+                vec = np.diff([0] + cuts + [grain]).astype(float) / grain
             else:
                 vec = rng.random(n_states) + 1e-3
                 vec = vec / vec.sum()

@@ -18,6 +18,7 @@ from .table import ObservationTable, build_hypothesis, repair_on_frozen_data
 
 
 MAX_STATES = 500
+MAX_EXPERIMENT_LEN = 12
 
 
 @dataclass
@@ -25,7 +26,6 @@ class PassiveConfig:
     n_check: int
     n_episode: int = 100
     terminal_labels: tuple = ()
-    max_experiment_len: int = 12
     seed: int = 0
     jobs: int = 1
 
@@ -34,8 +34,6 @@ class PassiveConfig:
             raise ValueError("n_check must be positive")
         if self.n_episode <= 0:
             raise ValueError("n_episode must be positive")
-        if self.max_experiment_len < 1:
-            raise ValueError("max_experiment_len must be at least 1")
 
 
 @dataclass
@@ -61,13 +59,13 @@ class PassiveResult:
     hypothesis: Prm
     report: PassiveReport
 
-    def __iter__(self):
-        return iter((self.table, self.hypothesis))
-
 
 def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> PassiveResult:
     """Algorithm core over pre-recorded traces of (label, reward) pairs.
-    A label with a proposition outside `ap` raises ValueError."""
+    A label with a proposition outside `ap`, or traces without a single
+    step, raise ValueError."""
+    if not any(traces):
+        raise ValueError("need at least one trace with a step, got %d traces" % len(traces))
     report = PassiveReport(episodes=len(traces))
     observed = sorted({label for trace in traces for label, _ in trace}, key=label_sort_key)
     for label in observed:
@@ -78,7 +76,7 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         table.record(trace)
         word = tuple(label for label, _ in trace)
         # the suffixes longer than the cap are the first ones
-        first = max(len(word) - cfg.max_experiment_len, 0)
+        first = max(len(word) - MAX_EXPERIMENT_LEN, 0)
         report.dropped_suffixes += first
         for k in range(first, len(word)):
             table.add_experiment(word[k:])
@@ -104,8 +102,6 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
 
 def learn_passive(m: Nmdp, policy, episodes: int, cfg: PassiveConfig) -> PassiveResult:
     """Roll out `episodes` episodes under the policy, then learn from them."""
-    if episodes < 1:
-        raise ValueError("need at least one episode")
     traces = collect_traces(
         m, policy, episodes, cfg.seed, cfg.n_episode, cfg.terminal_labels, jobs=cfg.jobs
     )

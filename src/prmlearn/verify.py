@@ -43,7 +43,6 @@ def _positive_reward_possible(prm: Prm, w: Word) -> bool:
 def brute_force_word_realizability(
     m: Nmdp,
     w: Word,
-    max_len: int | None = None,
     *,
     criterion: str = "label_only",
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -61,8 +60,6 @@ def brute_force_word_realizability(
         raise ValueError("unknown criterion %r" % (criterion,))
     for label in w:
         m.ap.validate_label(label)
-    if max_len is not None and max_len < len(w):
-        raise ValueError("max_len %d is shorter than the word (%d)" % (max_len, len(w)))
     if criterion == "positive_reward" and not isinstance(m.reward_source, PrmBacked):
         raise ValueError("positive_reward criterion needs a machine-backed reward source")
 
@@ -162,9 +159,6 @@ class EncodingReport:
         if self._bottom_words is None:
             self._bottom_words = [] if self._list_bottom is None else self._list_bottom()
         return self._bottom_words
-
-    def __float__(self) -> float:
-        return self.distance
 
 
 def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:

@@ -16,8 +16,9 @@ from prmlearn import (
     membership_reward_machine,
     patrol_prm,
 )
+from prmlearn import active
 from prmlearn.active import (
-    epsilon_greedy_action,
+    _choose,
     equivalence_query,
     is_counterexample,
     membership_query,
@@ -51,10 +52,6 @@ def config(**kw):
         {"n_query": -1},
         {"n_stop": 0},
         {"n_episode": 0},
-        {"learn_rate": 0.0},
-        {"learn_rate": 1.5},
-        {"discount": 1.0},
-        {"explore": -0.1},
     ],
 )
 def test_config_validation(kw):
@@ -67,48 +64,54 @@ def test_config_validation(kw):
 
 def test_qtable_defaults_and_greedy():
     q = QTable()
-    assert q.get(0, 0, 0) == 0.0
-    q.set(0, 0, 1, 2.5)
+    assert q.greedy_action(0, 0, [1, 0]) == 0  # a missing row reads as zeros: lowest index
+    assert q.row(0, 0, 2) == [0.0, 0.0]
+    q.row(0, 0, 2)[1] = 2.5
+    assert q.rows == {(0, 0): [0.0, 2.5]}
     assert q.greedy_action(0, 0, [0, 1]) == 1
+    q.row(0, 0, 2)[0] = 2.5
+    assert q.greedy_action(0, 0, [1, 0]) == 0  # ties go to the lowest index
     q.reset()
-    assert q.get(0, 0, 1) == 0.0
+    assert q.row(0, 0, 2) == [0.0, 0.0]
 
 
 def test_epsilon_greedy_breaks_ties_randomly():
     q = QTable()
     rng = np.random.default_rng(0)
-    picks = {epsilon_greedy_action(q, 0, 0, [0, 1, 2, 3], 0.0, rng) for _ in range(200)}
+    picks = {_choose(q.row(0, 0, 4), [0, 1, 2, 3], 0.0, rng) for _ in range(200)}
     assert picks == {0, 1, 2, 3}  # a flat table must not collapse onto one action
 
 
 def test_epsilon_greedy_exploits_a_clear_winner():
     q = QTable()
-    q.set(0, 0, 2, 1.0)
+    q.row(0, 0, 4)[2] = 1.0
     rng = np.random.default_rng(0)
-    picks = {epsilon_greedy_action(q, 0, 0, [0, 1, 2, 3], 0.0, rng) for _ in range(50)}
+    picks = {_choose(q.row(0, 0, 4), [0, 1, 2, 3], 0.0, rng) for _ in range(50)}
     assert picks == {2}
 
 
 # -- teacher episodes ----------------------------------------------------------------
 
 
-def test_q_update_arithmetic():
+def test_q_update_arithmetic(monkeypatch):
     # all-zero Q, learn_rate 0.5, machine reward 1, zero successor values:
     # the visited entry becomes exactly 0.5
+    monkeypatch.setattr(active, "EXPLORE", 0.0)
+    assert (active.LEARN_RATE, active.DISCOUNT) == (0.5, 0.9)
     truth = patrol_prm()
     m = two_cell_nmdp(truth)
     machine = membership_reward_machine(m.ap, (C,))
     q = QTable()
-    cfg = config(n_episode=1, explore=0.0, learn_rate=0.5, discount=0.9)
+    cfg = config(n_episode=1)
     rng = np.random.default_rng(1)
     trace = teacher_query(q, m, machine, "membership", cfg, rng)
     (label, _reward), = trace
     expected = 0.5 if label == C else 0.0
     visited = (0, 0, 1 if label == C else 0)   # action 1 enters the marked cell
-    assert q.get(*visited) == expected
-    for key in itertools.product(range(2), range(2), range(2)):
-        if key != visited:
-            assert q.get(*key) == 0.0
+    assert q.row(0, 0, 2)[visited[2]] == expected
+    for y, x, a in itertools.product(range(2), range(2), range(2)):
+        if (y, x, a) != visited:
+            assert q.row(y, x, 2)[a] == 0.0
 
 
 # The teacher episode as it was written before the Q-table stored rows and
@@ -141,13 +144,14 @@ def ref_epsilon_greedy_action(q, y, x, actions, explore, rng):
 
 
 def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
+    explore, learn_rate, discount = active.EXPLORE, active.LEARN_RATE, active.DISCOUNT
     terminal = set(terminal_labels)
     truth = m.reward_source.prm
     x, y, y_truth = m.x_init, h.init, truth.init
     trace = []
     for _ in range(cfg.n_episode):
         actions = m.available[x]
-        a = ref_epsilon_greedy_action(q, y, x, actions, cfg.explore, rng)
+        a = ref_epsilon_greedy_action(q, y, x, actions, explore, rng)
         x_next = sample_index(m.p[(x, a)], rng)
         label = m.labeling[(x, a, x_next)]
         y_truth_next = sample_index(truth.successor_vector(y_truth, label), rng)
@@ -158,8 +162,8 @@ def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
         best_next = q.best(y_next, x_next, m.available[x_next])
         q.set(
             y, x, a,
-            (1.0 - cfg.learn_rate) * q.get(y, x, a)
-            + cfg.learn_rate * (target + cfg.discount * best_next),
+            (1.0 - learn_rate) * q.get(y, x, a)
+            + learn_rate * (target + discount * best_next),
         )
         trace.append((label, r))
         x, y = x_next, y_next
@@ -228,10 +232,11 @@ def teacher_cases():
 
 # the machine advances by sampling, as in the learner
 @pytest.mark.parametrize("explore", [0.0, 0.1, 1.0], ids=lambda explore: "sample-%s" % explore)
-def test_teacher_query_matches_reference_loop(explore):
+def test_teacher_query_matches_reference_loop(explore, monkeypatch):
+    monkeypatch.setattr(active, "EXPLORE", explore)
     for name, m, terminal, machines in teacher_cases():
         for mode, h in machines:
-            cfg = config(n_episode=30, explore=explore)
+            cfg = config(n_episode=30)
             rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
             q, ref_q = QTable(), RefQTable()
             if mode == "membership" and not h.is_total():
@@ -245,8 +250,8 @@ def test_teacher_query_matches_reference_loop(explore):
                 trace = teacher_query(q, m, h, mode, cfg, rng, terminal)
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal), (name, mode)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
-            for key, value in ref_q.values.items():
-                assert q.get(*key) == value, (name, mode, key)
+            for (y, x, a), value in ref_q.values.items():
+                assert q.rows[(y, x)][a] == value, (name, mode, (y, x, a))
             for (y, x), row in q.rows.items():
                 for a, value in enumerate(row):
                     assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
@@ -264,11 +269,12 @@ def test_teacher_query_records_environment_rewards():
         assert reward in (0.0, 1.0)  # environment rewards come from the patrol truth
 
 
-def test_teacher_query_equivalence_mode_uses_env_reward():
+def test_teacher_query_equivalence_mode_uses_env_reward(monkeypatch):
+    monkeypatch.setattr(active, "EXPLORE", 0.2)
     truth = patrol_prm()
     m = two_cell_nmdp(truth)
     q = QTable()
-    cfg = config(n_episode=50, explore=0.2)
+    cfg = config(n_episode=50)
     rng = np.random.default_rng(3)
     for _ in range(50):
         teacher_query(q, m, truth, "equivalence", cfg, rng)
@@ -442,7 +448,7 @@ def ref_is_counterexample(table, h, trace, n_check):
     return None
 
 
-def test_is_counterexample_memo_matches_fresh_walk():
+def test_is_counterexample_memo_matches_fresh_walk(monkeypatch):
     # a learned office hypothesis (stochastic rows, implicit failure state)
     # checked against equivalence traces, some of them counterexamples
     office = load_env_config(OFFICE)
@@ -450,11 +456,12 @@ def test_is_counterexample_memo_matches_fresh_walk():
     cfg = config(n_check=30, n_query=100, n_stop=5, n_episode=office.n_episode, seed=3)
     result = learn_active(m, cfg, office.terminal_labels)
     h, table = result.hypothesis, result.table
+    monkeypatch.setattr(active, "EXPLORE", 0.5)  # explores enough to meet counterexamples
     rng = np.random.default_rng(4)
     q, steps = QTable(), {}
     verdicts = []
     for _ in range(60):
-        trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode, explore=0.5),
+        trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode),
                               rng, office.terminal_labels)
         table.record(trace)
         verdict = is_counterexample(table, h, trace, cfg.n_check, steps)

@@ -83,6 +83,18 @@ def test_learn_passive_reports_every_logged_episode(patrol_env, tmp_path, capsys
     assert "from 7 traces" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("log", ["", "\n\n"], ids=["empty-log", "blank-lines"])
+def test_learn_passive_rejects_a_log_without_steps(tmp_path, capsys, log):
+    traces = tmp_path / "traces.log"
+    traces.write_text(log, encoding="utf-8")
+    out = tmp_path / "learned.prm"
+    code = run_cli(["learn-passive", "--env", "office", "--traces", traces, "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "with a step" in err[0]
+    assert not out.exists()
+
+
 def test_learn_passive_deterministic(patrol_env, tmp_path):
     outs = []
     for name in ("a.prm", "b.prm"):
@@ -230,6 +242,16 @@ def test_bad_episode_count_is_configuration_error(tmp_path, capsys, command, epi
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simulate", "--env", "office", "--episodes", "abc", "--out", "x.log"], ["mq"], []],
+    ids=["bad-int", "missing-option", "no-command"],
+)
+def test_usage_error_exits_1(capsys, args):
+    assert run_cli(args) == 1
+    assert "usage: prmlearn" in capsys.readouterr().err
 
 
 def test_console_script_installed():

@@ -337,6 +337,11 @@ def test_office_delivery_split_monte_carlo():
     assert abs(hits / n - 0.9) <= 0.02
 
 
+def test_shortest_path_policy_needs_the_office_of_its_map():
+    with pytest.raises(ValueError, match="not the office of this map"):
+        shortest_path_policy(parse_gridmap(OFFICE_MAP), two_cell_nmdp(patrol_prm()))
+
+
 # -- policies and trajectory probability ------------------------------------------
 
 

@@ -14,6 +14,7 @@ from prmlearn import (
 )
 from prmlearn.alphabet import EMPTY_LABEL, EPSILON
 from prmlearn.environment import PositionalPolicy
+from prmlearn.passive import MAX_EXPERIMENT_LEN
 
 from conftest import C, O, STAR, single_state_zero_prm, two_cell_nmdp
 
@@ -25,8 +26,6 @@ def test_config_validation():
         PassiveConfig(n_check=0)
     with pytest.raises(ValueError):
         PassiveConfig(n_check=10, n_episode=0)
-    with pytest.raises(ValueError):
-        PassiveConfig(n_check=10, max_experiment_len=0)
 
 
 def test_single_trace_example():
@@ -54,11 +53,10 @@ def test_trace_label_outside_the_propositions_rejected(alphabet):
 
 def test_suffix_length_cap_reported():
     ap = Alphabet(["c"])
-    long_trace = [(C, 0.0)] * 6
-    cfg = PassiveConfig(n_check=1, max_experiment_len=3)
-    result = learn_passive_from_traces([long_trace], ap, cfg)
-    assert result.report.dropped_suffixes == 3  # suffixes of lengths 6, 5, 4
-    assert all(len(e) <= 3 for e in result.table.e)
+    long_trace = [(C, 0.0)] * (MAX_EXPERIMENT_LEN + 3)
+    result = learn_passive_from_traces([long_trace], ap, PassiveConfig(n_check=1))
+    assert result.report.dropped_suffixes == 3  # the three longest suffixes
+    assert max(len(e) for e in result.table.e) == MAX_EXPERIMENT_LEN
 
 
 def test_stay_put_policy_single_state_machine():
@@ -116,13 +114,10 @@ def test_incompleteness_preserved():
     assert h.bottom_mass((O,)) == 1.0
 
 
-def test_result_tuple_unpacking():
-    ap = Alphabet(["c"])
-    table, hypothesis = learn_passive_from_traces(
-        [[(C, 0.0)]] * 10, ap, PassiveConfig(n_check=5)
-    )
-    assert table.num_traces == 10
-    assert hypothesis.n_states() >= 2
+@pytest.mark.parametrize("traces", [[], [[], []]], ids=["no-trace", "empty-traces"])
+def test_traces_without_a_step_rejected(traces):
+    with pytest.raises(ValueError, match="at least one trace with a step"):
+        learn_passive_from_traces(traces, Alphabet(["c"]), PassiveConfig(n_check=5))
 
 
 def test_learn_passive_needs_episodes():

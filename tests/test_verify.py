@@ -83,12 +83,6 @@ def test_word_with_unknown_proposition_rejected():
             brute_force_word_realizability(m, word)
 
 
-def test_max_len_shorter_than_word_rejected():
-    m = two_cell_nmdp(patrol_prm())
-    with pytest.raises(ValueError):
-        brute_force_word_realizability(m, (C, C), max_len=1)
-
-
 def test_positive_reward_criterion():
     grid = parse_gridmap(OFFICE_MAP)
     m = build_office_nmdp(grid, coffee_prm())
@@ -174,7 +168,6 @@ def test_encoding_distance_zero_for_identical():
     report = encoding_distance(truth, truth, max_len=4)
     assert report.distance == 0.0
     assert report.worst_word is None
-    assert float(report) == 0.0
     assert report.words_checked > 0
 
 
