@@ -183,11 +183,23 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It rejects arguments it does not know under
+    its own usage line; left to the top-level parser, they would be
+    reported under `prmlearn`'s."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: %s" % " ".join(extra))
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prmlearn", description="Learn and analyse probabilistic reward machines."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_common(p, jobs=False):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -132,6 +132,9 @@ class ObservationTable:
         self._id: dict = {EPSILON: 0}     # word -> id
         self._words: list = [EPSILON]     # id -> word
         self._counts: list = [None]       # id -> the Counter t holds for the word, or None
+        # E as a trie beside its list: a node is [its word's index into E or
+        # None, {label: child node}], and the root is ε's, column 0.
+        self._e_trie: list = [0, {}]
         # Caches derived from the counts and E, filled on first use.  Word
         # inputs and word-pair verdicts depend on the counts alone (and on
         # the sample total, which the counts fix); the columns and the row
@@ -140,7 +143,9 @@ class ObservationTable:
         self._inputs: dict = {}
         # (id, id') with id < id' -> whether the two words differ
         self._pairs: dict = {}
-        # row word -> {index into E of a column with samples at row.e: the id of row.e}
+        # row word -> (the set of indices into E of the columns with samples
+        # at row.e, {index: the id of row.e} over those of them that can
+        # differ, in E order)
         self._cols: dict = {}
         # (row, row') and (row', row) -> the compatible_rows verdict
         self._verdicts: dict = {}
@@ -239,6 +244,13 @@ class ObservationTable:
         if word in self._e_set:
             return False
         self._e_set.add(word)
+        node = self._e_trie
+        for label in word:
+            kids = node[1]
+            node = kids.get(label)
+            if node is None:
+                node = kids[label] = [None, {}]
+        node[0] = len(self.e)
         self.e.append(word)
         self._columns_changed()
         return True
@@ -248,26 +260,53 @@ class ObservationTable:
     # `diff` is False whenever either word has no samples, so a row test
     # only visits the experiment columns that both rows have samples for:
     # it gives the results and witnesses of a loop over all of E, and
-    # costs the number of shared sampled columns, not |E|.  Each word's
-    # test inputs and each word pair's verdict are computed once until the
-    # counts change; rows (s, s') at column l.e and rows (s.l, s'.l) at
-    # column e test the same two words.  Each row pair's verdict is kept
-    # until the counts or E change.
+    # costs the number of shared sampled columns, not |E|.  A row finds
+    # its columns by walking E's trie and the word ids together from the
+    # row's id, so it visits only the E prefixes recorded after the row,
+    # not every column of E.  The walk stops only where a word has no id,
+    # never at a word without counts: the words of a table file need not
+    # be prefix-closed.  A word with n samples whose
+    # factor * sqrt(1/n) is at least 1 never differs either: its threshold
+    # is at least 1 (rounding is monotone, so adding sqrt(1/n') cannot
+    # lower it), and no gap between two frequencies in [0, 1] exceeds 1.
+    # So a row test visits only the shared testable columns: the cost of a
+    # row is its visited E prefixes, and of a row test its testable
+    # columns.  Each word's test inputs and each word pair's verdict are
+    # computed once until the counts change; rows (s, s') at column l.e and
+    # rows (s.l, s'.l) at column e test the same two words.  Each row
+    # pair's verdict is kept until the counts or E change.
 
-    def _columns(self, s: Word) -> dict:
-        """{index i into E: the id of s.E[i]} over the columns with samples
-        at s.E[i], in E order."""
+    def _columns(self, s: Word):
+        """(the set of indices i into E of the columns with samples at
+        s.E[i], {i: the id of s.E[i]} over those of them whose word can
+        differ from another, in E order)."""
         cols = self._cols.get(s)
         if cols is None:
-            cols = self._cols[s] = {}
-            if s in self._id:   # the ids are prefix-closed: else no s.e has one
-                ids, counts = self._id, self._counts
-                for i, e in enumerate(self.e):
-                    node = ids.get(s + e)
-                    if node is not None:
+            hits = []   # (i, id of s.E[i], its sample count)
+            start = self._id.get(s)
+            if start is not None:
+                child, counts = self._child, self._counts
+                stack = [(self._e_trie, start)]
+                while stack:
+                    (i, kids), node = stack.pop()
+                    if i is not None:
                         counter = counts[node]
-                        if counter is not None and sum(counter.values()) > 0:
-                            cols[i] = node
+                        if counter is not None:
+                            n = sum(counter.values())
+                            if n > 0:
+                                hits.append((i, node, n))
+                    for label, sub in kids.items():
+                        nxt = child.get((node, label))
+                        if nxt is not None:
+                            stack.append((sub, nxt))
+                hits.sort()
+            # sqrt(1/n) is the root _word_inputs computes, so the words left
+            # out are exactly those whose threshold is at least 1
+            factor = _hoeffding_factor(max(self._total_samples, 1))
+            cols = self._cols[s] = (
+                {i for i, _, _ in hits},
+                {i: node for i, node, n in hits if factor * math.sqrt(1.0 / n) < 1.0},
+            )
         return cols
 
     def _inputs_of(self, node: int):
@@ -279,7 +318,7 @@ class ObservationTable:
     def _first_difference(self, s: Word, s_prime: Word):
         """The first index i in E order at which s.E[i] and s_prime.E[i]
         differ by the test `diff` runs, or None."""
-        cols, cols_prime = self._columns(s), self._columns(s_prime)
+        cols, cols_prime = self._columns(s)[1], self._columns(s_prime)[1]
         factor = _hoeffding_factor(max(self._total_samples, 1))
         pairs = self._pairs
         if len(cols_prime) < len(cols):
@@ -307,12 +346,12 @@ class ObservationTable:
 
     def rows_share_evidence(self, s: Word, s_prime: Word) -> bool:
         """True when some experiment column has samples for both rows."""
-        return not self._columns(s).keys().isdisjoint(self._columns(s_prime))
+        return not self._columns(s)[0].isdisjoint(self._columns(s_prime)[0])
 
     # -- closedness / consistency -------------------------------------------
 
     def row_has_data(self, s: Word) -> bool:
-        return bool(self._columns(s))
+        return bool(self._columns(s)[0])
 
     def is_closed(self):
         """Returns (True, None) or (False, (s, label)) with a witness row

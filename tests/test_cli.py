@@ -254,6 +254,19 @@ def test_usage_error_exits_1(capsys, args):
     assert "usage: prmlearn" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, unknown",
+    [(["mq", "--env", "office", "--word", "c", "--max-len", "1"], "--max-len 1"),
+     (["export-dot", "--prm", "x.prm", "--out", "x.dot", "extra"], "extra")],
+    ids=["unknown-option", "extra-positional"],
+)
+def test_unknown_argument_shows_the_subcommand_usage(capsys, args, unknown):
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: prmlearn %s " % args[0])
+    assert err.endswith("prmlearn %s: error: unrecognized arguments: %s\n" % (args[0], unknown))
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "prmlearn.cli", "--help"], capture_output=True, text=True

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
-from prmlearn.alphabet import EPSILON, EMPTY_LABEL
+from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
 from prmlearn.table import (
     TableNotReadyError,
+    _hoeffding_factor,
     diff_against_distribution,
     repair_on_frozen_data,
 )
@@ -66,6 +67,38 @@ def test_diff_randomized_symmetry_and_zero_counts():
             assert forward is False  # zero-count words are never different
         if fs == ft:
             assert forward is False  # identical frequency maps
+
+
+def positive_counts(split):
+    return {gamma: count for gamma, count in split.items() if count > 0}
+
+
+def test_sparse_words_never_differ():
+    # the row sweeps skip a word with n samples whenever
+    # factor * sqrt(1/n) >= 1: its threshold is then at least 1, and no gap
+    # between two frequencies exceeds 1
+    skipped = differed = 0
+    for m_total in (1, 2, 3, 7, 60, 10 ** 3, 10 ** 6):
+        factor = _hoeffding_factor(m_total)
+        for n in range(1, 26):
+            sparse = factor * math.sqrt(1.0 / n) >= 1.0
+            # a dense second word has the smallest threshold
+            for n_prime in (1, 2, 3, 5, 8, 13, 21, 25, 10 ** 3, 10 ** 6):
+                for k in range(n + 1):
+                    for k_prime in (0, n_prime // 2, n_prime):
+                        # zero counts are left out, so a reward of only one
+                        # word reaches both of the test's loops
+                        f = freq_fn({
+                            "s": positive_counts({1.0: k, 0.0: n - k}),
+                            "t": positive_counts({1.0: k_prime, 2.0: n_prime - k_prime}),
+                        })
+                        verdict = diff(f, "s", "t", m_total)
+                        if sparse:
+                            skipped += 1
+                            assert verdict is False, (m_total, n, n_prime, k, k_prime)
+                        differed += verdict
+    # the enumeration reaches both sides of the bound
+    assert skipped and differed
 
 
 def test_diff_against_distribution():
@@ -308,6 +341,9 @@ def sweep(table):
 
 SWEEP_LABELS = [EMPTY_LABEL, C, O]
 sweep_words = st.lists(st.sampled_from(SWEEP_LABELS), min_size=1, max_size=2).map(tuple)
+# experiments of up to three labels share prefixes and arrive out of length
+# order, so a row's walk of E's trie finds its columns out of E order
+experiment_words = st.lists(st.sampled_from(SWEEP_LABELS), min_size=1, max_size=3).map(tuple)
 # repeated traces: the Hoeffding test needs tens of samples per word to fire
 sweep_traces = st.tuples(
     st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), st.sampled_from([0.0, 1.0])), max_size=4),
@@ -316,9 +352,17 @@ sweep_traces = st.tuples(
 sweep_ops = st.one_of(
     st.tuples(st.just("record"), sweep_traces),
     st.tuples(st.just("state"), sweep_words),
-    st.tuples(st.just("experiment"), sweep_words),
+    st.tuples(st.just("experiment"), experiment_words),
     st.tuples(st.just("sweep")),
 )
+# a word outside the sweep rows and columns, whose samples raise the total M
+# and with it the number of samples a word needs to be tested
+PAD_LABEL = frozenset({"c", "o"})
+
+
+def pad_csv(path, pad):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("%s,0,%d,%d\n" % (word_str((PAD_LABEL,)), pad, pad))
 
 
 def record_repeated(table, traces):
@@ -328,8 +372,8 @@ def record_repeated(table, traces):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(sweep_ops, max_size=14))
-def test_row_sweeps_match_full_column_loops(ops):
+@given(ops=st.lists(sweep_ops, max_size=14), pad=st.sampled_from([10 ** 4, 10 ** 6]))
+def test_row_sweeps_match_full_column_loops(ops, pad):
     table = make_table(alphabet=SWEEP_LABELS)
     for op in ops:
         if op[0] == "record":
@@ -347,11 +391,70 @@ def test_row_sweeps_match_full_column_loops(ops):
         path = os.path.join(tmp, "table.csv")
         table.to_csv(path)
         again = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
-    for word in table.s:
-        again.add_state(word)
-    for word in table.e:
-        again.add_experiment(word)
+        # the same counts at a large M: the recorded counts (1 to a few
+        # hundred) straddle factor^2, about 14 at M = 10^4 and 21 at 10^6
+        pad_csv(path, pad)
+        padded = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
+    for copy in (again, padded):
+        for word in table.s:
+            copy.add_state(word)
+        for word in table.e:
+            copy.add_experiment(word)
     assert sweep(again) == results
+    sweep(padded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    traces=st.lists(
+        st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), st.sampled_from([0.0, 1.0])),
+                 min_size=1, max_size=2),
+        min_size=1, max_size=3),
+    states=st.lists(sweep_words, max_size=3),
+    experiments=st.lists(experiment_words, max_size=4),
+)
+def test_row_sweeps_match_full_column_loops_at_small_sample_totals(traces, states, experiments):
+    # M is 1 to 6 here; at M = 1 the factor is below 1, so every word is tested
+    assert _hoeffding_factor(1) < 1.0
+    table = make_table(alphabet=SWEEP_LABELS)
+    for trace in traces:
+        table.record(trace)
+    for word in states:
+        table.add_state(word)
+    for word in experiments:
+        table.add_experiment(word)
+    sweep(table)
+
+
+csv_counts = st.dictionaries(st.sampled_from([0.0, 1.0]), st.integers(0, 60), min_size=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.dictionaries(experiment_words, csv_counts, min_size=1, max_size=8),
+    states=st.lists(sweep_words, max_size=3),
+    experiments=st.lists(experiment_words, max_size=4),
+    pad=st.sampled_from([0, 10 ** 6]),
+)
+def test_row_sweeps_match_full_column_loops_on_csv_tables(tmp_path_factory, words, states,
+                                                          experiments, pad):
+    # the words of a table file need not be prefix-closed: a row's walk
+    # passes through prefixes that have ids but no counts
+    lines = ["word,reward,count,sample"]
+    for word, counts in words.items():
+        sample = sum(counts.values())
+        lines += ["%s,%s,%d,%d" % (word_str(word), format_reward(reward), count, sample)
+                  for reward, count in counts.items()]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if pad:
+        pad_csv(path, pad)
+    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), SWEEP_LABELS)
+    for word in states:
+        table.add_state(word)
+    for word in experiments:
+        table.add_experiment(word)
+    sweep(table)
 
 
 table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
@@ -417,6 +520,38 @@ def test_row_sweeps_follow_new_counts_and_columns():
         if times == 5:
             assert sweep(table)[1] == (True, None)
     assert sweep(table)[1] == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
+
+
+def test_rows_differ_at_a_word_just_inside_the_bound(tmp_path):
+    # a word with factor * sqrt(1/n) just below 1 is tested, and differs
+    # from a dense word of the other reward; with one sample fewer it is
+    # skipped, and could not have differed
+    dense = 10 ** 6
+    for n, tested in ((22, True), (21, False)):
+        assert (_hoeffding_factor(dense + n) * math.sqrt(1.0 / n) < 1.0) == tested
+        path = tmp_path / "table.csv"
+        path.write_text("word,reward,count,sample\nc,0,%d,%d\no,1,%d,%d\n" % (n, n, dense, dense),
+                        encoding="utf-8")
+        table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), [C, O])
+        expected = ref_compatible_rows(table, (C,), (O,))
+        assert expected == (not tested)
+        assert table.compatible_rows((C,), (O,)) == expected
+
+
+def test_consistency_witness_is_the_first_column_in_e_order():
+    # E lists c;o before its prefix c, so the walk of E's trie meets the
+    # column c first; the rows ε.ε and c.ε differ at both columns, and the
+    # witness is c;o, the first of them in E order
+    table = make_table(alphabet=SWEEP_LABELS)
+    for _ in range(100):
+        table.record([(EMPTY_LABEL, 0.0), (C, 1.0), (O, 1.0)])
+        table.record([(C, 0.0), (EMPTY_LABEL, 0.0), (C, 0.0), (O, 0.0)])
+    table.add_state((C,))
+    table.add_experiment((C, O))
+    table.add_experiment((C,))
+    assert table.e == [EPSILON, (C, O), (C,)]
+    witness = (EPSILON, (C,), EMPTY_LABEL, (C, O))
+    assert sweep(table)[1] == (False, witness)
 
 
 def test_row_verdicts_follow_counts_columns_and_sample_total():
