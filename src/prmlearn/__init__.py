@@ -28,7 +28,6 @@ from .machine import (
 from .environment import (
     Nmdp,
     PrmBacked,
-    TableBacked,
     Trajectory,
     build_office_nmdp,
     collect_traces,

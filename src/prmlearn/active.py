@@ -34,11 +34,6 @@ class QTable:
             row = self.rows[(y, x)] = [0.0] * width
         return row
 
-    def greedy_action(self, y: int, x: int, actions) -> int:
-        """The best action of (y, x); the lowest index wins ties."""
-        row = self.rows.get((y, x))
-        return max(actions, key=lambda a: (row[a] if row else 0.0, -a))
-
     def reset(self) -> None:
         self.rows.clear()
 
@@ -97,12 +92,9 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     for _ in range(cfg.n_episode):
         a = _choose(row, available[x], explore, rng)
         x_next, label, r = step(m, x, a, rng, session)
-        h_row, reward = h.compiled_step(y, label)
+        h_row, rewards = h.compiled_step(y, label)
         y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
-        if membership:
-            target = reward if reward is not None else h.edge_reward(y, label, y_next)
-        else:
-            target = r
+        target = rewards[y_next] if membership else r
         row_next = q.row(y_next, x_next, width)
         best_next = max([row_next[b] for b in available[x_next]])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
@@ -111,26 +103,6 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
         if label in terminal:
             break
     return trace
-
-
-def rollout_greedy(q: QTable, m: Nmdp, h: Prm, n_episode: int, rng, terminal_labels=()):
-    """Greedy (explore=0) rollout; returns the trace and the total machine
-    reward collected along it."""
-    terminal = set(terminal_labels)
-    session = m.reward_source.session(rng)
-    x, y = m.x_init, h.init
-    trace = []
-    total_machine_reward = 0.0
-    for _ in range(n_episode):
-        a = q.greedy_action(y, x, m.available[x])
-        x_next, label, r = step(m, x, a, rng, session)
-        y_next = h.sample_successor(y, label, rng)
-        total_machine_reward += h.edge_reward(y, label, y_next)
-        trace.append((label, r))
-        x, y = x_next, y_next
-        if label in terminal:
-            break
-    return trace, total_machine_reward
 
 
 def statically_unrealizable(zeta: Word, terminal_labels) -> bool:

@@ -1,9 +1,8 @@
 """Non-Markovian decision processes and the office gridworld.
 
 The environment hides its reward source: rewards depend on the full
-label history, either through a ground-truth reward machine advanced on
-transition labels (PrmBacked) or a lookup table of per-word reward
-distributions (TableBacked).
+label history, through a ground-truth reward machine advanced on
+transition labels (PrmBacked).
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, draw_row, load_prm, sample_index, sampling_row, unit_vector
+from .machine import PROB_TOL, Prm, draw_row, load_prm, sampling_row, unit_vector
+# sample_index is unused here; the benchmark tracer wraps it as environment.sample_index
+from .machine import sample_index  # noqa: F401
 
 ACTIONS = ("N", "S", "E", "W")
 MOVES = {"N": (-1, 0), "S": (1, 0), "E": (0, 1), "W": (0, -1)}
@@ -37,7 +38,7 @@ def is_distribution(vec: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(vec)) and np.all(vec >= 0) and abs(vec.sum() - 1.0) <= PROB_TOL)
 
 
-# -- reward sources -----------------------------------------------------------
+# -- the reward source ---------------------------------------------------------
 
 
 class PrmBacked:
@@ -59,40 +60,9 @@ class _PrmSession:
         self.y = prm.init
 
     def observe(self, label: Label) -> float:
-        y = self.y
-        row, reward = self.prm.compiled_step(y, label)
+        row, rewards = self.prm.compiled_step(self.y, label)
         y_next = self.y = row if row.__class__ is int else draw_row(row, self.rng)
-        return reward if reward is not None else self.prm.edge_reward(y, label, y_next)
-
-
-class TableBacked:
-    """Reward distributions keyed by the full label word; unknown words
-    yield reward 0."""
-
-    def __init__(self, dists: dict):
-        for word, dist in dists.items():
-            if not (np.all(np.isfinite(list(dist))) and is_distribution(np.array(list(dist.values())))):
-                raise ValueError("bad reward distribution for %r: %r" % (word, dist))
-        self.dists = dict(dists)
-
-    def session(self, rng):
-        return _TableSession(self.dists, rng)
-
-
-class _TableSession:
-    def __init__(self, dists, rng):
-        self.dists = dists
-        self.rng = rng
-        self.history = []
-
-    def observe(self, label: Label) -> float:
-        self.history.append(label)
-        dist = self.dists.get(tuple(self.history))
-        if dist is None:
-            return 0.0
-        values = sorted(dist)
-        probs = np.array([dist[v] for v in values])
-        return float(values[sample_index(probs, self.rng)])
+        return rewards[y_next]
 
 
 # -- the decision process ------------------------------------------------------
@@ -422,10 +392,10 @@ def membership_reward_machine(ap: Alphabet, zeta: Word) -> Prm:
         for label in ap.labels():
             if k < len(zeta) and label == zeta[k]:
                 tau[(k, label)] = unit_vector(n, k + 1)
-                rho[(k, label)] = 1.0
+                rho[(k, label, k + 1)] = 1.0
             else:
                 tau[(k, label)] = unit_vector(n, k)
-                rho[(k, label)] = 0.0
+                rho[(k, label, k)] = 0.0
     return Prm(ap, [0.0, 1.0], names, 0, tau, rho)
 
 

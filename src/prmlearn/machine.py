@@ -1,14 +1,10 @@
 """Probabilistic reward machines and their matrix semantics.
 
 A machine maps (state, label) pairs to a distribution over successor
-states and a reward.  Two reward conventions are supported:
-
-* ``source`` -- the reward emitted on reading a label is a function of
-  the current state and the label (the standard definition).
-* ``target`` -- every state carries a reward tag and the reward emitted
-  on a transition is the tag of the sampled successor state.  Learned
-  hypothesis machines use this convention; their states are built from
-  (reward, row) pairs so the tag is always available.
+states, and each edge (y, label, y') it can take to the reward it emits
+on that transition.  Learned hypotheses pay the reward of the
+(reward, row) state an edge enters, so the edges of one pair may pay
+different rewards.
 
 Partial machines leave some (state, label) pairs undefined; matrix
 operations give those all-zero rows.  Machines with ``implicit_bottom``
@@ -36,14 +32,26 @@ from .alphabet import (
 PROB_TOL = 1e-9
 
 
+def _last_rise(cum) -> int:
+    """The index a draw past the end of the cumulative row `cum` takes:
+    the last one whose cumulative probability rises, so that a row summing
+    to just under 1 never gives a trailing index of probability 0; the
+    last index of an all-zero row."""
+    k = len(cum) - 1
+    while k > 0 and cum[k] <= cum[k - 1]:
+        k -= 1
+    return k if cum[k] > 0 else len(cum) - 1
+
+
 def sample_index(vec: np.ndarray, rng) -> int:
     """Draw an index from a probability vector; deterministic rows skip
     the rng entirely (much faster than rng.choice on small vectors)."""
     j = int(np.argmax(vec))
     if vec[j] >= 1.0:
         return j
-    k = int(np.searchsorted(np.cumsum(vec), rng.random(), side="right"))
-    return min(k, len(vec) - 1)
+    cum = np.cumsum(vec)
+    k = int(np.searchsorted(cum, rng.random(), side="right"))
+    return k if k < len(vec) else _last_rise(cum)
 
 
 def sampling_row(vec: np.ndarray):
@@ -62,7 +70,7 @@ def draw_row(row, rng) -> int:
     if row.__class__ is int:
         return row
     k = bisect_right(row, rng.random())
-    return k if k < len(row) else len(row) - 1
+    return k if k < len(row) else _last_rise(row)
 
 
 class UndefinedTransitionError(KeyError):
@@ -76,14 +84,26 @@ class UnreachableWordError(ValueError):
     pass
 
 
+class _UndefinedRewards(dict):
+    """The rewards of an undefined pair: no edges, and reading the reward
+    of any successor raises UndefinedTransitionError."""
+
+    def __init__(self, state: str, label: Label):
+        super().__init__()
+        self.state, self.label = state, label
+
+    def __missing__(self, y_next):
+        raise UndefinedTransitionError(self.state, self.label)
+
+
 class Prm:
     """A probabilistic reward machine.
 
     tau maps (state index, label) to a probability vector over states;
-    rho maps the same keys to a reward.  ``tags`` (per-state rewards)
-    and ``convention="target"`` switch to successor-tag reward
-    semantics.  ``bottom`` marks the failure state of hypothesis
-    machines; with ``implicit_bottom`` undefined pairs go there.
+    rho maps each edge (state index, label, successor index) with
+    positive probability to the reward emitted on it.  ``bottom`` marks
+    the failure state of hypothesis machines; with ``implicit_bottom``
+    undefined pairs go there and emit 0.
     """
 
     def __init__(
@@ -95,8 +115,6 @@ class Prm:
         tau: dict,
         rho: dict,
         *,
-        tags=None,
-        convention: str = "source",
         bottom: int | None = None,
         implicit_bottom: bool = False,
     ):
@@ -104,11 +122,9 @@ class Prm:
         self.states = tuple(states)
         self.init = int(init)
         self.tau = {}
-        self.rho = dict(rho)
-        self.convention = convention
+        self.rho = {edge: float(r) for edge, r in rho.items()}
         self.bottom = bottom
         self.implicit_bottom = implicit_bottom
-        self.tags = None if tags is None else tuple(float(t) for t in tags)
         # label -> (H(label), {gamma: H(gamma, label)}), filled by _view on
         # first use: membership queries build a machine per word and read
         # few of its labels.  A machine is not changed after construction.
@@ -119,15 +135,12 @@ class Prm:
         n = len(self.states)
         if not 0 <= self.init < n:
             raise ValueError("initial state index out of range")
-        if convention not in ("source", "target"):
-            raise ValueError("unknown reward convention %r" % (convention,))
-        if convention == "target" and self.tags is None:
-            raise ValueError("target convention requires per-state reward tags")
         if implicit_bottom and bottom is None:
             raise ValueError("implicit_bottom requires a bottom state")
         if bottom is not None and not 0 <= bottom < n:
             raise ValueError("bottom state index out of range")
 
+        edges = set()
         for (y, label), vec in tau.items():
             ap.validate_label(label)
             vec = np.asarray(vec, dtype=float)
@@ -143,14 +156,13 @@ class Prm:
                     % (self.states[y], label_str(label), float(vec.sum()))
                 )
             self.tau[(y, label)] = vec
-        if set(self.tau) != set(self.rho):
-            raise ValueError("tau and rho must be defined on exactly the same (state, label) pairs")
+            edges.update((y, label, j) for j in vec.nonzero()[0].tolist())
+        if edges != set(self.rho):
+            raise ValueError("rho must give a reward to exactly the edges of positive probability")
 
         gamma = {float(g) for g in gamma}
         gamma.add(0.0)  # required by hypothesis initial states
-        gamma.update(float(r) for r in self.rho.values())
-        if self.tags is not None:
-            gamma.update(self.tags)
+        gamma.update(self.rho.values())
         if not all(np.isfinite(g) for g in gamma):
             raise ValueError("non-finite reward in %r" % (sorted(gamma),))
         self.gamma = tuple(sorted(gamma))
@@ -180,18 +192,20 @@ class Prm:
         return out
 
     def compiled_step(self, y: int, label: Label) -> tuple:
-        """(row, reward) of the pair, compiled on first use.  `draw_row(row,
+        """(row, rewards) of the pair, compiled on first use.  `draw_row(row,
         rng)` draws the successor as `sample_index(self.successor_vector(y,
-        label), rng)` does; an undefined pair without implicit_bottom has an
-        all-zero row and draws the last state.  `reward` is the pair's
-        `edge_reward`, or None where that depends on the successor: its tag
-        under the target convention, or the error of an undefined pair."""
+        label), rng)` does, and `rewards[y_next]` is the reward of that edge.
+        An undefined pair without implicit_bottom has an all-zero row, which
+        draws the last state, and rewards that raise
+        UndefinedTransitionError when read."""
         step = self._steps.get((y, label))
         if step is None:
-            reward = None
-            if self.convention == "source" and self.defined(y, label):
-                reward = self.edge_reward(y, label, None)   # the successor is not read
-            step = self._steps[(y, label)] = (sampling_row(self.successor_vector(y, label)), reward)
+            vec = self.successor_vector(y, label)
+            if self.defined(y, label):   # an implicit-bottom pair's one edge pays 0
+                rewards = {j: self.rho.get((y, label, j), 0.0) for j in vec.nonzero()[0].tolist()}
+            else:
+                rewards = _UndefinedRewards(self.states[y], label)
+            step = self._steps[(y, label)] = (sampling_row(vec), rewards)
         return step
 
     def sample_successor(self, y: int, label: Label, rng) -> int:
@@ -200,11 +214,10 @@ class Prm:
         return draw_row(self.compiled_step(y, label)[0], rng)
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:
-        if self.convention == "target":
-            return self.tags[y_next]
-        if (y, label) in self.rho:
-            return float(self.rho[(y, label)])
-        if self.implicit_bottom:
+        reward = self.rho.get((y, label, y_next))
+        if reward is not None:
+            return reward
+        if self.implicit_bottom and (y, label) not in self.tau:
             return 0.0
         raise UndefinedTransitionError(self.states[y], label)
 
@@ -221,21 +234,14 @@ class Prm:
         mat = np.zeros((n, n))
         for y in range(n):
             mat[y] = self.successor_vector(y, label)
-        cond = {}
-        for gamma in self.gamma:
-            if self.convention == "target":
-                out = mat * np.array([1.0 if t == gamma else 0.0 for t in self.tags])
-            else:
-                out = np.zeros((n, n))
-                for y in range(n):
-                    vec = self.tau.get((y, label))
-                    if vec is not None:
-                        if float(self.rho[(y, label)]) == gamma:
-                            out[y] = vec
-                    elif self.implicit_bottom and gamma == 0.0:
-                        out[y, self.bottom] = 1.0
+        # H(gamma, label)[y, y'] = tau(y, label, y')·[sigma(y, label, y') = gamma]; an
+        # implicit-bottom row's one edge pays 0
+        cond = {gamma: np.zeros((n, n)) for gamma in self.gamma}
+        ys, js = mat.nonzero()
+        for y, j in zip(ys.tolist(), js.tolist()):
+            cond[self.rho.get((y, label, j), 0.0)][y, j] = mat[y, j]
+        for out in cond.values():
             out.flags.writeable = False
-            cond[gamma] = out
         mat.flags.writeable = False
         view = self._views[label] = (mat, cond)
         return view
@@ -329,8 +335,6 @@ class Prm:
         out = []
         for label in word:
             self.ap.validate_label(label)
-            if (y, label) not in self.tau and not self.implicit_bottom:
-                raise UndefinedTransitionError(self.states[y], label)
             y_next = self.sample_successor(y, label, rng)
             out.append((y_next, self.edge_reward(y, label, y_next)))
             y = y_next
@@ -382,7 +386,8 @@ def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False) -> P
                 vec = rng.random(n_states) + 1e-3
                 vec = vec / vec.sum()
             tau[(y, label)] = vec
-            rho[(y, label)] = rewards[int(rng.integers(0, len(rewards)))]
+            reward = rewards[int(rng.integers(0, len(rewards)))]
+            rho.update(((y, label, int(j)), reward) for j in np.flatnonzero(vec))
     return Prm(ap, rewards, names, 0, tau, rho)
 
 
@@ -391,12 +396,15 @@ def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False) -> P
 # ap: a,b,c
 # gamma: 0,1
 # init: y0
-# [convention: target]      (only when not source)
 # [bottom: name]            (only for hypothesis machines)
 # [implicit_bottom: true]
-# [tag: name value]         (one per state, target machines only)
 # [state: name]             (a state that no other line names)
-# y0 --c/0--> y1 : 0.9
+# y0 --c/0--> y1 : 0.9      (on {c}, y0 emits 0 and moves to y1 with probability 0.9)
+
+
+def _edge_order(edge) -> tuple:
+    y, label, j = edge
+    return y, label_sort_key(label), j
 
 
 def prm_to_text(prm: Prm) -> str:
@@ -404,41 +412,33 @@ def prm_to_text(prm: Prm) -> str:
     lines.append("ap: %s" % ",".join(prm.ap.props))
     lines.append("gamma: %s" % ",".join(format_reward(g) for g in prm.gamma))
     lines.append("init: %s" % prm.states[prm.init])
-    if prm.convention != "source":
-        lines.append("convention: %s" % prm.convention)
     if prm.bottom is not None:
         lines.append("bottom: %s" % prm.states[prm.bottom])
     if prm.implicit_bottom:
         lines.append("implicit_bottom: true")
-    if prm.tags is not None:
-        for name, tag in zip(prm.states, prm.tags):
-            lines.append("tag: %s %s" % (name, format_reward(tag)))
-    else:
-        named = {prm.init, prm.bottom}
-        for (y, _), vec in prm.tau.items():
-            named.add(y)
-            named.update(np.flatnonzero(vec).tolist())
-        lines.extend("state: %s" % name for y, name in enumerate(prm.states) if y not in named)
-    keys = sorted(prm.tau, key=lambda k: (k[0], label_sort_key(k[1])))
-    for y, label in keys:
-        vec = prm.tau[(y, label)]
-        reward = format_reward(prm.rho[(y, label)])
-        for j in np.flatnonzero(vec):
-            lines.append(
-                "%s --%s/%s--> %s : %s"
-                % (prm.states[y], label_str(label), reward, prm.states[int(j)], repr(float(vec[j])))
-            )
+    named = {prm.init, prm.bottom}.union(*((y, j) for y, _, j in prm.rho))
+    lines.extend("state: %s" % name for y, name in enumerate(prm.states) if y not in named)
+    for y, label, j in sorted(prm.rho, key=_edge_order):
+        lines.append(
+            "%s --%s/%s--> %s : %s"
+            % (prm.states[y], label_str(label), format_reward(prm.rho[(y, label, j)]), prm.states[j],
+               repr(float(prm.tau[(y, label)][j])))
+        )
     return "\n".join(lines) + "\n"
 
 
 def prm_from_text(text: str) -> Prm:
+    """Read a machine file.  Files written before each edge kept its own
+    reward may also hold `convention: target` and one `tag: name value`
+    line per state: there every edge emits the tag of the state it
+    enters, whatever reward its line shows."""
     ap = None
     gamma = []
     init_name = None
-    convention = "source"
+    target = False  # an old file whose edges emit their successor's tag
     bottom_name = None
     implicit_bottom = False
-    tag_lines = []
+    tags = {}
     state_lines = []
     edges = []  # (src, label, reward, dst, prob)
     for raw in text.splitlines():
@@ -453,13 +453,16 @@ def prm_from_text(text: str) -> Prm:
             init_name = line[5:].strip()
         elif line.startswith("convention:"):
             convention = line[11:].strip()
+            if convention not in ("source", "target"):
+                raise ValueError("unknown reward convention %r" % (convention,))
+            target = convention == "target"
         elif line.startswith("bottom:"):
             bottom_name = line[7:].strip()
         elif line.startswith("implicit_bottom:"):
             implicit_bottom = line.split(":", 1)[1].strip().lower() == "true"
         elif line.startswith("tag:"):
             name, value = line[4:].split()
-            tag_lines.append((name, parse_reward(value)))
+            tags[name] = parse_reward(value)
         elif line.startswith("state:"):
             state_lines.append(line[6:].strip())
         else:
@@ -474,36 +477,35 @@ def prm_from_text(text: str) -> Prm:
         raise ValueError("machine text is missing its ap or init header")
 
     names = []
-    named = [e[0] for e in edges] + [e[3] for e in edges] + [name for name, _ in tag_lines]
+    named = [e[0] for e in edges] + [e[3] for e in edges] + list(tags)
     for name in named + state_lines + [init_name, bottom_name]:
         if name is not None and name not in names:
             names.append(name)
     index = {name: i for i, name in enumerate(names)}
 
+    if target and implicit_bottom and tags.get(bottom_name, 0.0) != 0.0:
+        raise ValueError("the implicit failure state %s emits 0, not its tag" % bottom_name)
     tau, rho = {}, {}
     for src, label, reward, dst, prob in edges:
-        key = (index[src], label)
-        if key not in tau:
-            tau[key] = np.zeros(len(names))
-            rho[key] = reward
-        elif rho[key] != reward:
-            raise ValueError("conflicting rewards for %s on %s" % (src, label_str(label)))
-        tau[key][index[dst]] += prob
+        if target:
+            if dst not in tags:
+                raise ValueError("target machine has no tag for state %s" % dst)
+            reward = tags[dst]
+        y, j = index[src], index[dst]
+        if (y, label) not in tau:
+            tau[(y, label)] = np.zeros(len(names))
+        tau[(y, label)][j] += prob
+        # a line of probability 0 is no edge and pays nothing
+        if prob and rho.setdefault((y, label, j), reward) != reward:
+            raise ValueError("conflicting rewards for %s on %s to %s" % (src, label_str(label), dst))
 
-    tags = None
-    if tag_lines:
-        tags = [0.0] * len(names)
-        for name, value in tag_lines:
-            tags[index[name]] = value
     return Prm(
         ap,
-        gamma,
+        gamma + list(tags.values()),
         names,
         index[init_name],
         tau,
         rho,
-        tags=tags,
-        convention=convention,
         bottom=None if bottom_name is None else index[bottom_name],
         implicit_bottom=implicit_bottom,
     )
@@ -525,15 +527,11 @@ def prm_to_dot(prm: Prm) -> str:
         shape = "doublecircle" if i == prm.bottom else "circle"
         lines.append('  "%s" [shape=%s];' % (name, shape))
     lines.append('  __init -> "%s";' % prm.states[prm.init])
-    keys = sorted(prm.tau, key=lambda k: (k[0], label_sort_key(k[1])))
-    for y, label in keys:
-        vec = prm.tau[(y, label)]
-        for j in np.flatnonzero(vec):
-            j = int(j)
-            reward = format_reward(prm.edge_reward(y, label, j))
-            lines.append(
-                '  "%s" -> "%s" [label="⟨%s, %s⟩ : %s"];'
-                % (prm.states[y], prm.states[j], label_str(label), reward, repr(float(vec[j])))
-            )
+    for y, label, j in sorted(prm.rho, key=_edge_order):
+        lines.append(
+            '  "%s" -> "%s" [label="⟨%s, %s⟩ : %s"];'
+            % (prm.states[y], prm.states[j], label_str(label), format_reward(prm.rho[(y, label, j)]),
+               repr(float(prm.tau[(y, label)][j])))
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

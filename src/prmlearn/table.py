@@ -471,8 +471,9 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     """Construct the hypothesis machine from a closed and consistent table.
 
     States are (reward, representative row) pairs reachable from
-    (0, row(epsilon)) plus an absorbing failure state; transitions
-    estimate reward-annotated successor frequencies, with all mass from
+    (0, row(epsilon)) plus an absorbing failure state; an edge into
+    (reward, row) emits that reward.  Transitions estimate
+    reward-annotated successor frequencies, with all mass from
     under-sampled states or unobserved labels routed to the failure
     state.  The machine is total via an implicit failure default.
     """
@@ -552,11 +553,7 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
                     queue.append(nxt)
             edges[(state, label)] = outs
 
-    names = []
-    tags = []
-    for i, (gamma, u) in enumerate(order):
-        names.append("q%d" % i)
-        tags.append(gamma)
+    names = ["q%d" % i for i in range(len(order))]
     index = {state: i for i, state in enumerate(order)}
 
     # the failure state only exists when some (state, label) pair actually
@@ -571,7 +568,6 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     bottom = len(order) if needs_bottom else None
     if needs_bottom:
         names.append("bot")
-        tags.append(0.0)
 
     tau, rho = {}, {}
     for (state, label), outs in edges.items():
@@ -581,8 +577,9 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
         vec = np.zeros(n)
         for prob, nxt in outs:
             vec[index[nxt]] += prob
+            if prob:   # a count of 0, read from a CSV table, makes no edge
+                rho[(y, label, index[nxt])] = nxt[0]  # the edge pays the reward of the state it enters
         tau[(y, label)] = vec
-        rho[(y, label)] = state[0]  # source-state annotation per the construction
 
     return Prm(
         table.ap,
@@ -591,8 +588,6 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
         index[start],
         tau,
         rho,
-        tags=tags,
-        convention="target",
         bottom=bottom,
         implicit_bottom=needs_bottom,
     )

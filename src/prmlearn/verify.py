@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import Word, label_sort_key, word_str
-from .environment import Nmdp, PrmBacked, Trajectory
+from .environment import Nmdp, Trajectory
 from .machine import Prm, UnreachableWordError
 
 DEFAULT_NODE_BUDGET = 1000
@@ -60,8 +60,6 @@ def brute_force_word_realizability(
         raise ValueError("unknown criterion %r" % (criterion,))
     for label in w:
         m.ap.validate_label(label)
-    if criterion == "positive_reward" and not isinstance(m.reward_source, PrmBacked):
-        raise ValueError("positive_reward criterion needs a machine-backed reward source")
 
     expanded = 0
     states = [m.x_init]
@@ -128,8 +126,6 @@ def machine_reward_distribution(prm: Prm, w: Word) -> dict:
 def brute_force_reward_distribution(m: Nmdp, w: Word) -> dict:
     """Distribution of the final reward of w under the environment's hidden
     reward machine."""
-    if not isinstance(m.reward_source, PrmBacked):
-        raise ValueError("the reward source is not backed by a machine")
     if brute_force_word_realizability(m, w, node_budget=10 ** 7) is None:
         raise UnreachableWordError("word %s is not realizable in the environment" % (word_str(w),))
     return machine_reward_distribution(m.reward_source.prm, w)

@@ -13,6 +13,7 @@ from prmlearn import (
     coffee_prm,
     patrol_prm,
 )
+from prmlearn.environment import step
 from prmlearn.machine import unit_vector
 
 C = frozenset({"c"})
@@ -34,8 +35,19 @@ def single_state_zero_prm(props=("a",)):
     """One state, reward 0 on every label."""
     ap = Alphabet(props)
     tau = {(0, label): np.ones(1) for label in ap.labels()}
-    rho = {(0, label): 0.0 for label in ap.labels()}
+    rho = {(0, label, 0): 0.0 for label in ap.labels()}
     return Prm(ap, [0.0], ["y0"], 0, tau, rho)
+
+
+def edges_of(tau) -> list:
+    """Every edge (y, label, y') of positive probability."""
+    return [(y, label, int(j)) for (y, label), vec in tau.items() for j in np.flatnonzero(vec)]
+
+
+def successor_rewards(tau, tags) -> dict:
+    """rho of a machine whose edges pay the reward of the state they
+    enter, `tags[y']`: the edges of one pair can pay different rewards."""
+    return {(y, label, j): tags[j] for y, label, j in edges_of(tau)}
 
 
 def dyadic_vector(rng, n, grain=64):
@@ -114,3 +126,29 @@ def two_cell_nmdp(truth):
         labeling=labeling,
         reward_source=PrmBacked(truth),
     )
+
+
+def greedy_action(q, y, x, actions) -> int:
+    """The best action of (y, x) in the Q-table; the lowest index wins ties."""
+    row = q.rows.get((y, x))
+    return max(actions, key=lambda a: (row[a] if row else 0.0, -a))
+
+
+def rollout_greedy(q, m, h, n_episode, rng, terminal_labels=()):
+    """Greedy (explore=0) rollout; returns the trace and the total machine
+    reward collected along it."""
+    terminal = set(terminal_labels)
+    session = m.reward_source.session(rng)
+    x, y = m.x_init, h.init
+    trace = []
+    total_machine_reward = 0.0
+    for _ in range(n_episode):
+        a = greedy_action(q, y, x, m.available[x])
+        x_next, label, r = step(m, x, a, rng, session)
+        y_next = h.sample_successor(y, label, rng)
+        total_machine_reward += h.edge_reward(y, label, y_next)
+        trace.append((label, r))
+        x, y = x_next, y_next
+        if label in terminal:
+            break
+    return trace, total_machine_reward

@@ -22,7 +22,6 @@ from prmlearn.active import (
     equivalence_query,
     is_counterexample,
     membership_query,
-    rollout_greedy,
     statically_unrealizable,
     teacher_query,
 )
@@ -31,7 +30,16 @@ from prmlearn.environment import free_nmdp, load_env_config
 from prmlearn.machine import Prm, UndefinedTransitionError, prm_from_text, random_prm, sample_index
 from prmlearn.table import build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
-from conftest import C, O, random_nmdp, single_state_zero_prm, two_cell_nmdp
+from conftest import (
+    C,
+    O,
+    greedy_action,
+    random_nmdp,
+    rollout_greedy,
+    single_state_zero_prm,
+    successor_rewards,
+    two_cell_nmdp,
+)
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
@@ -64,13 +72,13 @@ def test_config_validation(kw):
 
 def test_qtable_defaults_and_greedy():
     q = QTable()
-    assert q.greedy_action(0, 0, [1, 0]) == 0  # a missing row reads as zeros: lowest index
+    assert greedy_action(q, 0, 0, [1, 0]) == 0  # a missing row reads as zeros: lowest index
     assert q.row(0, 0, 2) == [0.0, 0.0]
     q.row(0, 0, 2)[1] = 2.5
     assert q.rows == {(0, 0): [0.0, 2.5]}
-    assert q.greedy_action(0, 0, [0, 1]) == 1
+    assert greedy_action(q, 0, 0, [0, 1]) == 1
     q.row(0, 0, 2)[0] = 2.5
-    assert q.greedy_action(0, 0, [1, 0]) == 0  # ties go to the lowest index
+    assert greedy_action(q, 0, 0, [1, 0]) == 0  # ties go to the lowest index
     q.reset()
     assert q.row(0, 0, 2) == [0.0, 0.0]
 
@@ -172,22 +180,23 @@ def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
     return trace
 
 
-def target_prm(rng, n_states, props, rewards):
-    """A random total machine with stochastic rows under the target
-    convention: the reward is the successor's tag."""
+def successor_reward_prm(rng, n_states, props, rewards):
+    """A random total machine with stochastic rows whose edges pay the
+    reward of the state they enter: the edges of one pair can pay
+    different rewards."""
     base = random_prm(rng, n_states, props, rewards)
     tags = [rewards[int(rng.integers(0, len(rewards)))] for _ in range(n_states)]
-    return Prm(base.ap, rewards, base.states, 0, base.tau, base.rho, tags=tags, convention="target")
+    return Prm(base.ap, rewards, base.states, 0, base.tau, successor_rewards(base.tau, tags))
 
 
 def partial_prm(rng, n_states, props, rewards):
-    """A random source-convention machine defined on the first label only,
-    without implicit bottom: every other label is an undefined pair."""
+    """A random machine defined on the first label only, without implicit
+    bottom: every other label is an undefined pair."""
     base = random_prm(rng, n_states, props, rewards)
     first = base.ap.labels()[0]
-    keep = [key for key in base.tau if key[1] == first]
     return Prm(base.ap, rewards, base.states, 0,
-               {key: base.tau[key] for key in keep}, {key: base.rho[key] for key in keep})
+               {key: vec for key, vec in base.tau.items() if key[1] == first},
+               {edge: r for edge, r in base.rho.items() if edge[1] == first})
 
 
 def teacher_cases():
@@ -200,8 +209,8 @@ def teacher_cases():
     stochastic = random_nmdp(
         rng, n_states=4, n_actions=3, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0])
     )
-    tagged = random_nmdp(
-        rng, n_states=4, n_actions=3, props=props, truth=target_prm(rng, 3, props, [0.0, 0.5, 1.0])
+    successor_paid = random_nmdp(
+        rng, n_states=4, n_actions=3, props=props, truth=successor_reward_prm(rng, 3, props, [0.0, 0.5, 1.0])
     )
     partial = partial_prm(rng, 3, props, [0.0, 1.0])
     return [
@@ -217,9 +226,9 @@ def teacher_cases():
             ("membership", membership_reward_machine(stochastic.ap, stochastic.label_alphabet()[:2])),
             ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
-        ("target", tagged, (), [
-            ("membership", target_prm(rng, 3, props, [0.0, 1.0])),
-            ("equivalence", target_prm(rng, 4, props, [0.0, 0.5, 1.0])),
+        ("successor_rewards", successor_paid, (), [
+            ("membership", successor_reward_prm(rng, 3, props, [0.0, 1.0])),
+            ("equivalence", successor_reward_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
         # undefined pairs: membership mode reads the machine reward and
         # raises; equivalence mode only advances the machine
@@ -374,15 +383,13 @@ def test_membership_query_records_every_trace():
 
 def build_simple_hypothesis(dist):
     """A 2-state machine: on {c} split rewards per dist, everything else 0."""
-    lines = ["ap: c", "gamma: 0,1", "init: q0", "convention: target",
-             "bottom: bot", "implicit_bottom: true", "tag: q0 0", "tag: q1 1",
-             "tag: bot 0"]
+    lines = ["ap: c", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true"]
     for reward, prob in dist.items():
         target = "q1" if reward == 1.0 else "q0"
-        lines.append("q0 --c/0--> %s : %r" % (target, prob))
+        lines.append("q0 --c/%g--> %s : %r" % (reward, target, prob))
     lines.append("q0 --ε/0--> q0 : 1.0")
     lines.append("q1 --ε/0--> q0 : 1.0")
-    lines.append("q1 --c/0--> q1 : 1.0")
+    lines.append("q1 --c/1--> q1 : 1.0")
     return prm_from_text("\n".join(lines))
 
 
@@ -416,8 +423,7 @@ def test_is_counterexample_bottom_absorption():
     # hypothesis with no empty-label transition: the prefix is absorbed by
     # the failure state while being sampled well past n_check
     text = "\n".join([
-        "ap: c", "gamma: 0,1", "init: q0", "convention: target",
-        "bottom: bot", "implicit_bottom: true", "tag: q0 0", "tag: bot 0",
+        "ap: c", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true",
         "q0 --c/0--> q0 : 1.0",
     ])
     h = prm_from_text(text)

@@ -152,8 +152,7 @@ def test_eval_encoding_negative_max_len(capsys):
 def test_eval_encoding_reports_bottom_words(tmp_path, capsys):
     empty = tmp_path / "empty.prm"
     empty.write_text(
-        "ap: c\ngamma: 0,1\ninit: q0\nconvention: target\nbottom: bot\n"
-        "implicit_bottom: true\ntag: q0 0\ntag: bot 0\n",
+        "ap: c\ngamma: 0,1\ninit: q0\nbottom: bot\nimplicit_bottom: true\n",
         encoding="utf-8",
     )
     truth = ASSETS / "patrol_truth.prm"

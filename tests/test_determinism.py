@@ -2,9 +2,11 @@
 for a fixed seed.
 
 The machine digests are of `prm_to_text` of machines learned before the
-observation table's row sweeps were indexed by sampled column; a change
-to the table, the sampling or the RNG draw order that alters a learned
-machine fails here.  The report digest is of the active run's rendered
+observation table's row sweeps were indexed by sampled column, written
+with each edge's own reward (the machines are those of the earlier
+digests; only the reward field of their edge lines and the dropped
+`convention:` and `tag:` header lines differ); a change to the table, the
+sampling or the RNG draw order that alters a learned machine fails here.  The report digest is of the active run's rendered
 report (episodes and counterexample of every round) before the sampling
 path was compiled to rows, so a change to the draw order that happens to
 leave the final machine unchanged still fails.  The passive table digest
@@ -25,8 +27,8 @@ from prmlearn.environment import load_env_config, uniform_policy
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
-PASSIVE_OFFICE_SHA256 = "851b0a5e3f434c6dba7402c4a01146954c5be981e38c470104d973b7f15a5bf2"
-ACTIVE_OFFICE_SHA256 = "05f3c9d2eaf502d1348afdd9e262c6755bf4c0ab873cf6656502eb13c95b876d"
+PASSIVE_OFFICE_SHA256 = "b82e4bbde4390a5cb5a1f23ed84a8762e5abb21754057379d0c05f04b87a5ed1"
+ACTIVE_OFFICE_SHA256 = "692f76ea7f795bce17e6d78238b6c3a97c4116ac1ac154288a8c053c36ea9d77"
 ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
 PASSIVE_OFFICE_TABLE_SHA256 = "66a78c0743148a4ec07e86f3f8ce5cb3fd6eb8ea17807e42d72dfde8330d4341"
 ACTIVE_OFFICE_TABLE_SHA256 = "8bf31854409e1e58e26f4b5543eac6c2252ba9226b34d6018d28a24f7953a830"

@@ -27,7 +27,6 @@ from prmlearn.environment import (
     Nmdp,
     PositionalPolicy,
     PrmBacked,
-    TableBacked,
     UnavailableActionError,
     load_traces,
     save_traces,
@@ -41,7 +40,7 @@ from prmlearn.environment import (
 from prmlearn.machine import Prm, sample_index, unit_vector
 
 from conftest import (
-    C, O, STAR, probability_vectors, random_nmdp, single_state_zero_prm, two_cell_nmdp,
+    C, O, STAR, edges_of, probability_vectors, random_nmdp, single_state_zero_prm, two_cell_nmdp,
 )
 
 OFFICE_MAP = """\
@@ -140,6 +139,23 @@ def test_non_finite_transition_rejected():
         )
 
 
+def test_bad_transition_distributions_rejected():
+    # short mass; an over-unit weight offset by a negative one; a NaN
+    # weight beside a unit one, which no sum check rejects
+    for bad in ([0.5, 0.0], [1.5, -0.5], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="bad transition distribution"):
+            Nmdp(
+                states=("x0", "x1"),
+                x_init=0,
+                actions=("loop",),
+                available=[[0], [0]],
+                p={(0, 0): np.array(bad), (1, 0): unit_vector(2, 1)},
+                ap=Alphabet(["a"]),
+                labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
+                reward_source=None,
+            )
+
+
 def ref_step(m, x, a, rng, truth, y):
     """One step as sample_index draws it from the uncompiled rows: the
     environment's successor, then the truth machine's."""
@@ -155,24 +171,20 @@ def ref_step(m, x, a, rng, truth, y):
 def environment_and_actions(draw):
     ap = Alphabet(["a", "b"])
     labels = ap.labels()
-    # a truth under either reward convention; with implicit bottom, some
-    # pairs are undefined and go to the last state
+    # a truth whose edges pay their own reward, so the edges of one pair
+    # can pay different rewards; with implicit bottom, some pairs are
+    # undefined and go to the last state
     n_truth = draw(st.integers(1, 3))
-    convention = draw(st.sampled_from(["source", "target"]))
     implicit_bottom = draw(st.booleans())
-    tau, rho = {}, {}
+    tau = {}
     for y in range(n_truth):
         for label in labels:
             if implicit_bottom and draw(st.booleans()):
                 continue
             tau[(y, label)] = draw(probability_vectors(n_truth))
-            rho[(y, label)] = draw(st.sampled_from([0.0, 1.0]))
-    tags = None
-    if convention == "target":
-        tags = [draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(n_truth)]
-    truth = Prm(ap, [0.0, 1.0], ["y%d" % i for i in range(n_truth)], 0, tau, rho, tags=tags,
-                convention=convention, bottom=n_truth - 1 if implicit_bottom else None,
-                implicit_bottom=implicit_bottom)
+    rho = {edge: draw(st.sampled_from([0.0, 0.5, 1.0])) for edge in edges_of(tau)}
+    truth = Prm(ap, [0.0, 1.0], ["y%d" % i for i in range(n_truth)], 0, tau, rho,
+                bottom=n_truth - 1 if implicit_bottom else None, implicit_bottom=implicit_bottom)
     n, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     p, labeling = {}, {}
     for x in range(n):
@@ -279,7 +291,7 @@ def test_prm_backed_requires_total_machine():
 
     ap = Alphabet(["a"])
     partial = Prm(
-        ap, [0.0], ["y0"], 0, {(0, EMPTY_LABEL): np.ones(1)}, {(0, EMPTY_LABEL): 0.0}
+        ap, [0.0], ["y0"], 0, {(0, EMPTY_LABEL): np.ones(1)}, {(0, EMPTY_LABEL, 0): 0.0}
     )
     with pytest.raises(ValueError):
         PrmBacked(partial)
@@ -290,37 +302,6 @@ def test_zero_machine_rewards_are_zero():
     rng = np.random.default_rng(0)
     trace = run_episode(m, uniform_policy(m), rng, 20)
     assert all(r == 0.0 for _, r in trace)
-
-
-def test_table_backed_rewards():
-    dists = {(C,): {1.0: 0.25, 0.0: 0.75}}
-    source = TableBacked(dists)
-    rng = np.random.default_rng(3)
-    hits = 0
-    n = 20000
-    for _ in range(n):
-        session = source.session(rng)
-        if session.observe(C) == 1.0:
-            hits += 1
-    assert abs(hits / n - 0.25) < 0.02
-    # unknown words yield reward 0
-    session = source.session(rng)
-    session.observe(O)
-    assert session.observe(C) == 0.0
-
-
-def test_table_backed_validates_distributions():
-    # short mass; an over-unit weight offset by a negative one; a NaN
-    # weight, which no sum check rejects; non-finite rewards
-    for dist in (
-        {1.0: 0.5},
-        {1.0: 1.5, 0.0: -0.5},
-        {1.0: float("nan"), 0.0: 1.0},
-        {float("inf"): 1.0},
-        {float("nan"): 0.5, 0.0: 0.5},
-    ):
-        with pytest.raises(ValueError):
-            TableBacked({(C,): dist})
 
 
 def test_office_delivery_split_monte_carlo():
@@ -422,15 +403,15 @@ def test_membership_machine_structure():
     machine = membership_reward_machine(ap, (C, O))
     assert machine.n_states() == 3
     assert np.argmax(machine.successor_vector(0, C)) == 1
-    assert machine.rho[(0, C)] == 1.0
+    assert machine.rho[(0, C, 1)] == 1.0
     assert np.argmax(machine.successor_vector(0, O)) == 0
-    assert machine.rho[(0, O)] == 0.0
+    assert machine.rho[(0, O, 0)] == 0.0
     assert np.argmax(machine.successor_vector(1, O)) == 2
-    assert machine.rho[(1, O)] == 1.0
+    assert machine.rho[(1, O, 2)] == 1.0
     # final state absorbing with reward 0
     for label in ap.labels():
         assert np.argmax(machine.successor_vector(2, label)) == 2
-        assert machine.rho[(2, label)] == 0.0
+        assert machine.rho[(2, label, 2)] == 0.0
 
 
 def test_membership_machine_reward_is_match_length():
@@ -503,7 +484,7 @@ def test_product_rejects_partial_machine():
     m = two_cell_nmdp(patrol_prm())
     ap = m.ap
     partial = Prm(
-        ap, [0.0], ["y0"], 0, {(0, EMPTY_LABEL): np.ones(1)}, {(0, EMPTY_LABEL): 0.0}
+        ap, [0.0], ["y0"], 0, {(0, EMPTY_LABEL): np.ones(1)}, {(0, EMPTY_LABEL, 0): 0.0}
     )
     with pytest.raises(ValueError, match="undefined"):
         product(m, partial)

@@ -3,6 +3,7 @@ maps and the observation-table CSV each read back what was written, and
 reject corrupted text with a ValueError (exit 1 on the command line)."""
 
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,8 +13,20 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prmlearn import Alphabet, ObservationTable, Prm, load_prm, prm_from_text, prm_to_text
-from prmlearn.alphabet import EPSILON
+from prmlearn import (
+    Alphabet,
+    LearnerConfig,
+    ObservationTable,
+    PassiveConfig,
+    Prm,
+    learn_active,
+    learn_passive,
+    load_prm,
+    prm_from_text,
+    prm_to_dot,
+    prm_to_text,
+)
+from prmlearn.alphabet import EPSILON, format_reward, label_sort_key, label_str
 from prmlearn.cli import main
 from prmlearn.environment import (
     load_env_config,
@@ -22,9 +35,11 @@ from prmlearn.environment import (
     parse_gridmap,
     trace_from_line,
     trace_to_line,
+    uniform_policy,
 )
+from prmlearn.verify import encoding_distance
 
-from conftest import probability_vectors
+from conftest import edges_of, probability_vectors, successor_rewards
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets"
 
@@ -35,22 +50,21 @@ state_names = st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True)
 
 @st.composite
 def machines(draw):
-    """Total or partial machines of either reward convention, with or
-    without a (possibly implicit) failure state."""
+    """Total or partial machines, with or without a (possibly implicit)
+    failure state.  Each edge draws its own reward, so the edges of one
+    pair can pay different rewards."""
     ap = Alphabet(draw(st.lists(st.sampled_from(PROPS), min_size=1, max_size=2, unique=True)))
     n = draw(st.integers(1, 4))
     names = draw(st.lists(state_names, min_size=n, max_size=n, unique=True))
     total = draw(st.booleans())
-    target = draw(st.booleans())
     bottom = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     implicit_bottom = bottom is not None and draw(st.booleans())
-    tau, rho = {}, {}
+    tau = {}
     for y in range(n):
         for label in ap.labels():
             if total or draw(st.booleans()):
                 tau[(y, label)] = draw(probability_vectors(n))
-                rho[(y, label)] = draw(finite_rewards)
-    tags = draw(st.lists(finite_rewards, min_size=n, max_size=n)) if target else None
+    rho = {edge: draw(finite_rewards) for edge in edges_of(tau)}
     return Prm(
         ap,
         draw(st.lists(finite_rewards, max_size=3)),
@@ -58,8 +72,6 @@ def machines(draw):
         draw(st.integers(0, n - 1)),
         tau,
         rho,
-        tags=tags,
-        convention="target" if target else "source",
         bottom=bottom,
         implicit_bottom=implicit_bottom,
     )
@@ -75,13 +87,11 @@ def assert_same_machine(p: Prm, q: Prm) -> None:
     assert q.init == perm[p.init]
     assert q.bottom == (None if p.bottom is None else perm[p.bottom])
     assert q.implicit_bottom == p.implicit_bottom
-    assert q.convention == p.convention
     assert q.gamma == p.gamma
-    assert q.tags == (None if p.tags is None else tuple(p.tags[perm.index(j)] for j in range(len(perm))))
     assert set(q.tau) == {(perm[y], label) for y, label in p.tau}
     for (y, label), vec in p.tau.items():
         assert np.array_equal(q.tau[(perm[y], label)][perm], vec)
-        assert q.rho[(perm[y], label)] == p.rho[(y, label)]
+    assert q.rho == {(perm[y], label, perm[j]): r for (y, label, j), r in p.rho.items()}
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,6 +101,152 @@ def test_machine_text_round_trip(prm):
     again = prm_from_text(text)
     assert_same_machine(prm, again)
     assert prm_to_text(prm_from_text(prm_to_text(again))) == prm_to_text(again)
+
+
+# -- machine files of the earlier format -------------------------------------------------
+#
+# Files written before each edge kept its own reward hold `convention:
+# target`, a `tag:` line per state, and the source state's tag on every
+# edge line; each edge emitted the tag of the state it entered.
+
+
+def old_target_text(prm: Prm, tags) -> str:
+    """The text the earlier writer made of a machine whose edges pay
+    `tags[y']` on entering y'."""
+    lines = ["ap: %s" % ",".join(prm.ap.props),
+             "gamma: %s" % ",".join(format_reward(g) for g in prm.gamma),
+             "init: %s" % prm.states[prm.init],
+             "convention: target"]
+    if prm.bottom is not None:
+        lines.append("bottom: %s" % prm.states[prm.bottom])
+    if prm.implicit_bottom:
+        lines.append("implicit_bottom: true")
+    lines.extend("tag: %s %s" % (name, format_reward(tag)) for name, tag in zip(prm.states, tags))
+    for y, label in sorted(prm.tau, key=lambda key: (key[0], label_sort_key(key[1]))):
+        vec = prm.tau[(y, label)]
+        for j in np.flatnonzero(vec):
+            lines.append("%s --%s/%s--> %s : %r" % (prm.states[y], label_str(label), format_reward(tags[y]),
+                                                   prm.states[int(j)], float(vec[j])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def target_machines(draw):
+    """(machine, tags): a machine shaped like a learned one, whose edges pay
+    the tag of the state they enter.  Every state but the last reads at
+    least one label, so the file names the states in index order; the
+    last may be a failure state (tag 0 when undefined pairs go there)."""
+    ap = Alphabet(draw(st.lists(st.sampled_from(PROPS), min_size=1, max_size=2, unique=True)))
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(state_names, min_size=n, max_size=n, unique=True))
+    total = draw(st.booleans())
+    bottom = draw(st.sampled_from([None, n - 1]))
+    implicit_bottom = bottom is not None and draw(st.booleans())
+    tau = {}
+    for y in range(n):
+        for k, label in enumerate(ap.labels()):
+            if total or (k == 0 and y < n - 1) or draw(st.booleans()):
+                tau[(y, label)] = draw(probability_vectors(n))
+    tags = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, -2.0]), min_size=n, max_size=n))
+    if implicit_bottom:
+        tags[bottom] = 0.0
+    prm = Prm(ap, draw(st.lists(finite_rewards, max_size=2)) + tags, names, draw(st.integers(0, n - 1)),
+              tau, successor_rewards(tau, tags), bottom=bottom, implicit_bottom=implicit_bottom)
+    return prm, tags
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=target_machines())
+def test_old_target_text_reads_as_edge_rewards(case):
+    prm, tags = case
+    old = prm_from_text(old_target_text(prm, tags))
+    assert_same_machine(prm, old)
+    assert old.states == prm.states
+    for label in prm.ap.labels():
+        assert old.label_matrix(label).tobytes() == prm.label_matrix(label).tobytes()
+        for gamma in prm.gamma:
+            assert (old.reward_conditional_matrix(gamma, label).tobytes()
+                    == prm.reward_conditional_matrix(gamma, label).tobytes())
+    report = encoding_distance(old, prm, 3)
+    # absorbed words count 1 even against the machine itself
+    assert report == encoding_distance(prm, prm, 3)
+    if prm.bottom is None:
+        assert report.distance == 0.0
+
+
+# The active office machine of seed 0 (acceptance-4 budget) in the earlier
+# format, and as it is written now: the q0 --o--> q2 edge pays 1.
+OLD_ACTIVE_OFFICE = """\
+ap: c,o,*
+gamma: 0,1
+init: q0
+convention: target
+bottom: bot
+implicit_bottom: true
+tag: q0 0
+tag: q1 0
+tag: q2 1
+tag: bot 0
+q0 --ε/0--> q0 : 1.0
+q0 --*/0--> q0 : 1.0
+q0 --c/0--> q0 : 1.0
+q0 --o/0--> q1 : 0.09923664122137404
+q0 --o/0--> q2 : 0.9007633587786259
+"""
+ACTIVE_OFFICE = """\
+ap: c,o,*
+gamma: 0,1
+init: q0
+bottom: bot
+implicit_bottom: true
+q0 --ε/0--> q0 : 1.0
+q0 --*/0--> q0 : 1.0
+q0 --c/0--> q0 : 1.0
+q0 --o/0--> q1 : 0.09923664122137404
+q0 --o/1--> q2 : 0.9007633587786259
+"""
+
+
+def test_old_learned_machine_file_reads_as_written_now():
+    assert prm_to_text(prm_from_text(OLD_ACTIVE_OFFICE)) == ACTIVE_OFFICE
+
+
+EDGE_LINE = re.compile(r"(\S+) --(.+)/(\S+)--> (\S+) : \S+")
+DOT_EDGE = re.compile(r'  "(.+)" -> "(.+)" \[label="⟨(.+), (.+)⟩ : \S+"\];')
+
+
+def learned_machines():
+    office = load_env_config(ASSETS / "office.yaml")
+    patrol = load_env_config(ASSETS / "patrol.yaml")
+    for seed in (0, 1):
+        cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=seed)
+        yield learn_active(office.nmdp, cfg, office.terminal_labels).hypothesis
+        cfg = LearnerConfig(n_check=100, n_query=300, n_stop=30, n_episode=50, seed=seed)
+        yield learn_active(patrol.nmdp, cfg, patrol.terminal_labels).hypothesis
+    cfg = PassiveConfig(n_check=40, n_episode=office.n_episode, terminal_labels=office.terminal_labels, seed=7)
+    yield learn_passive(office.nmdp, uniform_policy(office.nmdp), 300, cfg).hypothesis
+
+
+def test_learned_machine_text_and_dot_agree_on_every_edge_reward():
+    for h in learned_machines():
+        text = prm_to_text(h)
+        written = {}
+        for line in text.splitlines():
+            match = EDGE_LINE.fullmatch(line)
+            if match:
+                src, label, reward, dst = match.groups()
+                written[(src, label, dst)] = reward
+        drawn = {}
+        for line in prm_to_dot(h).splitlines():
+            match = DOT_EDGE.fullmatch(line)
+            if match:
+                src, dst, label, reward = match.groups()
+                drawn[(src, label, dst)] = reward
+        assert written == drawn
+        assert len(written) == len(h.rho)
+        again = prm_from_text(text)
+        assert_same_machine(h, again)
+        assert prm_to_text(again) == text
 
 
 labels = st.frozensets(st.sampled_from(PROPS + ["c", "o", "p_1"]), max_size=3)
@@ -166,7 +322,7 @@ def test_accepted_names_round_trip_through_every_format(props, rewards, data):
     ap = Alphabet(props)
     labels = ap.labels()
     tau = {(y, label): data.draw(probability_vectors(2)) for y in range(2) for label in labels}
-    rho = {key: data.draw(st.sampled_from(rewards)) for key in tau}
+    rho = {edge: data.draw(st.sampled_from(rewards)) for edge in edges_of(tau)}
     prm = Prm(ap, rewards, ["y0", "y1"], 0, tau, rho)
     assert_same_machine(prm, prm_from_text(prm_to_text(prm)))
 
@@ -236,7 +392,8 @@ def texts_from(sources):
     )
 
 
-machine_texts = texts_from(machines().map(prm_to_text))
+machine_texts = texts_from(st.one_of(machines().map(prm_to_text),
+                                     target_machines().map(lambda case: old_target_text(*case))))
 trace_texts = texts_from(traces.map(trace_to_line))
 MAPS = [(ASSETS / name).read_text(encoding="utf-8") for name in ("officeworld.map", "patrol.map")]
 map_texts = texts_from(st.sampled_from(MAPS))

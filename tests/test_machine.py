@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from prmlearn import (
     Alphabet,
+    EMPTY_LABEL,
     Prm,
     UndefinedTransitionError,
     UnreachableWordError,
@@ -18,9 +19,10 @@ from prmlearn import (
     random_prm,
     save_prm,
 )
+from prmlearn.environment import PrmBacked
 from prmlearn.machine import draw_row, sample_index, sampling_row, unit_vector
 
-from conftest import C, O, STAR, probability_vectors, single_state_zero_prm
+from conftest import C, O, STAR, edges_of, probability_vectors, single_state_zero_prm
 
 A = frozenset({"a"})
 
@@ -31,13 +33,13 @@ A = frozenset({"a"})
 def test_rows_must_sum_to_one():
     ap = Alphabet(["a"])
     with pytest.raises(ValueError):
-        Prm(ap, [0.0], ["y0"], 0, {(0, A): np.array([0.5])}, {(0, A): 0.0})
+        Prm(ap, [0.0], ["y0"], 0, {(0, A): np.array([0.5])}, {(0, A, 0): 0.0})
 
 
 def test_negative_probability_rejected():
     ap = Alphabet(["a"])
     tau = {(0, A): np.array([2.0, -1.0])}
-    rho = {(0, A): 0.0}
+    rho = {(0, A, 0): 0.0, (0, A, 1): 0.0}
     with pytest.raises(ValueError):
         Prm(ap, [0.0], ["y0", "y1"], 0, tau, rho)
 
@@ -49,7 +51,7 @@ def test_non_finite_probability_rejected(bad):
     ap = Alphabet(["a"])
     names = ["y%d" % i for i in range(len(bad))]
     with pytest.raises(ValueError, match="non-finite"):
-        Prm(ap, [0.0], names, 0, {(0, A): np.array(bad)}, {(0, A): 0.0})
+        Prm(ap, [0.0], names, 0, {(0, A): np.array(bad)}, {(0, A, 0): 0.0})
     with pytest.raises(ValueError, match="non-finite"):
         prm_from_text("ap: a\ngamma: 0\ninit: y0\ny0 --a/0--> y0 : nan\n")
 
@@ -58,6 +60,11 @@ def test_tau_rho_same_domain():
     ap = Alphabet(["a"])
     with pytest.raises(ValueError):
         Prm(ap, [0.0], ["y0"], 0, {(0, A): np.ones(1)}, {})
+    # a reward on an edge of probability 0, and on an undefined pair
+    with pytest.raises(ValueError):
+        Prm(ap, [0.0], ["y0", "y1"], 0, {(0, A): unit_vector(2, 0)}, {(0, A, 0): 0.0, (0, A, 1): 0.0})
+    with pytest.raises(ValueError):
+        Prm(ap, [0.0], ["y0"], 0, {(0, A): np.ones(1)}, {(0, A, 0): 0.0, (0, EMPTY_LABEL, 0): 0.0})
 
 
 def test_gamma_always_contains_zero():
@@ -69,16 +76,19 @@ def test_coffee_is_total_and_patrol_partial_logic():
     assert coffee_prm().is_total()
     assert patrol_prm().is_total()
     ap = Alphabet(["a"])
-    partial = Prm(ap, [0.0], ["y0"], 0, {(0, A): np.ones(1)}, {(0, A): 0.0})
+    partial = Prm(ap, [0.0], ["y0"], 0, {(0, A): np.ones(1)}, {(0, A, 0): 0.0})
     assert not partial.is_total()
 
 
 def _edges(prm):
-    """(state, label) -> ({successor: probability}, reward) by name."""
+    """(state, label) -> ({successor: probability}, reward) by name; the
+    builtin truths pay one reward on every edge of a pair."""
     out = {}
     for (y, label), vec in prm.tau.items():
         succ = {prm.states[int(j)]: float(vec[j]) for j in np.flatnonzero(vec)}
-        out[(prm.states[y], label)] = (succ, prm.rho[(y, label)])
+        rewards = {prm.rho[(y, label, int(j))] for j in np.flatnonzero(vec)}
+        assert len(rewards) == 1
+        out[(prm.states[y], label)] = (succ, rewards.pop())
     return out
 
 
@@ -131,7 +141,7 @@ def test_label_matrix_coffee_split(coffee):
 def test_label_matrix_partial_machine_zero_row():
     ap = Alphabet(["a"])
     tau = {(0, frozenset()): unit_vector(2, 1), (1, frozenset()): unit_vector(2, 1)}
-    rho = {(0, frozenset()): 0.0, (1, frozenset()): 0.0}
+    rho = {(0, frozenset(), 1): 0.0, (1, frozenset(), 1): 0.0}
     prm = Prm(ap, [0.0], ["y0", "y1"], 0, tau, rho)
     assert np.array_equal(prm.label_matrix(A), np.zeros((2, 2)))
 
@@ -207,7 +217,7 @@ def test_next_reward_distribution(coffee):
 def test_next_reward_distribution_unreachable():
     ap = Alphabet(["a"])
     tau = {(0, frozenset()): np.ones(1)}
-    rho = {(0, frozenset()): 0.0}
+    rho = {(0, frozenset(), 0): 0.0}
     prm = Prm(ap, [0.0], ["y0"], 0, tau, rho)
     with pytest.raises(UnreachableWordError):
         prm.next_reward_distribution((), A)
@@ -260,7 +270,7 @@ def test_sample_run_deterministic_machine(patrol):
 def test_sample_run_undefined_transition():
     ap = Alphabet(["a"])
     tau = {(0, frozenset()): np.ones(1)}
-    rho = {(0, frozenset()): 0.0}
+    rho = {(0, frozenset(), 0): 0.0}
     prm = Prm(ap, [0.0], ["y0"], 0, tau, rho)
     with pytest.raises(UndefinedTransitionError):
         prm.sample_run((A,), np.random.default_rng(0))
@@ -287,12 +297,13 @@ def machine_and_queries(draw):
     n = draw(st.integers(1, 5))
     implicit_bottom = draw(st.booleans())
     ap = Alphabet(["a"])
-    tau, rho = {}, {}
+    tau = {}
     for y in range(n):
         for label in ap.labels():
             vec = draw(row_strategy(n))
             if vec is not None:
-                tau[(y, label)], rho[(y, label)] = vec, 0.0
+                tau[(y, label)] = vec
+    rho = {edge: 0.0 for edge in edges_of(tau)}
     prm = Prm(ap, [0.0], ["y%d" % i for i in range(n)], 0, tau, rho,
               bottom=n - 1 if implicit_bottom else None, implicit_bottom=implicit_bottom)
     queries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(ap.labels())),
@@ -336,6 +347,43 @@ def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
     for value in cum + [u, float(np.cumsum(short)[-1])]:
         assert draw_row(row, ScriptedRng([value])) == sample_index(vec, ScriptedRng([value]))
         assert draw_row(sampling_row(short), ScriptedRng([value])) == sample_index(short, ScriptedRng([value]))
+
+
+def test_compiled_step_rewards_by_successor():
+    # the edges of one pair pay different rewards; an implicit-bottom pair
+    # pays 0 on entering the failure state; reading the reward of an
+    # undefined pair raises
+    ap = Alphabet(["a"])
+    tau = {(0, A): np.array([0.25, 0.75, 0.0])}
+    rho = {(0, A, 0): 2.0, (0, A, 1): 1.0}
+    partial = Prm(ap, [0.0], ["y0", "y1", "bot"], 0, tau, rho)
+    assert partial.compiled_step(0, A)[1] == {0: 2.0, 1: 1.0}
+    with pytest.raises(UndefinedTransitionError):
+        partial.compiled_step(0, EMPTY_LABEL)[1][2]
+    with pytest.raises(UndefinedTransitionError):
+        partial.edge_reward(0, EMPTY_LABEL, 2)
+    total = Prm(ap, [0.0], ["y0", "y1", "bot"], 0, tau, rho, bottom=2, implicit_bottom=True)
+    assert total.compiled_step(1, A)[1] == {2: 0.0}
+    assert total.edge_reward(1, A, 2) == 0.0
+    assert total.reward_conditional_matrix(2.0, A)[0].tolist() == [0.25, 0.0, 0.0]
+    assert total.reward_conditional_matrix(1.0, A)[0].tolist() == [0.0, 0.75, 0.0]
+    assert total.reward_conditional_matrix(0.0, A)[1].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_draw_past_a_short_row_reads_a_defined_edge():
+    # a row summing to just under 1, with a trailing successor of
+    # probability 0: a draw past its sum takes the last edge of positive
+    # probability, whose reward is defined
+    ap = Alphabet(["a"])
+    tau = {(y, label): unit_vector(3, y) for y in range(3) for label in ap.labels()}
+    tau[(0, A)] = np.array([0.5, 0.5 - 1e-10, 0.0])
+    prm = Prm(ap, [0.0, 1.0], ["y0", "y1", "y2"], 0, tau, {edge: 1.0 for edge in edges_of(tau)})
+    past = 1.0 - 1e-11
+    row, rewards = prm.compiled_step(0, A)
+    assert draw_row(row, ScriptedRng([past])) == sample_index(tau[(0, A)], ScriptedRng([past])) == 1
+    session = PrmBacked(prm).session(ScriptedRng([past]))
+    assert session.observe(A) == 1.0
+    assert session.y == 1
 
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
@@ -399,14 +447,12 @@ def test_dot_export(coffee):
 def test_non_finite_reward_rejected(bad):
     ap = Alphabet(["a"])
     tau = {(0, A): np.ones(1)}
-    for gamma, rho, tags in [
-        ([0.0], bad, None),            # an edge reward
-        ([0.0, bad], 0.0, None),       # a declared reward
-        ([0.0], 0.0, [bad]),           # a state's reward tag
+    for gamma, rho in [
+        ([0.0], bad),            # an edge reward
+        ([0.0, bad], 0.0),       # a declared reward
     ]:
         with pytest.raises(ValueError, match="non-finite reward"):
-            Prm(ap, gamma, ["y0"], 0, tau, {(0, A): rho}, tags=tags,
-                convention="source" if tags is None else "target")
+            Prm(ap, gamma, ["y0"], 0, tau, {(0, A, 0): rho})
 
 
 @pytest.mark.parametrize("text", [
@@ -420,10 +466,10 @@ def test_text_non_finite_reward_rejected(text):
 
 
 def test_text_keeps_states_no_other_line_names():
-    # a partial machine's state without edges, tag, init or bottom role
-    # still has a line of its own, so the machine reads back with it
+    # a partial machine's state without edges, init or bottom role still
+    # has a line of its own, so the machine reads back with it
     ap = Alphabet(["a"])
-    prm = Prm(ap, [0.0], ["y0", "lost"], 0, {(0, A): unit_vector(2, 0)}, {(0, A): 0.0})
+    prm = Prm(ap, [0.0], ["y0", "lost"], 0, {(0, A): unit_vector(2, 0)}, {(0, A, 0): 0.0})
     text = prm_to_text(prm)
     assert "state: lost" in text.splitlines()
     again = prm_from_text(text)

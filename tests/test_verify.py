@@ -26,7 +26,16 @@ from prmlearn.environment import free_nmdp
 from prmlearn.machine import Prm, prm_from_text
 from prmlearn.verify import machine_reward_distribution
 
-from conftest import C, O, STAR, dyadic_vector, single_state_zero_prm, two_cell_nmdp
+from conftest import (
+    C,
+    O,
+    STAR,
+    dyadic_vector,
+    edges_of,
+    single_state_zero_prm,
+    successor_rewards,
+    two_cell_nmdp,
+)
 
 from test_environment import OFFICE_MAP
 
@@ -182,6 +191,7 @@ def test_encoding_distance_perturbed_split():
     vec = np.zeros(5)
     vec[1] = 1.0
     tau[(0, C)] = vec
+    del rho[(0, C, 2)]
     h = Prm(truth.ap, truth.gamma, truth.states, truth.init, tau, rho)
     report = encoding_distance(h, truth, max_len=3)
     assert report.distance == pytest.approx(0.1)
@@ -191,8 +201,7 @@ def test_encoding_distance_perturbed_split():
 def test_encoding_distance_all_bottom():
     truth = patrol_prm()
     text = "\n".join([
-        "ap: c", "gamma: 0,1", "init: q0", "convention: target",
-        "bottom: bot", "implicit_bottom: true", "tag: q0 0", "tag: bot 0",
+        "ap: c", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true",
     ])
     empty = prm_from_text(text)
     report = encoding_distance(empty, truth, max_len=3)
@@ -211,8 +220,7 @@ def test_encoding_distance_counts_bottom_words():
     truth = patrol_prm()
     # reads only {c}, and only from q0: every word but {c} itself is absorbed
     text = "\n".join([
-        "ap: c", "gamma: 0,1", "init: q0", "convention: target",
-        "bottom: bot", "implicit_bottom: true", "tag: q0 0", "tag: q1 1", "tag: bot 0",
+        "ap: c", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true",
         "q0 --c/1--> q1 : 1.0",
     ])
     h = prm_from_text(text)
@@ -280,8 +288,9 @@ def reference_encoding_distance(h: Prm, truth: Prm, max_len: int) -> dict:
 
 def random_machine(rng, kind: str, *, dyadic: bool) -> Prm:
     """A small random machine over {a, b}: `total`, `partial` (each pair
-    defined with probability 0.7) or `bottom` (partial, target rewards,
-    undefined pairs absorbed by an implicit failure state)."""
+    defined with probability 0.7) or `bottom` (partial, each edge paying a
+    reward of the state it enters, undefined pairs absorbed by an implicit
+    failure state)."""
     ap = Alphabet(["a", "b"])
     n = int(rng.integers(1, 4)) + (kind == "bottom")
     rewards = [0.0, 1.0, 2.0]
@@ -296,24 +305,28 @@ def random_machine(rng, kind: str, *, dyadic: bool) -> Prm:
                 vec = rng.random(n) + 1e-3
                 vec = vec / vec.sum()
             tau[(y, label)] = vec
-            rho[(y, label)] = rewards[int(rng.integers(0, len(rewards)))]
+            reward = rewards[int(rng.integers(0, len(rewards)))]
+            rho.update(((y, label, int(j)), reward) for j in np.flatnonzero(vec))
     names = ["y%d" % i for i in range(n)]
     if kind != "bottom":
         return Prm(ap, rewards, names, 0, tau, rho)
     tags = [rewards[int(rng.integers(0, len(rewards)))] for _ in range(n - 1)] + [0.0]
-    return Prm(ap, rewards, names, 0, tau, rho, tags=tags, convention="target",
+    return Prm(ap, rewards, names, 0, tau, successor_rewards(tau, tags),
                bottom=n - 1, implicit_bottom=True)
 
 
 def perturbed(rng, prm: Prm) -> Prm:
     """`prm` with about a third of its transition rows redrawn (dyadic):
-    the same structure and rewards, different probabilities."""
+    the same pairs, different probabilities.  An edge keeps its reward; a
+    new edge pays the reward of one of its pair's old edges."""
     tau = {
         key: dyadic_vector(rng, prm.n_states(), grain=4) if rng.random() < 0.3 else vec
         for key, vec in prm.tau.items()
     }
-    return Prm(prm.ap, prm.gamma, prm.states, prm.init, tau, prm.rho, tags=prm.tags,
-               convention=prm.convention, bottom=prm.bottom, implicit_bottom=prm.implicit_bottom)
+    kept = {(y, label): reward for (y, label, _), reward in prm.rho.items()}  # one per pair
+    rho = {edge: prm.rho.get(edge, kept[edge[:2]]) for edge in edges_of(tau)}
+    return Prm(prm.ap, prm.gamma, prm.states, prm.init, tau, rho,
+               bottom=prm.bottom, implicit_bottom=prm.implicit_bottom)
 
 
 KINDS = st.sampled_from(["total", "partial", "bottom"])
