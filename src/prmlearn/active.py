@@ -8,6 +8,7 @@ trace prefixes that contradict it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .alphabet import EPSILON, Word, label_str, word_str
 from .environment import Nmdp, membership_reward_machine, step, word_realizable
 # sample_index is unused here; the benchmark tracer wraps it as active.sample_index
 from .machine import Prm, draw_row, sample_index  # noqa: F401
-from .table import ObservationTable, build_hypothesis, diff_against_distribution
+from .table import ObservationTable, _hoeffding_factor, build_hypothesis, diff_against_distribution
 
 
 class QTable:
@@ -59,14 +60,16 @@ class LearnerConfig:
                 raise ValueError("%s must be positive" % name)
 
 
-def _choose(row: list, actions, explore: float, rng) -> int:
-    """The epsilon-greedy choice on one row of Q-values."""
+def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:
+    """The epsilon-greedy choice on one row of Q-values; `whole` says that
+    `actions` is every index of the row in order, so the row is read whole."""
     if explore > 0.0 and rng.random() < explore:
         return int(actions[int(rng.integers(0, len(actions)))])
-    best = max([row[a] for a in actions])
-    top = [a for a in actions if row[a] == best]
-    if len(top) == 1:
-        return top[0]
+    values = row if whole else [row[a] for a in actions]
+    best = max(values)
+    if values.count(best) == 1:
+        return actions[values.index(best)]
+    top = [a for a, value in zip(actions, values) if value == best]
     # break ties randomly: a fixed tie-break turns a flat Q-table into a
     # wall-hugging policy and starves exploration
     return int(top[int(rng.integers(0, len(top)))])
@@ -84,19 +87,25 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     terminal = set(terminal_labels)
     session = m.reward_source.session(rng)
     available, width = m.available, len(m.actions)
+    every = list(range(width))   # the actions of a state whose Q row is read whole
     membership = mode == "membership"
     explore, learn_rate, discount = EXPLORE, LEARN_RATE, DISCOUNT
+    h_steps, rows = h._steps, q.rows   # read directly; compiled or created on a miss
     x, y = m.x_init, h.init
     row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
+    actions = available[x]
+    whole = actions == every
     trace = []
     for _ in range(cfg.n_episode):
-        a = _choose(row, available[x], explore, rng)
+        a = _choose(row, actions, whole, explore, rng)
         x_next, label, r = step(m, x, a, rng, session)
-        h_row, rewards = h.compiled_step(y, label)
+        h_row, rewards = h_steps.get((y, label)) or h.compiled_step(y, label)
         y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
         target = rewards[y_next] if membership else r
-        row_next = q.row(y_next, x_next, width)
-        best_next = max([row_next[b] for b in available[x_next]])
+        row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)
+        actions = available[x_next]
+        whole = actions == every
+        best_next = max(row_next) if whole else max([row_next[b] for b in actions])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
         trace.append((label, r))
         x, y, row = x_next, y_next, row_next
@@ -142,24 +151,33 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     its empirical reward distribution is statistically different from
     the hypothesis prediction at that prefix.
 
+    The walk stops at the first prefix below n_check samples with none or
+    with factor * sqrt(1/n) >= 1: in a table filled by `record` (a
+    `from_csv` table need not be prefix-closed) no later prefix has more
+    samples, so none reaches n_check, and its threshold of at least 1
+    exceeds every gap.
+
     `steps` memoises `h.advance` by (bytes of the state vector, label); a
     caller checking many traces against one hypothesis passes the same
     dict to every call."""
     if steps is None:
         steps = {}
     m_total = max(table.total_samples(), 1)
+    factor = _hoeffding_factor(m_total)
     vec = h.initial_vector()
     key = vec.tobytes()
     for k, ((label, _), freq) in enumerate(zip(trace, table.prefix_counts(trace))):
+        n = sum(freq.values())   # the prefix's sample count
+        if n < n_check and (n == 0 or factor * math.sqrt(1.0 / n) >= 1.0):
+            return None
         hit = steps.get((key, label))
         if hit is None:
             nxt, expected = h.advance(vec, label)
             absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
             hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, absorbed)
         vec, key, expected, absorbed = hit
-        # freq is the prefix's counts, so its sum is the prefix's sample count
         if absorbed:
-            if sum(freq.values()) >= n_check:
+            if n >= n_check:
                 return tuple(label for label, _ in trace[:k + 1])
             continue
         if expected and diff_against_distribution(freq, expected, m_total):

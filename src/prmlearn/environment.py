@@ -60,7 +60,8 @@ class _PrmSession:
         self.y = prm.init
 
     def observe(self, label: Label) -> float:
-        row, rewards = self.prm.compiled_step(self.y, label)
+        prm, y = self.prm, self.y
+        row, rewards = prm._steps.get((y, label)) or prm.compiled_step(y, label)
         y_next = self.y = row if row.__class__ is int else draw_row(row, self.rng)
         return rewards[y_next]
 

@@ -93,8 +93,11 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     if n_prime == 0:
         return False
     threshold = hoeffding_threshold(n, n_prime, m_total)
-    for gamma in freq.keys() | dist.keys():
-        if abs(freq.get(gamma, 0) / n - dist.get(gamma, 0) * n / n_prime) > threshold:
+    for gamma, count in freq.items():
+        if abs(count / n - dist.get(gamma, 0) * n / n_prime) > threshold:
+            return True
+    for gamma, p in dist.items():
+        if gamma not in freq and abs(0 / n - p * n / n_prime) > threshold:
             return True
     return False
 
@@ -149,6 +152,8 @@ class ObservationTable:
         self._cols: dict = {}
         # (row, row') and (row', row) -> the compatible_rows verdict
         self._verdicts: dict = {}
+        # the last is_closed and is_consistent results until S, E or the counts change
+        self._closed = self._consistent = None
 
     def _counts_changed(self) -> None:
         self._inputs.clear()
@@ -158,6 +163,7 @@ class ObservationTable:
     def _columns_changed(self) -> None:
         self._cols.clear()
         self._verdicts.clear()
+        self._closed = self._consistent = None
 
     # -- recording ---------------------------------------------------------
 
@@ -199,7 +205,8 @@ class ObservationTable:
             counter = counts[nxt]
             if counter is None:
                 counter = self._counter(nxt)
-            reward = float(reward)
+            if reward.__class__ is not float:
+                reward = float(reward)
             counter[reward] += 1
             rewards.add(reward)
             node = nxt
@@ -238,6 +245,7 @@ class ObservationTable:
             return False
         self._s_set.add(word)
         self.s.append(word)
+        self._closed = self._consistent = None
         return True
 
     def add_experiment(self, word: Word) -> bool:
@@ -358,6 +366,11 @@ class ObservationTable:
         s.label compatible (with shared evidence) with no member of S.
         Rows without any data are vacuously covered: they carry no
         information and map to the failure state anyway."""
+        if self._closed is None:
+            self._closed = self._closedness()
+        return self._closed
+
+    def _closedness(self):
         for s in self.s:
             for label in self.alphabet:
                 extended = s + (label,)
@@ -375,6 +388,11 @@ class ObservationTable:
     def is_consistent(self):
         """Returns (True, None) or (False, (s, s', label, e)), e the first
         column of E at which s.label and s'.label differ."""
+        if self._consistent is None:
+            self._consistent = self._consistency()
+        return self._consistent
+
+    def _consistency(self):
         for i, s in enumerate(self.s):
             for s_prime in self.s[i + 1:]:
                 if not self.compatible_rows(s, s_prime):

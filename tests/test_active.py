@@ -27,7 +27,14 @@ from prmlearn.active import (
 )
 from prmlearn.alphabet import EMPTY_LABEL
 from prmlearn.environment import free_nmdp, load_env_config
-from prmlearn.machine import Prm, UndefinedTransitionError, prm_from_text, random_prm, sample_index
+from prmlearn.machine import (
+    Prm,
+    UndefinedTransitionError,
+    draw_row,
+    prm_from_text,
+    random_prm,
+    sample_index,
+)
 from prmlearn.table import build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
 from conftest import (
@@ -83,19 +90,41 @@ def test_qtable_defaults_and_greedy():
     assert q.row(0, 0, 2) == [0.0, 0.0]
 
 
+# (actions, whole): the row read whole, a strict subset of its actions,
+# and every action out of index order
+CHOICES = [([0, 1, 2, 3], True), ([3, 1, 2], False), ([2, 0, 1, 3], False)]
+
+
 def test_epsilon_greedy_breaks_ties_randomly():
     q = QTable()
     rng = np.random.default_rng(0)
-    picks = {_choose(q.row(0, 0, 4), [0, 1, 2, 3], 0.0, rng) for _ in range(200)}
-    assert picks == {0, 1, 2, 3}  # a flat table must not collapse onto one action
+    for actions, whole in CHOICES:
+        picks = {_choose(q.row(0, 0, 4), actions, whole, 0.0, rng) for _ in range(200)}
+        assert picks == set(actions)  # a flat table must not collapse onto one action
 
 
 def test_epsilon_greedy_exploits_a_clear_winner():
     q = QTable()
     q.row(0, 0, 4)[2] = 1.0
+    q.row(0, 0, 4)[0] = 5.0  # the best value, but not offered by the subset
     rng = np.random.default_rng(0)
-    picks = {_choose(q.row(0, 0, 4), [0, 1, 2, 3], 0.0, rng) for _ in range(50)}
-    assert picks == {2}
+    for actions, whole in CHOICES:
+        picks = {_choose(q.row(0, 0, 4), actions, whole, 0.0, rng) for _ in range(50)}
+        assert picks == ({0} if 0 in actions else {2})
+
+
+def test_epsilon_greedy_matches_the_reference_draws():
+    row = [1.0, 0.5, 1.0, 1.0]
+    q = RefQTable()
+    for a, value in enumerate(row):
+        q.set(0, 0, a, value)
+    for actions, whole in CHOICES:
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for explore in (0.0, 0.5):
+            for _ in range(100):
+                assert (_choose(row, actions, whole, explore, rng)
+                        == ref_epsilon_greedy_action(q, 0, 0, actions, explore, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- teacher episodes ----------------------------------------------------------------
@@ -213,6 +242,12 @@ def teacher_cases():
         rng, n_states=4, n_actions=3, props=props, truth=successor_reward_prm(rng, 3, props, [0.0, 0.5, 1.0])
     )
     partial = partial_prm(rng, 3, props, [0.0, 1.0])
+    # x1 offers a strict subset of the actions and x2 all of them out of
+    # index order: their Q rows are not read whole
+    mixed = random_nmdp(
+        rng, n_states=4, n_actions=4, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0])
+    )
+    mixed.available[1], mixed.available[2] = [3, 1], [2, 0, 1, 3]
     return [
         ("two_cell", two_cell, (), [
             ("membership", membership_reward_machine(two_cell.ap, (C, EMPTY_LABEL))),
@@ -235,6 +270,10 @@ def teacher_cases():
         ("partial", stochastic, (), [
             ("membership", partial),
             ("equivalence", partial),
+        ]),
+        ("mixed_actions", mixed, (), [
+            ("membership", membership_reward_machine(mixed.ap, mixed.label_alphabet()[:2])),
+            ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
     ]
 
@@ -433,10 +472,18 @@ def test_is_counterexample_bottom_absorption():
     table2 = ObservationTable(ap, [EMPTY_LABEL, C])
     table2.record([(EMPTY_LABEL, 0.0)])
     assert is_counterexample(table2, h, [(EMPTY_LABEL, 0.0)], n_check=50) is None
+    # prefixes too sparse to differ still count as absorbed at a low n_check
+    table3 = ObservationTable(ap, [EMPTY_LABEL, C])
+    trace = [(C, 0.0), (C, 0.0), (EMPTY_LABEL, 0.0)]
+    table3.record(trace)
+    table3.record(trace)
+    assert is_counterexample(table3, h, trace, n_check=1) == (C, C, EMPTY_LABEL)
+    assert is_counterexample(table3, h, trace, n_check=3) is None
 
 
-def ref_is_counterexample(table, h, trace, n_check):
-    """is_counterexample without the memo of hypothesis steps."""
+def ref_is_counterexample(table, h, trace, n_check, tests=None):
+    """is_counterexample without the memo of hypothesis steps, walking every
+    prefix of the trace; `tests` counts its Hoeffding tests."""
     m_total = max(table.total_samples(), 1)
     vec = h.initial_vector()
     word = []
@@ -449,9 +496,76 @@ def ref_is_counterexample(table, h, trace, n_check):
                 return prefix
             continue
         freq = table.freq(prefix)
-        if sum(freq.values()) > 0 and expected and diff_against_distribution(freq, expected, m_total):
-            return prefix
+        if sum(freq.values()) > 0 and expected:
+            if tests is not None:
+                tests.append(prefix)
+            if diff_against_distribution(freq, expected, m_total):
+                return prefix
     return None
+
+
+def machine_trace(rng, truth, labels, length):
+    """A trace of random labels, paid as the machine pays them."""
+    y, trace = truth.init, []
+    for _ in range(length):
+        label = labels[int(rng.integers(0, len(labels)))]
+        row, rewards = truth.compiled_step(y, label)
+        y = draw_row(row, rng)
+        trace.append((label, rewards[y]))
+    return trace
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
+    # a table filled by record from seeded random traces of a random
+    # machine, checked against that machine, a random one, the machine
+    # with a failure state, and a machine learned from the table
+    rng = np.random.default_rng(seed)
+    props = ("a", "b")
+    truth = successor_reward_prm(rng, 3, props, [0.0, 0.5, 1.0])
+    labels = truth.ap.labels()
+    table = ObservationTable(truth.ap, labels)
+    traces = [machine_trace(rng, truth, labels, int(rng.integers(1, 9))) for _ in range(400)]
+    for trace in traces:
+        table.record(trace)
+    repair_on_frozen_data(table)
+    # the truth with a failure state that absorbs two of its pairs
+    n, dropped = truth.n_states(), {(0, labels[1]), (1, labels[2])}
+    absorbing = Prm(truth.ap, truth.gamma, truth.states + ("bot",), truth.init,
+                    {key: np.append(vec, 0.0) for key, vec in truth.tau.items() if key not in dropped},
+                    {edge: r for edge, r in truth.rho.items() if edge[:2] not in dropped},
+                    bottom=n, implicit_bottom=True)
+    machines = [truth, random_prm(rng, 3, props, [0.0, 0.5, 1.0]), absorbing, build_hypothesis(table, 5)]
+    tests = []
+    monkeypatch.setattr(active, "diff_against_distribution",
+                        lambda *args: tests.append(args) or diff_against_distribution(*args))
+    ref_tests = []
+    verdicts = set()   # (machine index, whether a counterexample was found)
+    for i, h in enumerate(machines):
+        for n_check in (1, 5, 40, 400):
+            steps = {}
+            for trace in traces[:100] + [machine_trace(rng, truth, labels, 12) for _ in range(20)]:
+                verdict = is_counterexample(table, h, trace, n_check, steps)
+                assert verdict == ref_is_counterexample(table, h, trace, n_check, ref_tests)
+                verdicts.add((i, verdict is not None))
+    assert {(1, True), (2, True), (3, False)} <= verdicts, verdicts
+    assert len(tests) < len(ref_tests)  # the stop skipped some tests
+
+
+def test_is_counterexample_unrecorded_trace():
+    ap = Alphabet(["c"])
+    h = prm_from_text("\n".join([
+        "ap: c", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true",
+        "q0 --c/0--> q0 : 1.0",
+    ]))
+    trace = [(C, 0.0), (EMPTY_LABEL, 0.0), (C, 1.0)]
+    table = ObservationTable(ap, [EMPTY_LABEL, C])
+    for n_check in (1, 50):
+        assert is_counterexample(table, h, trace, n_check) is None
+    table.record([(EMPTY_LABEL, 0.0)] * 3)
+    for n_check in (1, 50):
+        assert is_counterexample(table, h, trace, n_check) is None
+        assert is_counterexample(table, h, [(C, 0.0)] + trace, n_check) is None
 
 
 def test_is_counterexample_memo_matches_fresh_walk(monkeypatch):

@@ -522,6 +522,37 @@ def test_row_sweeps_follow_new_counts_and_columns():
     assert sweep(table)[1] == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
 
 
+def test_sweep_results_are_kept_until_s_e_or_the_counts_change(monkeypatch):
+    table = make_table(alphabet=SWEEP_LABELS)
+    for _ in range(50):
+        table.record([(EMPTY_LABEL, 0.0), (C, 1.0), (O, 1.0)])
+        table.record([(C, 0.0), (O, 0.0)])
+    table.add_state((C,))
+    tests = []
+    compatible_rows = table.compatible_rows
+    monkeypatch.setattr(table, "compatible_rows", lambda *rows: tests.append(rows) or compatible_rows(*rows))
+    changes = [
+        lambda: table.add_state((EMPTY_LABEL,)),
+        lambda: table.add_experiment((O,)),
+        lambda: table.record([(O, 1.0)]),
+    ]
+    for change in [None] + changes:
+        if change is not None:
+            change()
+        del tests[:]
+        first = table.is_closed(), table.is_consistent()
+        assert tests   # the change dropped the kept results
+        assert first == (ref_is_closed(table), ref_is_consistent(table))
+        del tests[:]
+        assert (table.is_closed(), table.is_consistent()) == first
+        assert tests == []   # a second sweep reads the kept results
+    # adding a state or a column that is already there changes nothing
+    table.add_state((C,))
+    table.add_experiment((O,))
+    table.is_closed(), table.is_consistent()
+    assert tests == []
+
+
 def test_rows_differ_at_a_word_just_inside_the_bound(tmp_path):
     # a word with factor * sqrt(1/n) just below 1 is tested, and differs
     # from a dense word of the other reward; with one sample fewer it is
