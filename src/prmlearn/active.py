@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
-from .environment import Nmdp, membership_reward_machine, step, word_realizable
-# sample_index is unused here; the benchmark tracer wraps it as active.sample_index
-from .machine import Prm, draw_row, sample_index  # noqa: F401
-from .table import ObservationTable, _hoeffding_factor, build_hypothesis, diff_against_distribution
+from .environment import Nmdp, check_seed, membership_reward_machine, step, word_realizable
+# sample_index and diff_against_distribution are unused here; the benchmark
+# tracer wraps them as active.sample_index and active.diff_against_distribution
+from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
+from .table import (  # noqa: F401
+    ObservationTable, _differs_from, _hoeffding_factor, build_hypothesis, diff_against_distribution,
+)
 
 
 class QTable:
@@ -58,6 +61,7 @@ class LearnerConfig:
         for name in ("n_check", "n_query", "n_stop", "n_episode"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
+        check_seed(self.seed)
 
 
 def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:
@@ -162,8 +166,7 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     dict to every call."""
     if steps is None:
         steps = {}
-    m_total = max(table.total_samples(), 1)
-    factor = _hoeffding_factor(m_total)
+    factor = _hoeffding_factor(max(table.total_samples(), 1))
     vec = h.initial_vector()
     key = vec.tobytes()
     for k, ((label, _), freq) in enumerate(zip(trace, table.prefix_counts(trace))):
@@ -180,7 +183,7 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
             if n >= n_check:
                 return tuple(label for label, _ in trace[:k + 1])
             continue
-        if expected and diff_against_distribution(freq, expected, m_total):
+        if expected and _differs_from(freq, n, expected, factor):
             return tuple(label for label, _ in trace[:k + 1])
     return None
 
@@ -260,7 +263,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
     queries until closed and consistent, pose an equivalence query, feed
     counterexample prefixes back into S, and stop after n_stop
     consecutive counterexample-free equivalence rounds."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = Stream(np.random.PCG64(cfg.seed))   # the draws of default_rng(cfg.seed)
     alphabet = m.label_alphabet()
     table = ObservationTable(m.ap, alphabet)
     q_m, q_h = QTable(), QTable()

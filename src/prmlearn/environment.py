@@ -508,10 +508,11 @@ def load_env_config(path) -> EnvSetup:
     terminal = cfg.get("terminal_labels", [])
     if not isinstance(terminal, list) or not all(isinstance(t, str) for t in terminal):
         raise ValueError("environment config 'terminal_labels' must be a list of labels")
-    try:
-        n_episode, seed = int(cfg.get("n_episode", 100)), int(cfg.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError("environment config 'n_episode' and 'seed' must be integers") from exc
+    n_episode, seed = cfg.get("n_episode", 100), cfg.get("seed", 0)
+    if n_episode.__class__ is not int or n_episode <= 0:
+        raise ValueError("environment config 'n_episode' must be a positive integer")
+    if seed.__class__ is not int or seed < 0:
+        raise ValueError("environment config 'seed' must be a non-negative integer")
     base = path.parent
     gridmap = load_gridmap(base / cfg["map"])
     truth = load_prm(base / cfg["truth_prm"])
@@ -570,9 +571,17 @@ def _collect_chunk(args):
     return out
 
 
+def check_seed(seed) -> None:
+    """A seed of a learner or of rollouts is a non-negative integer, not a
+    bool: anything else raises ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %r" % (seed,))
+
+
 def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, terminal_labels=(), jobs: int = 1):
     """Roll out `episodes` episodes with per-episode child rngs; results are
     deterministic and independent of the number of jobs."""
+    check_seed(seed)
     if episodes < 0:
         raise ValueError("episodes must be at least 0, got %d" % episodes)
     seeds = np.random.SeedSequence(seed).spawn(episodes)

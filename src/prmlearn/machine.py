@@ -73,6 +73,61 @@ def draw_row(row, rng) -> int:
     return k if k < len(row) else _last_rise(row)
 
 
+STREAM_BLOCK = 1024   # raw 64-bit outputs a Stream takes from its bit generator at a time
+
+
+class Stream:
+    """`random()` and `integers(low, high)` of a `numpy.random.Generator`
+    on the same PCG64 bit generator: the same values in the same order,
+    without numpy's per-call overhead.  The raw outputs are drawn in
+    blocks, so the bit generator must not be read by anything else.
+
+    `random()` is numpy's double, (x >> 11) * 2**-53.  `integers` is its
+    scalar path for 1 to 2**32 values: Lemire's rejection loop on 32-bit
+    draws, each the low half of a raw output or the high half kept from
+    the one before (or kept in the bit generator's state); one value
+    draws nothing."""
+
+    def __init__(self, bit_generator):
+        self._bits = bit_generator
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._buf = []   # the raw outputs still to use, last one first
+
+    def _refill(self) -> list:
+        buf = self._buf = self._bits.random_raw(STREAM_BLOCK).tolist()
+        buf.reverse()
+        return buf
+
+    def random(self) -> float:
+        buf = self._buf or self._refill()
+        return (buf.pop() >> 11) * 2.0 ** -53
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        buf = self._buf or self._refill()
+        x = buf.pop()
+        self._half = x >> 32
+        return x & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        top = high - low - 1   # numpy draws from the closed range [0, top]
+        if not 0 <= top <= 0xFFFFFFFF:
+            raise ValueError("a Stream draws from 1 to 2**32 values, not %d" % (top + 1))
+        if top == 0:
+            return low
+        span = top + 1
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (0xFFFFFFFF - top) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)
+
+
 class UndefinedTransitionError(KeyError):
     def __init__(self, state: str, label: Label):
         super().__init__("undefined transition at state %r on label %s" % (state, label_str(label)))

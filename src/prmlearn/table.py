@@ -87,12 +87,18 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     n = sum(freq.values())
     if n == 0:
         return False
+    return _differs_from(freq, n, dist, _hoeffding_factor(m_total))
+
+
+def _differs_from(freq, n: int, dist: dict, factor: float) -> bool:
+    """`diff_against_distribution` on a frequency map with n > 0 samples,
+    at the Hoeffding factor of the table's total."""
     # the expected count of gamma is dist[gamma] * n, and diff's gap of
     # gamma is |count/n - expected/n_prime|
     n_prime = sum([p * n for p in dist.values()])
     if n_prime == 0:
         return False
-    threshold = hoeffding_threshold(n, n_prime, m_total)
+    threshold = factor * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
     for gamma, count in freq.items():
         if abs(count / n - dist.get(gamma, 0) * n / n_prime) > threshold:
             return True

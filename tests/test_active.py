@@ -29,13 +29,15 @@ from prmlearn.alphabet import EMPTY_LABEL
 from prmlearn.environment import free_nmdp, load_env_config
 from prmlearn.machine import (
     Prm,
+    Stream,
     UndefinedTransitionError,
     draw_row,
     prm_from_text,
+    prm_to_text,
     random_prm,
     sample_index,
 )
-from prmlearn.table import build_hypothesis, diff_against_distribution, repair_on_frozen_data
+from prmlearn.table import _differs_from, build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
 from conftest import (
     C,
@@ -48,7 +50,8 @@ from conftest import (
     two_cell_nmdp,
 )
 
-OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
+ASSETS = Path(prmlearn.__file__).resolve().parent / "assets"
+OFFICE = ASSETS / "office.yaml"
 
 
 def config(**kw):
@@ -305,6 +308,37 @@ def test_teacher_query_matches_reference_loop(explore, monkeypatch):
                     assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
 
 
+@pytest.mark.parametrize("name", ["two_cell", "office"])
+def test_teacher_query_draws_alike_from_a_stream_and_a_generator(name):
+    _, m, terminal, machines = next(case for case in teacher_cases() if case[0] == name)
+    for mode, h in machines:
+        cfg = config(n_episode=30)
+        stream, rng = Stream(np.random.PCG64(11)), np.random.default_rng(11)
+        q, ref_q = QTable(), QTable()
+        for _ in range(40):
+            trace = teacher_query(q, m, h, mode, cfg, stream, terminal)
+            assert trace == teacher_query(ref_q, m, h, mode, cfg, rng, terminal), (name, mode)
+        assert q.rows == ref_q.rows, (name, mode)
+        assert stream.random() == rng.random()
+
+
+@pytest.mark.parametrize("env, budget", [
+    ("patrol.yaml", dict(n_check=50, n_query=200, n_stop=10, n_episode=20)),
+    ("office.yaml", dict(n_check=40, n_query=100, n_stop=5, n_episode=40)),
+])
+def test_learn_active_draws_alike_from_a_stream_and_a_generator(env, budget, monkeypatch):
+    # learn_active draws from a Stream; with a Generator on the same seed
+    # it learns the same machine in the same rounds from the same table
+    setup = load_env_config(ASSETS / env)
+    cfg = LearnerConfig(seed=4, **budget)
+    result = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+    monkeypatch.setattr(active, "Stream", np.random.Generator)
+    ref = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+    assert prm_to_text(result.hypothesis) == prm_to_text(ref.hypothesis)
+    assert result.report == ref.report and result.report.render() == ref.report.render()
+    assert result.table.t == ref.table.t and result.table.s == ref.table.s and result.table.e == ref.table.e
+
+
 def test_teacher_query_records_environment_rewards():
     truth = patrol_prm()
     m = two_cell_nmdp(truth)
@@ -537,8 +571,7 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
                     bottom=n, implicit_bottom=True)
     machines = [truth, random_prm(rng, 3, props, [0.0, 0.5, 1.0]), absorbing, build_hypothesis(table, 5)]
     tests = []
-    monkeypatch.setattr(active, "diff_against_distribution",
-                        lambda *args: tests.append(args) or diff_against_distribution(*args))
+    monkeypatch.setattr(active, "_differs_from", lambda *args: tests.append(args) or _differs_from(*args))
     ref_tests = []
     verdicts = set()   # (machine index, whether a counterexample was found)
     for i, h in enumerate(machines):
@@ -549,7 +582,7 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
                 assert verdict == ref_is_counterexample(table, h, trace, n_check, ref_tests)
                 verdicts.add((i, verdict is not None))
     assert {(1, True), (2, True), (3, False)} <= verdicts, verdicts
-    assert len(tests) < len(ref_tests)  # the stop skipped some tests
+    assert 0 < len(tests) < len(ref_tests)  # the stop skipped some tests
 
 
 def test_is_counterexample_unrecorded_trace():

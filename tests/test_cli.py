@@ -305,3 +305,29 @@ def test_export_dot_rejects_non_finite_reward(tmp_path, capsys):
     code = run_cli(["export-dot", "--prm", prm, "--out", tmp_path / "inf.dot"])
     assert code == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["2.9", "true", "-3"])
+def test_bad_config_seed_exits_1(patrol_env, tmp_path, capsys, seed):
+    text = patrol_env.read_text(encoding="utf-8").replace("seed: 3", "seed: " + seed)
+    patrol_env.write_text(text, encoding="utf-8")
+    out = tmp_path / "traces.log"
+    code = run_cli(["simulate", "--env", patrol_env, "--episodes", "2", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'seed'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--episodes", "2"],
+    ["learn-passive", "--episodes", "2"],
+    ["learn-active", "--budget", "1,1,1,1"],
+])
+def test_negative_seed_option_exits_1(patrol_env, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run_cli(command[:1] + ["--env", patrol_env] + command[1:] + ["--out", out, "--seed", "-3"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed must be a non-negative integer")
+    assert not out.exists()

@@ -497,3 +497,29 @@ def test_cli_malformed_environment_config_and_policy(cfg, policy):
         code = main(["simulate", "--env", str(config), "--policy", str(policy_file),
                      "--episodes", "2", "--out", str(tmp / "traces.log")])
     assert code in ((0, 1) if read else (1,))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 2.9), ("seed", True), ("seed", -3), ("seed", "7"), ("seed", None),
+    ("n_episode", 2.9), ("n_episode", False), ("n_episode", 0), ("n_episode", "50"),
+])
+def test_env_config_seed_and_episode_length_are_yaml_integers(tmp_path, key, value):
+    # no float, bool or string is rounded or read as a number; a seed is
+    # at least 0 and an episode at least one step long
+    config = patrol_copy(tmp_path)
+    cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+    cfg[key] = value
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
+        load_env_config(config)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, "0", np.float64(2.0)])
+@pytest.mark.parametrize("make", [
+    lambda seed: LearnerConfig(n_check=1, n_query=1, n_stop=1, n_episode=1, seed=seed),
+    lambda seed: PassiveConfig(n_check=1, seed=seed),
+], ids=["active", "passive"])
+def test_learner_configs_take_only_non_negative_integer_seeds(make, seed):
+    with pytest.raises(ValueError, match="seed"):
+        make(seed)
+    assert make(np.int64(3)).seed == 3 and make(0).seed == 0

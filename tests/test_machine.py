@@ -20,7 +20,7 @@ from prmlearn import (
     save_prm,
 )
 from prmlearn.environment import PrmBacked
-from prmlearn.machine import draw_row, sample_index, sampling_row, unit_vector
+from prmlearn.machine import STREAM_BLOCK, Stream, draw_row, sample_index, sampling_row, unit_vector
 
 from conftest import C, O, STAR, edges_of, probability_vectors, single_state_zero_prm
 
@@ -390,6 +390,47 @@ def test_sample_successor_rows_are_compiled_lazily(coffee):
     assert coffee._steps == {}
     coffee.sample_successor(0, C, np.random.default_rng(0))
     assert list(coffee._steps) == [(0, C)]
+
+
+# integers(low, low + k) for these k: 1 draws nothing, 2 to 7 rarely
+# reject, 2**31 + 11 rejects about half its 32-bit draws, 2**32 takes one
+# 32-bit draw as it is
+STREAM_RANGES = [1, 2, 3, 4, 5, 6, 7, 2 ** 31 + 11, 2 ** 32]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       half=st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)),
+       lead=st.one_of(st.just(0), st.integers(STREAM_BLOCK - 40, STREAM_BLOCK + 1)),
+       draws=st.lists(st.tuples(st.sampled_from([None] + STREAM_RANGES), st.integers(-3, 3)), max_size=80))
+def test_stream_draws_as_a_generator(seed, half, lead, draws):
+    # interleaved doubles and bounded integers equal a Generator's on the
+    # same PCG64 seed, from a bit generator holding a buffered 32-bit half
+    # or not, and across a block refill (`lead` doubles come first)
+    bits, ref_bits = np.random.PCG64(seed), np.random.PCG64(seed)
+    if half is not None:
+        state = bits.state
+        state.update(has_uint32=1, uinteger=half)
+        bits.state = ref_bits.state = state
+    stream, rng = Stream(bits), np.random.Generator(ref_bits)
+    for _ in range(lead):
+        assert stream.random() == rng.random()
+    for k, low in draws:
+        if k is None:
+            assert stream.random() == rng.random()
+        else:
+            value = stream.integers(low, low + k)
+            assert value.__class__ is int and value == rng.integers(low, low + k)
+    assert stream.random() == rng.random()
+
+
+def test_stream_rejects_ranges_it_does_not_draw():
+    stream = Stream(np.random.PCG64(0))
+    for low, high in [(0, 2 ** 32 + 1), (5, 5 + 2 ** 33), (0, 0), (3, 2)]:
+        with pytest.raises(ValueError):
+            stream.integers(low, high)
+    # nothing was drawn
+    assert stream.random() == np.random.default_rng(0).random()
 
 
 def test_membership_machine_run():
