@@ -522,7 +522,7 @@ def load_env_config(path) -> EnvSetup:
         gridmap=gridmap,
         truth=truth,
         n_episode=n_episode,
-        terminal_labels=tuple(parse_label(t) for t in terminal),
+        terminal_labels=tuple(truth.ap.validate_label(parse_label(t)) for t in terminal),
         seed=seed,
     )
 

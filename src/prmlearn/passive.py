@@ -86,7 +86,7 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
     # enough data would be routed to the failure state anyway, and the seed
     # stops sparse rows from collapsing into one vacuously compatible class.
     seeds = sorted(
-        (w for w in table.t if table.sample_count(w) >= cfg.n_check),
+        table.sampled_words(cfg.n_check),
         key=lambda w: (len(w), word_str(w)),
     )
     for w in seeds:

@@ -128,19 +128,16 @@ class ObservationTable:
         self.e: list = [EPSILON]
         self._s_set = {EPSILON}
         self._e_set = {EPSILON}
-        self.t: dict = {}
         self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
-        # Word ids.  Every prefix of a word in t has one, ε has 0, and the
-        # ids form a prefix tree: record walks it one label at a time and
-        # builds a word's tuple only when it adds the word's id.  A prefix
-        # that from_csv interns but the file does not list has an id and no
-        # entry in t.
+        # Word ids, the table's one store of words: every prefix of a
+        # recorded word has one, ε has 0, a parent's id is below its
+        # children's, and no word's tuple is kept.  A prefix that from_csv
+        # interns but the file does not list has an id and no Counter.
         self._child: dict = {}            # (parent id, label) -> id
-        self._id: dict = {EPSILON: 0}     # word -> id
-        self._words: list = [EPSILON]     # id -> word
-        self._counts: list = [None]       # id -> the Counter t holds for the word, or None
+        self._parent: list = [None]       # id -> its (parent id, label) key in _child
+        self._counts: list = [None]       # id -> the word's Counter, or None
         # E as a trie beside its list: a node is [its word's index into E or
         # None, {label: child node}], and the root is ε's, column 0.
         self._e_trie: list = [0, {}]
@@ -175,25 +172,21 @@ class ObservationTable:
 
     def _intern(self, parent: int, label: Label) -> int:
         """The new id of the word with id `parent` extended by `label`."""
-        word = self._words[parent] + (label,)
-        new = self._child[(parent, label)] = self._id[word] = len(self._words)
-        self._words.append(word)
+        key = (parent, label)
+        new = self._child[key] = len(self._parent)
+        self._parent.append(key)
         self._counts.append(None)
         return new
 
-    def _intern_word(self, word: Word) -> int:
-        """The id of `word`, added with its prefixes' where missing."""
+    def _counter_of(self, word: Word) -> Counter:
+        """The Counter of `word`, added with its prefixes' ids where missing."""
         node = 0
         for label in word:
             nxt = self._child.get((node, label))
             node = nxt if nxt is not None else self._intern(node, label)
-        return node
-
-    def _counter(self, node: int) -> Counter:
-        """The Counter of the word with id `node`, entered into t if new."""
         counter = self._counts[node]
         if counter is None:
-            counter = self._counts[node] = self.t[self._words[node]] = Counter()
+            counter = self._counts[node] = Counter()
         return counter
 
     def record(self, trace) -> None:
@@ -210,7 +203,7 @@ class ObservationTable:
                 nxt = self._intern(node, label)
             counter = counts[nxt]
             if counter is None:
-                counter = self._counter(nxt)
+                counter = counts[nxt] = Counter()
             if reward.__class__ is not float:
                 reward = float(reward)
             counter[reward] += 1
@@ -231,8 +224,38 @@ class ObservationTable:
 
     # -- lookups -----------------------------------------------------------
 
+    def _find(self, word: Word):
+        """The id of `word`, or None."""
+        node, child = 0, self._child
+        for label in word:
+            node = child.get((node, label))
+            if node is None:
+                break
+        return node
+
+    def _word(self, node: int) -> Word:
+        labels = []
+        while node:
+            node, label = self._parent[node]
+            labels.append(label)
+        return tuple(reversed(labels))
+
+    @property
+    def t(self) -> dict:
+        """{word: its Counter} over the recorded words in id order, built on read."""
+        words = [EPSILON]
+        for parent, label in self._parent[1:]:
+            words.append(words[parent] + (label,))
+        return {words[i]: c for i, c in enumerate(self._counts) if c is not None}
+
+    def sampled_words(self, n: int) -> list:
+        """The words of t with at least n samples, in t's order; builds no other."""
+        return [self._word(i) for i, c in enumerate(self._counts)
+                if c is not None and sum(c.values()) >= n]
+
     def freq(self, word: Word) -> Counter:
-        return self.t.get(tuple(word), _EMPTY)
+        node = self._find(word)
+        return _EMPTY if node is None or self._counts[node] is None else self._counts[node]
 
     def total(self, word: Word) -> int:
         return sum(self.freq(word).values())
@@ -297,7 +320,7 @@ class ObservationTable:
         cols = self._cols.get(s)
         if cols is None:
             hits = []   # (i, id of s.E[i], its sample count)
-            start = self._id.get(s)
+            start = self._find(s)
             if start is not None:
                 child, counts = self._child, self._counts
                 stack = [(self._e_trie, start)]
@@ -415,9 +438,6 @@ class ObservationTable:
     def rank(self, s: Word) -> int:
         return sum(self.total(s + (label,)) for label in self.alphabet)
 
-    def _pick(self, candidates):
-        return min(candidates, key=lambda w: (-self.rank(w), len(w), word_str(w)))
-
     def resolve_to_member(self, w: Word) -> Word:
         """Map an arbitrary word to a compatible member of S, preferring
         members with shared evidence; exists whenever the table is closed."""
@@ -425,7 +445,7 @@ class ObservationTable:
         if not compatible:
             raise ValueError("no compatible row for %s; table is not closed" % (word_str(w),))
         shared = [s for s in compatible if s == w or self.rows_share_evidence(w, s)]
-        return self._pick(shared if shared else compatible)
+        return min(shared or compatible, key=lambda s: (-self.rank(s), len(s), word_str(s)))
 
     # -- serialization ---------------------------------------------------------
 
@@ -435,8 +455,7 @@ class ObservationTable:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for word in sorted(self.t, key=lambda w: (len(w), word_str(w))):
-                counter = self.t[word]
+            for word, counter in sorted(self.t.items(), key=lambda item: (len(item[0]), word_str(item[0]))):
                 sample = sum(counter.values())
                 for reward in sorted(counter):
                     writer.writerow([word_str(word), format_reward(reward), counter[reward], sample])
@@ -460,12 +479,13 @@ class ObservationTable:
                 # recorded words are nonempty, so a lone "ε" is the one-label
                 # word of the empty label (word_str writes both it and the
                 # empty word as "ε")
-                word = tuple(parse_label(part) for part in row["word"].split(WORD_SEPARATOR))
+                word = tuple(ap.validate_label(parse_label(part))
+                             for part in row["word"].split(WORD_SEPARATOR))
                 count, sample = int(row["count"]), int(row["sample"])
                 if count < 0:
                     raise ValueError("negative count in table row %r" % (row,))
                 claims.append((word, sample))
-                counter = table._counter(table._intern_word(word))
+                counter = table._counter_of(word)
                 reward = parse_reward(row["reward"])
                 counter[reward] += count
                 table.rewards.add(reward)
@@ -474,11 +494,11 @@ class ObservationTable:
                 raise ValueError("word %s has sample %d, but its counts sum to %d"
                                  % (word_str(word), sample, table.total(word)))
         table._counts_changed()  # the counts were written into the counters directly
-        table._total_samples = sum(table.total(word) for word in table.t)
+        table._total_samples = sum(sum(c.values()) for c in table._counts if c is not None)
         # every recorded trace is nonempty and counted under its first label
-        table.num_traces = sum(table.total(word) for word in table.t if len(word) == 1)
+        table.num_traces = sum(table.total((label,)) for parent, label in table._child if parent == 0)
         if alphabet is None:
-            observed = {label for word in table.t for label in word}
+            observed = {label for _, label in table._child}   # every id's word is a prefix of a listed one
             table.alphabet = sorted(observed, key=label_sort_key)
         return table
 

@@ -319,6 +319,17 @@ def test_bad_config_seed_exits_1(patrol_env, tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_unknown_terminal_label_exits_1(patrol_env, tmp_path, capsys):
+    with open(patrol_env, "a", encoding="utf-8") as fh:
+        fh.write("terminal_labels: [c, q]\n")
+    out = tmp_path / "learned.prm"
+    code = run_cli(["learn-active", "--env", patrol_env, "--budget", "20,20,2,30", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "unknown proposition 'q'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--episodes", "2"],
     ["learn-passive", "--episodes", "2"],

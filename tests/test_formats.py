@@ -514,6 +514,25 @@ def test_env_config_seed_and_episode_length_are_yaml_integers(tmp_path, key, val
         load_env_config(config)
 
 
+@pytest.mark.parametrize("config, labels, bad", [
+    ("office.yaml", ["q", "o"], "q"),
+    ("office.yaml", ["o", "c&x"], "c&x"),
+    ("patrol.yaml", ["c", "o"], "o"),
+])
+def test_env_config_terminal_labels_use_the_truth_propositions(tmp_path, config, labels, bad):
+    for name in ("office.yaml", "officeworld.map", "coffee_truth.prm"):
+        (tmp_path / name).write_bytes((ASSETS / name).read_bytes())
+    path = patrol_copy(tmp_path).parent / config
+    cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
+    cfg["terminal_labels"] = labels
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    with pytest.raises(ValueError, match="label %s uses unknown proposition" % bad):
+        load_env_config(path)
+    cfg["terminal_labels"] = [label for label in labels if label != bad]
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert len(load_env_config(path).terminal_labels) == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, None, True, "0", np.float64(2.0)])
 @pytest.mark.parametrize("make", [
     lambda seed: LearnerConfig(n_check=1, n_query=1, n_stop=1, n_episode=1, seed=seed),

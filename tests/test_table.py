@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,44 @@ def test_untracked_words_read_empty():
     table = make_table()
     assert table.freq((C, C, C)) == Counter()
     assert table.total((C,)) == 0
+
+
+def recorded_steps_cost(traces):
+    """The bytes tracemalloc sees a table keep after recording `traces`."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = ObservationTable(Alphabet(["a"]))
+        for trace in traces:
+            table.record(trace)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory_is_linear_in_logged_steps():
+    # random words over two labels share only short prefixes, so nearly
+    # every step adds a word; a table that kept each word's tuple would
+    # cost about length^2 per trace
+    rng = np.random.default_rng(0)
+    labels = [EMPTY_LABEL, A]
+
+    def traces(length):
+        return [[(labels[k], float(r)) for k, r in rng.integers(0, 2, (length, 2))] for _ in range(100)]
+
+    short, long = traces(100), traces(400)
+    assert recorded_steps_cost(long) <= 5 * recorded_steps_cost(short)
+
+
+@settings(max_examples=100, deadline=None)
+@given(recorded=st.lists(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                            st.sampled_from([0.0, 1.0])), max_size=5), max_size=12),
+       n=st.integers(0, 6))
+def test_sampled_words_are_the_words_of_t_with_n_samples(recorded, n):
+    table = make_table()
+    for trace in recorded:
+        table.record(trace)
+    assert table.sampled_words(n) == [w for w in table.t if table.sample_count(w) >= n]
 
 
 # -- compatibility / closedness / consistency -----------------------------------------
@@ -455,6 +494,23 @@ def test_row_sweeps_match_full_column_loops_on_csv_tables(tmp_path_factory, word
     for word in experiments:
         table.add_experiment(word)
     sweep(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.dictionaries(experiment_words, csv_counts, min_size=1, max_size=8),
+       n=st.integers(0, 70))
+def test_sampled_words_of_csv_tables(tmp_path_factory, words, n):
+    # the words of a table file need not be prefix-closed, so a word can
+    # have more samples than its listed prefixes or than t's earlier words
+    lines = ["word,reward,count,sample"]
+    for word, counts in words.items():
+        lines += ["%s,%s,%d,%d" % (word_str(word), format_reward(reward), count, sum(counts.values()))
+                  for reward, count in counts.items()]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), SWEEP_LABELS)
+    assert set(table.t) == set(words)
+    assert table.sampled_words(n) == [w for w in table.t if table.sample_count(w) >= n]
 
 
 table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
@@ -777,6 +833,13 @@ def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
     assert again.t == table.t
     assert {w: again.sample_count(w) for w in again.t} == {w: table.sample_count(w) for w in table.t}
     assert again.num_traces == table.num_traces == 4
+
+
+def test_csv_unknown_proposition_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\nc,0,3,3\nc;q,1,3,3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown proposition 'q'"):
+        ObservationTable.from_csv(path, Alphabet(["c", "o", "*"]))
 
 
 def test_csv_negative_count_rejected(tmp_path):
