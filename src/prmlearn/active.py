@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
-from .environment import Nmdp, check_seed, membership_reward_machine, step, word_realizable
+from .environment import Nmdp, check_count, membership_reward_machine, step, word_realizable
 # sample_index and diff_against_distribution are unused here; the benchmark
 # tracer wraps them as active.sample_index and active.diff_against_distribution
 from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
@@ -59,9 +59,8 @@ class LearnerConfig:
 
     def __post_init__(self):
         for name in ("n_check", "n_query", "n_stop", "n_episode"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-        check_seed(self.seed)
+            check_count(getattr(self, name), name, positive=True)
+        check_count(self.seed, "seed")
 
 
 def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:

@@ -24,7 +24,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, draw_row, load_prm, sampling_row, unit_vector
+from .machine import PROB_TOL, Prm, draw_row, load_prm, sampling_row, spawn_states, unit_vector
 # sample_index is unused here; the benchmark tracer wraps it as environment.sample_index
 from .machine import sample_index  # noqa: F401
 
@@ -509,10 +509,8 @@ def load_env_config(path) -> EnvSetup:
     if not isinstance(terminal, list) or not all(isinstance(t, str) for t in terminal):
         raise ValueError("environment config 'terminal_labels' must be a list of labels")
     n_episode, seed = cfg.get("n_episode", 100), cfg.get("seed", 0)
-    if n_episode.__class__ is not int or n_episode <= 0:
-        raise ValueError("environment config 'n_episode' must be a positive integer")
-    if seed.__class__ is not int or seed < 0:
-        raise ValueError("environment config 'seed' must be a non-negative integer")
+    check_count(n_episode, "environment config 'n_episode'", positive=True)
+    check_count(seed, "environment config 'seed'")
     base = path.parent
     gridmap = load_gridmap(base / cfg["map"])
     truth = load_prm(base / cfg["truth_prm"])
@@ -563,33 +561,39 @@ def load_traces(path):
 
 
 def _collect_chunk(args):
-    m, policy, seeds, n_episode, terminal_labels = args
+    """Episodes from `spawn_states`, on one bit generator set to each in turn."""
+    m, policy, states, n_episode, terminal_labels = args
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
     out = []
-    for seed_state in seeds:
-        rng = np.random.default_rng(seed_state)
+    for state, inc in states:
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         out.append(run_episode(m, policy, rng, n_episode, terminal_labels))
     return out
 
 
-def check_seed(seed) -> None:
-    """A seed of a learner or of rollouts is a non-negative integer, not a
-    bool: anything else raises ValueError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a non-negative integer, got %r" % (seed,))
+def check_count(value, name: str, positive: bool = False) -> None:
+    """Raise a ValueError naming `name` unless `value` is a non-negative
+    (or, with `positive`, positive) int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < positive:
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (name, "positive" if positive else "non-negative", value))
 
 
 def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, terminal_labels=(), jobs: int = 1):
-    """Roll out `episodes` episodes with per-episode child rngs; results are
+    """Roll out `episodes` episodes, episode i with the draws of
+    `default_rng(SeedSequence(seed).spawn(episodes)[i])`; results are
     deterministic and independent of the number of jobs."""
-    check_seed(seed)
-    if episodes < 0:
-        raise ValueError("episodes must be at least 0, got %d" % episodes)
-    seeds = np.random.SeedSequence(seed).spawn(episodes)
+    check_count(seed, "seed")
+    check_count(episodes, "episodes")
+    check_count(n_episode, "n_episode", positive=True)
+    states = spawn_states(seed, episodes)
     if jobs <= 1:
-        return _collect_chunk((m, policy, seeds, n_episode, terminal_labels))[:]
+        return _collect_chunk((m, policy, states, n_episode, terminal_labels))
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [seeds[i::jobs] for i in range(jobs)]
+    chunks = [states[i::jobs] for i in range(jobs)]
     args = [(m, policy, chunk, n_episode, terminal_labels) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_collect_chunk, args))

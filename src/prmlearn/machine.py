@@ -128,6 +128,53 @@ class Stream:
         return low + (m >> 32)
 
 
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix from hash constant `const`, on ints and uint32 arrays."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def spawn_states(seed, n: int) -> list:
+    """The (state, inc) that `PCG64(child)` starts from, for each child of
+    `SeedSequence(seed).spawn(n)`, all at once: the entropy is the seed's
+    32-bit words, zero-padded to the pool size 4, then the child's index,
+    which is mixed in as a uint32 array over the children (the hash
+    constants do not depend on the data)."""
+    seed = int(seed)
+    words = [seed >> 32 * k & _MASK32 for k in range((seed.bit_length() + 31) // 32 or 1)]
+    entropy = words + [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    generate = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [generate(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = ((out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # from state 0: one step, add the seed, one more step
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 class UndefinedTransitionError(KeyError):
     def __init__(self, state: str, label: Label):
         super().__init__("undefined transition at state %r on label %s" % (state, label_str(label)))

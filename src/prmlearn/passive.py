@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .alphabet import EPSILON, label_sort_key, word_str
-from .environment import Nmdp, check_seed, collect_traces
+from .environment import Nmdp, check_count, collect_traces
 from .machine import Prm
 from .table import ObservationTable, build_hypothesis, repair_on_frozen_data
 
@@ -30,11 +30,9 @@ class PassiveConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.n_check <= 0:
-            raise ValueError("n_check must be positive")
-        if self.n_episode <= 0:
-            raise ValueError("n_episode must be positive")
-        check_seed(self.seed)
+        check_count(self.n_check, "n_check", positive=True)
+        check_count(self.n_episode, "n_episode", positive=True)
+        check_count(self.seed, "seed")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -451,14 +452,30 @@ class ObservationTable:
 
     def to_csv(self, path) -> None:
         """One row per (word, reward): the word, the reward, its count, and
-        the word's sample count (the sum of its counts)."""
+        the word's sample count (the sum of its counts), by length and then
+        by text, which is spelled one length at a time from the one before."""
+        depth, levels = array("l", [0]), [array("l", [0])]   # id -> length; length -> ids, in order
+        for i in range(1, len(self._parent)):
+            d = depth[self._parent[i][0]] + 1
+            depth.append(d)
+            if d == len(levels):
+                levels.append(array("l"))
+            levels[d].append(i)
+        text = {0: ""}
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for word, counter in sorted(self.t.items(), key=lambda item: (len(item[0]), word_str(item[0]))):
-                sample = sum(counter.values())
-                for reward in sorted(counter):
-                    writer.writerow([word_str(word), format_reward(reward), counter[reward], sample])
+            for ids in levels[1:]:
+                above, text = text, {}
+                for i in ids:
+                    parent, label = self._parent[i]
+                    text[i] = (above[parent] + WORD_SEPARATOR if parent else "") + label_str(label)
+                for i in sorted(ids, key=text.__getitem__):
+                    counter = self._counts[i]
+                    if counter is not None:
+                        sample = sum(counter.values())
+                        for reward in sorted(counter):
+                            writer.writerow([text[i], format_reward(reward), counter[reward], sample])
 
     @classmethod
     def from_csv(cls, path, ap: Alphabet, alphabet=None) -> "ObservationTable":

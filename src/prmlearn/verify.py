@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import Word, label_sort_key, word_str
-from .environment import Nmdp, Trajectory
+from .environment import Nmdp, Trajectory, check_count
 from .machine import Prm, UnreachableWordError
 
 DEFAULT_NODE_BUDGET = 1000
@@ -170,8 +170,7 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     hypothesis state vector), carrying the number of words that reach
     each pair and the first of them, so its cost grows with the number of
     distinct pairs per layer, not with the |labels|^max_len words."""
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative, got %d" % max_len)
+    check_count(max_len, "max_len")
     labels = sorted(set(l for _, l in truth.tau), key=label_sort_key)
     pair_ids, pairs = {}, []   # bytes of both vectors -> pair id -> vectors
 

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -267,8 +268,10 @@ def test_unknown_argument_shows_the_subcommand_usage(capsys, args, unknown):
 
 
 def test_console_script_installed():
+    # the package is found on PYTHONPATH alone, as in a checkout
+    env = dict(os.environ, PYTHONPATH=str(ASSETS.parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "prmlearn.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "prmlearn.cli", "--help"], capture_output=True, text=True, env=env
     )
     # argparse prints help and exits 0
     assert proc.returncode == 0

@@ -15,7 +15,10 @@ per-word sample counter; its `sample` column is now each word's summed
 count, and must write the same bytes.  The active table digest is of the
 active run's `to_csv` output while the table still keyed its counts by
 word tuples alone, so a change to recording that alters the active table
-fails even where the machine and the report stay the same.
+fails even where the machine and the report stay the same.  The rollout
+digest is of `save_traces` of office uniform-policy episodes while each
+episode still built its own `SeedSequence` child and `Generator`; the
+truth's coffee draw interleaves there with the action draws.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import prmlearn
 from prmlearn import LearnerConfig, PassiveConfig, learn_active, learn_passive, prm_to_text
-from prmlearn.environment import load_env_config, uniform_policy
+from prmlearn.environment import collect_traces, load_env_config, save_traces, uniform_policy
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
@@ -32,6 +35,7 @@ ACTIVE_OFFICE_SHA256 = "692f76ea7f795bce17e6d78238b6c3a97c4116ac1ac154288a8c053c
 ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
 PASSIVE_OFFICE_TABLE_SHA256 = "66a78c0743148a4ec07e86f3f8ce5cb3fd6eb8ea17807e42d72dfde8330d4341"
 ACTIVE_OFFICE_TABLE_SHA256 = "8bf31854409e1e58e26f4b5543eac6c2252ba9226b34d6018d28a24f7953a830"
+OFFICE_ROLLOUTS_SHA256 = "54113c392a0773fda4f2764d842d741020d0350cc09ea7cee88202e2c8cf1501"
 
 
 def digest(prm) -> str:
@@ -64,3 +68,11 @@ def test_active_office_machine_is_pinned(tmp_path):
     path = tmp_path / "table.csv"
     result.table.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACTIVE_OFFICE_TABLE_SHA256
+
+
+def test_office_rollouts_are_pinned(tmp_path):
+    env = load_env_config(OFFICE)
+    traces = collect_traces(env.nmdp, uniform_policy(env.nmdp), 300, 7, env.n_episode, env.terminal_labels)
+    path = tmp_path / "traces.log"
+    save_traces(traces, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OFFICE_ROLLOUTS_SHA256

@@ -37,7 +37,7 @@ from prmlearn.environment import (
     word_realizable,
     free_nmdp,
 )
-from prmlearn.machine import Prm, sample_index, unit_vector
+from prmlearn.machine import Prm, random_prm, sample_index, spawn_states, unit_vector
 
 from conftest import (
     C, O, STAR, edges_of, probability_vectors, random_nmdp, single_state_zero_prm, two_cell_nmdp,
@@ -369,14 +369,67 @@ def test_terminal_labels_end_episodes():
     assert all(label not in (O, STAR) for label, _ in trace[:-1])
 
 
+def stochastic_nmdp(seed):
+    """A random NMDP with stochastic transitions and a stochastic truth."""
+    rng = np.random.default_rng(seed)
+    return random_nmdp(rng, n_states=3, n_actions=2, props=("a", "b"),
+                       truth=random_prm(rng, 3, ["a", "b"], [0.0, 1.0, 2.0]))
+
+
 def test_collect_traces_deterministic_and_job_independent():
+    m = stochastic_nmdp(4)
+    policy = uniform_policy(m)
+    a = collect_traces(m, policy, 51, seed=4, n_episode=10)
+    assert len(a) == 51
+    # jobs deal the episodes round-robin; the traces come back in order
+    for jobs in (1, 2, 3):
+        assert collect_traces(m, policy, 51, seed=4, n_episode=10, jobs=jobs) == a
+    assert collect_traces(m, policy, 51, seed=5, n_episode=10) != a
+
+
+SPAWN_SEEDS = [0, 7, 2**32, 2**64 + 7, np.uint64(2**63), 2**130 + 3]
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 51])
+def test_collect_traces_are_episodes_on_spawned_generators(seed, n):
+    m = stochastic_nmdp(n)
+    policy = uniform_policy(m)
+    expected = [run_episode(m, policy, np.random.default_rng(child), 8)
+                for child in np.random.SeedSequence(seed).spawn(n)]
+    assert collect_traces(m, policy, n, seed, 8) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.one_of(st.sampled_from(SPAWN_SEEDS), st.integers(0, 2**160)), n=st.integers(0, 12))
+def test_spawn_states_are_the_states_of_spawned_pcg64(seed, n):
+    expected = []
+    for child in np.random.SeedSequence(seed).spawn(n):
+        state = np.random.PCG64(child).state["state"]
+        expected.append((state["state"], state["inc"]))
+    assert spawn_states(seed, n) == expected
+
+
+@pytest.mark.parametrize("episodes", [2.5, True, -1, "3", None])
+def test_collect_traces_rejects_bad_episode_counts(episodes):
+    m = two_cell_nmdp(patrol_prm())
+    with pytest.raises(ValueError, match="episodes"):
+        collect_traces(m, uniform_policy(m), episodes, seed=0, n_episode=5)
+
+
+@pytest.mark.parametrize("n_episode", [0, -2, 1.5, False, "5"])
+def test_collect_traces_rejects_bad_episode_lengths(n_episode):
+    m = two_cell_nmdp(patrol_prm())
+    with pytest.raises(ValueError, match="n_episode"):
+        collect_traces(m, uniform_policy(m), 3, seed=0, n_episode=n_episode)
+
+
+def test_collect_traces_takes_numpy_counts():
     m = two_cell_nmdp(patrol_prm())
     policy = uniform_policy(m)
-    a = collect_traces(m, policy, 50, seed=4, n_episode=10)
-    b = collect_traces(m, policy, 50, seed=4, n_episode=10)
-    assert a == b
-    c = collect_traces(m, policy, 50, seed=5, n_episode=10)
-    assert a != c
+    traces = collect_traces(m, policy, np.int64(3), seed=0, n_episode=np.uint8(4))
+    assert traces == collect_traces(m, policy, 3, seed=0, n_episode=4)
+    assert collect_traces(m, policy, 0, seed=0, n_episode=4) == []
 
 
 def test_trace_log_round_trip(tmp_path):
@@ -452,8 +505,6 @@ def test_product_with_trivial_machine_is_isomorphic():
 def test_product_rows_sum_to_one():
     rng = np.random.default_rng(11)
     m = random_nmdp(rng, n_states=3, n_actions=2, props=("a",))
-    from prmlearn import random_prm
-
     h = random_prm(rng, 3, ["a"], [0.0, 1.0])
     prod = product(m, h)
     for (i, a), vec in prod.mdp.p.items():

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
 from prmlearn.table import (
+    CSV_COLUMNS,
     TableNotReadyError,
     _hoeffding_factor,
     diff_against_distribution,
@@ -818,6 +820,70 @@ def test_csv_words_need_not_be_prefix_closed(tmp_path):
     assert table.freq((C,)) == Counter({0.0: 1})
     assert table.freq((C, O)) == Counter({1.0: 51})
     sweep(table)
+
+
+def write_csv_by_t(table, path) -> None:
+    """`to_csv` as it was written from `t`: every word's tuple at once,
+    sorted by length and then by `word_str`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for word, counter in sorted(table.t.items(), key=lambda item: (len(item[0]), word_str(item[0]))):
+            sample = sum(counter.values())
+            for reward in sorted(counter):
+                writer.writerow([word_str(word), format_reward(reward), counter[reward], sample])
+
+
+def csv_bytes(write, table) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write(table, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(recorded=st.lists(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O, C | O]),
+                                            st.sampled_from([0.0, 0.5, 1.0])), max_size=6), max_size=12))
+def test_csv_bytes_are_those_of_the_words_of_t(recorded):
+    table = make_table()
+    for trace in recorded:
+        table.record(trace)
+    assert csv_bytes(ObservationTable.to_csv, table) == csv_bytes(write_csv_by_t, table)
+
+
+def test_csv_bytes_of_a_table_that_is_not_prefix_closed(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("word,reward,count,sample\n"
+                    "c&o;ε;o,1,3,5\nc&o;ε;o,0,2,5\nε;c,0,4,4\no;o;o;c,1,1,1\nc;o,1,7,7\n",
+                    encoding="utf-8")
+    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+    written = csv_bytes(ObservationTable.to_csv, table)
+    assert written == csv_bytes(write_csv_by_t, table)
+    assert written.decode("utf-8").splitlines()[1:] == [
+        "c;o,1,7,7", "ε;c,0,4,4", "c&o;ε;o,0,2,5", "c&o;ε;o,1,3,5", "o;o;o;c,1,1,1"]
+
+
+def csv_writing_peak(length) -> int:
+    """The tracemalloc peak, above the table, while `to_csv` writes a
+    table of 20 random traces of `length` steps."""
+    rng = np.random.default_rng(length)
+    table = ObservationTable(Alphabet(["a"]))
+    for _ in range(20):
+        table.record([([EMPTY_LABEL, A][k], float(r)) for k, r in rng.integers(0, 2, (length, 2))])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table.to_csv(os.devnull)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writing_memory_is_linear_in_logged_steps():
+    # the word column spells every prefix, so the file is quadratic in the
+    # trace length; building every word's tuple or text at once would be too
+    assert csv_writing_peak(800) <= 5 * csv_writing_peak(200)
 
 
 def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
