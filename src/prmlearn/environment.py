@@ -130,12 +130,6 @@ class PositionalPolicy:
         # filled by action_row on first use
         self._rows = {}
 
-    def distribution(self, x: int, m: Nmdp) -> dict:
-        dist = self.action_probs.get(x)
-        if dist is None:
-            return {m.available[x][0]: 1.0}
-        return dist
-
     def action_row(self, x: int, m: Nmdp) -> tuple:
         """(actions, row): `actions[draw_row(row, rng)]` draws the action at
         x as `sample_index` on the sorted actions' probabilities would.  A
@@ -156,23 +150,6 @@ def uniform_policy(m: Nmdp) -> PositionalPolicy:
         acts = m.available[x]
         probs[x] = {a: 1.0 / len(acts) for a in acts}
     return PositionalPolicy(probs)
-
-
-def trajectory_probability(m: Nmdp, policy, t: Trajectory) -> float:
-    if t.states[0] != m.x_init:
-        raise ValueError("trajectory does not start at the initial state")
-    prob = 1.0
-    for k, a in enumerate(t.actions):
-        x, x_next = t.states[k], t.states[k + 1]
-        if a not in m.available[x]:
-            raise UnavailableActionError(
-                "action %r unavailable at state %r" % (a, m.states[x])
-            )
-        dist = policy.distribution(x, m)
-        prob *= dist.get(a, 0.0) * float(m.p[(x, a)][x_next])
-        if prob == 0.0:
-            return 0.0
-    return prob
 
 
 # -- stepping and episodes -----------------------------------------------------
@@ -588,6 +565,7 @@ def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, termina
     check_count(seed, "seed")
     check_count(episodes, "episodes")
     check_count(n_episode, "n_episode", positive=True)
+    check_count(jobs, "jobs", positive=True)
     states = spawn_states(seed, episodes)
     if jobs <= 1:
         return _collect_chunk((m, policy, states, n_episode, terminal_labels))

@@ -310,11 +310,6 @@ class Prm:
             step = self._steps[(y, label)] = (sampling_row(vec), rewards)
         return step
 
-    def sample_successor(self, y: int, label: Label, rng) -> int:
-        """`sample_index(self.successor_vector(y, label), rng)`, drawn from
-        the pair's compiled step."""
-        return draw_row(self.compiled_step(y, label)[0], rng)
-
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:
         reward = self.rho.get((y, label, y_next))
         if reward is not None:
@@ -422,26 +417,6 @@ class Prm:
             )
         return dist
 
-    def bottom_mass(self, word: Word) -> float:
-        """Probability that reading `word` ends in the failure state."""
-        if self.bottom is None:
-            return 0.0
-        return float(self._read(word)[self.bottom])
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample_run(self, word: Word, rng) -> list:
-        """Run the machine on `word`; returns [(state index, reward), ...]
-        with one entry per symbol (the state entered and reward emitted)."""
-        y = self.init
-        out = []
-        for label in word:
-            self.ap.validate_label(label)
-            y_next = self.sample_successor(y, label, rng)
-            out.append((y_next, self.edge_reward(y, label, y_next)))
-            y = y_next
-        return out
-
 
 # -- builtin machines -------------------------------------------------------
 
@@ -543,10 +518,16 @@ def prm_from_text(text: str) -> Prm:
     tags = {}
     state_lines = []
     edges = []  # (src, label, reward, dst, prob)
+    headers = set()  # each header line may appear once
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        key = line.split(":", 1)[0]
+        if key in ("ap", "gamma", "init", "convention", "bottom", "implicit_bottom"):
+            if key in headers:
+                raise ValueError("repeated header line: %s" % line)
+            headers.add(key)
         if line.startswith("ap:"):
             ap = Alphabet([p.strip() for p in line[3:].split(",") if p.strip()])
         elif line.startswith("gamma:"):
@@ -561,9 +542,14 @@ def prm_from_text(text: str) -> Prm:
         elif line.startswith("bottom:"):
             bottom_name = line[7:].strip()
         elif line.startswith("implicit_bottom:"):
-            implicit_bottom = line.split(":", 1)[1].strip().lower() == "true"
+            value = line.split(":", 1)[1].strip().lower()
+            if value not in ("true", "false"):
+                raise ValueError("implicit_bottom must be true or false: %s" % line)
+            implicit_bottom = value == "true"
         elif line.startswith("tag:"):
             name, value = line[4:].split()
+            if name in tags:
+                raise ValueError("repeated tag line: %s" % line)
             tags[name] = parse_reward(value)
         elif line.startswith("state:"):
             state_lines.append(line[6:].strip())

@@ -33,6 +33,7 @@ class PassiveConfig:
         check_count(self.n_check, "n_check", positive=True)
         check_count(self.n_episode, "n_episode", positive=True)
         check_count(self.seed, "seed")
+        check_count(self.jobs, "jobs", positive=True)
 
 
 @dataclass
@@ -42,14 +43,6 @@ class PassiveReport:
     n_s: int = 0
     n_e: int = 0
     notes: list = field(default_factory=list)
-
-    def render(self) -> str:
-        lines = [
-            "episodes=%d dropped_suffixes=%d |S|=%d |E|=%d"
-            % (self.episodes, self.dropped_suffixes, self.n_s, self.n_e)
-        ]
-        lines.extend(self.notes)
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -58,6 +58,7 @@ def brute_force_word_realizability(
     """
     if criterion not in ("label_only", "positive_reward"):
         raise ValueError("unknown criterion %r" % (criterion,))
+    check_count(node_budget, "node_budget")
     for label in w:
         m.ap.validate_label(label)
 

@@ -14,7 +14,7 @@ from prmlearn import (
     patrol_prm,
 )
 from prmlearn.environment import step
-from prmlearn.machine import unit_vector
+from prmlearn.machine import draw_row, unit_vector
 
 C = frozenset({"c"})
 O = frozenset({"o"})
@@ -29,6 +29,17 @@ def coffee():
 @pytest.fixture
 def patrol():
     return patrol_prm()
+
+
+def session_run(prm, word, rng) -> list:
+    """[(state entered, reward), ...] of one reward session of `prm`
+    reading `word`, drawn as the environment draws them."""
+    session = PrmBacked(prm).session(rng)
+    run = []
+    for label in word:
+        reward = session.observe(label)
+        run.append((session.y, reward))
+    return run
 
 
 def single_state_zero_prm(props=("a",)):
@@ -145,7 +156,7 @@ def rollout_greedy(q, m, h, n_episode, rng, terminal_labels=()):
     for _ in range(n_episode):
         a = greedy_action(q, y, x, m.available[x])
         x_next, label, r = step(m, x, a, rng, session)
-        y_next = h.sample_successor(y, label, rng)
+        y_next = draw_row(h.compiled_step(y, label)[0], rng)
         total_machine_reward += h.edge_reward(y, label, y_next)
         trace.append((label, r))
         x, y = x_next, y_next

@@ -656,7 +656,7 @@ def test_learn_active_trivial_environment():
     assert vec[0] == 1.0
     assert h.edge_reward(0, EMPTY_LABEL, 0) == 0.0
     # the unobserved label is absorbed by the failure state
-    assert h.bottom_mass((frozenset({"a"}),)) == 1.0
+    assert h.successor_vector(h.init, frozenset({"a"}))[h.bottom] == 1.0
 
 
 def test_learn_active_fully_observed_trivial_environment_has_no_bottom():

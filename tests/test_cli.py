@@ -204,6 +204,15 @@ def test_mq_budget_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_mq_negative_node_budget_exits_1(capsys):
+    # a budget below 0 is a bad option, not a search that ran out
+    code = run_cli(["mq", "--env", "office", "--word", "c;o", "--node-budget", "-5"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: node_budget must be a non-negative integer, got -5"
+    ]
+
+
 # -- export-dot ------------------------------------------------------------------------------
 
 
@@ -344,4 +353,16 @@ def test_negative_seed_option_exits_1(patrol_env, tmp_path, capsys, command):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: seed must be a non-negative integer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--episodes", "2"],
+    ["learn-passive", "--episodes", "2"],
+])
+def test_zero_jobs_option_exits_1(patrol_env, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run_cli(command[:1] + ["--env", patrol_env] + command[1:] + ["--out", out, "--jobs", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: jobs must be a positive integer, got 0"]
     assert not out.exists()

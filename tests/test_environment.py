@@ -33,14 +33,14 @@ from prmlearn.environment import (
     step,
     trace_from_line,
     trace_to_line,
-    trajectory_probability,
     word_realizable,
     free_nmdp,
 )
 from prmlearn.machine import Prm, random_prm, sample_index, spawn_states, unit_vector
 
 from conftest import (
-    C, O, STAR, edges_of, probability_vectors, random_nmdp, single_state_zero_prm, two_cell_nmdp,
+    C, O, STAR, edges_of, probability_vectors, random_nmdp, session_run, single_state_zero_prm,
+    two_cell_nmdp,
 )
 
 OFFICE_MAP = """\
@@ -251,7 +251,7 @@ def ref_episode(m, policy, rng, n_episode, terminal_labels):
     truth = m.reward_source.prm
     x, y, trace = m.x_init, truth.init, []
     for _ in range(n_episode):
-        dist = policy.distribution(x, m)
+        dist = policy.action_probs.get(x, {m.available[x][0]: 1.0})
         actions = sorted(dist)
         a = int(actions[sample_index(np.array([dist[a] for a in actions]), rng)])
         x, label, reward, y = ref_step(m, x, a, rng, truth, y)
@@ -324,6 +324,23 @@ def test_shortest_path_policy_needs_the_office_of_its_map():
 
 
 # -- policies and trajectory probability ------------------------------------------
+
+
+def trajectory_probability(m: Nmdp, policy, t: Trajectory) -> float:
+    if t.states[0] != m.x_init:
+        raise ValueError("trajectory does not start at the initial state")
+    prob = 1.0
+    for k, a in enumerate(t.actions):
+        x, x_next = t.states[k], t.states[k + 1]
+        if a not in m.available[x]:
+            raise UnavailableActionError(
+                "action %r unavailable at state %r" % (a, m.states[x])
+            )
+        dist = policy.action_probs.get(x, {m.available[x][0]: 1.0})
+        prob *= dist.get(a, 0.0) * float(m.p[(x, a)][x_next])
+        if prob == 0.0:
+            return 0.0
+    return prob
 
 
 def test_trajectory_probability_deterministic_chain():
@@ -473,7 +490,7 @@ def test_membership_machine_reward_is_match_length():
     machine = membership_reward_machine(ap, zeta)
     rng = np.random.default_rng(0)
     for word in [(C,), (O, C), zeta, zeta + (O, O)]:
-        run = machine.sample_run(word, rng)
+        run = session_run(machine, word, rng)
         total = sum(r for _, r in run)
         # longest prefix of zeta matched so far
         matched, k = 0, 0

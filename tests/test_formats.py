@@ -211,6 +211,29 @@ def test_old_learned_machine_file_reads_as_written_now():
     assert prm_to_text(prm_from_text(OLD_ACTIVE_OFFICE)) == ACTIVE_OFFICE
 
 
+HEADER_FAULTS = [
+    (ACTIVE_OFFICE.replace("implicit_bottom: true", "implicit_bottom: yes"), "implicit_bottom: yes"),
+    (ACTIVE_OFFICE.replace("implicit_bottom: true", "implicit_bottom: flase"), "implicit_bottom: flase"),
+    *((ACTIVE_OFFICE + line + "\n", line)
+      for line in ["ap: c,o", "gamma: 0,1", "init: q1", "bottom: q2", "implicit_bottom: true"]),
+    (OLD_ACTIVE_OFFICE + "convention: target\n", "convention: target"),
+    (OLD_ACTIVE_OFFICE + "tag: q2 0\n", "tag: q2 0"),
+]
+
+
+@pytest.mark.parametrize("text, line", HEADER_FAULTS, ids=[line for _, line in HEADER_FAULTS])
+def test_machine_header_read_once_and_exactly(text, line):
+    # a repeated header (or tag of one state) would make the last line win,
+    # and any implicit_bottom value but true would read as false
+    with pytest.raises(ValueError, match=re.escape(line)):
+        prm_from_text(text)
+
+
+def test_machine_state_lines_may_repeat():
+    prm = prm_from_text(ACTIVE_OFFICE + "state: spare\nstate: spare\n")
+    assert prm.states.count("spare") == 1
+
+
 EDGE_LINE = re.compile(r"(\S+) --(.+)/(\S+)--> (\S+) : \S+")
 DOT_EDGE = re.compile(r'  "(.+)" -> "(.+)" \[label="⟨(.+), (.+)⟩ : \S+"\];')
 

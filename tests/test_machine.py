@@ -22,7 +22,7 @@ from prmlearn import (
 from prmlearn.environment import PrmBacked
 from prmlearn.machine import STREAM_BLOCK, Stream, draw_row, sample_index, sampling_row, unit_vector
 
-from conftest import C, O, STAR, edges_of, probability_vectors, single_state_zero_prm
+from conftest import C, O, STAR, edges_of, probability_vectors, session_run, single_state_zero_prm
 
 A = frozenset({"a"})
 
@@ -229,8 +229,8 @@ CHAIN_TOL = 1e-12
 
 
 def test_prefix_semantics_follow_the_vector_chain():
-    """next_reward_distribution and bottom_mass read the prefix vector by
-    vector, bit for bit as `advance` does, and agree with the matrix chain
+    """next_reward_distribution reads the prefix vector by vector, bit for
+    bit as `advance` does, and agrees with the matrix chain
     y_I·word_matrix(prefix) to CHAIN_TOL on non-dyadic machines."""
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -246,14 +246,12 @@ def test_prefix_semantics_follow_the_vector_chain():
             vec, _ = prm.advance(vec, symbol)
         _, chain_dist = prm.advance(vec, label)
         assert prm.next_reward_distribution(prefix, label) == chain_dist
-        assert prm.bottom_mass(prefix) == float(vec[n - 1])
 
         matrix_vec = prm.initial_vector() @ prm.word_matrix(prefix)
         _, matrix_dist = prm.advance(matrix_vec, label)
         assert set(matrix_dist) == set(chain_dist)
         for gamma, p in chain_dist.items():
             assert abs(p - matrix_dist[gamma]) <= CHAIN_TOL
-        assert abs(prm.bottom_mass(prefix) - float(matrix_vec[n - 1])) <= CHAIN_TOL
 
 
 # -- sampling --------------------------------------------------------------------
@@ -261,9 +259,9 @@ def test_prefix_semantics_follow_the_vector_chain():
 
 def test_sample_run_deterministic_machine(patrol):
     word = (C, frozenset(), C)
-    runs = {tuple(patrol.sample_run(word, np.random.default_rng(seed))) for seed in range(5)}
+    runs = {tuple(session_run(patrol, word, np.random.default_rng(seed))) for seed in range(5)}
     assert len(runs) == 1
-    rewards = [r for _, r in patrol.sample_run(word, np.random.default_rng(0))]
+    rewards = [r for _, r in session_run(patrol, word, np.random.default_rng(0))]
     assert rewards == [1.0, 1.0, 1.0]
 
 
@@ -272,17 +270,21 @@ def test_sample_run_undefined_transition():
     tau = {(0, frozenset()): np.ones(1)}
     rho = {(0, frozenset(), 0): 0.0}
     prm = Prm(ap, [0.0], ["y0"], 0, tau, rho)
+    # as teacher_query reads the reward of a step
+    row, rewards = prm.compiled_step(0, A)
     with pytest.raises(UndefinedTransitionError):
-        prm.sample_run((A,), np.random.default_rng(0))
+        rewards[draw_row(row, np.random.default_rng(0))]
 
 
 def test_sample_run_coffee_split_monte_carlo(coffee):
     rng = np.random.default_rng(12345)
     n = 10 ** 5
+    truth = PrmBacked(coffee)
     hits = 0
     for _ in range(n):
-        run = coffee.sample_run((C, O), rng)
-        if run[-1][1] == 1.0:
+        session = truth.session(rng)
+        session.observe(C)
+        if session.observe(O) == 1.0:
             hits += 1
     assert abs(hits / n - 0.9) <= 0.01
 
@@ -322,7 +324,7 @@ def test_sample_successor_draws_as_sample_index(case):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for y, label in queries:
         expected = sample_index(prm.successor_vector(y, label), ref_rng)
-        assert prm.sample_successor(y, label, rng) == expected
+        assert draw_row(prm.compiled_step(y, label)[0], rng) == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -388,7 +390,7 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
     assert coffee._steps == {}
-    coffee.sample_successor(0, C, np.random.default_rng(0))
+    draw_row(coffee.compiled_step(0, C)[0], np.random.default_rng(0))
     assert list(coffee._steps) == [(0, C)]
 
 
@@ -436,7 +438,7 @@ def test_stream_rejects_ranges_it_does_not_draw():
 def test_membership_machine_run():
     ap = Alphabet(["c", "o", "*"])
     machine = membership_reward_machine(ap, (C, O))
-    run = machine.sample_run((C, O), np.random.default_rng(0))
+    run = session_run(machine, (C, O), np.random.default_rng(0))
     assert [r for _, r in run] == [1.0, 1.0]
 
 

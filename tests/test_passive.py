@@ -6,11 +6,13 @@ from prmlearn import (
     PassiveConfig,
     build_office_nmdp,
     coffee_prm,
+    collect_traces,
     learn_passive,
     learn_passive_from_traces,
     parse_gridmap,
     patrol_prm,
     shortest_path_policy,
+    uniform_policy,
 )
 from prmlearn.alphabet import EMPTY_LABEL, EPSILON
 from prmlearn.environment import PositionalPolicy
@@ -26,6 +28,15 @@ def test_config_validation():
         PassiveConfig(n_check=0)
     with pytest.raises(ValueError):
         PassiveConfig(n_check=10, n_episode=0)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
+def test_jobs_must_be_a_positive_integer(jobs):
+    m = two_cell_nmdp(patrol_prm())
+    with pytest.raises(ValueError, match="jobs"):
+        PassiveConfig(n_check=1, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        collect_traces(m, uniform_policy(m), 3, seed=0, n_episode=5, jobs=jobs)
 
 
 def test_single_trace_example():
@@ -111,7 +122,7 @@ def test_incompleteness_preserved():
     traces = [[(C, 0.0), (O, 1.0)]] * 200
     result = learn_passive_from_traces(traces, ap, PassiveConfig(n_check=50))
     h = result.hypothesis
-    assert h.bottom_mass((O,)) == 1.0
+    assert h.successor_vector(h.init, O)[h.bottom] == 1.0
 
 
 @pytest.mark.parametrize("traces", [[], [[], []]], ids=["no-trace", "empty-traces"])

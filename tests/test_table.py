@@ -707,7 +707,7 @@ def test_build_hypothesis_undersampled_goes_to_bottom():
     # every label from the sampled state routes to the failure state
     vec = h.successor_vector(0, EMPTY_LABEL)
     assert vec[h.bottom] == 1.0
-    assert h.bottom_mass((EMPTY_LABEL,)) == 1.0
+    assert h.successor_vector(h.init, EMPTY_LABEL)[h.bottom] == 1.0
 
 
 def test_build_hypothesis_requires_closed_and_consistent():
