@@ -276,7 +276,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
 
     def fill_table() -> int:
         episodes = 0
-        for s in list(table.s):
+        for s in [table.word(i) for i in table.s]:
             for x in extensions:
                 for e in list(table.e):
                     zeta = s + x + e

@@ -381,9 +381,7 @@ class Prm:
         return out
 
     def initial_vector(self) -> np.ndarray:
-        vec = np.zeros(len(self.states))
-        vec[self.init] = 1.0
-        return vec
+        return unit_vector(len(self.states), self.init)
 
     def _read(self, word: Word) -> np.ndarray:
         """The state distribution after `word`, by the vector chain
@@ -517,7 +515,7 @@ def prm_from_text(text: str) -> Prm:
     implicit_bottom = False
     tags = {}
     state_lines = []
-    edges = []  # (src, label, reward, dst, prob)
+    edges = {}  # (src, label, dst) -> (reward, prob), one line each
     headers = set()  # each header line may appear once
     for raw in text.splitlines():
         line = raw.strip()
@@ -558,14 +556,15 @@ def prm_from_text(text: str) -> Prm:
             src, rest = head.split("--", 1)
             middle, dst = rest.rsplit("-->", 1)
             label_part, reward_part = middle.rsplit("/", 1)
-            edges.append(
-                (src.strip(), parse_label(label_part), parse_reward(reward_part), dst.strip(), float(prob))
-            )
+            edge = (src.strip(), parse_label(label_part), dst.strip())
+            if edge in edges:   # a second line would add to the first's probability
+                raise ValueError("repeated edge line: %s" % line)
+            edges[edge] = (parse_reward(reward_part), float(prob))
     if ap is None or init_name is None:
         raise ValueError("machine text is missing its ap or init header")
 
     names = []
-    named = [e[0] for e in edges] + [e[3] for e in edges] + list(tags)
+    named = [e[0] for e in edges] + [e[2] for e in edges] + list(tags)
     for name in named + state_lines + [init_name, bottom_name]:
         if name is not None and name not in names:
             names.append(name)
@@ -574,7 +573,7 @@ def prm_from_text(text: str) -> Prm:
     if target and implicit_bottom and tags.get(bottom_name, 0.0) != 0.0:
         raise ValueError("the implicit failure state %s emits 0, not its tag" % bottom_name)
     tau, rho = {}, {}
-    for src, label, reward, dst, prob in edges:
+    for (src, label, dst), (reward, prob) in edges.items():
         if target:
             if dst not in tags:
                 raise ValueError("target machine has no tag for state %s" % dst)
@@ -582,10 +581,9 @@ def prm_from_text(text: str) -> Prm:
         y, j = index[src], index[dst]
         if (y, label) not in tau:
             tau[(y, label)] = np.zeros(len(names))
-        tau[(y, label)][j] += prob
-        # a line of probability 0 is no edge and pays nothing
-        if prob and rho.setdefault((y, label, j), reward) != reward:
-            raise ValueError("conflicting rewards for %s on %s to %s" % (src, label_str(label), dst))
+        tau[(y, label)][j] = prob
+        if prob:   # a line of probability 0 is no edge and pays nothing
+            rho[(y, label, j)] = reward
 
     return Prm(
         ap,

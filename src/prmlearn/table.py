@@ -125,22 +125,22 @@ class ObservationTable:
     def __init__(self, ap: Alphabet, alphabet=None):
         self.ap = ap
         self.alphabet = list(alphabet) if alphabet is not None else ap.labels()
-        self.s: list = [EPSILON]
+        self.s: list = [0]   # S as word ids, in order; ε's is 0
+        self._in_s = {0}
         self.e: list = [EPSILON]
-        self._s_set = {EPSILON}
-        self._e_set = {EPSILON}
         self.rewards: set = set()   # every reward that is a key of some counter in t
         self.num_traces = 0
         self._total_samples = 0
         # Word ids, the table's one store of words: every prefix of a
         # recorded word has one, ε has 0, a parent's id is below its
         # children's, and no word's tuple is kept.  A prefix that from_csv
-        # interns but the file does not list has an id and no Counter.
+        # interns but the file does not list, and a word that add_state
+        # interns unrecorded, have an id and no Counter.
         self._child: dict = {}            # (parent id, label) -> id
         self._parent: list = [None]       # id -> its (parent id, label) key in _child
         self._counts: list = [None]       # id -> the word's Counter, or None
-        # E as a trie beside its list: a node is [its word's index into E or
-        # None, {label: child node}], and the root is ε's, column 0.
+        # E as a trie beside its list, which marks membership too: a node is
+        # [its word's index into E or None, {label: child node}], root ε's.
         self._e_trie: list = [0, {}]
         # Caches derived from the counts and E, filled on first use.  Word
         # inputs and word-pair verdicts depend on the counts alone (and on
@@ -150,11 +150,11 @@ class ObservationTable:
         self._inputs: dict = {}
         # (id, id') with id < id' -> whether the two words differ
         self._pairs: dict = {}
-        # row word -> (the set of indices into E of the columns with samples
+        # row id -> (the set of indices into E of the columns with samples
         # at row.e, {index: the id of row.e} over those of them that can
         # differ, in E order)
         self._cols: dict = {}
-        # (row, row') and (row', row) -> the compatible_rows verdict
+        # (row id, row id') with id <= id' -> the compatible_rows verdict
         self._verdicts: dict = {}
         # the last is_closed and is_consistent results until S, E or the counts change
         self._closed = self._consistent = None
@@ -179,16 +179,13 @@ class ObservationTable:
         self._counts.append(None)
         return new
 
-    def _counter_of(self, word: Word) -> Counter:
-        """The Counter of `word`, added with its prefixes' ids where missing."""
-        node = 0
+    def _node(self, word: Word) -> int:
+        """The id of `word`, given with its prefixes' ids where missing."""
+        node, child = 0, self._child
         for label in word:
-            nxt = self._child.get((node, label))
+            nxt = child.get((node, label))
             node = nxt if nxt is not None else self._intern(node, label)
-        counter = self._counts[node]
-        if counter is None:
-            counter = self._counts[node] = Counter()
-        return counter
+        return node
 
     def record(self, trace) -> None:
         """Count every nonempty prefix of a trace of (label, reward) pairs."""
@@ -225,8 +222,8 @@ class ObservationTable:
 
     # -- lookups -----------------------------------------------------------
 
-    def _find(self, word: Word):
-        """The id of `word`, or None."""
+    def row(self, word: Word):
+        """The id of `word`, or None: a word without an id has no samples."""
         node, child = 0, self._child
         for label in word:
             node = child.get((node, label))
@@ -234,7 +231,8 @@ class ObservationTable:
                 break
         return node
 
-    def _word(self, node: int) -> Word:
+    def word(self, node: int) -> Word:
+        """The word whose id is `node`."""
         labels = []
         while node:
             node, label = self._parent[node]
@@ -251,43 +249,47 @@ class ObservationTable:
 
     def sampled_words(self, n: int) -> list:
         """The words of t with at least n samples, in t's order; builds no other."""
-        return [self._word(i) for i, c in enumerate(self._counts)
+        return [self.word(i) for i, c in enumerate(self._counts)
                 if c is not None and sum(c.values()) >= n]
 
     def freq(self, word: Word) -> Counter:
-        node = self._find(word)
+        node = self.row(word)
         return _EMPTY if node is None or self._counts[node] is None else self._counts[node]
 
     def total(self, word: Word) -> int:
-        return sum(self.freq(word).values())
+        return self._total(self.row(word))
+
+    def _total(self, node) -> int:
+        """The sample count of the word whose id is `node`; 0 for None."""
+        counter = None if node is None else self._counts[node]
+        return 0 if counter is None else sum(counter.values())
 
     def sample_count(self, word: Word) -> int:
         """How often `word` was a trace prefix; ε counts every trace."""
-        if not word:
-            return self.num_traces
-        return self.total(word)
+        return self.total(word) if word else self.num_traces
 
     def total_samples(self) -> int:
         return self._total_samples
 
     def add_state(self, word: Word) -> bool:
-        if word in self._s_set:
+        """Add `word`'s id to S, giving an unrecorded word one without counts."""
+        node = self._node(word)
+        if node in self._in_s:
             return False
-        self._s_set.add(word)
-        self.s.append(word)
+        self._in_s.add(node)
+        self.s.append(node)
         self._closed = self._consistent = None
         return True
 
     def add_experiment(self, word: Word) -> bool:
-        if word in self._e_set:
-            return False
-        self._e_set.add(word)
         node = self._e_trie
         for label in word:
             kids = node[1]
             node = kids.get(label)
             if node is None:
                 node = kids[label] = [None, {}]
+        if node[0] is not None:
+            return False
         node[0] = len(self.e)
         self.e.append(word)
         self._columns_changed()
@@ -295,15 +297,16 @@ class ObservationTable:
 
     # -- compatibility ------------------------------------------------------
     #
-    # `diff` is False whenever either word has no samples, so a row test
-    # only visits the experiment columns that both rows have samples for:
-    # it gives the results and witnesses of a loop over all of E, and
-    # costs the number of shared sampled columns, not |E|.  A row finds
-    # its columns by walking E's trie and the word ids together from the
-    # row's id, so it visits only the E prefixes recorded after the row,
-    # not every column of E.  The walk stops only where a word has no id,
-    # never at a word without counts: the words of a table file need not
-    # be prefix-closed.  A word with n samples whose
+    # A row is its word's id; the row s.l is _child[(s, l)], and a word
+    # without an id has no samples.  `diff` is False whenever either word
+    # has no samples, so a row test only visits the experiment columns that
+    # both rows have samples for: it gives the results and witnesses of a
+    # loop over all of E, and costs the number of shared sampled columns,
+    # not |E|.  A row finds its columns by walking E's trie and the word
+    # ids together from the row's id, so it visits only the E prefixes
+    # recorded after the row, not every column of E.  The walk stops only
+    # where a word has no id, never at a word without counts: the words of
+    # a table file need not be prefix-closed.  A word with n samples whose
     # factor * sqrt(1/n) is at least 1 never differs either: its threshold
     # is at least 1 (rounding is monotone, so adding sqrt(1/n') cannot
     # lower it), and no gap between two frequencies in [0, 1] exceeds 1.
@@ -314,30 +317,28 @@ class ObservationTable:
     # rows (s.l, s'.l) at column e test the same two words.  Each row
     # pair's verdict is kept until the counts or E change.
 
-    def _columns(self, s: Word):
+    def _columns(self, s: int):
         """(the set of indices i into E of the columns with samples at
         s.E[i], {i: the id of s.E[i]} over those of them whose word can
-        differ from another, in E order)."""
+        differ from another, in E order), for the row with id s."""
         cols = self._cols.get(s)
         if cols is None:
             hits = []   # (i, id of s.E[i], its sample count)
-            start = self._find(s)
-            if start is not None:
-                child, counts = self._child, self._counts
-                stack = [(self._e_trie, start)]
-                while stack:
-                    (i, kids), node = stack.pop()
-                    if i is not None:
-                        counter = counts[node]
-                        if counter is not None:
-                            n = sum(counter.values())
-                            if n > 0:
-                                hits.append((i, node, n))
-                    for label, sub in kids.items():
-                        nxt = child.get((node, label))
-                        if nxt is not None:
-                            stack.append((sub, nxt))
-                hits.sort()
+            child, counts = self._child, self._counts
+            stack = [(self._e_trie, s)]
+            while stack:
+                (i, kids), node = stack.pop()
+                if i is not None:
+                    counter = counts[node]
+                    if counter is not None:
+                        n = sum(counter.values())
+                        if n > 0:
+                            hits.append((i, node, n))
+                for label, sub in kids.items():
+                    nxt = child.get((node, label))
+                    if nxt is not None:
+                        stack.append((sub, nxt))
+            hits.sort()
             # sqrt(1/n) is the root _word_inputs computes, so the words left
             # out are exactly those whose threshold is at least 1
             factor = _hoeffding_factor(max(self._total_samples, 1))
@@ -353,7 +354,7 @@ class ObservationTable:
             inputs = self._inputs[node] = _word_inputs(self._counts[node])
         return inputs
 
-    def _first_difference(self, s: Word, s_prime: Word):
+    def _first_difference(self, s: int, s_prime: int):
         """The first index i in E order at which s.E[i] and s_prime.E[i]
         differ by the test `diff` runs, or None."""
         cols, cols_prime = self._columns(s)[1], self._columns(s_prime)[1]
@@ -373,22 +374,20 @@ class ObservationTable:
                 return i
         return None
 
-    def compatible_rows(self, s: Word, s_prime: Word) -> bool:
-        verdict = self._verdicts.get((s, s_prime))
+    def compatible_rows(self, s: int, s_prime: int) -> bool:
+        key = (s, s_prime) if s < s_prime else (s_prime, s)
+        verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._first_difference(s, s_prime) is None
-            # the test is symmetric; tuples of labels have no order to
-            # pick one key by, so the pair is stored both ways
-            self._verdicts[(s, s_prime)] = self._verdicts[(s_prime, s)] = verdict
+            verdict = self._verdicts[key] = self._first_difference(s, s_prime) is None
         return verdict
 
-    def rows_share_evidence(self, s: Word, s_prime: Word) -> bool:
+    def rows_share_evidence(self, s: int, s_prime: int) -> bool:
         """True when some experiment column has samples for both rows."""
         return not self._columns(s)[0].isdisjoint(self._columns(s_prime)[0])
 
     # -- closedness / consistency -------------------------------------------
 
-    def row_has_data(self, s: Word) -> bool:
+    def row_has_data(self, s: int) -> bool:
         return bool(self._columns(s)[0])
 
     def is_closed(self):
@@ -403,8 +402,8 @@ class ObservationTable:
     def _closedness(self):
         for s in self.s:
             for label in self.alphabet:
-                extended = s + (label,)
-                if not self.row_has_data(extended):
+                extended = self._child.get((s, label))
+                if extended is None or not self.row_has_data(extended):
                     continue
                 covered = any(
                     self.compatible_rows(extended, s_prime)
@@ -412,7 +411,7 @@ class ObservationTable:
                     for s_prime in self.s
                 )
                 if not covered:
-                    return False, (s, label)
+                    return False, (self.word(s), label)
         return True, None
 
     def is_consistent(self):
@@ -428,25 +427,31 @@ class ObservationTable:
                 if not self.compatible_rows(s, s_prime):
                     continue
                 for label in self.alphabet:
-                    left, right = s + (label,), s_prime + (label,)
-                    if not self.compatible_rows(left, right):
-                        first = self._first_difference(left, right)
-                        return False, (s, s_prime, label, self.e[first])
+                    left, right = self._child.get((s, label)), self._child.get((s_prime, label))
+                    if left is None or right is None or self.compatible_rows(left, right):
+                        continue
+                    first = self._first_difference(left, right)
+                    return False, (self.word(s), self.word(s_prime), label, self.e[first])
         return True, None
 
     # -- representatives ------------------------------------------------------
 
-    def rank(self, s: Word) -> int:
-        return sum(self.total(s + (label,)) for label in self.alphabet)
+    def rank(self, s: int) -> int:
+        return sum(self._total(self._child.get((s, label))) for label in self.alphabet)
 
-    def resolve_to_member(self, w: Word) -> Word:
-        """Map an arbitrary word to a compatible member of S, preferring
+    def _preference(self, s: int) -> tuple:
+        """Rows stand for their class by rank, highest first, then by length and text."""
+        word = self.word(s)
+        return -self.rank(s), len(word), word_str(word)
+
+    def resolve_to_member(self, w: int) -> int:
+        """Map an arbitrary row to a compatible member of S, preferring
         members with shared evidence; exists whenever the table is closed."""
         compatible = [s for s in self.s if self.compatible_rows(w, s)]
         if not compatible:
-            raise ValueError("no compatible row for %s; table is not closed" % (word_str(w),))
+            raise ValueError("no compatible row for %s; table is not closed" % (word_str(self.word(w)),))
         shared = [s for s in compatible if s == w or self.rows_share_evidence(w, s)]
-        return min(shared or compatible, key=lambda s: (-self.rank(s), len(s), word_str(s)))
+        return min(shared or compatible, key=self._preference)
 
     # -- serialization ---------------------------------------------------------
 
@@ -502,7 +507,8 @@ class ObservationTable:
                 if count < 0:
                     raise ValueError("negative count in table row %r" % (row,))
                 claims.append((word, sample))
-                counter = table._counter_of(word)
+                node = table._node(word)
+                counter = table._counts[node] = table._counts[node] or Counter()
                 reward = parse_reward(row["reward"])
                 counter[reward] += count
                 table.rewards.add(reward)
@@ -553,10 +559,7 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     # rows with no data of their own (typically ε, whose own-word column is
     # never recorded) go last so they join an existing class instead of
     # seeding a spurious one
-    order_rows = sorted(
-        table.s,
-        key=lambda w: (0 if table.row_has_data(w) else 1, -table.rank(w), len(w), word_str(w)),
-    )
+    order_rows = sorted(table.s, key=lambda u: (not table.row_has_data(u),) + table._preference(u))
     classes: list = []
     assign: dict = {}
     for u in order_rows:
@@ -576,7 +579,8 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
             classes[target].append(u)
             assign[u] = target
 
-    start = (0.0, assign[EPSILON])
+    start = (0.0, assign[0])
+    child, counts = table._child, table._counts
     order = [start]
     seen = {start}
     edges = {}  # (state, label) -> list of (prob, next_state) or None for bottom
@@ -585,15 +589,12 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
         state = queue.pop(0)
         _, cls_idx = state
         for label in table.alphabet:
-            donors = [u for u in classes[cls_idx] if table.total(u + (label,)) > 0]
+            donors = [u for u in classes[cls_idx] if table._total(child.get((u, label))) > 0]
             if not donors:
                 edges[(state, label)] = None
                 continue
-            u = min(
-                donors,
-                key=lambda w: (-table.total(w + (label,)), -table.rank(w), len(w), word_str(w)),
-            )
-            if table.sample_count(u) < n_check:
+            u = min(donors, key=lambda v: (-table._total(child[(v, label)]),) + table._preference(v))
+            if (table._total(u) if u else table.num_traces) < n_check:   # ε counts every trace
                 edges[(state, label)] = None
                 continue
             # pool the counts of every class member: the rows were merged as
@@ -601,9 +602,9 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
             # the same distribution
             counter = Counter()
             for donor in donors:
-                counter.update(table.freq(donor + (label,)))
+                counter.update(counts[child[(donor, label)]])
             total = sum(counter.values())
-            next_cls = assign[table.resolve_to_member(u + (label,))]
+            next_cls = assign[table.resolve_to_member(child[(u, label)])]
             outs = []
             for gamma in sorted(counter):
                 nxt = (float(gamma), next_cls)

@@ -18,7 +18,11 @@ word tuples alone, so a change to recording that alters the active table
 fails even where the machine and the report stay the same.  The rollout
 digest is of `save_traces` of office uniform-policy episodes while each
 episode still built its own `SeedSequence` child and `Generator`; the
-truth's coffee draw interleaves there with the action draws.
+truth's coffee draw interleaves there with the action draws.  The S and
+E digests are of `word_str` of each member of S and of E, in order, one
+a line, while S still held words rather than their ids, so a change to
+the closedness and consistency witnesses or to the order in which they
+grow the table fails even where the machine stays the same.
 """
 
 import hashlib
@@ -26,6 +30,7 @@ from pathlib import Path
 
 import prmlearn
 from prmlearn import LearnerConfig, PassiveConfig, learn_active, learn_passive, prm_to_text
+from prmlearn.alphabet import word_str
 from prmlearn.environment import collect_traces, load_env_config, save_traces, uniform_policy
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
@@ -35,6 +40,10 @@ ACTIVE_OFFICE_SHA256 = "692f76ea7f795bce17e6d78238b6c3a97c4116ac1ac154288a8c053c
 ACTIVE_OFFICE_REPORT_SHA256 = "787a7ba6a77a16279bcbd3b76fc5f7f563a3cc2b683e017b00aadc6fe6e84115"
 PASSIVE_OFFICE_TABLE_SHA256 = "66a78c0743148a4ec07e86f3f8ce5cb3fd6eb8ea17807e42d72dfde8330d4341"
 ACTIVE_OFFICE_TABLE_SHA256 = "8bf31854409e1e58e26f4b5543eac6c2252ba9226b34d6018d28a24f7953a830"
+PASSIVE_OFFICE_S_SHA256 = "f0af6bb687b477efd0e0e6a4ae739c8d73652ccee13f85c7906a16b2adf5a96d"
+PASSIVE_OFFICE_E_SHA256 = "795447d5ab7c04515295c210a1ca720e083cda163ad0e012bab4f8204dd957ac"
+ACTIVE_OFFICE_S_SHA256 = "3cb82b9382722c3fb1890a786297f657e208acc29596d9bcdcea8cf7322ea6fb"
+ACTIVE_OFFICE_E_SHA256 = "0f072b4daf81e8b8db6784d78f54e655058b19522c47b945b59d02f41d4cbaab"
 OFFICE_ROLLOUTS_SHA256 = "54113c392a0773fda4f2764d842d741020d0350cc09ea7cee88202e2c8cf1501"
 
 
@@ -44,6 +53,12 @@ def digest(prm) -> str:
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def s_and_e_digests(table) -> tuple:
+    """The sha256 of S and of E, each member's `word_str` a line, in order."""
+    return tuple(sha256("\n".join(word_str(w) for w in words))
+                 for words in ([table.word(s) for s in table.s], table.e))
 
 
 def test_passive_office_machine_is_pinned(tmp_path):
@@ -56,6 +71,7 @@ def test_passive_office_machine_is_pinned(tmp_path):
     path = tmp_path / "table.csv"
     result.table.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PASSIVE_OFFICE_TABLE_SHA256
+    assert s_and_e_digests(result.table) == (PASSIVE_OFFICE_S_SHA256, PASSIVE_OFFICE_E_SHA256)
 
 
 def test_active_office_machine_is_pinned(tmp_path):
@@ -68,6 +84,7 @@ def test_active_office_machine_is_pinned(tmp_path):
     path = tmp_path / "table.csv"
     result.table.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACTIVE_OFFICE_TABLE_SHA256
+    assert s_and_e_digests(result.table) == (ACTIVE_OFFICE_S_SHA256, ACTIVE_OFFICE_E_SHA256)
 
 
 def test_office_rollouts_are_pinned(tmp_path):

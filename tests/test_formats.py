@@ -229,6 +229,19 @@ def test_machine_header_read_once_and_exactly(text, line):
         prm_from_text(text)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("y0 --a/0--> y1 : 0.5", "y0 --a/0--> y1 : 0.5"),
+    ("y0 --a&b/0--> y1 : 0.5", "y0 --b&a/0--> y1 : 0.5"),   # one label, spelled twice
+    ("y0 --a/0--> y1 : 1.0", "y0 --a/0--> y1 : 0.0"),
+])
+def test_machine_repeated_edge_line_rejected(first, second):
+    # summed, the two lines of one (state, label, successor) would make
+    # two halves read as one edge of probability 1.0
+    text = "ap: a,b\ngamma: 0,1\ninit: y0\n%s\n%s\n" % (first, second)
+    with pytest.raises(ValueError, match="repeated edge line: %s" % re.escape(second)):
+        prm_from_text(text)
+
+
 def test_machine_state_lines_may_repeat():
     prm = prm_from_text(ACTIVE_OFFICE + "state: spare\nstate: spare\n")
     assert prm.states.count("spare") == 1

@@ -26,6 +26,11 @@ A = frozenset({"a"})
 B = frozenset({"b"})
 
 
+def rows(table, *words):
+    """The ids that name `words` as rows of the table."""
+    return [table.row(word) for word in words]
+
+
 def freq_fn(mapping):
     return lambda w: Counter(mapping.get(w, {}))
 
@@ -242,7 +247,7 @@ def test_sampled_words_are_the_words_of_t_with_n_samples(recorded, n):
 def test_row_compatible_with_itself():
     table = make_table()
     table.record([(C, 0.0)])
-    assert table.compatible_rows((C,), (C,))
+    assert table.compatible_rows(*rows(table, (C,), (C,)))
 
 
 def test_fresh_table_closed_and_consistent():
@@ -295,20 +300,20 @@ def test_rank_and_representative():
         table.record([(C, 0.0), (C, 1.0)])
     for _ in range(5):
         table.record([(C, 0.0), (O, 0.0)])
-    assert table.rank((C,)) == 10
+    assert table.rank(table.row((C,))) == 10
     # singleton class: a word resolves to itself
-    assert table.resolve_to_member(EPSILON) == EPSILON
+    assert table.resolve_to_member(table.row(EPSILON)) == table.row(EPSILON)
     table.add_state((C,))
     for _ in range(5):
         table.record([(EMPTY_LABEL, 0.0), (C, 0.0)])
     # (eps-label) row compatible with (c) row; (c) has higher rank
-    assert table.rank((C,)) > table.rank((EMPTY_LABEL,))
+    assert table.rank(table.row((C,))) > table.rank(table.row((EMPTY_LABEL,)))
     # eps shares no sampled column with (eps-label), so (c) is preferred
-    assert table.resolve_to_member((EMPTY_LABEL,)) == (C,)
+    assert table.resolve_to_member(table.row((EMPTY_LABEL,))) == table.row((C,))
     # two compatible members with shared evidence: the higher-rank one wins,
     # even over the word itself
     table.add_state((EMPTY_LABEL,))
-    assert table.resolve_to_member((EMPTY_LABEL,)) == (C,)
+    assert table.resolve_to_member(table.row((EMPTY_LABEL,))) == table.row((C,))
 
 
 # -- row sweeps against the full column loops ------------------------------------------
@@ -331,7 +336,8 @@ def ref_row_has_data(table, s):
 
 
 def ref_is_closed(table):
-    for s in table.s:
+    states = [table.word(s) for s in table.s]
+    for s in states:
         for label in table.alphabet:
             extended = s + (label,)
             if not ref_row_has_data(table, extended):
@@ -339,7 +345,7 @@ def ref_is_closed(table):
             covered = any(
                 ref_compatible_rows(table, extended, s_prime)
                 and (s_prime == extended or ref_rows_share_evidence(table, extended, s_prime))
-                for s_prime in table.s
+                for s_prime in states
             )
             if not covered:
                 return False, (s, label)
@@ -348,8 +354,9 @@ def ref_is_closed(table):
 
 def ref_is_consistent(table):
     m_total = max(table.total_samples(), 1)
-    for i, s in enumerate(table.s):
-        for s_prime in table.s[i + 1:]:
+    states = [table.word(s) for s in table.s]
+    for i, s in enumerate(states):
+        for s_prime in states[i + 1:]:
             if not ref_compatible_rows(table, s, s_prime):
                 continue
             for label in table.alphabet:
@@ -363,17 +370,23 @@ def ref_is_consistent(table):
 def sweep(table):
     """Every sweep result over the rows S and S.alphabet, checked against
     the reference loops; returns the closedness and consistency results."""
-    rows = list(dict.fromkeys(
-        list(table.s) + [s + (label,) for s in table.s for label in table.alphabet]
-    ))
-    for u in rows:
-        assert table.row_has_data(u) == ref_row_has_data(table, u)
-        for v in rows:
+    states = [table.word(s) for s in table.s]
+    words = list(dict.fromkeys(states + [s + (label,) for s in states for label in table.alphabet]))
+    rows = []   # (word, its id) over the words that have an id
+    for u in words:
+        if table.row(u) is None:
+            # a word without an id has no samples, and the sweeps skip it
+            assert not ref_row_has_data(table, u)
+        else:
+            rows.append((u, table.row(u)))
+    for u, row_u in rows:
+        assert table.row_has_data(row_u) == ref_row_has_data(table, u)
+        for v, row_v in rows:
             # the verdict is memoised per unordered pair: ask both orders
             expected = ref_compatible_rows(table, u, v)
-            assert table.compatible_rows(u, v) == expected
-            assert table.compatible_rows(v, u) == expected
-            assert table.rows_share_evidence(u, v) == ref_rows_share_evidence(table, u, v)
+            assert table.compatible_rows(row_u, row_v) == expected
+            assert table.compatible_rows(row_v, row_u) == expected
+            assert table.rows_share_evidence(row_u, row_v) == ref_rows_share_evidence(table, u, v)
     closed, consistent = table.is_closed(), table.is_consistent()
     assert closed == ref_is_closed(table)
     assert consistent == ref_is_consistent(table)
@@ -437,8 +450,8 @@ def test_row_sweeps_match_full_column_loops(ops, pad):
         pad_csv(path, pad)
         padded = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
     for copy in (again, padded):
-        for word in table.s:
-            copy.add_state(word)
+        for s in table.s:
+            copy.add_state(table.word(s))
         for word in table.e:
             copy.add_experiment(word)
     assert sweep(again) == results
@@ -555,17 +568,18 @@ def test_row_sweeps_follow_new_counts_and_columns():
     # second sweep must not read columns cached by the first
     table = make_table(alphabet=[EMPTY_LABEL, C])
     table.add_state((EMPTY_LABEL,))
-    assert not table.row_has_data((C,))
+    assert table.row((C,)) is None   # a word without an id has no data
     table.record([(C, 1.0)])
-    assert table.row_has_data((C,))
+    assert table.row_has_data(table.row((C,)))
 
-    assert not table.row_has_data(EPSILON)
+    assert not table.row_has_data(table.row(EPSILON))
     table.add_experiment((C,))
-    assert table.row_has_data(EPSILON)
+    assert table.row_has_data(table.row(EPSILON))
 
-    assert not table.rows_share_evidence((EMPTY_LABEL,), (C,))
+    pair = rows(table, (EMPTY_LABEL,), (C,))
+    assert not table.rows_share_evidence(*pair)
     table.record([(EMPTY_LABEL, 0.0)])
-    assert table.rows_share_evidence((EMPTY_LABEL,), (C,))
+    assert table.rows_share_evidence(*pair)
 
     # rows eps and (eps) are consistent until their c-extensions have
     # enough samples to differ
@@ -578,6 +592,33 @@ def test_row_sweeps_follow_new_counts_and_columns():
         if times == 5:
             assert sweep(table)[1] == (True, None)
     assert sweep(table)[1] == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
+
+
+def test_a_state_that_was_never_recorded_has_an_id_and_no_counts():
+    table = make_table(alphabet=SWEEP_LABELS)
+    for _ in range(5):
+        table.record([(C, 0.0), (O, 1.0)])
+    trace = [(O, 0.0), (C, 0.0), (C, 1.0)]
+
+    def views():
+        return (table.t, table.sampled_words(0), list(table.prefix_counts(trace)),
+                csv_bytes(ObservationTable.to_csv, table))
+
+    before = views()
+    assert table.row((O, C)) is None
+    assert table.add_state((O, C))
+    row = table.row((O, C))
+    assert table.s == [0, row] and table.word(row) == (O, C)
+    assert table.freq((O, C)) == Counter() and table.sample_count((O, C)) == 0
+    assert views() == before
+    assert not table.row_has_data(row)
+    # its prefix o has an id without counts too, and no word below o;c has an id
+    assert not table.row_has_data(table.row((O,)))
+    assert all(table.row((O, C, label)) is None for label in SWEEP_LABELS)
+    # the sweeps skip the rows o;c.l, and give no word an id
+    assert sweep(table) == ((False, (EPSILON, C)), (True, None))
+    assert all(table.row((O, C, label)) is None for label in SWEEP_LABELS)
+    assert views() == before
 
 
 def test_sweep_results_are_kept_until_s_e_or_the_counts_change(monkeypatch):
@@ -624,7 +665,7 @@ def test_rows_differ_at_a_word_just_inside_the_bound(tmp_path):
         table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), [C, O])
         expected = ref_compatible_rows(table, (C,), (O,))
         assert expected == (not tested)
-        assert table.compatible_rows((C,), (O,)) == expected
+        assert table.compatible_rows(*rows(table, (C,), (O,))) == expected
 
 
 def test_consistency_witness_is_the_first_column_in_e_order():
@@ -651,36 +692,36 @@ def test_row_verdicts_follow_counts_columns_and_sample_total():
         table.record([(C, 1.0)])
         table.record([(O, 0.0)])
     # gap 1.0 against 2.55 * 2 / sqrt(30) = 0.93 at M = 60
-    assert not table.compatible_rows((C,), (O,))
+    assert not table.compatible_rows(*rows(table, (C,), (O,)))
     # 200 traces elsewhere raise M to 260 and the threshold to 1.08
     for _ in range(200):
         table.record([(EMPTY_LABEL, 0.0)])
-    assert table.compatible_rows((C,), (O,))
+    assert table.compatible_rows(*rows(table, (C,), (O,)))
 
     table = make_table(alphabet=[EMPTY_LABEL, C, O])
     for _ in range(100):
         table.record([(C, 0.0)])
         table.record([(O, 0.0)])
-    assert table.compatible_rows((C,), (O,))
+    assert table.compatible_rows(*rows(table, (C,), (O,)))
     for _ in range(300):
         table.record([(O, 1.0)])   # T(o) is now 100 zeros and 300 ones
-    assert not table.compatible_rows((C,), (O,))
+    assert not table.compatible_rows(*rows(table, (C,), (O,)))
 
     table = make_table(alphabet=[EMPTY_LABEL, C, O])
     for _ in range(100):
         table.record([(C, 0.0), (C, 1.0)])
         table.record([(O, 0.0), (C, 0.0)])
-    assert table.compatible_rows((C,), (O,))
+    assert table.compatible_rows(*rows(table, (C,), (O,)))
     pairs = dict(table._pairs)   # the verdict of each word pair tested so far
     assert pairs
     table.add_experiment((C,))   # the column where the rows differ
     # a word pair's verdict depends on the counts alone and survives the
     # new column; the row verdict does not
     assert table._pairs == pairs
-    assert not table.compatible_rows((C,), (O,))
+    assert not table.compatible_rows(*rows(table, (C,), (O,)))
     for _ in range(100):
         table.record([(O, 0.0), (C, 1.0)])
-    assert table.compatible_rows((C,), (O,)) == ref_compatible_rows(table, (C,), (O,))
+    assert table.compatible_rows(*rows(table, (C,), (O,))) == ref_compatible_rows(table, (C,), (O,))
 
 
 # -- hypothesis construction ------------------------------------------------------------
@@ -810,8 +851,8 @@ def test_csv_words_need_not_be_prefix_closed(tmp_path):
         table.add_state(word)
     table.add_experiment((O,))
     sweep(table)   # every sweep equals the reference column loops
-    assert not table.compatible_rows(EPSILON, (C,))
-    assert table.compatible_rows((C,), (C, C))
+    assert not table.compatible_rows(*rows(table, EPSILON, (C,)))
+    assert table.compatible_rows(*rows(table, (C,), (C, C)))
     # the unlisted prefix c has an id but no counts
     assert list(table.prefix_counts([(C, 0.0), (O, 0.0), (O, 0.0)])) == [
         Counter(), Counter({1.0: 50}), Counter()]
