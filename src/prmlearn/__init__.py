@@ -27,7 +27,6 @@ from .machine import (
 )
 from .environment import (
     Nmdp,
-    PrmBacked,
     Trajectory,
     build_office_nmdp,
     collect_traces,

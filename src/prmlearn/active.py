@@ -88,20 +88,19 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     if mode not in ("membership", "equivalence"):
         raise ValueError("unknown query mode %r" % (mode,))
     terminal = set(terminal_labels)
-    session = m.reward_source.session(rng)
     available, width = m.available, len(m.actions)
     every = list(range(width))   # the actions of a state whose Q row is read whole
     membership = mode == "membership"
     explore, learn_rate, discount = EXPLORE, LEARN_RATE, DISCOUNT
     h_steps, rows = h._steps, q.rows   # read directly; compiled or created on a miss
-    x, y = m.x_init, h.init
+    x, y, z = m.x_init, h.init, m.truth.init   # z: the truth's state
     row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
     actions = available[x]
     whole = actions == every
     trace = []
     for _ in range(cfg.n_episode):
         a = _choose(row, actions, whole, explore, rng)
-        x_next, label, r = step(m, x, a, rng, session)
+        x_next, z, label, r = step(m, x, z, a, rng)
         h_row, rewards = h_steps.get((y, label)) or h.compiled_step(y, label)
         y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
         target = rewards[y_next] if membership else r

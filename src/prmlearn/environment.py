@@ -1,8 +1,8 @@
 """Non-Markovian decision processes and the office gridworld.
 
 The environment hides its reward source: rewards depend on the full
-label history, through a ground-truth reward machine advanced on
-transition labels (PrmBacked).
+label history, through a ground-truth reward machine (the truth) that
+`step` advances on each transition label.
 """
 
 from __future__ import annotations
@@ -38,34 +38,6 @@ def is_distribution(vec: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(vec)) and np.all(vec >= 0) and abs(vec.sum() - 1.0) <= PROB_TOL)
 
 
-# -- the reward source ---------------------------------------------------------
-
-
-class PrmBacked:
-    """Ground-truth reward machine advanced on the label history."""
-
-    def __init__(self, prm: Prm):
-        if not prm.is_total():
-            raise ValueError("a PrmBacked reward source needs a total machine")
-        self.prm = prm
-
-    def session(self, rng):
-        return _PrmSession(self.prm, rng)
-
-
-class _PrmSession:
-    def __init__(self, prm: Prm, rng):
-        self.prm = prm
-        self.rng = rng
-        self.y = prm.init
-
-    def observe(self, label: Label) -> float:
-        prm, y = self.prm, self.y
-        row, rewards = prm._steps.get((y, label)) or prm.compiled_step(y, label)
-        y_next = self.y = row if row.__class__ is int else draw_row(row, self.rng)
-        return rewards[y_next]
-
-
 # -- the decision process ------------------------------------------------------
 
 
@@ -78,13 +50,15 @@ class Nmdp:
     p: dict                 # (state, action) -> probability vector over states
     ap: Alphabet
     labeling: dict          # (state, action, state) -> Label
-    reward_source: object
+    truth: Prm              # the hidden reward machine; total
     # (state, action) -> (sampling_row of the successor vector, the label of
     # a deterministic row or None), filled by step on first use.  An Nmdp is
     # not changed after construction.
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.truth.is_total():
+            raise ValueError("the truth of an environment must be a total machine")
         for x, acts in enumerate(self.available):
             if not acts:
                 raise ValueError("state %r has no available actions" % (self.states[x],))
@@ -155,10 +129,11 @@ def uniform_policy(m: Nmdp) -> PositionalPolicy:
 # -- stepping and episodes -----------------------------------------------------
 
 
-def step(m: Nmdp, x: int, a: int, rng, reward_session):
-    """One environment step.  The reward session carries the label history.
-    The successor is drawn as `sample_index(m.p[(x, a)], rng)` would, from
-    the pair's compiled row."""
+def step(m: Nmdp, x: int, y: int, a: int, rng):
+    """One step of the environment and its truth from (x, y): returns
+    (x_next, y_next, label, reward).  The environment's successor is drawn
+    as `sample_index(m.p[(x, a)], rng)` would, from the pair's compiled
+    row, then the truth's successor from its compiled step on the label."""
     move = m._moves.get((x, a))
     if move is None:
         if a not in m.available[x]:
@@ -172,23 +147,23 @@ def step(m: Nmdp, x: int, a: int, rng, reward_session):
         label = m.labeling[(x, a, x_next)]
     else:
         x_next = row
-    reward = reward_session.observe(label)
-    return x_next, label, reward
+    truth = m.truth
+    row, rewards = truth._steps.get((y, label)) or truth.compiled_step(y, label)
+    y_next = row if row.__class__ is int else draw_row(row, rng)
+    return x_next, y_next, label, rewards[y_next]
 
 
 def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):
     """Roll out one episode; returns the trace as [(label, reward), ...]."""
     terminal = set(terminal_labels)
-    session = m.reward_source.session(rng)
     compiled = policy._rows
-    x = m.x_init
+    x, y = m.x_init, m.truth.init
     trace = []
     for _ in range(n_episode):
         actions, row = compiled.get(x) or policy.action_row(x, m)
         a = actions[draw_row(row, rng)]
-        x_next, label, reward = step(m, x, a, rng, session)
+        x, y, label, reward = step(m, x, y, a, rng)
         trace.append((label, reward))
-        x = x_next
         if label in terminal:
             break
     return trace
@@ -283,7 +258,7 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
         p=p,
         ap=ap,
         labeling=labeling,
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
 
 
@@ -425,7 +400,7 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
         p=p,
         ap=m.ap,
         labeling=labeling,
-        reward_source=m.reward_source,
+        truth=m.truth,
     )
     return ProductMdp(mdp=mdp, reward=reward, pairs=pairs)
 
@@ -454,7 +429,7 @@ def free_nmdp(truth: Prm) -> Nmdp:
         p=p,
         ap=ap,
         labeling=labeling,
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
 
 

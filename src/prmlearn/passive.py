@@ -64,14 +64,17 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         ap.validate_label(label)
     table = ObservationTable(ap, observed if alphabet is None else alphabet)
 
+    words = set()   # the label words seen: their suffixes are in E already
     for trace in traces:
         table.record(trace)
         word = tuple(label for label, _ in trace)
         # the suffixes longer than the cap are the first ones
         first = max(len(word) - MAX_EXPERIMENT_LEN, 0)
         report.dropped_suffixes += first
-        for k in range(first, len(word)):
-            table.add_experiment(word[k:])
+        if word not in words:
+            words.add(word)
+            for k in range(first, len(word)):
+                table.add_experiment(word[k:])
 
     # Seed S with every prefix sampled at least n_check times: rows without
     # enough data would be routed to the failure state anyway, and the seed

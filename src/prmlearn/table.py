@@ -510,7 +510,9 @@ class ObservationTable:
                 node = table._node(word)
                 counter = table._counts[node] = table._counts[node] or Counter()
                 reward = parse_reward(row["reward"])
-                counter[reward] += count
+                if reward in counter:
+                    raise ValueError("repeated table row: %s,%s" % (row["word"], row["reward"]))
+                counter[reward] = count
                 table.rewards.add(reward)
         for word, sample in claims:
             if sample != table.total(word):

@@ -90,7 +90,7 @@ def brute_force_word_realizability(
 
     if not search(0):
         return None
-    if criterion == "positive_reward" and not _positive_reward_possible(m.reward_source.prm, w):
+    if criterion == "positive_reward" and not _positive_reward_possible(m.truth, w):
         # the label word is realizable but can never pay: keep searching is
         # pointless, reward depends only on the label word
         return None
@@ -129,7 +129,7 @@ def brute_force_reward_distribution(m: Nmdp, w: Word) -> dict:
     reward machine."""
     if brute_force_word_realizability(m, w, node_budget=10 ** 7) is None:
         raise UnreachableWordError("word %s is not realizable in the environment" % (word_str(w),))
-    return machine_reward_distribution(m.reward_source.prm, w)
+    return machine_reward_distribution(m.truth, w)
 
 
 def total_variation(p: dict, q: dict) -> float:

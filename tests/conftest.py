@@ -9,7 +9,6 @@ from prmlearn import (
     EMPTY_LABEL,
     Nmdp,
     Prm,
-    PrmBacked,
     coffee_prm,
     patrol_prm,
 )
@@ -31,14 +30,14 @@ def patrol():
     return patrol_prm()
 
 
-def session_run(prm, word, rng) -> list:
-    """[(state entered, reward), ...] of one reward session of `prm`
-    reading `word`, drawn as the environment draws them."""
-    session = PrmBacked(prm).session(rng)
-    run = []
+def machine_run(prm, word, rng) -> list:
+    """[(state entered, reward), ...] of one run of `prm` reading `word`,
+    drawn as `step` draws the truth's successors."""
+    y, run = prm.init, []
     for label in word:
-        reward = session.observe(label)
-        run.append((session.y, reward))
+        row, rewards = prm.compiled_step(y, label)
+        y = draw_row(row, rng)
+        run.append((y, rewards[y]))
     return run
 
 
@@ -106,7 +105,7 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
         p=p,
         ap=ap,
         labeling=labeling,
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
 
 
@@ -135,7 +134,7 @@ def two_cell_nmdp(truth):
         p=p,
         ap=ap,
         labeling=labeling,
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
 
 
@@ -149,13 +148,12 @@ def rollout_greedy(q, m, h, n_episode, rng, terminal_labels=()):
     """Greedy (explore=0) rollout; returns the trace and the total machine
     reward collected along it."""
     terminal = set(terminal_labels)
-    session = m.reward_source.session(rng)
-    x, y = m.x_init, h.init
+    x, y, z = m.x_init, h.init, m.truth.init   # z: the truth's state
     trace = []
     total_machine_reward = 0.0
     for _ in range(n_episode):
         a = greedy_action(q, y, x, m.available[x])
-        x_next, label, r = step(m, x, a, rng, session)
+        x_next, z, label, r = step(m, x, z, a, rng)
         y_next = draw_row(h.compiled_step(y, label)[0], rng)
         total_machine_reward += h.edge_reward(y, label, y_next)
         trace.append((label, r))

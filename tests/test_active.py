@@ -186,7 +186,7 @@ def ref_epsilon_greedy_action(q, y, x, actions, explore, rng):
 def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
     explore, learn_rate, discount = active.EXPLORE, active.LEARN_RATE, active.DISCOUNT
     terminal = set(terminal_labels)
-    truth = m.reward_source.prm
+    truth = m.truth
     x, y, y_truth = m.x_init, h.init, truth.init
     trace = []
     for _ in range(cfg.n_episode):
@@ -423,7 +423,7 @@ def test_membership_query_realizability_prefilter():
     # restrict transitions to the empty-label action only
     table = ObservationTable(m.ap, [EMPTY_LABEL, C])
     cfg = config(n_query=1000)
-    from prmlearn.environment import Nmdp, PrmBacked
+    from prmlearn.environment import Nmdp
     from prmlearn.machine import unit_vector
 
     only_empty = Nmdp(
@@ -434,7 +434,7 @@ def test_membership_query_realizability_prefilter():
         p={(0, 0): unit_vector(1, 0)},
         ap=truth.ap,
         labeling={(0, 0, 0): EMPTY_LABEL},
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
     episodes = membership_query(table, (C,), only_empty, QTable(), cfg, np.random.default_rng(0))
     assert episodes == 0
@@ -636,7 +636,7 @@ def test_learn_active_trivial_environment():
         "u0 --a/0--> u0 : 1.0",
     ])
     truth = prm_from_text(text)
-    from prmlearn.environment import Nmdp, PrmBacked
+    from prmlearn.environment import Nmdp
     from prmlearn.machine import unit_vector
 
     m = Nmdp(
@@ -647,7 +647,7 @@ def test_learn_active_trivial_environment():
         p={(0, 0): unit_vector(1, 0)},
         ap=truth.ap,
         labeling={(0, 0, 0): EMPTY_LABEL},
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
     res = learn_active(m, config(n_check=30, n_query=200, n_stop=10))
     h = res.hypothesis

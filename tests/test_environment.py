@@ -26,7 +26,6 @@ from prmlearn.environment import (
     MapParseError,
     Nmdp,
     PositionalPolicy,
-    PrmBacked,
     UnavailableActionError,
     load_traces,
     save_traces,
@@ -39,7 +38,7 @@ from prmlearn.environment import (
 from prmlearn.machine import Prm, random_prm, sample_index, spawn_states, unit_vector
 
 from conftest import (
-    C, O, STAR, edges_of, probability_vectors, random_nmdp, session_run, single_state_zero_prm,
+    C, O, STAR, edges_of, machine_run, probability_vectors, random_nmdp, single_state_zero_prm,
     two_cell_nmdp,
 )
 
@@ -91,14 +90,13 @@ def test_tiny_map_step_labels():
     assert len(m.states) == 2
     east = ACTIONS.index("E")
     rng = np.random.default_rng(0)
-    session = m.reward_source.session(rng)
-    x_next, label, reward = step(m, m.x_init, east, rng, session)
+    x_next, y, label, reward = step(m, m.x_init, m.truth.init, east, rng)
     assert m.states[x_next] == "(0,1)"
     assert label == C
     assert reward == 1.0  # patrol machine pays for entering the marked cell
     # blocked move: self-loop with the label of the current (empty) cell
     north = ACTIONS.index("N")
-    x_next, label, _ = step(m, m.x_init, north, rng, session)
+    x_next, _, label, _ = step(m, m.x_init, y, north, rng)
     assert x_next == m.x_init
     assert label == EMPTY_LABEL
 
@@ -108,7 +106,7 @@ def test_unavailable_action_rejected():
     m = build_office_nmdp(grid, patrol_prm())
     rng = np.random.default_rng(0)
     with pytest.raises(UnavailableActionError):
-        step(m, 0, 99, rng, m.reward_source.session(rng))
+        step(m, 0, m.truth.init, 99, rng)
 
 
 def test_action_index_outside_the_actions_rejected():
@@ -121,7 +119,7 @@ def test_action_index_outside_the_actions_rejected():
             p={(0, 0): unit_vector(1, 0), (0, 1): unit_vector(1, 0)},
             ap=Alphabet(["a"]),
             labeling={(0, 0, 0): EMPTY_LABEL, (0, 1, 0): EMPTY_LABEL},
-            reward_source=None,
+            truth=single_state_zero_prm(("a",)),
         )
 
 
@@ -135,7 +133,7 @@ def test_non_finite_transition_rejected():
             p={(0, 0): np.array([np.nan, np.nan]), (1, 0): unit_vector(2, 1)},
             ap=Alphabet(["a"]),
             labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
-            reward_source=None,
+            truth=single_state_zero_prm(("a",)),
         )
 
 
@@ -152,7 +150,7 @@ def test_bad_transition_distributions_rejected():
                 p={(0, 0): np.array(bad), (1, 0): unit_vector(2, 1)},
                 ap=Alphabet(["a"]),
                 labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
-                reward_source=None,
+                truth=single_state_zero_prm(("a",)),
             )
 
 
@@ -200,7 +198,7 @@ def environment_and_actions(draw):
         p=p,
         ap=ap,
         labeling=labeling,
-        reward_source=PrmBacked(truth),
+        truth=truth,
     )
     actions = draw(st.lists(st.integers(0, n_actions - 1), min_size=1, max_size=40))
     return m, actions, draw(st.integers(0, 2 ** 32 - 1))
@@ -214,14 +212,12 @@ def test_step_draws_as_sample_index(case):
     # on the rows and leaves the Generator in the same state
     m, actions, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    session = m.reward_source.session(rng)
     x = ref_x = m.x_init
-    y = m.reward_source.prm.init
+    y = ref_y = m.truth.init
     for a in actions:
-        x, label, reward = step(m, x, a, rng, session)
-        ref_x, ref_label, ref_reward, y = ref_step(m, ref_x, a, ref_rng, m.reward_source.prm, y)
-        assert (x, label, reward) == (ref_x, ref_label, ref_reward)
-        assert session.y == y
+        x, y, label, reward = step(m, x, y, a, rng)
+        ref_x, ref_label, ref_reward, ref_y = ref_step(m, ref_x, a, ref_rng, m.truth, ref_y)
+        assert (x, y, label, reward) == (ref_x, ref_y, ref_label, ref_reward)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -248,7 +244,7 @@ def environment_and_policy(draw):
 def ref_episode(m, policy, rng, n_episode, terminal_labels):
     """run_episode as sample_index draws it: the action from the sorted
     actions' probabilities, then the step from the uncompiled rows."""
-    truth = m.reward_source.prm
+    truth = m.truth
     x, y, trace = m.x_init, truth.init, []
     for _ in range(n_episode):
         dist = policy.action_probs.get(x, {m.available[x][0]: 1.0})
@@ -276,25 +272,32 @@ def test_unavailable_action_rejected_after_other_steps():
     m = random_nmdp(np.random.default_rng(0), n_states=2, n_actions=2)
     m = dataclasses.replace(m, available=[[0], [0, 1]])   # (0, 1) has a row in p
     rng = np.random.default_rng(0)
-    session = m.reward_source.session(rng)
-    step(m, 0, 0, rng, session)
+    step(m, 0, m.truth.init, 0, rng)
     assert m._moves
     with pytest.raises(UnavailableActionError):
-        step(m, 0, 1, rng, session)
+        step(m, 0, m.truth.init, 1, rng)
 
 
-# -- reward sources ------------------------------------------------------------
+# -- the truth ------------------------------------------------------------------
 
 
-def test_prm_backed_requires_total_machine():
-    from prmlearn import Prm
-
+def test_nmdp_requires_total_truth():
     ap = Alphabet(["a"])
     partial = Prm(
         ap, [0.0], ["y0"], 0, {(0, EMPTY_LABEL): np.ones(1)}, {(0, EMPTY_LABEL, 0): 0.0}
     )
-    with pytest.raises(ValueError):
-        PrmBacked(partial)
+    # a Prm with implicit_bottom is total: its undefined pairs go to bottom
+    bottomed = Prm(
+        ap, [0.0], ["y0", "bot"], 0, {(0, EMPTY_LABEL): unit_vector(2, 0)},
+        {(0, EMPTY_LABEL, 0): 0.0}, bottom=1, implicit_bottom=True,
+    )
+    fields = dict(
+        states=("x0",), x_init=0, actions=("loop",), available=[[0]],
+        p={(0, 0): unit_vector(1, 0)}, ap=ap, labeling={(0, 0, 0): EMPTY_LABEL},
+    )
+    with pytest.raises(ValueError, match="truth"):
+        Nmdp(truth=partial, **fields)
+    assert Nmdp(truth=bottomed, **fields).truth is bottomed
 
 
 def test_zero_machine_rewards_are_zero():
@@ -490,7 +493,7 @@ def test_membership_machine_reward_is_match_length():
     machine = membership_reward_machine(ap, zeta)
     rng = np.random.default_rng(0)
     for word in [(C,), (O, C), zeta, zeta + (O, O)]:
-        run = session_run(machine, word, rng)
+        run = machine_run(machine, word, rng)
         total = sum(r for _, r in run)
         # longest prefix of zeta matched so far
         matched, k = 0, 0

@@ -334,6 +334,16 @@ def test_table_csv_round_trip(traces):
         assert again.sample_count(word) == table.sample_count(word)
 
 
+@pytest.mark.parametrize("first, second", [
+    ("c,0,1,2", "c,0,1,2"),
+    ("c,1,1,2", "c,1.0,1,2"),   # one reward, spelled twice
+])
+def test_table_csv_repeated_row_rejected(first, second):
+    # summed, two rows of one (word, reward) would not write back as read
+    with pytest.raises(ValueError, match="repeated table row: %s" % re.escape(second[:-4])):
+        read_csv_text("word,reward,count,sample\n%s\n%s\n" % (first, second))
+
+
 # -- proposition names ---------------------------------------------------------------
 
 

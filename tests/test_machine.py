@@ -19,10 +19,9 @@ from prmlearn import (
     random_prm,
     save_prm,
 )
-from prmlearn.environment import PrmBacked
 from prmlearn.machine import STREAM_BLOCK, Stream, draw_row, sample_index, sampling_row, unit_vector
 
-from conftest import C, O, STAR, edges_of, probability_vectors, session_run, single_state_zero_prm
+from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, single_state_zero_prm
 
 A = frozenset({"a"})
 
@@ -259,9 +258,9 @@ def test_prefix_semantics_follow_the_vector_chain():
 
 def test_sample_run_deterministic_machine(patrol):
     word = (C, frozenset(), C)
-    runs = {tuple(session_run(patrol, word, np.random.default_rng(seed))) for seed in range(5)}
+    runs = {tuple(machine_run(patrol, word, np.random.default_rng(seed))) for seed in range(5)}
     assert len(runs) == 1
-    rewards = [r for _, r in session_run(patrol, word, np.random.default_rng(0))]
+    rewards = [r for _, r in machine_run(patrol, word, np.random.default_rng(0))]
     assert rewards == [1.0, 1.0, 1.0]
 
 
@@ -279,12 +278,9 @@ def test_sample_run_undefined_transition():
 def test_sample_run_coffee_split_monte_carlo(coffee):
     rng = np.random.default_rng(12345)
     n = 10 ** 5
-    truth = PrmBacked(coffee)
     hits = 0
     for _ in range(n):
-        session = truth.session(rng)
-        session.observe(C)
-        if session.observe(O) == 1.0:
+        if machine_run(coffee, (C, O), rng)[-1][1] == 1.0:
             hits += 1
     assert abs(hits / n - 0.9) <= 0.01
 
@@ -383,9 +379,7 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
     past = 1.0 - 1e-11
     row, rewards = prm.compiled_step(0, A)
     assert draw_row(row, ScriptedRng([past])) == sample_index(tau[(0, A)], ScriptedRng([past])) == 1
-    session = PrmBacked(prm).session(ScriptedRng([past]))
-    assert session.observe(A) == 1.0
-    assert session.y == 1
+    assert machine_run(prm, (A,), ScriptedRng([past])) == [(1, 1.0)]
 
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
@@ -438,7 +432,7 @@ def test_stream_rejects_ranges_it_does_not_draw():
 def test_membership_machine_run():
     ap = Alphabet(["c", "o", "*"])
     machine = membership_reward_machine(ap, (C, O))
-    run = session_run(machine, (C, O), np.random.default_rng(0))
+    run = machine_run(machine, (C, O), np.random.default_rng(0))
     assert [r for _, r in run] == [1.0, 1.0]
 
 
