@@ -154,10 +154,9 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     the hypothesis prediction at that prefix.
 
     The walk stops at the first prefix below n_check samples with none or
-    with factor * sqrt(1/n) >= 1: in a table filled by `record` (a
-    `from_csv` table need not be prefix-closed) no later prefix has more
-    samples, so none reaches n_check, and its threshold of at least 1
-    exceeds every gap.
+    with factor * sqrt(1/n) >= 1: no later prefix has more samples, so
+    none reaches n_check, and its threshold of at least 1 exceeds every
+    gap.
 
     `steps` memoises `h.advance` by (bytes of the state vector, label); a
     caller checking many traces against one hypothesis passes the same

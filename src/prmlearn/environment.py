@@ -48,7 +48,6 @@ class Nmdp:
     actions: tuple          # display names
     available: list         # state index -> list of action indices
     p: dict                 # (state, action) -> probability vector over states
-    ap: Alphabet
     labeling: dict          # (state, action, state) -> Label
     truth: Prm              # the hidden reward machine; total
     # (state, action) -> (sampling_row of the successor vector, the label of
@@ -72,6 +71,12 @@ class Nmdp:
             for j in np.flatnonzero(vec):
                 if (x, a, int(j)) not in self.labeling:
                     raise ValueError("missing label for transition (%d, %d, %d)" % (x, a, int(j)))
+                self.ap.validate_label(self.labeling[(x, a, int(j))])
+
+    @property
+    def ap(self) -> Alphabet:
+        """The truth's propositions, which every transition label uses."""
+        return self.truth.ap
 
     def label_alphabet(self) -> list:
         """Labels that actually occur on transitions, in canonical order."""
@@ -236,7 +241,6 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
     index = {cell: i for i, cell in enumerate(cells)}
     names = tuple("(%d,%d)" % cell for cell in cells)
     n = len(cells)
-    ap = truth.ap
     p, labeling = {}, {}
     available = [list(range(len(ACTIONS))) for _ in cells]
     for (r, c), x in index.items():
@@ -247,16 +251,13 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
                 nr, nc = r, c
             x_next = index[(nr, nc)]
             p[(x, a)] = unit_vector(n, x_next)
-            label = gridmap.props_at(nr, nc)
-            ap.validate_label(label)
-            labeling[(x, a, x_next)] = label
+            labeling[(x, a, x_next)] = gridmap.props_at(nr, nc)
     return Nmdp(
         states=names,
         x_init=index[gridmap.start],
         actions=ACTIONS,
         available=available,
         p=p,
-        ap=ap,
         labeling=labeling,
         truth=truth,
     )
@@ -398,7 +399,6 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
         actions=m.actions,
         available=available,
         p=p,
-        ap=m.ap,
         labeling=labeling,
         truth=m.truth,
     )
@@ -411,8 +411,7 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
 def free_nmdp(truth: Prm) -> Nmdp:
     """One state per label plus an initial state; action k moves to the
     state emitting label k.  Every label word is realizable."""
-    ap = truth.ap
-    labels = ap.labels()
+    labels = truth.ap.labels()
     n = len(labels) + 1
     names = ("x_init",) + tuple("x_%s" % label_str(l) for l in labels)
     p, labeling = {}, {}
@@ -427,7 +426,6 @@ def free_nmdp(truth: Prm) -> Nmdp:
         actions=tuple("goto_%s" % label_str(l) for l in labels),
         available=available,
         p=p,
-        ap=ap,
         labeling=labeling,
         truth=truth,
     )

@@ -235,6 +235,8 @@ class Prm:
         self._steps = {}
 
         n = len(self.states)
+        if "" in self.states:
+            raise ValueError("a state name is empty")
         if not 0 <= self.init < n:
             raise ValueError("initial state index out of range")
         if implicit_bottom and bottom is None:
@@ -503,17 +505,13 @@ def prm_to_text(prm: Prm) -> str:
 
 
 def prm_from_text(text: str) -> Prm:
-    """Read a machine file.  Files written before each edge kept its own
-    reward may also hold `convention: target` and one `tag: name value`
-    line per state: there every edge emits the tag of the state it
-    enters, whatever reward its line shows."""
+    """Read the text format above; a line it cannot read raises a
+    ValueError that quotes the line."""
     ap = None
     gamma = []
     init_name = None
-    target = False  # an old file whose edges emit their successor's tag
     bottom_name = None
     implicit_bottom = False
-    tags = {}
     state_lines = []
     edges = {}  # (src, label, dst) -> (reward, prob), one line each
     headers = set()  # each header line may appear once
@@ -522,7 +520,7 @@ def prm_from_text(text: str) -> Prm:
         if not line or line.startswith("#"):
             continue
         key = line.split(":", 1)[0]
-        if key in ("ap", "gamma", "init", "convention", "bottom", "implicit_bottom"):
+        if key in ("ap", "gamma", "init", "bottom", "implicit_bottom"):
             if key in headers:
                 raise ValueError("repeated header line: %s" % line)
             headers.add(key)
@@ -532,11 +530,6 @@ def prm_from_text(text: str) -> Prm:
             gamma = [parse_reward(p) for p in line[6:].split(",") if p.strip()]
         elif line.startswith("init:"):
             init_name = line[5:].strip()
-        elif line.startswith("convention:"):
-            convention = line[11:].strip()
-            if convention not in ("source", "target"):
-                raise ValueError("unknown reward convention %r" % (convention,))
-            target = convention == "target"
         elif line.startswith("bottom:"):
             bottom_name = line[7:].strip()
         elif line.startswith("implicit_bottom:"):
@@ -544,40 +537,35 @@ def prm_from_text(text: str) -> Prm:
             if value not in ("true", "false"):
                 raise ValueError("implicit_bottom must be true or false: %s" % line)
             implicit_bottom = value == "true"
-        elif line.startswith("tag:"):
-            name, value = line[4:].split()
-            if name in tags:
-                raise ValueError("repeated tag line: %s" % line)
-            tags[name] = parse_reward(value)
         elif line.startswith("state:"):
             state_lines.append(line[6:].strip())
         else:
-            head, prob = line.rsplit(":", 1)
-            src, rest = head.split("--", 1)
-            middle, dst = rest.rsplit("-->", 1)
-            label_part, reward_part = middle.rsplit("/", 1)
-            edge = (src.strip(), parse_label(label_part), dst.strip())
+            try:
+                head, prob = line.rsplit(":", 1)
+                src, rest = head.split("--", 1)
+                middle, dst = rest.rsplit("-->", 1)
+                label_part, reward_part = middle.rsplit("/", 1)
+                src, dst, prob = src.strip(), dst.strip(), float(prob)
+                if not src or not dst:
+                    raise ValueError
+            except ValueError:
+                raise ValueError("malformed machine line: %s" % line) from None
+            edge = (src, parse_label(label_part), dst)
             if edge in edges:   # a second line would add to the first's probability
                 raise ValueError("repeated edge line: %s" % line)
-            edges[edge] = (parse_reward(reward_part), float(prob))
+            edges[edge] = (parse_reward(reward_part), prob)
     if ap is None or init_name is None:
         raise ValueError("machine text is missing its ap or init header")
 
     names = []
-    named = [e[0] for e in edges] + [e[2] for e in edges] + list(tags)
+    named = [e[0] for e in edges] + [e[2] for e in edges]
     for name in named + state_lines + [init_name, bottom_name]:
         if name is not None and name not in names:
             names.append(name)
     index = {name: i for i, name in enumerate(names)}
 
-    if target and implicit_bottom and tags.get(bottom_name, 0.0) != 0.0:
-        raise ValueError("the implicit failure state %s emits 0, not its tag" % bottom_name)
     tau, rho = {}, {}
     for (src, label, dst), (reward, prob) in edges.items():
-        if target:
-            if dst not in tags:
-                raise ValueError("target machine has no tag for state %s" % dst)
-            reward = tags[dst]
         y, j = index[src], index[dst]
         if (y, label) not in tau:
             tau[(y, label)] = np.zeros(len(names))
@@ -587,7 +575,7 @@ def prm_from_text(text: str) -> Prm:
 
     return Prm(
         ap,
-        gamma + list(tags.values()),
+        gamma,
         names,
         index[init_name],
         tau,

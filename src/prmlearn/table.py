@@ -24,10 +24,7 @@ from .alphabet import (
     WORD_SEPARATOR,
     Word,
     format_reward,
-    label_sort_key,
     label_str,
-    parse_label,
-    parse_reward,
     word_str,
 )
 from .machine import Prm
@@ -128,14 +125,15 @@ class ObservationTable:
         self.s: list = [0]   # S as word ids, in order; ε's is 0
         self._in_s = {0}
         self.e: list = [EPSILON]
-        self.rewards: set = set()   # every reward that is a key of some counter in t
+        self.rewards: set = set()   # every recorded reward: the keys of the counters in t
         self.num_traces = 0
         self._total_samples = 0
         # Word ids, the table's one store of words: every prefix of a
         # recorded word has one, ε has 0, a parent's id is below its
-        # children's, and no word's tuple is kept.  A prefix that from_csv
-        # interns but the file does not list, and a word that add_state
-        # interns unrecorded, have an id and no Counter.
+        # children's, and no word's tuple is kept.  A recorded word has at
+        # most as many samples as its parent (ε counts num_traces).  Only
+        # add_state makes an id without a Counter, for a word never
+        # recorded, and no descendant of such an id has a Counter.
         self._child: dict = {}            # (parent id, label) -> id
         self._parent: list = [None]       # id -> its (parent id, label) key in _child
         self._counts: list = [None]       # id -> the word's Counter, or None
@@ -304,12 +302,13 @@ class ObservationTable:
     # loop over all of E, and costs the number of shared sampled columns,
     # not |E|.  A row finds its columns by walking E's trie and the word
     # ids together from the row's id, so it visits only the E prefixes
-    # recorded after the row, not every column of E.  The walk stops only
-    # where a word has no id, never at a word without counts: the words of
-    # a table file need not be prefix-closed.  A word with n samples whose
-    # factor * sqrt(1/n) is at least 1 never differs either: its threshold
-    # is at least 1 (rounding is monotone, so adding sqrt(1/n') cannot
-    # lower it), and no gap between two frequencies in [0, 1] exceeds 1.
+    # recorded after the row, not every column of E.  The walk stops where
+    # a word has no id.  Every Counter holds at least one sample, and an id
+    # without one, which only add_state makes, has no descendant with one.
+    # A word with n samples whose factor * sqrt(1/n) is at least 1 never
+    # differs either: its threshold is at least 1 (rounding is monotone, so
+    # adding sqrt(1/n') cannot lower it), and no gap between two
+    # frequencies in [0, 1] exceeds 1.
     # So a row test visits only the shared testable columns: the cost of a
     # row is its visited E prefixes, and of a row test its testable
     # columns.  Each word's test inputs and each word pair's verdict are
@@ -331,9 +330,7 @@ class ObservationTable:
                 if i is not None:
                     counter = counts[node]
                     if counter is not None:
-                        n = sum(counter.values())
-                        if n > 0:
-                            hits.append((i, node, n))
+                        hits.append((i, node, sum(counter.values())))
                 for label, sub in kids.items():
                     nxt = child.get((node, label))
                     if nxt is not None:
@@ -482,51 +479,6 @@ class ObservationTable:
                         for reward in sorted(counter):
                             writer.writerow([text[i], format_reward(reward), counter[reward], sample])
 
-    @classmethod
-    def from_csv(cls, path, ap: Alphabet, alphabet=None) -> "ObservationTable":
-        table = cls(ap, alphabet)
-        claims = []  # (word, the sample column of one of its rows)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                columns, rows = reader.fieldnames or (), list(reader)
-            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-                raise ValueError("malformed table CSV: %s" % (exc,)) from exc
-            missing = [name for name in CSV_COLUMNS if name not in columns]
-            if missing:
-                raise ValueError("table CSV has no %s column" % " or ".join(missing))
-            for row in rows:
-                if None in row.values():
-                    raise ValueError("table row %r has too few fields" % (row,))
-                # recorded words are nonempty, so a lone "ε" is the one-label
-                # word of the empty label (word_str writes both it and the
-                # empty word as "ε")
-                word = tuple(ap.validate_label(parse_label(part))
-                             for part in row["word"].split(WORD_SEPARATOR))
-                count, sample = int(row["count"]), int(row["sample"])
-                if count < 0:
-                    raise ValueError("negative count in table row %r" % (row,))
-                claims.append((word, sample))
-                node = table._node(word)
-                counter = table._counts[node] = table._counts[node] or Counter()
-                reward = parse_reward(row["reward"])
-                if reward in counter:
-                    raise ValueError("repeated table row: %s,%s" % (row["word"], row["reward"]))
-                counter[reward] = count
-                table.rewards.add(reward)
-        for word, sample in claims:
-            if sample != table.total(word):
-                raise ValueError("word %s has sample %d, but its counts sum to %d"
-                                 % (word_str(word), sample, table.total(word)))
-        table._counts_changed()  # the counts were written into the counters directly
-        table._total_samples = sum(sum(c.values()) for c in table._counts if c is not None)
-        # every recorded trace is nonempty and counted under its first label
-        table.num_traces = sum(table.total((label,)) for parent, label in table._child if parent == 0)
-        if alphabet is None:
-            observed = {label for _, label in table._child}   # every id's word is a prefix of a listed one
-            table.alphabet = sorted(observed, key=label_sort_key)
-        return table
-
 
 _EMPTY = Counter()
 _UNSET = object()
@@ -641,8 +593,7 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
         vec = np.zeros(n)
         for prob, nxt in outs:
             vec[index[nxt]] += prob
-            if prob:   # a count of 0, read from a CSV table, makes no edge
-                rho[(y, label, index[nxt])] = nxt[0]  # the edge pays the reward of the state it enters
+            rho[(y, label, index[nxt])] = nxt[0]  # the edge pays the reward of the state it enters
         tau[(y, label)] = vec
 
     return Prm(

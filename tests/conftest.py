@@ -14,6 +14,7 @@ from prmlearn import (
 )
 from prmlearn.environment import step
 from prmlearn.machine import draw_row, unit_vector
+from prmlearn.table import diff_against_distribution
 
 C = frozenset({"c"})
 O = frozenset({"o"})
@@ -103,7 +104,6 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
         actions=tuple("a%d" % i for i in range(n_actions)),
         available=[list(range(n_actions)) for _ in range(n_states)],
         p=p,
-        ap=ap,
         labeling=labeling,
         truth=truth,
     )
@@ -112,7 +112,6 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
 def two_cell_nmdp(truth):
     """1x2 grid "Ac": action 0 stays (label empty), action 1 toggles the
     cell, entering the marked cell emits {c}."""
-    ap = truth.ap
     c = frozenset({"c"})
     p = {
         (0, 0): unit_vector(2, 0),
@@ -132,7 +131,6 @@ def two_cell_nmdp(truth):
         actions=("stay", "move"),
         available=[[0, 1], [0, 1]],
         p=p,
-        ap=ap,
         labeling=labeling,
         truth=truth,
     )
@@ -161,3 +159,38 @@ def rollout_greedy(q, m, h, n_episode, rng, terminal_labels=()):
         if label in terminal:
             break
     return trace, total_machine_reward
+
+
+def ref_is_counterexample(table, h, trace, n_check, tests=None):
+    """is_counterexample without the memo of hypothesis steps, walking every
+    prefix of the trace; `tests` counts its Hoeffding tests."""
+    m_total = max(table.total_samples(), 1)
+    vec = h.initial_vector()
+    word = []
+    for label, _ in trace:
+        vec, expected = h.advance(vec, label)
+        word.append(label)
+        prefix = tuple(word)
+        if h.bottom is not None and vec[h.bottom] >= 1.0 - 1e-12:
+            if table.sample_count(prefix) >= n_check:
+                return prefix
+            continue
+        freq = table.freq(prefix)
+        if sum(freq.values()) > 0 and expected:
+            if tests is not None:
+                tests.append(prefix)
+            if diff_against_distribution(freq, expected, m_total):
+                return prefix
+    return None
+
+
+def record_times(table, trace, k: int) -> None:
+    """The table that `k` calls of `table.record(trace)` give, in one
+    call: each prefix of the trace gains k counts, not 1."""
+    table.record(trace)
+    if not trace:
+        return
+    for (_, reward), counter in zip(trace, table.prefix_counts(trace)):
+        counter[float(reward)] += k - 1
+    table.num_traces += k - 1
+    table._total_samples += (k - 1) * len(trace)

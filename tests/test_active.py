@@ -37,13 +37,14 @@ from prmlearn.machine import (
     random_prm,
     sample_index,
 )
-from prmlearn.table import _differs_from, build_hypothesis, diff_against_distribution, repair_on_frozen_data
+from prmlearn.table import _differs_from, build_hypothesis, repair_on_frozen_data
 
 from conftest import (
     C,
     O,
     greedy_action,
     random_nmdp,
+    ref_is_counterexample,
     rollout_greedy,
     single_state_zero_prm,
     successor_rewards,
@@ -432,7 +433,6 @@ def test_membership_query_realizability_prefilter():
         actions=("loop",),
         available=[[0]],
         p={(0, 0): unit_vector(1, 0)},
-        ap=truth.ap,
         labeling={(0, 0, 0): EMPTY_LABEL},
         truth=truth,
     )
@@ -513,29 +513,6 @@ def test_is_counterexample_bottom_absorption():
     table3.record(trace)
     assert is_counterexample(table3, h, trace, n_check=1) == (C, C, EMPTY_LABEL)
     assert is_counterexample(table3, h, trace, n_check=3) is None
-
-
-def ref_is_counterexample(table, h, trace, n_check, tests=None):
-    """is_counterexample without the memo of hypothesis steps, walking every
-    prefix of the trace; `tests` counts its Hoeffding tests."""
-    m_total = max(table.total_samples(), 1)
-    vec = h.initial_vector()
-    word = []
-    for label, _ in trace:
-        vec, expected = h.advance(vec, label)
-        word.append(label)
-        prefix = tuple(word)
-        if h.bottom is not None and vec[h.bottom] >= 1.0 - 1e-12:
-            if table.sample_count(prefix) >= n_check:
-                return prefix
-            continue
-        freq = table.freq(prefix)
-        if sum(freq.values()) > 0 and expected:
-            if tests is not None:
-                tests.append(prefix)
-            if diff_against_distribution(freq, expected, m_total):
-                return prefix
-    return None
 
 
 def machine_trace(rng, truth, labels, length):
@@ -645,7 +622,6 @@ def test_learn_active_trivial_environment():
         actions=("loop",),
         available=[[0]],
         p={(0, 0): unit_vector(1, 0)},
-        ap=truth.ap,
         labeling={(0, 0, 0): EMPTY_LABEL},
         truth=truth,
     )

@@ -117,7 +117,6 @@ def test_action_index_outside_the_actions_rejected():
             actions=("loop",),
             available=[[0, 1]],
             p={(0, 0): unit_vector(1, 0), (0, 1): unit_vector(1, 0)},
-            ap=Alphabet(["a"]),
             labeling={(0, 0, 0): EMPTY_LABEL, (0, 1, 0): EMPTY_LABEL},
             truth=single_state_zero_prm(("a",)),
         )
@@ -131,7 +130,6 @@ def test_non_finite_transition_rejected():
             actions=("loop",),
             available=[[0], [0]],
             p={(0, 0): np.array([np.nan, np.nan]), (1, 0): unit_vector(2, 1)},
-            ap=Alphabet(["a"]),
             labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
             truth=single_state_zero_prm(("a",)),
         )
@@ -148,7 +146,6 @@ def test_bad_transition_distributions_rejected():
                 actions=("loop",),
                 available=[[0], [0]],
                 p={(0, 0): np.array(bad), (1, 0): unit_vector(2, 1)},
-                ap=Alphabet(["a"]),
                 labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
                 truth=single_state_zero_prm(("a",)),
             )
@@ -196,7 +193,6 @@ def environment_and_actions(draw):
         actions=tuple("a%d" % i for i in range(n_actions)),
         available=[list(range(n_actions)) for _ in range(n)],
         p=p,
-        ap=ap,
         labeling=labeling,
         truth=truth,
     )
@@ -293,11 +289,26 @@ def test_nmdp_requires_total_truth():
     )
     fields = dict(
         states=("x0",), x_init=0, actions=("loop",), available=[[0]],
-        p={(0, 0): unit_vector(1, 0)}, ap=ap, labeling={(0, 0, 0): EMPTY_LABEL},
+        p={(0, 0): unit_vector(1, 0)}, labeling={(0, 0, 0): EMPTY_LABEL},
     )
     with pytest.raises(ValueError, match="truth"):
         Nmdp(truth=partial, **fields)
     assert Nmdp(truth=bottomed, **fields).truth is bottomed
+
+
+def test_transition_labels_use_the_truth_propositions():
+    # an environment's propositions are its truth's: a {q} transition under
+    # the patrol truth, whose propositions are {c}, is rejected when the
+    # Nmdp is made, not by a KeyError when an episode first takes it
+    truth = patrol_prm()
+    fields = dict(states=("x0",), x_init=0, actions=("loop",), available=[[0]],
+                  p={(0, 0): unit_vector(1, 0)}, truth=truth)
+    with pytest.raises(ValueError, match="unknown proposition 'q'"):
+        Nmdp(labeling={(0, 0, 0): frozenset({"q"})}, **fields)
+    m = Nmdp(labeling={(0, 0, 0): frozenset({"c"})}, **fields)
+    assert m.ap is truth.ap
+    with pytest.raises(AttributeError):
+        m.ap = Alphabet(["c", "q"])
 
 
 def test_zero_machine_rewards_are_zero():

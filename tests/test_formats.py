@@ -1,8 +1,7 @@
-"""Property tests of the text formats: machine files, trace lines, grid
-maps and the observation-table CSV each read back what was written, and
-reject corrupted text with a ValueError (exit 1 on the command line)."""
+"""Property tests of the text formats: machine files, trace lines and grid
+maps each read back what was written, and reject corrupted text with a
+ValueError (exit 1 on the command line)."""
 
-import os
 import re
 import tempfile
 from pathlib import Path
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from prmlearn import (
     Alphabet,
     LearnerConfig,
-    ObservationTable,
     PassiveConfig,
     Prm,
     learn_active,
@@ -26,7 +24,6 @@ from prmlearn import (
     prm_to_dot,
     prm_to_text,
 )
-from prmlearn.alphabet import EPSILON, format_reward, label_sort_key, label_str
 from prmlearn.cli import main
 from prmlearn.environment import (
     load_env_config,
@@ -37,9 +34,8 @@ from prmlearn.environment import (
     trace_to_line,
     uniform_policy,
 )
-from prmlearn.verify import encoding_distance
 
-from conftest import edges_of, probability_vectors, successor_rewards
+from conftest import edges_of, probability_vectors
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets"
 
@@ -103,79 +99,9 @@ def test_machine_text_round_trip(prm):
     assert prm_to_text(prm_from_text(prm_to_text(again))) == prm_to_text(again)
 
 
-# -- machine files of the earlier format -------------------------------------------------
-#
-# Files written before each edge kept its own reward hold `convention:
-# target`, a `tag:` line per state, and the source state's tag on every
-# edge line; each edge emitted the tag of the state it entered.
-
-
-def old_target_text(prm: Prm, tags) -> str:
-    """The text the earlier writer made of a machine whose edges pay
-    `tags[y']` on entering y'."""
-    lines = ["ap: %s" % ",".join(prm.ap.props),
-             "gamma: %s" % ",".join(format_reward(g) for g in prm.gamma),
-             "init: %s" % prm.states[prm.init],
-             "convention: target"]
-    if prm.bottom is not None:
-        lines.append("bottom: %s" % prm.states[prm.bottom])
-    if prm.implicit_bottom:
-        lines.append("implicit_bottom: true")
-    lines.extend("tag: %s %s" % (name, format_reward(tag)) for name, tag in zip(prm.states, tags))
-    for y, label in sorted(prm.tau, key=lambda key: (key[0], label_sort_key(key[1]))):
-        vec = prm.tau[(y, label)]
-        for j in np.flatnonzero(vec):
-            lines.append("%s --%s/%s--> %s : %r" % (prm.states[y], label_str(label), format_reward(tags[y]),
-                                                   prm.states[int(j)], float(vec[j])))
-    return "\n".join(lines) + "\n"
-
-
-@st.composite
-def target_machines(draw):
-    """(machine, tags): a machine shaped like a learned one, whose edges pay
-    the tag of the state they enter.  Every state but the last reads at
-    least one label, so the file names the states in index order; the
-    last may be a failure state (tag 0 when undefined pairs go there)."""
-    ap = Alphabet(draw(st.lists(st.sampled_from(PROPS), min_size=1, max_size=2, unique=True)))
-    n = draw(st.integers(1, 4))
-    names = draw(st.lists(state_names, min_size=n, max_size=n, unique=True))
-    total = draw(st.booleans())
-    bottom = draw(st.sampled_from([None, n - 1]))
-    implicit_bottom = bottom is not None and draw(st.booleans())
-    tau = {}
-    for y in range(n):
-        for k, label in enumerate(ap.labels()):
-            if total or (k == 0 and y < n - 1) or draw(st.booleans()):
-                tau[(y, label)] = draw(probability_vectors(n))
-    tags = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, -2.0]), min_size=n, max_size=n))
-    if implicit_bottom:
-        tags[bottom] = 0.0
-    prm = Prm(ap, draw(st.lists(finite_rewards, max_size=2)) + tags, names, draw(st.integers(0, n - 1)),
-              tau, successor_rewards(tau, tags), bottom=bottom, implicit_bottom=implicit_bottom)
-    return prm, tags
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=target_machines())
-def test_old_target_text_reads_as_edge_rewards(case):
-    prm, tags = case
-    old = prm_from_text(old_target_text(prm, tags))
-    assert_same_machine(prm, old)
-    assert old.states == prm.states
-    for label in prm.ap.labels():
-        assert old.label_matrix(label).tobytes() == prm.label_matrix(label).tobytes()
-        for gamma in prm.gamma:
-            assert (old.reward_conditional_matrix(gamma, label).tobytes()
-                    == prm.reward_conditional_matrix(gamma, label).tobytes())
-    report = encoding_distance(old, prm, 3)
-    # absorbed words count 1 even against the machine itself
-    assert report == encoding_distance(prm, prm, 3)
-    if prm.bottom is None:
-        assert report.distance == 0.0
-
-
-# The active office machine of seed 0 (acceptance-4 budget) in the earlier
-# format, and as it is written now: the q0 --o--> q2 edge pays 1.
+# The active office machine of seed 0 (acceptance-4 budget) in the format
+# of files older than edge rewards, which is no longer read, and as it is
+# written now: the q0 --o--> q2 edge pays 1.
 OLD_ACTIVE_OFFICE = """\
 ap: c,o,*
 gamma: 0,1
@@ -207,8 +133,36 @@ q0 --o/1--> q2 : 0.9007633587786259
 """
 
 
-def test_old_learned_machine_file_reads_as_written_now():
-    assert prm_to_text(prm_from_text(OLD_ACTIVE_OFFICE)) == ACTIVE_OFFICE
+def test_old_learned_machine_file_rejected_at_its_convention_line():
+    with pytest.raises(ValueError, match="malformed machine line: convention: target$"):
+        prm_from_text(OLD_ACTIVE_OFFICE)
+    assert prm_to_text(prm_from_text(ACTIVE_OFFICE)) == ACTIVE_OFFICE
+
+
+@pytest.mark.parametrize("line", [
+    "foo: bar",
+    "y0 --a--> y0 : 1.0",     # no reward
+    "y0 -a/0-> y0 : 1.0",     # no arrows
+    "y0 --a/0--> y0 : x",     # no probability
+    "y0 --a/0--> y0",         # no probability field
+    "y0 --a/0--> : 1.0",      # no successor name
+    "--a/0--> y0 : 1.0",      # no source name
+    "tag: y0 1",              # a line of files older than edge rewards
+])
+def test_malformed_machine_line_quoted(line):
+    with pytest.raises(ValueError, match="malformed machine line: %s$" % re.escape(line)):
+        prm_from_text("ap: a\ngamma: 0\ninit: y0\n%s\n" % line)
+
+
+@pytest.mark.parametrize("header", ["init: \n", "init: y0\nbottom: \n", "init: y0\nstate: \n"],
+                         ids=["init", "bottom", "state"])
+def test_empty_state_name_rejected(header):
+    # an empty name would write back as a line that names no state
+    with pytest.raises(ValueError, match="state name is empty"):
+        prm_from_text("ap: a\ngamma: 0\n" + header + "y0 --a/0--> y0 : 1.0\n")
+    with pytest.raises(ValueError, match="state name is empty"):
+        Prm(Alphabet(["a"]), [0.0], ["y0", ""], 0, {(0, frozenset({"a"})): np.array([1.0, 0.0])},
+            {(0, frozenset({"a"}), 0): 0.0})
 
 
 HEADER_FAULTS = [
@@ -216,15 +170,16 @@ HEADER_FAULTS = [
     (ACTIVE_OFFICE.replace("implicit_bottom: true", "implicit_bottom: flase"), "implicit_bottom: flase"),
     *((ACTIVE_OFFICE + line + "\n", line)
       for line in ["ap: c,o", "gamma: 0,1", "init: q1", "bottom: q2", "implicit_bottom: true"]),
-    (OLD_ACTIVE_OFFICE + "convention: target\n", "convention: target"),
-    (OLD_ACTIVE_OFFICE + "tag: q2 0\n", "tag: q2 0"),
+    # the header lines of files older than edge rewards are not read
+    (ACTIVE_OFFICE + "convention: target\n", "convention: target"),
+    (ACTIVE_OFFICE + "tag: q2 0\n", "tag: q2 0"),
 ]
 
 
 @pytest.mark.parametrize("text, line", HEADER_FAULTS, ids=[line for _, line in HEADER_FAULTS])
 def test_machine_header_read_once_and_exactly(text, line):
-    # a repeated header (or tag of one state) would make the last line win,
-    # and any implicit_bottom value but true would read as false
+    # a repeated header would make the last line win, and any
+    # implicit_bottom value but true would read as false
     with pytest.raises(ValueError, match=re.escape(line)):
         prm_from_text(text)
 
@@ -310,40 +265,6 @@ def test_trace_line_round_trip_non_integer_rewards(trace):
     assert [reward for _, reward in again] == [reward for _, reward in trace]
 
 
-CSV_AP = Alphabet(["c", "o", "*"])
-csv_traces = st.lists(
-    st.tuples(st.frozensets(st.sampled_from(CSV_AP.props), max_size=2), finite_rewards), max_size=4
-)
-csv_trace_lists = st.lists(csv_traces, max_size=20)
-
-
-@settings(max_examples=200, deadline=None)
-@given(traces=csv_trace_lists)
-def test_table_csv_round_trip(traces):
-    table = ObservationTable(CSV_AP)
-    for trace in traces:
-        table.record(trace)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        table.to_csv(path)
-        again = ObservationTable.from_csv(path, CSV_AP)
-    assert again.t == table.t
-    assert again.num_traces == table.num_traces
-    assert again.total_samples() == table.total_samples()
-    for word in [EPSILON, *table.t]:
-        assert again.sample_count(word) == table.sample_count(word)
-
-
-@pytest.mark.parametrize("first, second", [
-    ("c,0,1,2", "c,0,1,2"),
-    ("c,1,1,2", "c,1.0,1,2"),   # one reward, spelled twice
-])
-def test_table_csv_repeated_row_rejected(first, second):
-    # summed, two rows of one (word, reward) would not write back as read
-    with pytest.raises(ValueError, match="repeated table row: %s" % re.escape(second[:-4])):
-        read_csv_text("word,reward,count,sample\n%s\n%s\n" % (first, second))
-
-
 # -- proposition names ---------------------------------------------------------------
 
 
@@ -374,14 +295,6 @@ def test_accepted_names_round_trip_through_every_format(props, rewards, data):
 
     trace = data.draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(rewards)), min_size=1, max_size=5))
     assert trace_from_line(trace_to_line(trace)) == trace
-
-    table = ObservationTable(ap)
-    table.record(trace)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        table.to_csv(path)
-        again = ObservationTable.from_csv(path, ap)
-    assert again.t == table.t
 
 
 # -- malformed input -------------------------------------------------------------------
@@ -438,36 +351,17 @@ def texts_from(sources):
     )
 
 
-machine_texts = texts_from(st.one_of(machines().map(prm_to_text),
-                                     target_machines().map(lambda case: old_target_text(*case))))
+machine_texts = texts_from(machines().map(prm_to_text))
 trace_texts = texts_from(traces.map(trace_to_line))
 MAPS = [(ASSETS / name).read_text(encoding="utf-8") for name in ("officeworld.map", "patrol.map")]
 map_texts = texts_from(st.sampled_from(MAPS))
-
-
-def csv_text(traces) -> str:
-    table = ObservationTable(CSV_AP)
-    for trace in traces:
-        table.record(trace)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        table.to_csv(path)
-        return Path(path).read_text(encoding="utf-8")
-
-
-def read_csv_text(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        Path(path).write_text(text, encoding="utf-8", newline="")
-        return ObservationTable.from_csv(path, CSV_AP)
 
 
 @pytest.mark.parametrize("texts, parse", [
     (machine_texts, prm_from_text),
     (trace_texts, trace_from_line),
     (map_texts, parse_gridmap),
-    (texts_from(csv_trace_lists.map(csv_text)), read_csv_text),
-], ids=["machine", "trace", "map", "csv"])
+], ids=["machine", "trace", "map"])
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_parser_reads_or_rejects_malformed_text(texts, parse, data):

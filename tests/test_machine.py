@@ -495,8 +495,7 @@ def test_non_finite_reward_rejected(bad):
 @pytest.mark.parametrize("text", [
     "ap: a\ngamma: 0,inf\ninit: y0\ny0 --a/0--> y0 : 1.0\n",
     "ap: a\ngamma: 0\ninit: y0\ny0 --a/nan--> y0 : 1.0\n",
-    "ap: a\ngamma: 0\ninit: y0\nconvention: target\ntag: y0 -inf\ny0 --a/0--> y0 : 1.0\n",
-], ids=["gamma", "edge", "tag"])
+], ids=["gamma", "edge"])
 def test_text_non_finite_reward_rejected(text):
     with pytest.raises(ValueError, match="finite"):
         prm_from_text(text)

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
+from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
+from prmlearn.machine import random_prm
 from prmlearn.table import (
     CSV_COLUMNS,
     TableNotReadyError,
@@ -20,7 +22,7 @@ from prmlearn.table import (
     repair_on_frozen_data,
 )
 
-from conftest import C, O
+from conftest import C, O, record_times, ref_is_counterexample
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -160,6 +162,12 @@ def test_record_counts_prefixes():
     assert table.sample_count((C,)) == 1
     assert table.sample_count((C, O)) == 1
     assert table.sample_count(EPSILON) == 1  # one trace seen
+    # traces with different first labels all count toward epsilon
+    table.record([(C, 0.0)])
+    for _ in range(5):
+        table.record([(O, 0.0), (C, 0.0)])
+    assert table.num_traces == table.sample_count(EPSILON) == 7
+    assert table.total_samples() == 13
 
 
 def test_record_empty_trace_is_noop():
@@ -239,6 +247,27 @@ def test_sampled_words_are_the_words_of_t_with_n_samples(recorded, n):
     for trace in recorded:
         table.record(trace)
     assert table.sampled_words(n) == [w for w in table.t if table.sample_count(w) >= n]
+
+
+def table_state(table):
+    """What a table holds: its words and counts in id order, the sample
+    totals, the rewards and the CSV bytes."""
+    return (list(table.t.items()), table.num_traces, table.total_samples(), table.rewards,
+            csv_bytes(ObservationTable.to_csv, table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recorded=st.lists(st.tuples(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                                      st.sampled_from([0, 0.0, 1.0])), max_size=4),
+                                   st.integers(1, 5)), max_size=6))
+def test_record_times_gives_the_table_of_k_records(recorded):
+    # the conftest helper that stands for 10^4 to 10^6 record calls
+    one, many = make_table(), make_table()
+    for trace, k in recorded:
+        record_times(one, trace, k)
+        for _ in range(k):
+            many.record(trace)
+        assert table_state(one) == table_state(many)
 
 
 # -- compatibility / closedness / consistency -----------------------------------------
@@ -414,11 +443,6 @@ sweep_ops = st.one_of(
 PAD_LABEL = frozenset({"c", "o"})
 
 
-def pad_csv(path, pad):
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("%s,0,%d,%d\n" % (word_str((PAD_LABEL,)), pad, pad))
-
-
 def record_repeated(table, traces):
     for trace, times in traces:
         for _ in range(times):
@@ -439,22 +463,17 @@ def test_row_sweeps_match_full_column_loops(ops, pad):
         else:
             # the second sweep reads what the first one cached
             assert sweep(table) == sweep(table)
-    results = sweep(table)
+    sweep(table)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        table.to_csv(path)
-        again = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
-        # the same counts at a large M: the recorded counts (1 to a few
-        # hundred) straddle factor^2, about 14 at M = 10^4 and 21 at 10^6
-        pad_csv(path, pad)
-        padded = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
-    for copy in (again, padded):
-        for s in table.s:
-            copy.add_state(table.word(s))
-        for word in table.e:
-            copy.add_experiment(word)
-    assert sweep(again) == results
+    # the same counts at a large M: the recorded counts (1 to a few
+    # hundred) straddle factor^2, about 14 at M = 10^4 and 21 at 10^6
+    padded = make_table(alphabet=SWEEP_LABELS)
+    record_repeated(padded, [op[1] for op in ops if op[0] == "record"])
+    record_times(padded, [(PAD_LABEL, 0.0)], pad)
+    for s in table.s:
+        padded.add_state(table.word(s))
+    for word in table.e:
+        padded.add_experiment(word)
     sweep(padded)
 
 
@@ -480,54 +499,6 @@ def test_row_sweeps_match_full_column_loops_at_small_sample_totals(traces, state
     sweep(table)
 
 
-csv_counts = st.dictionaries(st.sampled_from([0.0, 1.0]), st.integers(0, 60), min_size=1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    words=st.dictionaries(experiment_words, csv_counts, min_size=1, max_size=8),
-    states=st.lists(sweep_words, max_size=3),
-    experiments=st.lists(experiment_words, max_size=4),
-    pad=st.sampled_from([0, 10 ** 6]),
-)
-def test_row_sweeps_match_full_column_loops_on_csv_tables(tmp_path_factory, words, states,
-                                                          experiments, pad):
-    # the words of a table file need not be prefix-closed: a row's walk
-    # passes through prefixes that have ids but no counts
-    lines = ["word,reward,count,sample"]
-    for word, counts in words.items():
-        sample = sum(counts.values())
-        lines += ["%s,%s,%d,%d" % (word_str(word), format_reward(reward), count, sample)
-                  for reward, count in counts.items()]
-    path = tmp_path_factory.mktemp("csv") / "table.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if pad:
-        pad_csv(path, pad)
-    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), SWEEP_LABELS)
-    for word in states:
-        table.add_state(word)
-    for word in experiments:
-        table.add_experiment(word)
-    sweep(table)
-
-
-@settings(max_examples=60, deadline=None)
-@given(words=st.dictionaries(experiment_words, csv_counts, min_size=1, max_size=8),
-       n=st.integers(0, 70))
-def test_sampled_words_of_csv_tables(tmp_path_factory, words, n):
-    # the words of a table file need not be prefix-closed, so a word can
-    # have more samples than its listed prefixes or than t's earlier words
-    lines = ["word,reward,count,sample"]
-    for word, counts in words.items():
-        lines += ["%s,%s,%d,%d" % (word_str(word), format_reward(reward), count, sum(counts.values()))
-                  for reward, count in counts.items()]
-    path = tmp_path_factory.mktemp("csv") / "table.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), SWEEP_LABELS)
-    assert set(table.t) == set(words)
-    assert table.sampled_words(n) == [w for w in table.t if table.sample_count(w) >= n]
-
-
 table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
 reward_traces = st.lists(
     st.lists(st.tuples(st.sampled_from(SWEEP_LABELS), table_rewards), max_size=4), max_size=10
@@ -545,22 +516,6 @@ def test_reward_set_follows_record_and_csv(traces):
     for trace in traces:
         table.record(trace)
         assert table.rewards == rewards_in_t(table)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "table.csv")
-        table.to_csv(path)
-        again = ObservationTable.from_csv(path, table.ap, SWEEP_LABELS)
-    assert again.rewards == rewards_in_t(again) == table.rewards
-
-
-def test_reward_set_keeps_zero_count_rewards_read_from_csv(tmp_path):
-    # a zero count still makes the reward a key of the word's counter, and
-    # so a reward of the hypothesis built from the table
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\nc,0,3,3\nc,0.5,0,3\n", encoding="utf-8")
-    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-    assert table.rewards == rewards_in_t(table) == {0.0, 0.5}
-    repair_on_frozen_data(table)
-    assert build_hypothesis(table, n_check=1).gamma == (0.0, 0.5)
 
 
 def test_row_sweeps_follow_new_counts_and_columns():
@@ -621,6 +576,54 @@ def test_a_state_that_was_never_recorded_has_an_id_and_no_counts():
     assert views() == before
 
 
+invariant_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), sweep_traces),
+    st.tuples(st.just("state"), experiment_words),
+), max_size=12)
+
+
+def assert_counts_shrink_along_words(table):
+    """Every id with a Counter has at least one sample and no more than
+    its parent (ε counts num_traces), and every id above it has one too:
+    an id without a Counter has no descendant with one."""
+    for node in range(1, len(table._counts)):
+        if table._counts[node] is None:
+            continue
+        parent = table._parent[node][0]
+        assert 1 <= table._total(node) <= (table._total(parent) if parent else table.num_traces)
+        while parent:
+            assert table._counts[parent] is not None
+            parent = table._parent[parent][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=invariant_ops, queries=st.lists(sweep_words, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_record_and_add_state_keep_counts_shrinking_along_words(ops, queries, seed):
+    # the table's sweeps and is_counterexample's early stop rely on this
+    table = make_table(alphabet=SWEEP_LABELS)
+    for op in ops:
+        if op[0] == "record":
+            record_repeated(table, [op[1]])
+        else:
+            table.add_state(op[1])
+        assert_counts_shrink_along_words(table)
+    repair_on_frozen_data(table)
+    assert_counts_shrink_along_words(table)
+    # the walk that stops at the first sparse prefix finds what a walk of
+    # every prefix finds, on recorded traces, on words added as states and
+    # on other words
+    words = [op[1] for op in ops if op[0] == "state"] + queries
+    traces = [op[1][0] for op in ops if op[0] == "record"]
+    traces += [[(label, 0.0) for label in word] for word in words]
+    machines = [random_prm(np.random.default_rng(seed), 2, ("c", "o"), [0.0, 1.0]),
+                build_hypothesis(table, 5)]
+    for h in machines:
+        for n_check in (1, 5, 40):
+            for trace in traces:
+                assert is_counterexample(table, h, trace, n_check) == ref_is_counterexample(
+                    table, h, trace, n_check)
+
+
 def test_sweep_results_are_kept_until_s_e_or_the_counts_change(monkeypatch):
     table = make_table(alphabet=SWEEP_LABELS)
     for _ in range(50):
@@ -652,17 +655,16 @@ def test_sweep_results_are_kept_until_s_e_or_the_counts_change(monkeypatch):
     assert tests == []
 
 
-def test_rows_differ_at_a_word_just_inside_the_bound(tmp_path):
+def test_rows_differ_at_a_word_just_inside_the_bound():
     # a word with factor * sqrt(1/n) just below 1 is tested, and differs
     # from a dense word of the other reward; with one sample fewer it is
     # skipped, and could not have differed
     dense = 10 ** 6
     for n, tested in ((22, True), (21, False)):
         assert (_hoeffding_factor(dense + n) * math.sqrt(1.0 / n) < 1.0) == tested
-        path = tmp_path / "table.csv"
-        path.write_text("word,reward,count,sample\nc,0,%d,%d\no,1,%d,%d\n" % (n, n, dense, dense),
-                        encoding="utf-8")
-        table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), [C, O])
+        table = make_table(alphabet=[C, O])
+        record_times(table, [(C, 0.0)], n)
+        record_times(table, [(O, 1.0)], dense)
         expected = ref_compatible_rows(table, (C,), (O,))
         assert expected == (not tested)
         assert table.compatible_rows(*rows(table, (C,), (O,))) == expected
@@ -803,66 +805,6 @@ def test_repair_on_frozen_data_terminates():
 # -- serialization ------------------------------------------------------------------------
 
 
-def test_csv_round_trip(tmp_path):
-    table = make_table()
-    table.record([(C, 0.0), (O, 1.0)])
-    table.record([(C, 0.0)])
-    for _ in range(5):
-        table.record([(O, 0.0), (C, 0.0)])
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    again = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-    assert again.freq((C,)) == table.freq((C,))
-    assert again.freq((C, O)) == table.freq((C, O))
-    assert again.freq((O, C)) == table.freq((O, C))
-    assert again.sample_count((C,)) == table.sample_count((C,))
-    # traces with different first labels all count toward epsilon
-    assert again.num_traces == table.num_traces == 7
-    assert again.sample_count(()) == table.sample_count(()) == 7
-    assert again.total_samples() == table.total_samples()
-
-
-def test_csv_words_need_not_be_prefix_closed(tmp_path):
-    # c;o and c;c;o are listed without c and c;c: reading the file gives
-    # their prefixes word ids but no counts, so t, the written bytes and
-    # every sweep are those of the file's words alone
-    text = (
-        "word,reward,count,sample\n"
-        "o,0,50,50\n"
-        "c;o,1,50,50\n"
-        "o;o,0,20,20\n"
-        "c;c;o,0,4,50\n"
-        "c;c;o,1,46,50\n"
-    )
-    path = tmp_path / "table.csv"
-    path.write_text(text, encoding="utf-8")
-    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]), [C, O])
-    assert table.t == {
-        (O,): Counter({0.0: 50}),
-        (C, O): Counter({1.0: 50}),
-        (O, O): Counter({0.0: 20}),
-        (C, C, O): Counter({0.0: 4, 1.0: 46}),
-    }
-    assert table.num_traces == 50
-    again = tmp_path / "again.csv"
-    table.to_csv(again)
-    assert again.read_text(encoding="utf-8") == text
-    for word in [(C,), (C, C), (O,)]:
-        table.add_state(word)
-    table.add_experiment((O,))
-    sweep(table)   # every sweep equals the reference column loops
-    assert not table.compatible_rows(*rows(table, EPSILON, (C,)))
-    assert table.compatible_rows(*rows(table, (C,), (C, C)))
-    # the unlisted prefix c has an id but no counts
-    assert list(table.prefix_counts([(C, 0.0), (O, 0.0), (O, 0.0)])) == [
-        Counter(), Counter({1.0: 50}), Counter()]
-    # recording through it gives it its counts
-    table.record([(C, 0.0), (O, 1.0)])
-    assert table.freq((C,)) == Counter({0.0: 1})
-    assert table.freq((C, O)) == Counter({1.0: 51})
-    sweep(table)
-
-
 def write_csv_by_t(table, path) -> None:
     """`to_csv` as it was written from `t`: every word's tuple at once,
     sorted by length and then by `word_str`."""
@@ -893,18 +835,6 @@ def test_csv_bytes_are_those_of_the_words_of_t(recorded):
     assert csv_bytes(ObservationTable.to_csv, table) == csv_bytes(write_csv_by_t, table)
 
 
-def test_csv_bytes_of_a_table_that_is_not_prefix_closed(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\n"
-                    "c&o;ε;o,1,3,5\nc&o;ε;o,0,2,5\nε;c,0,4,4\no;o;o;c,1,1,1\nc;o,1,7,7\n",
-                    encoding="utf-8")
-    table = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-    written = csv_bytes(ObservationTable.to_csv, table)
-    assert written == csv_bytes(write_csv_by_t, table)
-    assert written.decode("utf-8").splitlines()[1:] == [
-        "c;o,1,7,7", "ε;c,0,4,4", "c&o;ε;o,0,2,5", "c&o;ε;o,1,3,5", "o;o;o;c,1,1,1"]
-
-
 def csv_writing_peak(length) -> int:
     """The tracemalloc peak, above the table, while `to_csv` writes a
     table of 20 random traces of `length` steps."""
@@ -929,72 +859,13 @@ def test_csv_writing_memory_is_linear_in_logged_steps():
 
 def test_csv_round_trip_keeps_the_empty_label_word(tmp_path):
     # the word of one empty label is written "ε", as the empty word would
-    # be; the table never stores the empty word, so it reads back as itself
+    # be; the table never stores the empty word, so no row is ambiguous
     table = make_table()
     for _ in range(3):
         table.record([(EMPTY_LABEL, 0.0), (C, 1.0)])
     table.record([(C, 0.0)])
     path = tmp_path / "table.csv"
     table.to_csv(path)
-    again = ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-    assert again.t == table.t
-    assert {w: again.sample_count(w) for w in again.t} == {w: table.sample_count(w) for w in table.t}
-    assert again.num_traces == table.num_traces == 4
-
-
-def test_csv_unknown_proposition_rejected(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\nc,0,3,3\nc;q,1,3,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown proposition 'q'"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o", "*"]))
-
-
-def test_csv_negative_count_rejected(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\nc,0,-3,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="negative count"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-
-
-@pytest.mark.parametrize("missing", ["word", "reward", "count", "sample"])
-def test_csv_missing_column_rejected(tmp_path, missing):
-    fields = {"word": "c", "reward": "0", "count": "3", "sample": "3"}
-    del fields[missing]
-    path = tmp_path / "table.csv"
-    path.write_text("%s\n%s\n" % (",".join(fields), ",".join(fields.values())), encoding="utf-8")
-    with pytest.raises(ValueError, match="no %s column" % missing):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-
-
-def test_csv_empty_file_rejected(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="column"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-
-
-def test_csv_short_row_rejected(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\nc,0,3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="too few fields"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-
-
-@pytest.mark.parametrize("rows", [
-    "c,0,3,5\n",                        # 3 samples counted, 5 claimed
-    "c,0,3,5\nc,1,2,4\n",               # the word's rows disagree
-    "c,0,3,3\nc,1,2,3\n",               # rows agree, counts sum to 5
-])
-def test_csv_sample_must_be_the_summed_count(tmp_path, rows):
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\n" + rows, encoding="utf-8")
-    with pytest.raises(ValueError, match="sample"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
-
-
-def test_csv_oversized_field_rejected(tmp_path):
-    # the csv module raises csv.Error, not a ValueError, past its field limit
-    path = tmp_path / "table.csv"
-    path.write_text("word,reward,count,sample\n%s,0,1,1\n" % ";".join(["c"] * 70_000), encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed table CSV"):
-        ObservationTable.from_csv(path, Alphabet(["c", "o"]))
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        "word,reward,count,sample", "c,0,1,1", "ε,0,3,3", "ε;c,1,3,3"]
+    assert table.num_traces == 4
