@@ -119,7 +119,11 @@ def format_reward(value: float) -> str:
 
 
 def parse_reward(text: str) -> float:
-    value = float(text.strip())
+    text = text.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan   # rejected below, with the text
     if not math.isfinite(value):
-        raise ValueError("reward must be finite: %r" % (text,))
+        raise ValueError("reward must be a finite number: %r" % (text,))
     return value

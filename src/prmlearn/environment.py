@@ -24,7 +24,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, draw_row, load_prm, sampling_row, spawn_states, unit_vector
+from .machine import PROB_TOL, Prm, Stream, draw_row, load_prm, sampling_row, spawn_states, unit_vector
 # sample_index is unused here; the benchmark tracer wraps it as environment.sample_index
 from .machine import sample_index  # noqa: F401
 
@@ -511,14 +511,12 @@ def load_traces(path):
 
 
 def _collect_chunk(args):
-    """Episodes from `spawn_states`, on one bit generator set to each in turn."""
+    """Episodes from `spawn_states`, on one Stream restarted at each in turn."""
     m, policy, states, n_episode, terminal_labels = args
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    rng = Stream(np.random.PCG64(0))
     out = []
     for state, inc in states:
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        rng.restart(state, inc)
         out.append(run_episode(m, policy, rng, n_episode, terminal_labels))
     return out
 

@@ -73,7 +73,7 @@ def draw_row(row, rng) -> int:
     return k if k < len(row) else _last_rise(row)
 
 
-STREAM_BLOCK = 1024   # raw 64-bit outputs a Stream takes from its bit generator at a time
+STREAM_BLOCK = 1024   # the most raw 64-bit outputs a Stream takes from its bit generator at a time
 
 
 class Stream:
@@ -86,16 +86,26 @@ class Stream:
     scalar path for 1 to 2**32 values: Lemire's rejection loop on 32-bit
     draws, each the low half of a raw output or the high half kept from
     the one before (or kept in the bit generator's state); one value
-    draws nothing."""
+    draws nothing.  Blocks start at 32 outputs and double up to
+    STREAM_BLOCK, so a short run of draws wastes few."""
 
     def __init__(self, bit_generator):
         self._bits = bit_generator
         state = bit_generator.state
         self._half = state["uinteger"] if state["has_uint32"] else None
         self._buf = []   # the raw outputs still to use, last one first
+        self._block = 32
+
+    def restart(self, state: int, inc: int) -> None:
+        """Draw from here on as a Stream on a PCG64 set to (state, inc)."""
+        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+        self._half, self._buf, self._block = None, [], 32
 
     def _refill(self) -> list:
-        buf = self._buf = self._bits.random_raw(STREAM_BLOCK).tolist()
+        block = self._block
+        self._block = min(2 * block, STREAM_BLOCK)
+        buf = self._buf = self._bits.random_raw(block).tolist()
         buf.reverse()
         return buf
 
@@ -237,6 +247,14 @@ class Prm:
         n = len(self.states)
         if "" in self.states:
             raise ValueError("a state name is empty")
+        if len(set(self.states)) < n:
+            raise ValueError("a state name is repeated in %r" % (self.states,))
+        for name in self.states:
+            # what the machine file cannot write back: a line break, outer
+            # whitespace, a comment mark, or the edge line's -- and :
+            if (name.splitlines() != [name] or name != name.strip() or name.startswith("#")
+                    or "--" in name or ":" in name):
+                raise ValueError("state name %r cannot be written to a machine file" % (name,))
         if not 0 <= self.init < n:
             raise ValueError("initial state index out of range")
         if implicit_bottom and bottom is None:

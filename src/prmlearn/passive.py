@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .alphabet import EPSILON, label_sort_key, word_str
@@ -53,28 +54,32 @@ class PassiveResult:
 
 
 def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> PassiveResult:
-    """Algorithm core over pre-recorded traces of (label, reward) pairs.
-    A label with a proposition outside `ap`, or traces without a single
-    step, raise ValueError."""
+    """Algorithm core over pre-recorded traces of hashable (label, reward)
+    pairs, as `run_episode` and `load_traces` give.  A label with a
+    proposition outside `ap`, or traces without a single step, raise ValueError."""
     if not any(traces):
         raise ValueError("need at least one trace with a step, got %d traces" % len(traces))
     report = PassiveReport(episodes=len(traces))
-    observed = sorted({label for trace in traces for label, _ in trace}, key=label_sort_key)
+    # each distinct trace in first-seen order, recorded once with its count
+    distinct = Counter(map(tuple, traces))
+    observed = sorted({label for trace in distinct for label, _ in trace}, key=label_sort_key)
     for label in observed:
         ap.validate_label(label)
     table = ObservationTable(ap, observed if alphabet is None else alphabet)
 
     words = set()   # the label words seen: their suffixes are in E already
-    for trace in traces:
-        table.record(trace)
+    for trace, count in distinct.items():
+        table.record(trace, count)
         word = tuple(label for label, _ in trace)
         # the suffixes longer than the cap are the first ones
         first = max(len(word) - MAX_EXPERIMENT_LEN, 0)
-        report.dropped_suffixes += first
+        report.dropped_suffixes += first * count
         if word not in words:
             words.add(word)
+            # E is closed under suffixes here: the rest are in E already
             for k in range(first, len(word)):
-                table.add_experiment(word[k:])
+                if not table.add_experiment(word[k:]):
+                    break
 
     # Seed S with every prefix sampled at least n_check times: rows without
     # enough data would be routed to the failure state anyway, and the seed

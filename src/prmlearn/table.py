@@ -185,12 +185,13 @@ class ObservationTable:
             node = nxt if nxt is not None else self._intern(node, label)
         return node
 
-    def record(self, trace) -> None:
-        """Count every nonempty prefix of a trace of (label, reward) pairs."""
+    def record(self, trace, times: int = 1) -> None:
+        """Count every nonempty prefix of a trace of (label, reward) pairs
+        `times` times: the table of `times` calls with the trace."""
         if not trace:
             return
         self._counts_changed()
-        self.num_traces += 1
+        self.num_traces += times
         child, counts, rewards = self._child, self._counts, self.rewards
         node = 0
         for label, reward in trace:
@@ -202,10 +203,10 @@ class ObservationTable:
                 counter = counts[nxt] = Counter()
             if reward.__class__ is not float:
                 reward = float(reward)
-            counter[reward] += 1
+            counter[reward] += times
             rewards.add(reward)
             node = nxt
-        self._total_samples += len(trace)
+        self._total_samples += len(trace) * times
 
     def prefix_counts(self, trace):
         """The Counter of every nonempty prefix of a trace's label word, in

@@ -12,9 +12,11 @@ from prmlearn import (
     coffee_prm,
     patrol_prm,
 )
+from prmlearn.alphabet import label_sort_key, word_str
 from prmlearn.environment import step
 from prmlearn.machine import draw_row, unit_vector
-from prmlearn.table import diff_against_distribution
+from prmlearn.passive import MAX_EXPERIMENT_LEN, MAX_STATES
+from prmlearn.table import ObservationTable, build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
 C = frozenset({"c"})
 O = frozenset({"o"})
@@ -184,13 +186,22 @@ def ref_is_counterexample(table, h, trace, n_check, tests=None):
     return None
 
 
-def record_times(table, trace, k: int) -> None:
-    """The table that `k` calls of `table.record(trace)` give, in one
-    call: each prefix of the trace gains k counts, not 1."""
-    table.record(trace)
-    if not trace:
-        return
-    for (_, reward), counter in zip(trace, table.prefix_counts(trace)):
-        counter[float(reward)] += k - 1
-    table.num_traces += k - 1
-    table._total_samples += (k - 1) * len(trace)
+def ref_learn_passive(traces, ap, n_check: int):
+    """`learn_passive_from_traces` step by step, with one record call per
+    trace and every suffix up to the cap offered to E, each time: returns
+    (the table, the dropped suffixes, the hypothesis)."""
+    observed = sorted({label for trace in traces for label, _ in trace}, key=label_sort_key)
+    table, dropped = ObservationTable(ap, observed), 0
+    for trace in traces:
+        table.record(trace)
+        word = tuple(label for label, _ in trace)
+        first = max(len(word) - MAX_EXPERIMENT_LEN, 0)
+        dropped += first
+        for k in range(first, len(word)):
+            table.add_experiment(word[k:])
+    for w in sorted(table.sampled_words(n_check), key=lambda w: (len(w), word_str(w))):
+        if len(table.s) >= MAX_STATES:
+            break
+        table.add_state(w)
+    repair_on_frozen_data(table)
+    return table, dropped, build_hypothesis(table, n_check)

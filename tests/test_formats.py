@@ -42,16 +42,24 @@ ASSETS = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets"
 PROPS = ["a", "b", "*"]
 finite_rewards = st.floats(allow_nan=False, allow_infinity=False)
 state_names = st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True)
+# names made of the machine file's own syntax as well: a machine rejects
+# the ones its text cannot write back
+NAME_PIECES = ["-", "--", "-->", ">", ":", "/", "#", "&", "ε", " ", "\t", "\n", "\r", "\x1c", "\u2028",
+               "y", "0"]
+any_state_names = st.one_of(
+    state_names,
+    st.lists(st.one_of(st.sampled_from(NAME_PIECES), st.text(max_size=2)), min_size=1, max_size=4).map("".join),
+)
 
 
 @st.composite
-def machines(draw):
+def machines(draw, name=state_names):
     """Total or partial machines, with or without a (possibly implicit)
     failure state.  Each edge draws its own reward, so the edges of one
     pair can pay different rewards."""
     ap = Alphabet(draw(st.lists(st.sampled_from(PROPS), min_size=1, max_size=2, unique=True)))
     n = draw(st.integers(1, 4))
-    names = draw(st.lists(state_names, min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
     total = draw(st.booleans())
     bottom = draw(st.one_of(st.none(), st.integers(0, n - 1)))
     implicit_bottom = bottom is not None and draw(st.booleans())
@@ -91,8 +99,15 @@ def assert_same_machine(p: Prm, q: Prm) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(prm=machines())
-def test_machine_text_round_trip(prm):
+@given(data=st.data())
+def test_machine_text_round_trip(data):
+    # every machine text reads back exactly, and a state name the text
+    # could not write back is rejected when the machine is made
+    try:
+        prm = data.draw(machines(any_state_names))
+    except ValueError as err:
+        assert "state name" in str(err)
+        return
     text = prm_to_text(prm)
     again = prm_from_text(text)
     assert_same_machine(prm, again)
@@ -163,6 +178,19 @@ def test_empty_state_name_rejected(header):
     with pytest.raises(ValueError, match="state name is empty"):
         Prm(Alphabet(["a"]), [0.0], ["y0", ""], 0, {(0, frozenset({"a"})): np.array([1.0, 0.0])},
             {(0, frozenset({"a"}), 0): 0.0})
+
+
+@pytest.mark.parametrize("names, message", [
+    *((["y0", name], "cannot be written")
+      for name in ["y--0", "y-->z", "a:b", " y0", "y0\t", "y\n0", "y\u20280", "#y"]),
+    (["y0", "y0"], "repeated"),
+])
+def test_state_names_the_machine_file_cannot_write_rejected(names, message):
+    # written out, y--0 would read back as the label "0 --a", " y0" as y0,
+    # and two states named y0 as one
+    a = frozenset({"a"})
+    with pytest.raises(ValueError, match=message):
+        Prm(Alphabet(["a"]), [0.0], names, 0, {(0, a): np.array([0.5, 0.5])}, {(0, a, 0): 0.0, (0, a, 1): 0.0})
 
 
 HEADER_FAULTS = [
@@ -366,6 +394,29 @@ map_texts = texts_from(st.sampled_from(MAPS))
 @given(data=st.data())
 def test_parser_reads_or_rejects_malformed_text(texts, parse, data):
     reads_or_rejects(parse, data.draw(texts))
+
+
+NON_NUMERIC_REWARDS = [
+    ("ap: a\ngamma: 0\ninit: y0\ny0 --a/x--> y0 : 1.0\n", prm_from_text, "bad.prm"),
+    ("ap: a\ngamma: 0,x\ninit: y0\ny0 --a/0--> y0 : 1.0\n", prm_from_text, "bad.prm"),
+    ("c;x\n", trace_from_line, "bad.log"),
+]
+
+
+@pytest.mark.parametrize("text, parse, name", NON_NUMERIC_REWARDS, ids=["edge", "gamma", "trace"])
+def test_parser_names_a_reward_that_is_no_number(text, parse, name, tmp_path, capsys):
+    # float's own error would name neither the field nor its text
+    message = "reward must be a finite number: 'x'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    command = {
+        "bad.prm": ["export-dot", "--prm", tmp_path / "bad.prm", "--out", tmp_path / "bad.dot"],
+        "bad.log": ["learn-passive", "--env", patrol_copy(tmp_path), "--traces", tmp_path / "bad.log",
+                    "--n-check", "1", "--out", tmp_path / "learned.prm"],
+    }[name]
+    assert main([str(arg) for arg in command]) == 1
+    assert message in capsys.readouterr().err
 
 
 # The command line reads machine files (export-dot), trace logs

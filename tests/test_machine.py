@@ -19,7 +19,15 @@ from prmlearn import (
     random_prm,
     save_prm,
 )
-from prmlearn.machine import STREAM_BLOCK, Stream, draw_row, sample_index, sampling_row, unit_vector
+from prmlearn.machine import (
+    STREAM_BLOCK,
+    Stream,
+    draw_row,
+    sample_index,
+    sampling_row,
+    spawn_states,
+    unit_vector,
+)
 
 from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, single_state_zero_prm
 
@@ -418,6 +426,38 @@ def test_stream_draws_as_a_generator(seed, half, lead, draws):
             value = stream.integers(low, low + k)
             assert value.__class__ is int and value == rng.integers(low, low + k)
     assert stream.random() == rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), child=st.integers(0, 9),
+       before=st.integers(0, 40),
+       lead=st.sampled_from([0, 1, 31, 32, 33, 95, 96, 97, 223, 224, 225]),
+       draws=st.lists(st.sampled_from([None] + STREAM_RANGES), max_size=20))
+def test_stream_restart_draws_as_a_generator_at_the_new_state(seed, child, before, lead, draws):
+    # a Stream that has drawn and keeps a 32-bit half from integers, restarted
+    # at a spawned (state, inc), draws what a Generator on a PCG64 set to it
+    # draws: the first integers take no kept half, and the refills after 32,
+    # 96 and 224 outputs (blocks of 32, 64, 128) start over
+    stream = Stream(np.random.PCG64(seed))
+    for _ in range(before):
+        stream.random()
+    stream.integers(0, 2 ** 32)
+    state, inc = spawn_states(seed, child + 1)[child]
+    stream.restart(state, inc)
+    ref_bits = np.random.PCG64(0)
+    ref_bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(ref_bits)
+    assert stream.integers(0, 7) == rng.integers(0, 7)
+    for _ in range(lead):
+        assert stream.random() == rng.random()
+    for k in draws:
+        if k is None:
+            assert stream.random() == rng.random()
+        else:
+            assert stream.integers(0, k) == rng.integers(0, k)
+    for _ in range(130):
+        assert stream.random() == rng.random()
 
 
 def test_stream_rejects_ranges_it_does_not_draw():

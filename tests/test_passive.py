@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prmlearn import (
     Alphabet,
@@ -11,6 +13,7 @@ from prmlearn import (
     learn_passive_from_traces,
     parse_gridmap,
     patrol_prm,
+    prm_to_text,
     shortest_path_policy,
     uniform_policy,
 )
@@ -18,7 +21,7 @@ from prmlearn.alphabet import EMPTY_LABEL, EPSILON
 from prmlearn.environment import PositionalPolicy
 from prmlearn.passive import MAX_EXPERIMENT_LEN
 
-from conftest import C, O, STAR, single_state_zero_prm, two_cell_nmdp
+from conftest import C, O, STAR, ref_learn_passive, single_state_zero_prm, two_cell_nmdp
 
 from test_environment import OFFICE_MAP
 
@@ -52,6 +55,32 @@ def test_single_trace_example():
     assert table.freq((C, O)) == {1.0: 1}
     closed, _ = table.is_closed()
     assert closed
+
+
+steps = st.tuples(st.sampled_from([EMPTY_LABEL, C, O]), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pool=st.lists(st.one_of(st.lists(steps, max_size=4),
+                               st.lists(steps, min_size=MAX_EXPERIMENT_LEN - 1, max_size=MAX_EXPERIMENT_LEN + 3)),
+                     min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 4), min_size=1, max_size=25),
+       n_check=st.integers(1, 4))
+def test_repeated_traces_learn_what_one_record_per_trace_learns(pool, picks, n_check):
+    # traces drawn with repeats from a pool: recording each distinct trace
+    # once with its count, and stopping at the first suffix E holds, give
+    # the table, order of S and E, counts and machine of the plain loop
+    traces = [list(pool[i % len(pool)]) for i in picks]
+    assume(any(traces))
+    ap = Alphabet(["c", "o"])
+    result = learn_passive_from_traces(traces, ap, PassiveConfig(n_check=n_check))
+    table, dropped, hypothesis = ref_learn_passive(traces, ap, n_check)
+    assert result.table.s == table.s
+    assert result.table.e == table.e
+    assert ([(w, list(c.items())) for w, c in result.table.t.items()]
+            == [(w, list(c.items())) for w, c in table.t.items()])
+    assert result.report.dropped_suffixes == dropped
+    assert prm_to_text(result.hypothesis) == prm_to_text(hypothesis)
 
 
 @pytest.mark.parametrize("alphabet", [None, [EMPTY_LABEL, C]], ids=["observed", "given"])

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
@@ -22,7 +22,7 @@ from prmlearn.table import (
     repair_on_frozen_data,
 )
 
-from conftest import C, O, record_times, ref_is_counterexample
+from conftest import C, O, ref_is_counterexample
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -250,9 +250,10 @@ def test_sampled_words_are_the_words_of_t_with_n_samples(recorded, n):
 
 
 def table_state(table):
-    """What a table holds: its words and counts in id order, the sample
-    totals, the rewards and the CSV bytes."""
-    return (list(table.t.items()), table.num_traces, table.total_samples(), table.rewards,
+    """What a table holds: its words and counts in id order, each count's
+    rewards in their order, the sample totals, the rewards and the CSV bytes."""
+    return ([(w, list(c.items())) for w, c in table.t.items()], table.num_traces,
+            table.total_samples(), table.rewards,
             csv_bytes(ObservationTable.to_csv, table))
 
 
@@ -260,11 +261,13 @@ def table_state(table):
 @given(recorded=st.lists(st.tuples(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
                                                       st.sampled_from([0, 0.0, 1.0])), max_size=4),
                                    st.integers(1, 5)), max_size=6))
+@example(recorded=[([], 3), ([(C, 0.0)], 1), ([(C, 1.0), (O, 0)], 4), ([], 1), ([(C, 0.0), (O, 1.0)], 1)])
 def test_record_times_gives_the_table_of_k_records(recorded):
-    # the conftest helper that stands for 10^4 to 10^6 record calls
+    # record(trace, k), which passive learning calls with a trace's count,
+    # is k calls of record(trace); k = 1 and an empty trace included
     one, many = make_table(), make_table()
     for trace, k in recorded:
-        record_times(one, trace, k)
+        one.record(trace, k)
         for _ in range(k):
             many.record(trace)
         assert table_state(one) == table_state(many)
@@ -469,7 +472,7 @@ def test_row_sweeps_match_full_column_loops(ops, pad):
     # hundred) straddle factor^2, about 14 at M = 10^4 and 21 at 10^6
     padded = make_table(alphabet=SWEEP_LABELS)
     record_repeated(padded, [op[1] for op in ops if op[0] == "record"])
-    record_times(padded, [(PAD_LABEL, 0.0)], pad)
+    padded.record([(PAD_LABEL, 0.0)], pad)
     for s in table.s:
         padded.add_state(table.word(s))
     for word in table.e:
@@ -663,8 +666,8 @@ def test_rows_differ_at_a_word_just_inside_the_bound():
     for n, tested in ((22, True), (21, False)):
         assert (_hoeffding_factor(dense + n) * math.sqrt(1.0 / n) < 1.0) == tested
         table = make_table(alphabet=[C, O])
-        record_times(table, [(C, 0.0)], n)
-        record_times(table, [(O, 1.0)], dense)
+        table.record([(C, 0.0)], n)
+        table.record([(O, 1.0)], dense)
         expected = ref_compatible_rows(table, (C,), (O,))
         assert expected == (not tested)
         assert table.compatible_rows(*rows(table, (C,), (O,))) == expected
