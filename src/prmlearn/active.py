@@ -153,20 +153,33 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     its empirical reward distribution is statistically different from
     the hypothesis prediction at that prefix.
 
-    The walk stops at the first prefix below n_check samples with none or
-    with factor * sqrt(1/n) >= 1: no later prefix has more samples, so
-    none reaches n_check, and its threshold of at least 1 exceeds every
-    gap.
+    The walk follows the trace's word ids and stops at the first prefix
+    below n_check (at least 1) samples with none or with
+    factor * sqrt(1/n) >= 1: no later prefix has more samples, so none
+    reaches n_check, and its threshold of at least 1 exceeds every gap.
+    A prefix whose counts and prediction hold one and the same reward is
+    not tested: its one gap is n/n - p*n/(p*n) = 0, so `_differs_from`
+    would say False.
 
-    `steps` memoises `h.advance` by (bytes of the state vector, label); a
-    caller checking many traces against one hypothesis passes the same
-    dict to every call."""
+    `steps` memoises `h.advance` by (bytes of the state vector, label),
+    and the initial vector and its bytes under None; a caller checking
+    many traces against one hypothesis passes the same dict to every
+    call."""
     if steps is None:
         steps = {}
     factor = _hoeffding_factor(max(table.total_samples(), 1))
-    vec = h.initial_vector()
-    key = vec.tobytes()
-    for k, ((label, _), freq) in enumerate(zip(trace, table.prefix_counts(trace))):
+    start = steps.get(None)
+    if start is None:
+        vec = h.initial_vector()
+        start = steps[None] = (vec, vec.tobytes())
+    vec, key = start
+    child, counts = table._child, table._counts
+    node = 0
+    for k, (label, _) in enumerate(trace):
+        node = child.get((node, label))
+        freq = None if node is None else counts[node]
+        if freq is None:
+            return None   # no samples here or at any later prefix
         n = sum(freq.values())   # the prefix's sample count
         if n < n_check and (n == 0 or factor * math.sqrt(1.0 / n) >= 1.0):
             return None
@@ -174,11 +187,15 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
         if hit is None:
             nxt, expected = h.advance(vec, label)
             absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
-            hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, absorbed)
-        vec, key, expected, absorbed = hit
+            # the prediction's reward when it holds just one, else None
+            single = next(iter(expected)) if len(expected) == 1 else None
+            hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, single, absorbed)
+        vec, key, expected, single, absorbed = hit
         if absorbed:
             if n >= n_check:
                 return tuple(label for label, _ in trace[:k + 1])
+            continue
+        if len(freq) == 1 and single in freq:
             continue
         if expected and _differs_from(freq, n, expected, factor):
             return tuple(label for label, _ in trace[:k + 1])

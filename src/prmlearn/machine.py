@@ -522,6 +522,14 @@ def prm_to_text(prm: Prm) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_field(parse, field, line: str):
+    """parse(field), whose ValueError is raised again quoting the line read."""
+    try:
+        return parse(field)
+    except ValueError as err:
+        raise ValueError("%s in line: %s" % (err, line)) from None
+
+
 def prm_from_text(text: str) -> Prm:
     """Read the text format above; a line it cannot read raises a
     ValueError that quotes the line."""
@@ -543,9 +551,9 @@ def prm_from_text(text: str) -> Prm:
                 raise ValueError("repeated header line: %s" % line)
             headers.add(key)
         if line.startswith("ap:"):
-            ap = Alphabet([p.strip() for p in line[3:].split(",") if p.strip()])
+            ap = _read_field(Alphabet, [p.strip() for p in line[3:].split(",") if p.strip()], line)
         elif line.startswith("gamma:"):
-            gamma = [parse_reward(p) for p in line[6:].split(",") if p.strip()]
+            gamma = [_read_field(parse_reward, p, line) for p in line[6:].split(",") if p.strip()]
         elif line.startswith("init:"):
             init_name = line[5:].strip()
         elif line.startswith("bottom:"):
@@ -568,10 +576,13 @@ def prm_from_text(text: str) -> Prm:
                     raise ValueError
             except ValueError:
                 raise ValueError("malformed machine line: %s" % line) from None
-            edge = (src, parse_label(label_part), dst)
+            label = _read_field(parse_label, label_part, line)
+            if ap is not None:
+                _read_field(ap.validate_label, label, line)
+            edge = (src, label, dst)
             if edge in edges:   # a second line would add to the first's probability
                 raise ValueError("repeated edge line: %s" % line)
-            edges[edge] = (parse_reward(reward_part), prob)
+            edges[edge] = (_read_field(parse_reward, reward_part, line), prob)
     if ap is None or init_name is None:
         raise ValueError("machine text is missing its ap or init header")
 
@@ -613,17 +624,21 @@ def load_prm(path) -> Prm:
         return prm_from_text(fh.read())
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def prm_to_dot(prm: Prm) -> str:
     lines = ["digraph prm {", "  rankdir=LR;", '  __init [shape=point, label=""];']
-    for i, name in enumerate(prm.states):
+    names = [_dot_string(name) for name in prm.states]
+    for i, name in enumerate(names):
         shape = "doublecircle" if i == prm.bottom else "circle"
-        lines.append('  "%s" [shape=%s];' % (name, shape))
-    lines.append('  __init -> "%s";' % prm.states[prm.init])
+        lines.append("  %s [shape=%s];" % (name, shape))
+    lines.append("  __init -> %s;" % names[prm.init])
     for y, label, j in sorted(prm.rho, key=_edge_order):
-        lines.append(
-            '  "%s" -> "%s" [label="⟨%s, %s⟩ : %s"];'
-            % (prm.states[y], prm.states[j], label_str(label), format_reward(prm.rho[(y, label, j)]),
-               repr(float(prm.tau[(y, label)][j])))
-        )
+        text = "⟨%s, %s⟩ : %s" % (label_str(label), format_reward(prm.rho[(y, label, j)]),
+                                  repr(float(prm.tau[(y, label)][j])))
+        lines.append("  %s -> %s [label=%s];" % (names[y], names[j], _dot_string(text)))
     lines.append("}")
     return "\n".join(lines) + "\n"

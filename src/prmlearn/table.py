@@ -208,17 +208,6 @@ class ObservationTable:
             node = nxt
         self._total_samples += len(trace) * times
 
-    def prefix_counts(self, trace):
-        """The Counter of every nonempty prefix of a trace's label word, in
-        order, found by walking the word ids; empty past the words in t."""
-        child, counts = self._child, self._counts
-        node = 0
-        for label, _ in trace:
-            if node is not None:
-                node = child.get((node, label))
-            counter = None if node is None else counts[node]
-            yield _EMPTY if counter is None else counter
-
     # -- lookups -----------------------------------------------------------
 
     def row(self, word: Word):

@@ -1,8 +1,11 @@
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prmlearn
 
@@ -560,6 +563,40 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
                 verdicts.add((i, verdict is not None))
     assert {(1, True), (2, True), (3, False)} <= verdicts, verdicts
     assert 0 < len(tests) < len(ref_tests)  # the stop skipped some tests
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(1, 2 ** 53),
+       p=st.floats(0.0, 1.0, exclude_min=True), f=st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_one_reward_paid_as_predicted_never_differs(gamma, n, p, f):
+    # is_counterexample skips this test: count n against expected count
+    # p * n makes the one gap 1.0 - 1.0 = 0
+    assert _differs_from(Counter({gamma: n}), n, {gamma: p}, f) is False
+
+
+@pytest.mark.parametrize("paid, predicted", [(0.0, 0.0), (1.0, 0.0)])
+def test_is_counterexample_skips_only_one_reward_paid_as_predicted(paid, predicted, monkeypatch):
+    # traces of a machine paying one reward, checked against itself and
+    # a random machine paying one reward: when the two rewards are the
+    # same no prefix is tested, and when they differ the tests run
+    rng = np.random.default_rng(7)
+    props = ("a", "b")
+    truth = successor_reward_prm(rng, 3, props, [paid])
+    labels = truth.ap.labels()
+    table = ObservationTable(truth.ap, labels)
+    traces = [machine_trace(rng, truth, labels, int(rng.integers(1, 9))) for _ in range(400)]
+    for trace in traces:
+        table.record(trace)
+    tests = []
+    monkeypatch.setattr(active, "_differs_from", lambda *args: tests.append(args) or _differs_from(*args))
+    for h in (successor_reward_prm(rng, 3, props, [predicted]), random_prm(rng, 3, props, [predicted])):
+        steps, ref_tests = {}, []
+        for trace in traces[:100]:
+            verdict = is_counterexample(table, h, trace, 40, steps)
+            assert verdict == ref_is_counterexample(table, h, trace, 40, ref_tests)
+            assert (verdict is None) == (paid == predicted)
+        assert ref_tests   # the reference tests prefixes the check skips
+    assert bool(tests) == (paid != predicted)
 
 
 def test_is_counterexample_unrecorded_trace():

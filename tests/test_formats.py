@@ -225,6 +225,22 @@ def test_machine_repeated_edge_line_rejected(first, second):
         prm_from_text(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("y0 --a&&b/0--> y1 : 1.0", "malformed label: 'a&&b'"),
+    ("y0 --q/0--> y1 : 1.0", "label q uses unknown proposition 'q'"),
+    ("y1 --a/x--> y1 : 1.0", "reward must be a finite number: 'x'"),
+    ("gamma: 0,x", "reward must be a finite number: 'x'"),
+    ("ap: a,b/c", "invalid proposition name: 'b/c'"),
+], ids=["label", "proposition", "edge-reward", "gamma", "ap"])
+def test_machine_field_fault_quotes_its_line(line, message):
+    # in a long machine file the field alone would not say which line
+    # holds it; the bad line is the second of three after init
+    headers = [h for h in ("ap: a,b", "gamma: 0,1") if h.split(":")[0] != line.split(":")[0]]
+    text = "\n".join(headers + ["init: y0", "y0 --a/0--> y1 : 1.0", line, "y1 --b/1--> y0 : 1.0"])
+    with pytest.raises(ValueError, match="^%s in line: %s$" % (re.escape(message), re.escape(line))):
+        prm_from_text(text)
+
+
 def test_machine_state_lines_may_repeat():
     prm = prm_from_text(ACTIVE_OFFICE + "state: spare\nstate: spare\n")
     assert prm.states.count("spare") == 1

@@ -520,6 +520,19 @@ def test_dot_export(coffee):
     assert dot == prm_to_dot(coffee)  # deterministic
 
 
+def test_dot_export_escapes_quotes_and_backslashes():
+    # state and proposition names may hold " and \, which would end or
+    # escape the DOT string they are written in
+    label = frozenset({'p"q'})
+    step = np.array([0.0, 1.0])
+    prm = Prm(Alphabet(['p"q']), [0.0], ['a"b', "c\\d"], 0, {(0, label): step, (1, label): step},
+              {(0, label, 1): 0.0, (1, label, 1): 0.0})
+    lines = prm_to_dot(prm).splitlines()
+    assert '  "a\\"b" [shape=circle];' in lines
+    assert '  __init -> "a\\"b";' in lines
+    assert '  "a\\"b" -> "c\\\\d" [label="⟨p\\"q, 0⟩ : 1.0"];' in lines
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_reward_rejected(bad):
     ap = Alphabet(["a"])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
 from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
-from prmlearn.machine import random_prm
+from prmlearn.machine import prm_from_text, random_prm
 from prmlearn.table import (
     CSV_COLUMNS,
     TableNotReadyError,
@@ -192,17 +192,27 @@ def test_record_additivity_and_order_independence():
 
 
 @settings(max_examples=100, deadline=None)
-@given(recorded=st.lists(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
-                                            st.sampled_from([0.0, 1.0])), max_size=5), max_size=8),
-       query=st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]), st.just(0.0)), max_size=6))
-def test_prefix_counts_match_word_lookups(recorded, query):
-    # recorded traces and others, which leave the recorded words part way
+@given(recorded=st.lists(st.tuples(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                                      st.sampled_from([0.0, 1.0])), max_size=5),
+                                   st.integers(1, 50)), max_size=8),
+       query=st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]), st.just(0.0)), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_is_counterexample_walk_matches_word_lookups(recorded, query, seed):
+    # recorded traces and others, which leave the recorded words part way:
+    # the check's walk over word ids reads the counts that word lookups
+    # read, against a random machine and one whose failure state absorbs o
     table = make_table()
-    for trace in recorded:
-        table.record(trace)
-    for trace in recorded + [query]:
-        expected = [table.freq(tuple(label for label, _ in trace[:k + 1])) for k in range(len(trace))]
-        assert list(table.prefix_counts(trace)) == expected
+    for trace, times in recorded:
+        table.record(trace, times)
+    partial = prm_from_text("\n".join([
+        "ap: c,o", "gamma: 0,1", "init: q0", "bottom: bot", "implicit_bottom: true",
+        "q0 --c/0--> q0 : 1.0", "q0 --ε/1--> q0 : 1.0",
+    ]))
+    for h in (random_prm(np.random.default_rng(seed), 2, ("c", "o"), [0.0, 1.0]), partial):
+        for trace in [trace for trace, _ in recorded] + [query]:
+            for n_check in (1, 5, 40):
+                assert is_counterexample(table, h, trace, n_check) == ref_is_counterexample(
+                    table, h, trace, n_check)
 
 
 def test_untracked_words_read_empty():
@@ -559,7 +569,8 @@ def test_a_state_that_was_never_recorded_has_an_id_and_no_counts():
     trace = [(O, 0.0), (C, 0.0), (C, 1.0)]
 
     def views():
-        return (table.t, table.sampled_words(0), list(table.prefix_counts(trace)),
+        return (table.t, table.sampled_words(0),
+                [table.freq(tuple(label for label, _ in trace[:k])) for k in range(1, len(trace) + 1)],
                 csv_bytes(ObservationTable.to_csv, table))
 
     before = views()
