@@ -22,7 +22,6 @@ from .machine import (
     prm_from_text,
     prm_to_dot,
     prm_to_text,
-    random_prm,
     save_prm,
 )
 from .environment import (
@@ -30,7 +29,6 @@ from .environment import (
     Trajectory,
     build_office_nmdp,
     collect_traces,
-    free_nmdp,
     load_env_config,
     load_gridmap,
     load_traces,

@@ -54,6 +54,9 @@ class Nmdp:
     # a deterministic row or None), filled by step on first use.  An Nmdp is
     # not changed after construction.
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # state -> {label: the successors that an available action reaches with
+    # that label at positive probability}, filled by word_realizable on first use
+    _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.truth.is_total():
@@ -313,21 +316,26 @@ def shortest_path_policy(gridmap: GridMap, m: Nmdp) -> PositionalPolicy:
     return PositionalPolicy(probs)
 
 
+def _successors_by_label(m: Nmdp, x: int) -> dict:
+    """{label: the states that some available action at x reaches with that label}."""
+    succ = m._successors.get(x)
+    if succ is None:
+        succ = m._successors[x] = {}
+        for a in m.available[x]:
+            for x_next in np.flatnonzero(m.p[(x, a)]):
+                x_next = int(x_next)
+                succ.setdefault(m.labeling[(x, a, x_next)], set()).add(x_next)
+    return succ
+
+
 def word_realizable(m: Nmdp, w: Word) -> bool:
     """Whether some trajectory's label word equals w: BFS over (state,
     matched length) pairs, polynomial in |X|·|A|·|w|."""
     frontier = {m.x_init}
     for label in w:
-        nxt = set()
-        for x in frontier:
-            for a in m.available[x]:
-                for x_next in np.flatnonzero(m.p[(x, a)]):
-                    x_next = int(x_next)
-                    if m.labeling[(x, a, x_next)] == label:
-                        nxt.add(x_next)
-        if not nxt:
+        frontier = {x_next for x in frontier for x_next in _successors_by_label(m, x).get(label, ())}
+        if not frontier:
             return False
-        frontier = nxt
     return True
 
 
@@ -341,9 +349,10 @@ def membership_reward_machine(ap: Alphabet, zeta: Word) -> Prm:
         raise ValueError("membership query word must be non-empty")
     n = len(zeta) + 1
     names = ["y%d" % k for k in range(n)]
+    labels = ap.labels()
     tau, rho = {}, {}
     for k in range(n):
-        for label in ap.labels():
+        for label in labels:
             if k < len(zeta) and label == zeta[k]:
                 tau[(k, label)] = unit_vector(n, k + 1)
                 rho[(k, label, k + 1)] = 1.0
@@ -403,32 +412,6 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
         truth=m.truth,
     )
     return ProductMdp(mdp=mdp, reward=reward, pairs=pairs)
-
-
-# -- free environment (any word realizable; used by tests and oracles) ------------
-
-
-def free_nmdp(truth: Prm) -> Nmdp:
-    """One state per label plus an initial state; action k moves to the
-    state emitting label k.  Every label word is realizable."""
-    labels = truth.ap.labels()
-    n = len(labels) + 1
-    names = ("x_init",) + tuple("x_%s" % label_str(l) for l in labels)
-    p, labeling = {}, {}
-    available = [list(range(len(labels))) for _ in range(n)]
-    for x in range(n):
-        for a, label in enumerate(labels):
-            p[(x, a)] = unit_vector(n, a + 1)
-            labeling[(x, a, a + 1)] = label
-    return Nmdp(
-        states=names,
-        x_init=0,
-        actions=tuple("goto_%s" % label_str(l) for l in labels),
-        available=available,
-        p=p,
-        labeling=labeling,
-        truth=truth,
-    )
 
 
 # -- configuration and trace logs ---------------------------------------------------

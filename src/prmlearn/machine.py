@@ -464,28 +464,6 @@ def _bundled_prm(name: str) -> Prm:
     return load_prm(Path(__file__).parent / "assets" / name)
 
 
-def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False) -> Prm:
-    """A random total machine, for tests.  With `dyadic` every probability
-    is a multiple of 1/64, so products with dyadic factors stay exact."""
-    grain = 64
-    ap = Alphabet(props)
-    rewards = [float(r) for r in rewards]
-    names = ["y%d" % i for i in range(n_states)]
-    tau, rho = {}, {}
-    for y in range(n_states):
-        for label in ap.labels():
-            if dyadic:
-                cuts = sorted(rng.integers(0, grain + 1, size=n_states - 1).tolist())
-                vec = np.diff([0] + cuts + [grain]).astype(float) / grain
-            else:
-                vec = rng.random(n_states) + 1e-3
-                vec = vec / vec.sum()
-            tau[(y, label)] = vec
-            reward = rewards[int(rng.integers(0, len(rewards)))]
-            rho.update(((y, label, int(j)), reward) for j in np.flatnonzero(vec))
-    return Prm(ap, rewards, names, 0, tau, rho)
-
-
 # -- text format --------------------------------------------------------------
 #
 # ap: a,b,c

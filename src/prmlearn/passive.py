@@ -67,15 +67,15 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         ap.validate_label(label)
     table = ObservationTable(ap, observed if alphabet is None else alphabet)
 
-    words = set()   # the label words seen: their suffixes are in E already
+    seen = set()   # the ids of the label words seen: their suffixes are in E already
     for trace, count in distinct.items():
-        table.record(trace, count)
-        word = tuple(label for label, _ in trace)
+        node = table.record(trace, count)
         # the suffixes longer than the cap are the first ones
-        first = max(len(word) - MAX_EXPERIMENT_LEN, 0)
+        first = max(len(trace) - MAX_EXPERIMENT_LEN, 0)
         report.dropped_suffixes += first * count
-        if word not in words:
-            words.add(word)
+        if node not in seen:
+            seen.add(node)
+            word = tuple(label for label, _ in trace)
             # E is closed under suffixes here: the rest are in E already
             for k in range(first, len(word)):
                 if not table.add_experiment(word[k:]):

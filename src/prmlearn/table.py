@@ -13,7 +13,6 @@ import csv
 import functools
 import math
 from array import array
-from collections import Counter
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .alphabet import (
     label_str,
     word_str,
 )
+from .environment import check_count
 from .machine import Prm
 
 
@@ -125,18 +125,18 @@ class ObservationTable:
         self.s: list = [0]   # S as word ids, in order; ε's is 0
         self._in_s = {0}
         self.e: list = [EPSILON]
-        self.rewards: set = set()   # every recorded reward: the keys of the counters in t
+        self.rewards: set = set()   # every recorded reward: the keys of the counts in t
         self.num_traces = 0
         self._total_samples = 0
         # Word ids, the table's one store of words: every prefix of a
         # recorded word has one, ε has 0, a parent's id is below its
         # children's, and no word's tuple is kept.  A recorded word has at
         # most as many samples as its parent (ε counts num_traces).  Only
-        # add_state makes an id without a Counter, for a word never
-        # recorded, and no descendant of such an id has a Counter.
+        # add_state makes an id without counts, for a word never recorded,
+        # and no descendant of such an id has counts.
         self._child: dict = {}            # (parent id, label) -> id
         self._parent: list = [None]       # id -> its (parent id, label) key in _child
-        self._counts: list = [None]       # id -> the word's Counter, or None
+        self._counts: list = [None]       # id -> the word's {reward: positive int count}, or None
         # E as a trie beside its list, which marks membership too: a node is
         # [its word's index into E or None, {label: child node}], root ε's.
         self._e_trie: list = [0, {}]
@@ -185,11 +185,14 @@ class ObservationTable:
             node = nxt if nxt is not None else self._intern(node, label)
         return node
 
-    def record(self, trace, times: int = 1) -> None:
+    def record(self, trace, times: int = 1) -> int:
         """Count every nonempty prefix of a trace of (label, reward) pairs
-        `times` times: the table of `times` calls with the trace."""
+        `times` times, a positive int: the table of `times` calls with the
+        trace.  Returns the id of the trace's label word (0 when empty)."""
+        if times.__class__ is not int or times < 1:   # a bool is no count, and True == 1
+            check_count(times, "times", positive=True)
         if not trace:
-            return
+            return 0
         self._counts_changed()
         self.num_traces += times
         child, counts, rewards = self._child, self._counts, self.rewards
@@ -200,13 +203,14 @@ class ObservationTable:
                 nxt = self._intern(node, label)
             counter = counts[nxt]
             if counter is None:
-                counter = counts[nxt] = Counter()
+                counter = counts[nxt] = {}
             if reward.__class__ is not float:
                 reward = float(reward)
-            counter[reward] += times
+            counter[reward] = counter.get(reward, 0) + times
             rewards.add(reward)
             node = nxt
         self._total_samples += len(trace) * times
+        return node
 
     # -- lookups -----------------------------------------------------------
 
@@ -229,7 +233,7 @@ class ObservationTable:
 
     @property
     def t(self) -> dict:
-        """{word: its Counter} over the recorded words in id order, built on read."""
+        """{word: its {reward: count}} over the recorded words in id order, built on read."""
         words = [EPSILON]
         for parent, label in self._parent[1:]:
             words.append(words[parent] + (label,))
@@ -240,9 +244,10 @@ class ObservationTable:
         return [self.word(i) for i, c in enumerate(self._counts)
                 if c is not None and sum(c.values()) >= n]
 
-    def freq(self, word: Word) -> Counter:
+    def freq(self, word: Word) -> dict:
+        """{reward: count} of `word`: a new empty dict for a word without counts."""
         node = self.row(word)
-        return _EMPTY if node is None or self._counts[node] is None else self._counts[node]
+        return {} if node is None or self._counts[node] is None else self._counts[node]
 
     def total(self, word: Word) -> int:
         return self._total(self.row(word))
@@ -293,8 +298,9 @@ class ObservationTable:
     # not |E|.  A row finds its columns by walking E's trie and the word
     # ids together from the row's id, so it visits only the E prefixes
     # recorded after the row, not every column of E.  The walk stops where
-    # a word has no id.  Every Counter holds at least one sample, and an id
-    # without one, which only add_state makes, has no descendant with one.
+    # a word has no id.  Every word's counts hold at least one sample, and
+    # an id without counts, which only add_state makes, has no descendant
+    # with counts.
     # A word with n samples whose factor * sqrt(1/n) is at least 1 never
     # differs either: its threshold is at least 1 (rounding is monotone, so
     # adding sqrt(1/n') cannot lower it), and no gap between two
@@ -470,7 +476,6 @@ class ObservationTable:
                             writer.writerow([text[i], format_reward(reward), counter[reward], sample])
 
 
-_EMPTY = Counter()
 _UNSET = object()
 
 
@@ -544,9 +549,10 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
             # pool the counts of every class member: the rows were merged as
             # statistically indistinguishable, so their extensions estimate
             # the same distribution
-            counter = Counter()
+            counter = {}
             for donor in donors:
-                counter.update(counts[child[(donor, label)]])
+                for gamma, count in counts[child[(donor, label)]].items():
+                    counter[gamma] = counter.get(gamma, 0) + count
             total = sum(counter.values())
             next_cls = assign[table.resolve_to_member(child[(u, label)])]
             outs = []

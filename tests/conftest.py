@@ -12,7 +12,7 @@ from prmlearn import (
     coffee_prm,
     patrol_prm,
 )
-from prmlearn.alphabet import label_sort_key, word_str
+from prmlearn.alphabet import label_sort_key, label_str, word_str
 from prmlearn.environment import step
 from prmlearn.machine import draw_row, unit_vector
 from prmlearn.passive import MAX_EXPERIMENT_LEN, MAX_STATES
@@ -69,6 +69,26 @@ def dyadic_vector(rng, n, grain=64):
     return np.diff([0] + cuts + [grain]).astype(float) / grain
 
 
+def random_prm(rng, n_states: int, props, rewards, *, dyadic: bool = False) -> Prm:
+    """A random total machine.  With `dyadic` every probability is a
+    multiple of 1/64, so products with dyadic factors stay exact."""
+    ap = Alphabet(props)
+    rewards = [float(r) for r in rewards]
+    names = ["y%d" % i for i in range(n_states)]
+    tau, rho = {}, {}
+    for y in range(n_states):
+        for label in ap.labels():
+            if dyadic:
+                vec = dyadic_vector(rng, n_states)
+            else:
+                vec = rng.random(n_states) + 1e-3
+                vec = vec / vec.sum()
+            tau[(y, label)] = vec
+            reward = rewards[int(rng.integers(0, len(rewards)))]
+            rho.update(((y, label, int(j)), reward) for j in np.flatnonzero(vec))
+    return Prm(ap, rewards, names, 0, tau, rho)
+
+
 def probability_vectors(n):
     """A hypothesis strategy of probability vectors of length n:
     deterministic, dyadic and non-dyadic."""
@@ -105,6 +125,29 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
         x_init=0,
         actions=tuple("a%d" % i for i in range(n_actions)),
         available=[list(range(n_actions)) for _ in range(n_states)],
+        p=p,
+        labeling=labeling,
+        truth=truth,
+    )
+
+
+def free_nmdp(truth):
+    """One state per label plus an initial state; action k moves to the
+    state emitting label k.  Every label word is realizable."""
+    labels = truth.ap.labels()
+    n = len(labels) + 1
+    names = ("x_init",) + tuple("x_%s" % label_str(l) for l in labels)
+    p, labeling = {}, {}
+    available = [list(range(len(labels))) for _ in range(n)]
+    for x in range(n):
+        for a, label in enumerate(labels):
+            p[(x, a)] = unit_vector(n, a + 1)
+            labeling[(x, a, a + 1)] = label
+    return Nmdp(
+        states=names,
+        x_init=0,
+        actions=tuple("goto_%s" % label_str(l) for l in labels),
+        available=available,
         p=p,
         labeling=labeling,
         truth=truth,

@@ -27,15 +27,13 @@ from prmlearn import (
     load_env_config,
     membership_reward_machine,
     product,
-    random_prm,
     shortest_path_policy,
 )
 from prmlearn.active import teacher_query
-from prmlearn.environment import free_nmdp
 from prmlearn.table import repair_on_frozen_data
 from prmlearn.verify import brute_force_reward_distribution
 
-from conftest import C, O, STAR, random_nmdp, rollout_greedy
+from conftest import C, O, STAR, free_nmdp, random_nmdp, random_prm, rollout_greedy
 
 from test_cli import ASSETS, run_cli
 

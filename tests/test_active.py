@@ -29,7 +29,7 @@ from prmlearn.active import (
     teacher_query,
 )
 from prmlearn.alphabet import EMPTY_LABEL
-from prmlearn.environment import free_nmdp, load_env_config
+from prmlearn.environment import load_env_config
 from prmlearn.machine import (
     Prm,
     Stream,
@@ -37,7 +37,6 @@ from prmlearn.machine import (
     draw_row,
     prm_from_text,
     prm_to_text,
-    random_prm,
     sample_index,
 )
 from prmlearn.table import _differs_from, build_hypothesis, repair_on_frozen_data
@@ -45,8 +44,10 @@ from prmlearn.table import _differs_from, build_hypothesis, repair_on_frozen_dat
 from conftest import (
     C,
     O,
+    free_nmdp,
     greedy_action,
     random_nmdp,
+    random_prm,
     ref_is_counterexample,
     rollout_greedy,
     single_state_zero_prm,

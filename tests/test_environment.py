@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from prmlearn import (
     Alphabet,
     EMPTY_LABEL,
     Trajectory,
+    brute_force_word_realizability,
     build_office_nmdp,
     coffee_prm,
     collect_traces,
@@ -33,13 +35,12 @@ from prmlearn.environment import (
     trace_from_line,
     trace_to_line,
     word_realizable,
-    free_nmdp,
 )
-from prmlearn.machine import Prm, random_prm, sample_index, spawn_states, unit_vector
+from prmlearn.machine import Prm, sample_index, spawn_states, unit_vector
 
 from conftest import (
-    C, O, STAR, edges_of, machine_run, probability_vectors, random_nmdp, single_state_zero_prm,
-    two_cell_nmdp,
+    C, O, STAR, edges_of, free_nmdp, machine_run, probability_vectors, random_nmdp, random_prm,
+    single_state_zero_prm, two_cell_nmdp,
 )
 
 OFFICE_MAP = """\
@@ -585,6 +586,30 @@ def test_word_realizable():
     assert not word_realizable(m, (C, C))
     # no cell adjacent to the start is adjacent to the coffee cell
     assert not word_realizable(m, (EMPTY_LABEL, C))
+
+
+def restricted_nmdp(seed):
+    """A random NMDP over {a, b} with dyadic (so partly zero) moves, where
+    each state offers a random nonempty subset of its actions."""
+    rng = np.random.default_rng(seed)
+    m = random_nmdp(rng, n_states=4, n_actions=3, props=("a", "b"), dyadic=True)
+    available = [sorted(set(rng.choice(3, size=int(rng.integers(1, 4)), replace=False).tolist()))
+                 for _ in m.states]
+    return dataclasses.replace(m, available=available)
+
+
+def test_word_realizable_matches_the_brute_force_search():
+    # every word up to length 3, on office and on random machines, of
+    # which some words are realizable and some are not
+    office = build_office_nmdp(parse_gridmap(OFFICE_MAP), coffee_prm())
+    outcomes = []
+    for m in [office] + [restricted_nmdp(seed) for seed in range(6)]:
+        for n in range(4):
+            for w in itertools.product(m.ap.labels(), repeat=n):
+                realizable = word_realizable(m, w)
+                assert realizable == (brute_force_word_realizability(m, w) is not None), w
+                outcomes.append(realizable)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_free_nmdp_realizes_everything():

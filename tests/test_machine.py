@@ -16,7 +16,6 @@ from prmlearn import (
     prm_from_text,
     prm_to_dot,
     prm_to_text,
-    random_prm,
     save_prm,
 )
 from prmlearn.machine import (
@@ -29,7 +28,7 @@ from prmlearn.machine import (
     unit_vector,
 )
 
-from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, single_state_zero_prm
+from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm
 
 A = frozenset({"a"})
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
 from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
-from prmlearn.machine import prm_from_text, random_prm
+from prmlearn.machine import prm_from_text
 from prmlearn.table import (
     CSV_COLUMNS,
     TableNotReadyError,
@@ -22,7 +22,7 @@ from prmlearn.table import (
     repair_on_frozen_data,
 )
 
-from conftest import C, O, ref_is_counterexample
+from conftest import C, O, random_prm, ref_is_counterexample
 
 A = frozenset({"a"})
 B = frozenset({"b"})
@@ -219,6 +219,49 @@ def test_untracked_words_read_empty():
     table = make_table()
     assert table.freq((C, C, C)) == Counter()
     assert table.total((C,)) == 0
+
+
+def test_freq_of_a_word_without_counts_is_a_new_dict():
+    table = make_table()
+    table.add_state((O,))   # an id without counts
+    for word in [(C,), (O,)]:
+        table.freq(word)[1.0] = 5
+        assert table.freq(word) == {} and table.total(word) == 0
+    assert make_table().freq((C,)) == {}
+
+
+@pytest.mark.parametrize("times", [0, -3, 2.5, True])
+def test_record_rejects_times_that_are_not_positive_ints(times):
+    table = make_table()
+    for trace in ([(C, 0.0)], []):
+        with pytest.raises(ValueError, match="times must be a positive integer"):
+            table.record(trace, times)
+    assert table.num_traces == table.total_samples() == 0 and table.t == {}
+    assert table.is_closed() == (True, None)
+
+
+def assert_counts_are_positive_int_dicts(table):
+    """Every word's counts are a plain dict of positive int counts: the
+    sweeps' sqrt(1/n) needs n > 0."""
+    for counts in table._counts:
+        if counts is not None:
+            assert type(counts) is dict and counts
+            assert all(type(n) is int and n > 0 for n in counts.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(recorded=st.lists(st.tuples(st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                                      st.sampled_from([0, 0.0, 1.0])), max_size=4),
+                                   st.integers(-2, 5)), max_size=8))
+def test_record_returns_the_word_id_and_keeps_positive_int_counts(recorded):
+    table = make_table()
+    for trace, times in recorded:
+        if times < 1:
+            with pytest.raises(ValueError, match="times"):
+                table.record(trace, times)
+        else:
+            assert table.record(trace, times) == table.row(tuple(label for label, _ in trace))
+        assert_counts_are_positive_int_dicts(table)
 
 
 def recorded_steps_cost(traces):

@@ -18,11 +18,9 @@ from prmlearn import (
     patrol_prm,
     load_env_config,
     prm_to_text,
-    random_prm,
     total_variation,
 )
 from prmlearn.alphabet import EMPTY_LABEL, label_sort_key
-from prmlearn.environment import free_nmdp
 from prmlearn.machine import Prm, prm_from_text
 from prmlearn.verify import machine_reward_distribution
 
@@ -32,6 +30,8 @@ from conftest import (
     STAR,
     dyadic_vector,
     edges_of,
+    free_nmdp,
+    random_prm,
     single_state_zero_prm,
     successor_rewards,
     two_cell_nmdp,
