@@ -19,7 +19,7 @@ from .environment import Nmdp, check_count, membership_reward_machine, step, wor
 # tracer wraps them as active.sample_index and active.diff_against_distribution
 from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
 from .table import (  # noqa: F401
-    ObservationTable, _differs_from, _hoeffding_factor, build_hypothesis, diff_against_distribution,
+    ObservationTable, _differ, _hoeffding_factor, build_hypothesis, diff_against_distribution,
 )
 
 
@@ -158,8 +158,8 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     factor * sqrt(1/n) >= 1: no later prefix has more samples, so none
     reaches n_check, and its threshold of at least 1 exceeds every gap.
     A prefix whose counts and prediction hold one and the same reward is
-    not tested: its one gap is n/n - p*n/(p*n) = 0, so `_differs_from`
-    would say False.
+    not tested: its one gap is n/n - p*n/(p*n) = 0, so the Hoeffding
+    test `_differ` would say False.
 
     `steps` memoises `h.advance` by (bytes of the state vector, label),
     and the initial vector and its bytes under None; a caller checking
@@ -197,8 +197,12 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
             continue
         if len(freq) == 1 and single in freq:
             continue
-        if expected and _differs_from(freq, n, expected, factor):
-            return tuple(label for label, _ in trace[:k + 1])
+        if expected:
+            # the prediction scaled to the prefix's n samples
+            scaled = {gamma: p * n for gamma, p in expected.items()}
+            n_prime = sum(scaled.values())
+            if n_prime and _differ(freq, n, scaled, n_prime, factor):
+                return tuple(label for label, _ in trace[:k + 1])
     return None
 
 

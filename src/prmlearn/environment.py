@@ -421,10 +421,14 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
 class EnvSetup:
     nmdp: Nmdp
     gridmap: GridMap
-    truth: Prm
     n_episode: int
     terminal_labels: tuple
     seed: int
+
+    @property
+    def truth(self) -> Prm:
+        """The environment's hidden reward machine."""
+        return self.nmdp.truth
 
 
 def load_env_config(path) -> EnvSetup:
@@ -451,7 +455,6 @@ def load_env_config(path) -> EnvSetup:
     return EnvSetup(
         nmdp=nmdp,
         gridmap=gridmap,
-        truth=truth,
         n_episode=n_episode,
         terminal_labels=tuple(truth.ap.validate_label(parse_label(t)) for t in terminal),
         seed=seed,

@@ -419,12 +419,6 @@ class Prm:
             vec = vec @ self.reward_matrix(gamma)
         return float(vec.sum())
 
-    def conditional_reward_probability(self, gamma: float, word: Word) -> float:
-        """y_I H(l_1...l_k) H(gamma) 1, literally per the definition."""
-        vec = self.initial_vector() @ self.word_matrix(word)
-        vec = vec @ self.reward_matrix(gamma)
-        return float(vec.sum())
-
     def next_reward_distribution(self, prefix: Word, label: Label) -> dict:
         """Normalized distribution of the reward emitted on reading `label`
         after driving the machine with `prefix`."""

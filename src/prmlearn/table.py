@@ -44,29 +44,17 @@ def hoeffding_threshold(n: int, n_prime: int, m_total: int) -> float:
     return _hoeffding_factor(m_total) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
 
 
-def _word_inputs(freq):
-    """What the Hoeffding test reads of one word's frequency map with n
-    samples: ({reward: count/n}, sqrt(1/n)); None without samples."""
-    n = sum(freq.values())
-    if n == 0:
-        return None
-    return {gamma: count / n for gamma, count in freq.items()}, math.sqrt(1.0 / n)
-
-
-def _differ(a, b, factor: float) -> bool:
-    """The Hoeffding test on two words' `_word_inputs`: some reward's gap
-    |p - p'| exceeds factor * (sqrt(1/n) + sqrt(1/n')).  False whenever
-    either word has no samples."""
-    if a is None or b is None:
-        return False
-    (p, root), (p_prime, root_prime) = a, b
-    threshold = factor * (root + root_prime)
-    for gamma, q in p.items():
-        if abs(q - p_prime.get(gamma, 0.0)) > threshold:
+def _differ(f, n, g, m, factor: float) -> bool:
+    """The Hoeffding test on two frequency maps (reward -> count) with
+    n > 0 and m > 0 samples, m possibly a float: some reward's gap
+    |f[gamma]/n - g[gamma]/m| exceeds factor * (sqrt(1/n) + sqrt(1/m))."""
+    threshold = factor * (math.sqrt(1.0 / n) + math.sqrt(1.0 / m))
+    for gamma, count in f.items():
+        if abs(count / n - g.get(gamma, 0) / m) > threshold:
             return True
-    for gamma, q in p_prime.items():
-        # a reward of only the second word: its gap is |0.0 - q| = q
-        if gamma not in p and q > threshold:
+    for gamma, count in g.items():
+        # a reward of only the second map: its gap is |0 - count/m| = count/m
+        if gamma not in f and count / m > threshold:
             return True
     return False
 
@@ -76,34 +64,25 @@ def diff(f, s: Word, s_prime: Word, m_total: int) -> bool:
 
     `f` maps words to frequency maps (reward -> count).  False whenever
     either word has no samples."""
-    return _differ(_word_inputs(f(s)), _word_inputs(f(s_prime)), _hoeffding_factor(m_total))
+    freq, freq_prime = f(s), f(s_prime)
+    n, n_prime = sum(freq.values()), sum(freq_prime.values())
+    if n == 0 or n_prime == 0:
+        return False
+    return _differ(freq, n, freq_prime, n_prime, _hoeffding_factor(m_total))
 
 
 def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     """Hoeffding test of an empirical frequency map against an expected
-    distribution scaled to the same sample size."""
+    distribution scaled to the same sample size: `diff` of the map and
+    {reward: p * n}."""
     n = sum(freq.values())
     if n == 0:
         return False
-    return _differs_from(freq, n, dist, _hoeffding_factor(m_total))
-
-
-def _differs_from(freq, n: int, dist: dict, factor: float) -> bool:
-    """`diff_against_distribution` on a frequency map with n > 0 samples,
-    at the Hoeffding factor of the table's total."""
-    # the expected count of gamma is dist[gamma] * n, and diff's gap of
-    # gamma is |count/n - expected/n_prime|
-    n_prime = sum([p * n for p in dist.values()])
+    expected = {gamma: p * n for gamma, p in dist.items()}
+    n_prime = sum(expected.values())
     if n_prime == 0:
         return False
-    threshold = factor * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
-    for gamma, count in freq.items():
-        if abs(count / n - dist.get(gamma, 0) * n / n_prime) > threshold:
-            return True
-    for gamma, p in dist.items():
-        if gamma not in freq and abs(0 / n - p * n / n_prime) > threshold:
-            return True
-    return False
+    return _differ(freq, n, expected, n_prime, _hoeffding_factor(m_total))
 
 
 CSV_COLUMNS = ("word", "reward", "count", "sample")
@@ -140,12 +119,10 @@ class ObservationTable:
         # E as a trie beside its list, which marks membership too: a node is
         # [its word's index into E or None, {label: child node}], root ε's.
         self._e_trie: list = [0, {}]
-        # Caches derived from the counts and E, filled on first use.  Word
-        # inputs and word-pair verdicts depend on the counts alone (and on
-        # the sample total, which the counts fix); the columns and the row
-        # verdicts also depend on E.
-        # id -> its _word_inputs, or None without samples
-        self._inputs: dict = {}
+        # Caches derived from the counts and E, filled on first use.  The
+        # word-pair verdicts depend on the counts alone (and on the sample
+        # total, which the counts fix); the columns and the row verdicts
+        # also depend on E.
         # (id, id') with id < id' -> whether the two words differ
         self._pairs: dict = {}
         # row id -> (the set of indices into E of the columns with samples
@@ -158,7 +135,6 @@ class ObservationTable:
         self._closed = self._consistent = None
 
     def _counts_changed(self) -> None:
-        self._inputs.clear()
         self._pairs.clear()
         self._columns_changed()
 
@@ -233,11 +209,12 @@ class ObservationTable:
 
     @property
     def t(self) -> dict:
-        """{word: its {reward: count}} over the recorded words in id order, built on read."""
+        """{word: a copy of its {reward: count}} over the recorded words in
+        id order, built on read."""
         words = [EPSILON]
         for parent, label in self._parent[1:]:
             words.append(words[parent] + (label,))
-        return {words[i]: c for i, c in enumerate(self._counts) if c is not None}
+        return {words[i]: dict(c) for i, c in enumerate(self._counts) if c is not None}
 
     def sampled_words(self, n: int) -> list:
         """The words of t with at least n samples, in t's order; builds no other."""
@@ -245,9 +222,9 @@ class ObservationTable:
                 if c is not None and sum(c.values()) >= n]
 
     def freq(self, word: Word) -> dict:
-        """{reward: count} of `word`: a new empty dict for a word without counts."""
+        """A copy of `word`'s {reward: count}: empty for a word without counts."""
         node = self.row(word)
-        return {} if node is None or self._counts[node] is None else self._counts[node]
+        return {} if node is None or self._counts[node] is None else dict(self._counts[node])
 
     def total(self, word: Word) -> int:
         return self._total(self.row(word))
@@ -307,10 +284,10 @@ class ObservationTable:
     # frequencies in [0, 1] exceeds 1.
     # So a row test visits only the shared testable columns: the cost of a
     # row is its visited E prefixes, and of a row test its testable
-    # columns.  Each word's test inputs and each word pair's verdict are
-    # computed once until the counts change; rows (s, s') at column l.e and
-    # rows (s.l, s'.l) at column e test the same two words.  Each row
-    # pair's verdict is kept until the counts or E change.
+    # columns.  Each word pair's verdict is computed once until the
+    # counts change; rows (s, s') at column l.e and rows (s.l, s'.l) at
+    # column e test the same two words.  Each row pair's verdict is kept
+    # until the counts or E change.
 
     def _columns(self, s: int):
         """(the set of indices i into E of the columns with samples at
@@ -332,7 +309,7 @@ class ObservationTable:
                     if nxt is not None:
                         stack.append((sub, nxt))
             hits.sort()
-            # sqrt(1/n) is the root _word_inputs computes, so the words left
+            # sqrt(1/n) is the root the test computes, so the words left
             # out are exactly those whose threshold is at least 1
             factor = _hoeffding_factor(max(self._total_samples, 1))
             cols = self._cols[s] = (
@@ -341,18 +318,12 @@ class ObservationTable:
             )
         return cols
 
-    def _inputs_of(self, node: int):
-        inputs = self._inputs.get(node, _UNSET)
-        if inputs is _UNSET:
-            inputs = self._inputs[node] = _word_inputs(self._counts[node])
-        return inputs
-
     def _first_difference(self, s: int, s_prime: int):
         """The first index i in E order at which s.E[i] and s_prime.E[i]
         differ by the test `diff` runs, or None."""
         cols, cols_prime = self._columns(s)[1], self._columns(s_prime)[1]
         factor = _hoeffding_factor(max(self._total_samples, 1))
-        pairs = self._pairs
+        pairs, counts = self._pairs, self._counts
         if len(cols_prime) < len(cols):
             cols, cols_prime = cols_prime, cols
         for i, a in cols.items():
@@ -362,7 +333,8 @@ class ObservationTable:
             key = (a, b) if a < b else (b, a)
             differ = pairs.get(key)
             if differ is None:
-                differ = pairs[key] = _differ(self._inputs_of(a), self._inputs_of(b), factor)
+                f, g = counts[a], counts[b]
+                differ = pairs[key] = _differ(f, sum(f.values()), g, sum(g.values()), factor)
             if differ:
                 return i
         return None
@@ -474,9 +446,6 @@ class ObservationTable:
                         sample = sum(counter.values())
                         for reward in sorted(counter):
                             writer.writerow([text[i], format_reward(reward), counter[reward], sample])
-
-
-_UNSET = object()
 
 
 class TableNotReadyError(ValueError):

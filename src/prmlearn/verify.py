@@ -40,6 +40,13 @@ def _positive_reward_possible(prm: Prm, w: Word) -> bool:
     return any(hot for _, hot in frontier)
 
 
+def _successors(m: Nmdp, x: int):
+    """The (action, successor state) pairs of state x, in index order."""
+    for a in m.available[x]:
+        for x_next in np.flatnonzero(m.p[(x, a)]):
+            yield a, int(x_next)
+
+
 def brute_force_word_realizability(
     m: Nmdp,
     w: Word,
@@ -62,39 +69,35 @@ def brute_force_word_realizability(
     for label in w:
         m.ap.validate_label(label)
 
+    # depth-first with an explicit stack, so a word's length is not bounded
+    # by the recursion limit: frames[d] yields the (action, successor)
+    # pairs of states[d] in index order, and actions[d] was taken there
     expanded = 0
     states = [m.x_init]
     actions: list = []
-
-    def search(depth: int) -> bool:
-        nonlocal expanded
-        if depth == len(w):
-            return True
-        x = states[-1]
-        for a in m.available[x]:
-            vec = m.p[(x, a)]
-            for x_next in np.flatnonzero(vec):
-                x_next = int(x_next)
-                expanded += 1
-                if expanded > node_budget:
-                    raise BudgetExceededError(expanded)
-                if m.labeling[(x, a, x_next)] != w[depth]:
-                    continue
+    frames = [_successors(m, m.x_init)]
+    while len(actions) < len(w):
+        x, depth = states[-1], len(actions)
+        for a, x_next in frames[-1]:
+            expanded += 1
+            if expanded > node_budget:
+                raise BudgetExceededError(expanded)
+            if m.labeling[(x, a, x_next)] == w[depth]:
                 states.append(x_next)
                 actions.append(a)
-                if search(depth + 1):
-                    return True
-                states.pop()
-                actions.pop()
-        return False
-
-    if not search(0):
-        return None
+                frames.append(_successors(m, x_next))
+                break
+        else:
+            frames.pop()
+            if not frames:
+                return None
+            states.pop()
+            actions.pop()
     if criterion == "positive_reward" and not _positive_reward_possible(m.truth, w):
         # the label word is realizable but can never pay: keep searching is
         # pointless, reward depends only on the label word
         return None
-    return Trajectory(states=list(states), actions=list(actions), labels=list(w))
+    return Trajectory(states=states, actions=actions, labels=list(w))
 
 
 def machine_reward_distribution(prm: Prm, w: Word) -> dict:

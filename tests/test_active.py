@@ -39,7 +39,7 @@ from prmlearn.machine import (
     prm_to_text,
     sample_index,
 )
-from prmlearn.table import _differs_from, build_hypothesis, repair_on_frozen_data
+from prmlearn.table import _differ, build_hypothesis, repair_on_frozen_data
 
 from conftest import (
     C,
@@ -552,7 +552,7 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
                     bottom=n, implicit_bottom=True)
     machines = [truth, random_prm(rng, 3, props, [0.0, 0.5, 1.0]), absorbing, build_hypothesis(table, 5)]
     tests = []
-    monkeypatch.setattr(active, "_differs_from", lambda *args: tests.append(args) or _differs_from(*args))
+    monkeypatch.setattr(active, "_differ", lambda *args: tests.append(args) or _differ(*args))
     ref_tests = []
     verdicts = set()   # (machine index, whether a counterexample was found)
     for i, h in enumerate(machines):
@@ -572,7 +572,7 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
 def test_one_reward_paid_as_predicted_never_differs(gamma, n, p, f):
     # is_counterexample skips this test: count n against expected count
     # p * n makes the one gap 1.0 - 1.0 = 0
-    assert _differs_from(Counter({gamma: n}), n, {gamma: p}, f) is False
+    assert _differ(Counter({gamma: n}), n, {gamma: p * n}, p * n, f) is False
 
 
 @pytest.mark.parametrize("paid, predicted", [(0.0, 0.0), (1.0, 0.0)])
@@ -589,7 +589,7 @@ def test_is_counterexample_skips_only_one_reward_paid_as_predicted(paid, predict
     for trace in traces:
         table.record(trace)
     tests = []
-    monkeypatch.setattr(active, "_differs_from", lambda *args: tests.append(args) or _differs_from(*args))
+    monkeypatch.setattr(active, "_differ", lambda *args: tests.append(args) or _differ(*args))
     for h in (successor_reward_prm(rng, 3, props, [predicted]), random_prm(rng, 3, props, [predicted])):
         steps, ref_tests = {}, []
         for trace in traces[:100]:

@@ -183,6 +183,13 @@ def test_mq_prints_witness(capsys):
     assert "witness states:" in out
 
 
+def test_mq_word_longer_than_the_recursion_limit(capsys):
+    word = ";".join(["~"] * 2000)
+    code = run_cli(["mq", "--env", "office", "--word", word, "--node-budget", "100000"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()[0].split()) == 2 + 2000   # "witness actions:" and one per label
+
+
 def test_mq_no_witness(capsys):
     code = run_cli(["mq", "--env", "office", "--word", "c;c", "--node-budget", "100000"])
     assert code == 0

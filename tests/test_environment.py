@@ -633,6 +633,9 @@ def test_load_env_config_office():
     assert setup.n_episode == 100
     assert set(setup.terminal_labels) == {O, STAR}
     assert setup.truth.n_states() == 5
+    assert setup.truth is setup.nmdp.truth   # one machine, held by the environment
+    with pytest.raises(AttributeError):
+        setup.truth = setup.truth
     assert setup.nmdp.x_init == setup.nmdp.states.index("(3,3)")
 
 

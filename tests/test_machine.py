@@ -206,13 +206,6 @@ def test_reward_sequence_probability():
     assert coffee_prm().reward_sequence_probability((0.0, 1.0)) == pytest.approx(0.9)
 
 
-def test_conditional_reward_probability(coffee):
-    zero = single_state_zero_prm()
-    assert zero.conditional_reward_probability(0.0, ()) == 2.0
-    assert coffee.conditional_reward_probability(1.0, (C,)) == pytest.approx(0.9)
-    assert coffee.conditional_reward_probability(1.0, (O,)) == 0.0
-
-
 def test_next_reward_distribution(coffee):
     dist = coffee.next_reward_distribution((C,), O)
     assert dist == pytest.approx({1.0: 0.9, 0.0: 0.1})

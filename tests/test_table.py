@@ -17,6 +17,7 @@ from prmlearn.machine import prm_from_text
 from prmlearn.table import (
     CSV_COLUMNS,
     TableNotReadyError,
+    _differ,
     _hoeffding_factor,
     diff_against_distribution,
     repair_on_frozen_data,
@@ -83,6 +84,14 @@ def positive_counts(split):
     return {gamma: count for gamma, count in split.items() if count > 0}
 
 
+def test_a_gap_equal_to_the_threshold_does_not_differ():
+    # n = m = 4 makes the threshold factor * (1/2 + 1/2) = factor exactly
+    shared, only_second = ({0.0: 2, 1.0: 2}, {0.0: 3, 1.0: 1}), ({0.0: 3, 1.0: 1}, {0.0: 2, 2.0: 2})
+    for (f, g), gap in ((shared, 0.25), (only_second, 0.5)):
+        assert _differ(f, 4, g, 4, gap) is False
+        assert _differ(f, 4, g, 4, gap * 0.999) is True
+
+
 def test_sparse_words_never_differ():
     # the row sweeps skip a word with n samples whenever
     # factor * sqrt(1/n) >= 1: its threshold is then at least 1, and no gap
@@ -130,6 +139,25 @@ def ref_diff_against_distribution(freq, dist, m_total):
 
 
 DIFF_REWARDS = [0.0, 0.5, 1.0, 2.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(f_s=st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 400)),
+       f_t=st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 400)),
+       m_total=st.integers(1, 10 ** 5))
+def test_diff_is_the_hoeffding_test_written_out(f_s, f_t, m_total):
+    # the test as the paper states it: two words differ when some reward
+    # of either word has |f_s(gamma)/n - f_t(gamma)/n'| above the threshold
+    n, n_prime = sum(f_s.values()), sum(f_t.values())
+    if n == 0 or n_prime == 0:
+        expected = False
+    else:
+        threshold = hoeffding_threshold(n, n_prime, m_total)
+        expected = any(abs(f_s.get(g, 0) / n - f_t.get(g, 0) / n_prime) > threshold
+                       for g in set(f_s) | set(f_t))
+    lookup = {"s": f_s, "t": f_t}
+    assert diff(lookup.get, "s", "t", m_total) == expected
+    assert diff(lookup.get, "t", "s", m_total) == expected
 counters = st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 400)).map(Counter)
 dyadic_dists = st.dictionaries(st.sampled_from(DIFF_REWARDS), st.integers(0, 64), min_size=1).map(
     lambda parts: {g: k / 64 for g, k in parts.items()}
@@ -168,6 +196,19 @@ def test_record_counts_prefixes():
         table.record([(O, 0.0), (C, 0.0)])
     assert table.num_traces == table.sample_count(EPSILON) == 7
     assert table.total_samples() == 13
+
+
+def test_freq_and_t_hand_out_copies():
+    table, untouched = make_table(), make_table()
+    for t in (table, untouched):
+        t.record([(C, 0.0)])
+    table.freq((C,))[0.0] = 0
+    table.t[(C,)][1.0] = 7
+    assert table.total((C,)) == 1
+    assert table.freq((C,)) == {0.0: 1}
+    assert table.t == {(C,): {0.0: 1}}
+    # the edits reach none of the table's tests: S = {ε} covers no row of c
+    assert table.is_closed() == untouched.is_closed() == (False, (EPSILON, C))
 
 
 def test_record_empty_trace_is_noop():

@@ -8,6 +8,7 @@ from pathlib import Path
 from prmlearn import (
     Alphabet,
     BudgetExceededError,
+    Trajectory,
     UnreachableWordError,
     brute_force_reward_distribution,
     brute_force_word_realizability,
@@ -31,6 +32,7 @@ from conftest import (
     dyadic_vector,
     edges_of,
     free_nmdp,
+    random_nmdp,
     random_prm,
     single_state_zero_prm,
     successor_rewards,
@@ -113,6 +115,72 @@ def test_office_blue_line_word():
     witness = brute_force_word_realizability(m, (C, O), node_budget=10 ** 5)
     assert witness is not None
     assert witness.labels == [C, O]
+
+
+def ref_brute_force_word_realizability(m, w, node_budget):
+    """The depth-first search as a recursion of one call per label: the
+    lexicographically least witness, or None; raises BudgetExceededError
+    as the search does."""
+    expanded = 0
+    states, actions = [m.x_init], []
+
+    def search(depth):
+        nonlocal expanded
+        if depth == len(w):
+            return True
+        x = states[-1]
+        for a in m.available[x]:
+            for x_next in np.flatnonzero(m.p[(x, a)]):
+                x_next = int(x_next)
+                expanded += 1
+                if expanded > node_budget:
+                    raise BudgetExceededError(expanded)
+                if m.labeling[(x, a, x_next)] != w[depth]:
+                    continue
+                states.append(x_next)
+                actions.append(a)
+                if search(depth + 1):
+                    return True
+                states.pop()
+                actions.pop()
+        return False
+
+    return Trajectory(states=states, actions=actions, labels=list(w)) if search(0) else None
+
+
+def search_outcome(search, m, w, node_budget):
+    try:
+        found = search(m, w, node_budget=node_budget)
+    except BudgetExceededError as err:
+        return "budget", err.nodes_expanded
+    return ("none", None) if found is None else ("witness", found)
+
+
+def test_witness_matches_the_recursive_search():
+    kinds = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = random_nmdp(rng, n_states=int(rng.integers(2, 5)), n_actions=int(rng.integers(1, 4)),
+                        props=("a", "b"), dyadic=bool(seed % 2))
+        labels = m.ap.labels()
+        for _ in range(60):
+            w = tuple(labels[i] for i in rng.integers(0, len(labels), int(rng.integers(0, 8))))
+            budget = int(rng.integers(1, 300))
+            outcome = search_outcome(brute_force_word_realizability, m, w, budget)
+            assert outcome == search_outcome(ref_brute_force_word_realizability, m, w, budget), (seed, w)
+            kinds.add(outcome[0])
+    # witnesses, exhausted searches and exceeded budgets all occur
+    assert kinds == {"budget", "none", "witness"}
+
+
+def test_witness_longer_than_the_recursion_limit():
+    # one label per frame of a recursive search would overflow the stack
+    m = build_office_nmdp(parse_gridmap(OFFICE_MAP), coffee_prm())
+    word = (EMPTY_LABEL,) * 2000
+    witness = brute_force_word_realizability(m, word, node_budget=10 ** 5)
+    assert len(witness.actions) == 2000 and len(witness.states) == 2001
+    assert witness.labels == list(word)
+    assert brute_force_reward_distribution(m, word) == {0.0: 1.0}
 
 
 # -- reward-distribution oracle -----------------------------------------------------
