@@ -67,15 +67,19 @@ def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:
     """The epsilon-greedy choice on one row of Q-values; `whole` says that
     `actions` is every index of the row in order, so the row is read whole."""
     if explore > 0.0 and rng.random() < explore:
-        return int(actions[int(rng.integers(0, len(actions)))])
+        return actions[rng.integers(0, len(actions))]
     values = row if whole else [row[a] for a in actions]
     best = max(values)
-    if values.count(best) == 1:
+    ties = values.count(best)
+    if ties == 1:
         return actions[values.index(best)]
-    top = [a for a, value in zip(actions, values) if value == best]
     # break ties randomly: a fixed tie-break turns a flat Q-table into a
-    # wall-hugging policy and starves exploration
-    return int(top[int(rng.integers(0, len(top)))])
+    # wall-hugging policy and starves exploration.  When every action ties,
+    # as on a fresh row, the tied actions are `actions` itself.
+    if ties == len(values):
+        return actions[rng.integers(0, ties)]
+    top = [a for a, value in zip(actions, values) if value == best]
+    return top[rng.integers(0, ties)]
 
 
 def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng, terminal_labels=()):
@@ -101,7 +105,7 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     for _ in range(cfg.n_episode):
         a = _choose(row, actions, whole, explore, rng)
         x_next, z, label, r = step(m, x, z, a, rng)
-        h_row, rewards = h_steps.get((y, label)) or h.compiled_step(y, label)
+        h_row, rewards = h_steps[y].get(label) or h.compiled_step(y, label)
         y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
         target = rewards[y_next] if membership else r
         row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)

@@ -50,10 +50,11 @@ class Nmdp:
     p: dict                 # (state, action) -> probability vector over states
     labeling: dict          # (state, action, state) -> Label
     truth: Prm              # the hidden reward machine; total
-    # (state, action) -> (sampling_row of the successor vector, the label of
-    # a deterministic row or None), filled by step on first use.  An Nmdp is
-    # not changed after construction.
-    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # state -> {action: (sampling_row of the successor vector, the label of
+    # a deterministic row, else {successor: label})} over the actions
+    # available there, filled by step on the state's first step.  An Nmdp
+    # is not changed after construction.
+    _moves: list = field(default=None, init=False, repr=False, compare=False)
     # state -> {label: the successors that an available action reaches with
     # that label at positive probability}, filled by word_realizable on first use
     _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -61,11 +62,16 @@ class Nmdp:
     def __post_init__(self):
         if not self.truth.is_total():
             raise ValueError("the truth of an environment must be a total machine")
+        if not 0 <= self.x_init < len(self.states):
+            raise ValueError("initial state index out of range")
         for x, acts in enumerate(self.available):
             if not acts:
                 raise ValueError("state %r has no available actions" % (self.states[x],))
             if any(not 0 <= a < len(self.actions) for a in acts):
                 raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
+            if any((x, a) not in self.p for a in acts):
+                raise ValueError("state %r has an available action without a transition row" % (self.states[x],))
+        self._moves = [None] * len(self.states)
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
             if not is_distribution(vec):
@@ -142,23 +148,29 @@ def step(m: Nmdp, x: int, y: int, a: int, rng):
     (x_next, y_next, label, reward).  The environment's successor is drawn
     as `sample_index(m.p[(x, a)], rng)` would, from the pair's compiled
     row, then the truth's successor from its compiled step on the label."""
-    move = m._moves.get((x, a))
+    move = (m._moves[x] or _compile_moves(m, x)).get(a)
     if move is None:
-        if a not in m.available[x]:
-            raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
-        row = sampling_row(m.p[(x, a)])
-        label = m.labeling[(x, a, row)] if row.__class__ is int else None
-        move = m._moves[(x, a)] = (row, label)
+        raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
     row, label = move
-    if label is None:
-        x_next = draw_row(row, rng)
-        label = m.labeling[(x, a, x_next)]
-    else:
+    if row.__class__ is int:
         x_next = row
+    else:
+        x_next = draw_row(row, rng)
+        label = label[x_next]
     truth = m.truth
-    row, rewards = truth._steps.get((y, label)) or truth.compiled_step(y, label)
+    row, rewards = truth._steps[y].get(label) or truth.compiled_step(y, label)
     y_next = row if row.__class__ is int else draw_row(row, rng)
     return x_next, y_next, label, rewards[y_next]
+
+
+def _compile_moves(m: Nmdp, x: int) -> dict:
+    """Fill and return `m._moves[x]`, the move of each action available at x."""
+    moves = m._moves[x] = {}
+    for a in m.available[x]:
+        row = sampling_row(m.p[(x, a)])
+        labels = {j: m.labeling[(x, a, j)] for j in np.flatnonzero(m.p[(x, a)]).tolist()}
+        moves[a] = (row, labels[row] if row.__class__ is int else labels)
+    return moves
 
 
 def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):

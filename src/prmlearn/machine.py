@@ -113,16 +113,6 @@ class Stream:
         buf = self._buf or self._refill()
         return (buf.pop() >> 11) * 2.0 ** -53
 
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        buf = self._buf or self._refill()
-        x = buf.pop()
-        self._half = x >> 32
-        return x & 0xFFFFFFFF
-
     def integers(self, low: int, high: int) -> int:
         top = high - low - 1   # numpy draws from the closed range [0, top]
         if not 0 <= top <= 0xFFFFFFFF:
@@ -130,12 +120,17 @@ class Stream:
         if top == 0:
             return low
         span = top + 1
-        m = self._next32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = (0xFFFFFFFF - top) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)
+        while True:   # a 32-bit draw: the half kept, else the low half of a raw output
+            half = self._half
+            if half is None:
+                x = (self._buf or self._refill()).pop()
+                self._half, half = x >> 32, x & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * span
+            # Lemire's test: a low word of at least span is above the threshold
+            if m & 0xFFFFFFFF >= span or m & 0xFFFFFFFF >= (0xFFFFFFFF - top) % span:
+                return low + (m >> 32)
 
 
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
@@ -233,7 +228,6 @@ class Prm:
         self.ap = ap
         self.states = tuple(states)
         self.init = int(init)
-        self.tau = {}
         self.rho = {edge: float(r) for edge, r in rho.items()}
         self.bottom = bottom
         self.implicit_bottom = implicit_bottom
@@ -241,8 +235,8 @@ class Prm:
         # first use: membership queries build a machine per word and read
         # few of its labels.  A machine is not changed after construction.
         self._views = {}
-        # (state, label) -> compiled_step of the pair, filled on first use
-        self._steps = {}
+        # state -> {label: compiled_step of the pair}, filled on first use
+        self._steps = [{} for _ in self.states]
 
         n = len(self.states)
         if "" in self.states:
@@ -262,23 +256,33 @@ class Prm:
         if bottom is not None and not 0 <= bottom < n:
             raise ValueError("bottom state index out of range")
 
-        edges = set()
-        for (y, label), vec in tau.items():
-            ap.validate_label(label)
-            vec = np.asarray(vec, dtype=float)
-            if vec.shape != (n,):
-                raise ValueError("transition vector has wrong length at (%r, %s)" % (y, label_str(label)))
-            if not np.all(np.isfinite(vec)):
-                raise ValueError("non-finite transition probability at (%r, %s)" % (y, label_str(label)))
-            if np.any(vec < 0):
-                raise ValueError("negative transition probability at (%r, %s)" % (y, label_str(label)))
-            if abs(vec.sum() - 1.0) > PROB_TOL:
-                raise ValueError(
-                    "transition probabilities at (%s, %s) sum to %r"
-                    % (self.states[y], label_str(label), float(vec.sum()))
-                )
-            self.tau[(y, label)] = vec
-            edges.update((y, label, j) for j in vec.nonzero()[0].tolist())
+        # the rows are checked at once, stacked; the loop below runs only on
+        # a bad row, to raise the error of the first in tau's order
+        self.tau = {key: np.asarray(vec, dtype=float) for key, vec in tau.items()}
+        keys, rows = list(self.tau), list(self.tau.values())
+        mat = np.array(rows).reshape(len(rows), n) if all(vec.shape == (n,) for vec in rows) else None
+        try:
+            for label in {label for _, label in keys}:
+                ap.validate_label(label)
+        except ValueError:
+            mat = None
+        if (mat is None or not np.isfinite(mat).all() or (mat < 0).any()
+                or (abs(mat.sum(axis=1) - 1.0) > PROB_TOL).any()):
+            for (y, label), vec in self.tau.items():
+                ap.validate_label(label)
+                if vec.shape != (n,):
+                    raise ValueError("transition vector has wrong length at (%r, %s)" % (y, label_str(label)))
+                if not np.all(np.isfinite(vec)):
+                    raise ValueError("non-finite transition probability at (%r, %s)" % (y, label_str(label)))
+                if np.any(vec < 0):
+                    raise ValueError("negative transition probability at (%r, %s)" % (y, label_str(label)))
+                if abs(vec.sum() - 1.0) > PROB_TOL:
+                    raise ValueError(
+                        "transition probabilities at (%s, %s) sum to %r"
+                        % (self.states[y], label_str(label), float(vec.sum()))
+                    )
+        ks, js = mat.nonzero()
+        edges = {keys[k] + (j,) for k, j in zip(ks.tolist(), js.tolist())}
         if edges != set(self.rho):
             raise ValueError("rho must give a reward to exactly the edges of positive probability")
 
@@ -320,14 +324,15 @@ class Prm:
         An undefined pair without implicit_bottom has an all-zero row, which
         draws the last state, and rewards that raise
         UndefinedTransitionError when read."""
-        step = self._steps.get((y, label))
+        steps = self._steps[y]
+        step = steps.get(label)
         if step is None:
             vec = self.successor_vector(y, label)
             if self.defined(y, label):   # an implicit-bottom pair's one edge pays 0
                 rewards = {j: self.rho.get((y, label, j), 0.0) for j in vec.nonzero()[0].tolist()}
             else:
                 rewards = _UndefinedRewards(self.states[y], label)
-            step = self._steps[(y, label)] = (sampling_row(vec), rewards)
+            step = steps[label] = (sampling_row(vec), rewards)
         return step
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:

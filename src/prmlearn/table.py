@@ -182,8 +182,12 @@ class ObservationTable:
                 counter = counts[nxt] = {}
             if reward.__class__ is not float:
                 reward = float(reward)
-            counter[reward] = counter.get(reward, 0) + times
-            rewards.add(reward)
+            count = counter.get(reward)
+            if count is None:   # the word's first sample of this reward
+                counter[reward] = times
+                rewards.add(reward)
+            else:
+                counter[reward] = count + times
             node = nxt
         self._total_samples += len(trace) * times
         return node

@@ -102,9 +102,11 @@ def probability_vectors(n):
     return st.one_of(deterministic, dyadic, non_dyadic)
 
 
-def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, truth=None):
-    """A random NMDP with every action available everywhere and random
-    transition labels; reward source defaults to a zero machine."""
+def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, truth=None, available=None):
+    """A random NMDP with random transition labels and a row for every
+    action at every state; every action is available everywhere unless
+    `available` lists the actions of each state.  The reward source
+    defaults to a zero machine."""
     ap = Alphabet(props)
     labels = ap.labels()
     p, labeling = {}, {}
@@ -124,7 +126,7 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
         states=tuple("x%d" % i for i in range(n_states)),
         x_init=0,
         actions=tuple("a%d" % i for i in range(n_actions)),
-        available=[list(range(n_actions)) for _ in range(n_states)],
+        available=available or [list(range(n_actions)) for _ in range(n_states)],
         p=p,
         labeling=labeling,
         truth=truth,

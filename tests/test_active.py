@@ -122,17 +122,21 @@ def test_epsilon_greedy_exploits_a_clear_winner():
 
 
 def test_epsilon_greedy_matches_the_reference_draws():
-    row = [1.0, 0.5, 1.0, 1.0]
-    q = RefQTable()
-    for a, value in enumerate(row):
-        q.set(0, 0, a, value)
-    for actions, whole in CHOICES:
-        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        for explore in (0.0, 0.5):
-            for _ in range(100):
-                assert (_choose(row, actions, whole, explore, rng)
-                        == ref_epsilon_greedy_action(q, 0, 0, actions, explore, ref_rng))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # some actions tie; a row of equal values; a subset of actions whose
+    # values tie while the row's others do not
+    cases = [([1.0, 0.5, 1.0, 1.0], CHOICES), ([0.25] * 4, CHOICES),
+             ([1.0, 0.5, 1.0, 1.0], [([3, 0], False), ([2, 3, 0], False)])]
+    for row, choices in cases:
+        q = RefQTable()
+        for a, value in enumerate(row):
+            q.set(0, 0, a, value)
+        for actions, whole in choices:
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            for explore in (0.0, 0.5):
+                for _ in range(100):
+                    assert (_choose(row, actions, whole, explore, rng)
+                            == ref_epsilon_greedy_action(q, 0, 0, actions, explore, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (row, actions)
 
 
 # -- teacher episodes ----------------------------------------------------------------
@@ -253,9 +257,9 @@ def teacher_cases():
     # x1 offers a strict subset of the actions and x2 all of them out of
     # index order: their Q rows are not read whole
     mixed = random_nmdp(
-        rng, n_states=4, n_actions=4, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0])
+        rng, n_states=4, n_actions=4, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0]),
+        available=[[0, 1, 2, 3], [3, 1], [2, 0, 1, 3], [0, 1, 2, 3]],
     )
-    mixed.available[1], mixed.available[2] = [3, 1], [2, 0, 1, 3]
     return [
         ("two_cell", two_cell, (), [
             ("membership", membership_reward_machine(two_cell.ap, (C, EMPTY_LABEL))),

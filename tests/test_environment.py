@@ -152,6 +152,35 @@ def test_bad_transition_distributions_rejected():
             )
 
 
+def test_available_action_without_a_row_rejected():
+    # (1, 1) is available but has no row in p: the error comes at
+    # construction, not at the state's first step
+    with pytest.raises(ValueError, match="without a transition row"):
+        Nmdp(
+            states=("x0", "x1"),
+            x_init=0,
+            actions=("stay", "move"),
+            available=[[0], [0, 1]],
+            p={(0, 0): unit_vector(2, 0), (1, 0): unit_vector(2, 1)},
+            labeling={(0, 0, 0): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
+            truth=single_state_zero_prm(("a",)),
+        )
+
+
+@pytest.mark.parametrize("x_init", [-1, 2])
+def test_initial_state_out_of_range_rejected(x_init):
+    with pytest.raises(ValueError, match="initial state index out of range"):
+        Nmdp(
+            states=("x0", "x1"),
+            x_init=x_init,
+            actions=("stay",),
+            available=[[0], [0]],
+            p={(0, 0): unit_vector(2, 0), (1, 0): unit_vector(2, 1)},
+            labeling={(0, 0, 0): EMPTY_LABEL, (1, 0, 1): EMPTY_LABEL},
+            truth=single_state_zero_prm(("a",)),
+        )
+
+
 def ref_step(m, x, a, rng, truth, y):
     """One step as sample_index draws it from the uncompiled rows: the
     environment's successor, then the truth machine's."""
@@ -270,7 +299,7 @@ def test_unavailable_action_rejected_after_other_steps():
     m = dataclasses.replace(m, available=[[0], [0, 1]])   # (0, 1) has a row in p
     rng = np.random.default_rng(0)
     step(m, 0, m.truth.init, 0, rng)
-    assert m._moves
+    assert m._moves[0] is not None
     with pytest.raises(UnavailableActionError):
         step(m, 0, m.truth.init, 1, rng)
 

@@ -19,6 +19,7 @@ from prmlearn import (
     save_prm,
 )
 from prmlearn.machine import (
+    PROB_TOL,
     STREAM_BLOCK,
     Stream,
     draw_row,
@@ -27,6 +28,7 @@ from prmlearn.machine import (
     spawn_states,
     unit_vector,
 )
+from prmlearn.alphabet import label_str
 
 from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm
 
@@ -60,6 +62,71 @@ def test_non_finite_probability_rejected(bad):
         Prm(ap, [0.0], names, 0, {(0, A): np.array(bad)}, {(0, A, 0): 0.0})
     with pytest.raises(ValueError, match="non-finite"):
         prm_from_text("ap: a\ngamma: 0\ninit: y0\ny0 --a/0--> y0 : nan\n")
+
+
+# (fault, row, the error of the row at (0, a)) of a bad row of a
+# two-state machine, for each check that validation makes on one row
+BAD_ROWS = [
+    ("length", np.ones(3) / 3, r"transition vector has wrong length at \(0, a\)"),
+    ("non-finite", np.array([np.inf, 0.0]), r"non-finite transition probability at \(0, a\)"),
+    ("negative", np.array([1.5, -0.5]), r"negative transition probability at \(0, a\)"),
+    ("sum", np.array([0.5, 0.25]), r"transition probabilities at \(y0, a\) sum to 0.75"),
+]
+
+
+@pytest.mark.parametrize("first, second", [(f, s) for f in BAD_ROWS for s in BAD_ROWS if f is not s],
+                         ids=lambda bad: bad[0])
+def test_the_first_bad_row_in_tau_order_is_reported(first, second):
+    # two bad rows of different faults among good ones (each pair comes in
+    # both orders): the error is the first's, though the rows are checked
+    # at once
+    ap = Alphabet(["a"])
+    tau = {(0, EMPTY_LABEL): unit_vector(2, 0), (0, A): first[1],
+           (1, EMPTY_LABEL): unit_vector(2, 1), (1, A): second[1]}
+    rho = {(y, label, j): 0.0 for (y, label), vec in tau.items() for j in range(2) if vec[j] > 0}
+    with pytest.raises(ValueError, match=first[2]):
+        Prm(ap, [0.0], ["y0", "y1"], 0, tau, rho)
+
+
+def ref_row_error(y, label, vec, n):
+    """The error of one row, checked alone as a loop over rows would, or None."""
+    at = "at (%r, %s)" % (y, label_str(label))
+    if vec.shape != (n,):
+        return "transition vector has wrong length " + at
+    if not np.all(np.isfinite(vec)):
+        return "non-finite transition probability " + at
+    if np.any(vec < 0):
+        return "negative transition probability " + at
+    if abs(vec.sum() - 1.0) > PROB_TOL:
+        return "transition probabilities at (y%d, %s) sum to %r" % (y, label_str(label), float(vec.sum()))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_rows_checked_at_once_pass_and_fail_as_one_by_one(n, data):
+    # row sums on either side of the tolerance, and rows of every fault:
+    # the machine is built exactly when every row passes alone, and
+    # otherwise raises the error of the first row that fails alone
+    ap = Alphabet(["a"])
+    shift = st.sampled_from([0.0, PROB_TOL, -PROB_TOL, 0.5 * PROB_TOL, 2 * PROB_TOL, -2 * PROB_TOL, -1.5, np.nan])
+    tau = {}
+    for y in range(n):
+        for label in ap.labels():
+            vec = data.draw(probability_vectors(n)).copy()
+            vec[data.draw(st.integers(0, n - 1))] += data.draw(shift)
+            if data.draw(st.integers(0, 3)) == 0:   # a quarter of the rows are too long
+                vec = np.append(vec, 0.0)
+            tau[(y, label)] = vec
+    rho = {(y, label, j): 0.0 for (y, label), vec in tau.items() for j in np.flatnonzero(vec).tolist()}
+    errors = [e for e in (ref_row_error(y, label, vec, n) for (y, label), vec in tau.items()) if e]
+    names = ["y%d" % y for y in range(n)]
+    if not errors:
+        assert Prm(ap, [0.0], names, 0, tau, rho).tau.keys() == tau.keys()
+    else:
+        with pytest.raises(ValueError) as err:
+            Prm(ap, [0.0], names, 0, tau, rho)
+        assert str(err.value) == errors[0]
 
 
 def test_tau_rho_same_domain():
@@ -383,9 +450,9 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
 
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
-    assert coffee._steps == {}
+    assert coffee._steps == [{} for _ in coffee.states]
     draw_row(coffee.compiled_step(0, C)[0], np.random.default_rng(0))
-    assert list(coffee._steps) == [(0, C)]
+    assert [(y, label) for y, steps in enumerate(coffee._steps) for label in steps] == [(0, C)]
 
 
 # integers(low, low + k) for these k: 1 draws nothing, 2 to 7 rarely
