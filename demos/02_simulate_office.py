@@ -16,8 +16,7 @@ print("grid is %dx%d, start at %s" % (setup.gridmap.width, setup.gridmap.height,
 
 policy = shortest_path_policy(setup.gridmap, setup.nmdp)
 traces = collect_traces(setup.nmdp, policy, episodes=2000, seed=7,
-                        n_episode=setup.n_episode,
-                        terminal_labels=setup.terminal_labels)
+                        n_episode=setup.n_episode)
 
 print("\nfirst trace:")
 for label, reward in traces[0]:

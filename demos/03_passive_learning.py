@@ -13,9 +13,7 @@ setup = resolve_env("office")
 policy = resolve_policy("shortest-path", setup)
 
 res = learn_passive(setup.nmdp, policy, episodes=5000,
-                    cfg=PassiveConfig(n_check=100, n_episode=setup.n_episode,
-                                      terminal_labels=setup.terminal_labels,
-                                      seed=3))
+                    cfg=PassiveConfig(n_check=100, n_episode=setup.n_episode, seed=3))
 h = res.hypothesis
 print("learned machine over states:", h.states)
 print(prm_to_text(h))

@@ -14,7 +14,7 @@ from prmlearn import LearnerConfig, encoding_distance, learn_active, load_env_co
 setup = load_env_config(str(resources.files("prmlearn") / "assets" / "patrol.yaml"))
 cfg = LearnerConfig(n_check=100, n_query=300, n_stop=30, n_episode=50, seed=1)
 
-res = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+res = learn_active(setup.nmdp, cfg)
 h = res.hypothesis
 episodes = res.report.total_membership_episodes + res.report.total_equivalence_episodes
 print("finished after %d rounds, %d episodes" % (len(res.report.rounds), episodes))

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
-from .environment import Nmdp, check_count, membership_reward_machine, step, word_realizable
+from .environment import (
+    Nmdp, check_count, check_terminal_labels, membership_reward_machine, step, word_realizable,
+)
 # sample_index and diff_against_distribution are unused here; the benchmark
 # tracer wraps them as active.sample_index and active.diff_against_distribution
 from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
@@ -82,16 +84,17 @@ def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:
     return top[rng.integers(0, ties)]
 
 
-def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng, terminal_labels=()):
+def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
     """One Q-learning episode on the implicit product of m and h.
 
     In membership mode the update target uses the machine reward; in
     equivalence mode it uses the environment reward, and the machine is
     only advanced.  Returns the trace of (environment label, environment
-    reward) pairs; q is updated in place."""
+    reward) pairs; q is updated in place.  The episode ends after n_episode
+    steps or on one of m's terminal labels."""
     if mode not in ("membership", "equivalence"):
         raise ValueError("unknown query mode %r" % (mode,))
-    terminal = set(terminal_labels)
+    terminal = m.terminal_labels
     available, width = m.available, len(m.actions)
     every = list(range(width))   # the actions of a state whose Q row is read whole
     membership = mode == "membership"
@@ -120,30 +123,19 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     return trace
 
 
-def statically_unrealizable(zeta: Word, terminal_labels) -> bool:
-    """A query word with a terminal label before its last position can
-    never be a trace prefix: the episode ends at that label."""
-    terminal = set(terminal_labels)
-    return any(label in terminal for label in zeta[:-1])
-
-
 def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
-                     cfg: LearnerConfig, rng, terminal_labels=()) -> int:
+                     cfg: LearnerConfig, rng) -> int:
     """Prime the RL teacher toward realizing `zeta`; every episode trace is
     recorded.  Returns the number of episodes run."""
-    if not zeta:
-        return 0
-    if statically_unrealizable(zeta, terminal_labels):
-        return 0
-    if not word_realizable(m, zeta):
-        # provably not a trace prefix of any trajectory: priming would
-        # burn the whole n_query budget for nothing
+    if not zeta or not word_realizable(m, zeta):
+        # provably not a trace prefix of any episode: priming would burn
+        # the whole n_query budget for nothing
         return 0
     machine = membership_reward_machine(m.ap, zeta)
     q_m.reset()  # machine shape changes with every query word
     episodes = 0
     while table.sample_count(zeta) < cfg.n_check and episodes < cfg.n_query:
-        trace = teacher_query(q_m, m, machine, "membership", cfg, rng, terminal_labels)
+        trace = teacher_query(q_m, m, machine, "membership", cfg, rng)
         table.record(trace)
         episodes += 1
     return episodes
@@ -211,14 +203,14 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
 
 
 def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis: Prm,
-                      cfg: LearnerConfig, rng, terminal_labels=()):
+                      cfg: LearnerConfig, rng):
     """Run equivalence-mode teacher episodes against the hypothesis until a
     counterexample appears or n_stop episodes elapse.  Returns
     (counterexample word or None, episodes run)."""
     episodes = 0
     steps = {}  # is_counterexample's memo of hypothesis steps
     while episodes < cfg.n_stop:
-        trace = teacher_query(q_h, m, hypothesis, "equivalence", cfg, rng, terminal_labels)
+        trace = teacher_query(q_h, m, hypothesis, "equivalence", cfg, rng)
         table.record(trace)
         episodes += 1
         ce = is_counterexample(table, hypothesis, trace, cfg.n_check, steps)
@@ -280,11 +272,13 @@ class ActiveResult:
     report: ActiveReport
 
 
-def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResult:
+def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=None) -> ActiveResult:
     """The outer active-learning loop: repair the table with membership
     queries until closed and consistent, pose an equivalence query, feed
     counterexample prefixes back into S, and stop after n_stop
-    consecutive counterexample-free equivalence rounds."""
+    consecutive counterexample-free equivalence rounds.  Episodes end on
+    m's terminal labels; `terminal_labels`, when given, must equal them."""
+    check_terminal_labels(m, terminal_labels)
     rng = Stream(np.random.PCG64(cfg.seed))   # the draws of default_rng(cfg.seed)
     alphabet = m.label_alphabet()
     table = ObservationTable(m.ap, alphabet)
@@ -307,7 +301,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
                         continue
                     if table.sample_count(zeta) >= cfg.n_check:
                         continue
-                    used = membership_query(table, zeta, m, q_m, cfg, rng, terminal_labels)
+                    used = membership_query(table, zeta, m, q_m, cfg, rng)
                     episodes += used
                     if table.sample_count(zeta) < cfg.n_check:
                         exhausted.add(zeta)
@@ -333,9 +327,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=()) -> ActiveResul
         if hypothesis.n_states() != last_shape:
             q_h.reset()
             last_shape = hypothesis.n_states()
-        ce, eq_episodes = equivalence_query(
-            table, m, q_h, hypothesis, cfg, rng, terminal_labels
-        )
+        ce, eq_episodes = equivalence_query(table, m, q_h, hypothesis, cfg, rng)
         report.rounds.append(
             RoundStats(
                 round=round_no,

@@ -86,13 +86,7 @@ def cmd_simulate(args) -> int:
     setup = resolve_env(args.env)
     policy = resolve_policy(args.policy, setup)
     traces = collect_traces(
-        setup.nmdp,
-        policy,
-        args.episodes,
-        pick_seed(args, setup),
-        setup.n_episode,
-        setup.terminal_labels,
-        jobs=args.jobs,
+        setup.nmdp, policy, args.episodes, pick_seed(args, setup), setup.n_episode, jobs=args.jobs
     )
     save_traces(traces, args.out)
     print("wrote %d traces to %s" % (len(traces), args.out))
@@ -104,7 +98,6 @@ def cmd_learn_passive(args) -> int:
     cfg = PassiveConfig(
         n_check=args.n_check,
         n_episode=setup.n_episode,
-        terminal_labels=setup.terminal_labels,
         seed=pick_seed(args, setup),
         jobs=args.jobs,
     )
@@ -140,7 +133,7 @@ def cmd_learn_active(args) -> int:
         n_episode=n_episode,
         seed=pick_seed(args, setup),
     )
-    result = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+    result = learn_active(setup.nmdp, cfg)
     save_prm(result.hypothesis, args.out)
     if args.report:
         Path(args.report).write_text(result.report.render(), encoding="utf-8")

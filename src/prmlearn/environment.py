@@ -50,20 +50,25 @@ class Nmdp:
     p: dict                 # (state, action) -> probability vector over states
     labeling: dict          # (state, action, state) -> Label
     truth: Prm              # the hidden reward machine; total
+    # the labels that end an episode: a rollout stops right after one
+    terminal_labels: frozenset = frozenset()
     # state -> {action: (sampling_row of the successor vector, the label of
     # a deterministic row, else {successor: label})} over the actions
     # available there, filled by step on the state's first step.  An Nmdp
     # is not changed after construction.
     _moves: list = field(default=None, init=False, repr=False, compare=False)
-    # state -> {label: the successors that an available action reaches with
-    # that label at positive probability}, filled by word_realizable on first use
-    _successors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the label automaton: a set of states a word can reach -> {label: the
+    # set it reaches next}, filled by word_realizable on first use
+    _edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.truth.is_total():
             raise ValueError("the truth of an environment must be a total machine")
         if not 0 <= self.x_init < len(self.states):
             raise ValueError("initial state index out of range")
+        if len(self.available) != len(self.states):
+            raise ValueError("available must list the actions of all %d states" % len(self.states))
+        self.terminal_labels = frozenset(map(self.ap.validate_label, self.terminal_labels))
         for x, acts in enumerate(self.available):
             if not acts:
                 raise ValueError("state %r has no available actions" % (self.states[x],))
@@ -173,9 +178,10 @@ def _compile_moves(m: Nmdp, x: int) -> dict:
     return moves
 
 
-def run_episode(m: Nmdp, policy, rng, n_episode: int, terminal_labels=()):
-    """Roll out one episode; returns the trace as [(label, reward), ...]."""
-    terminal = set(terminal_labels)
+def run_episode(m: Nmdp, policy, rng, n_episode: int):
+    """Roll out one episode, up to n_episode steps or a terminal label;
+    returns the trace as [(label, reward), ...]."""
+    terminal = m.terminal_labels
     compiled = policy._rows
     x, y = m.x_init, m.truth.init
     trace = []
@@ -248,10 +254,11 @@ def load_gridmap(path) -> GridMap:
     return parse_gridmap(Path(path).read_text(encoding="utf-8"))
 
 
-def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
+def build_office_nmdp(gridmap: GridMap, truth: Prm, terminal_labels=()) -> Nmdp:
     """Deterministic gridworld: moves blocked by walls and borders are
     self-loops; a transition is labeled with the propositions of its
-    destination cell; rewards come from the hidden ground-truth machine."""
+    destination cell; rewards come from the hidden ground-truth machine,
+    and an episode ends on a label in `terminal_labels`."""
     cells = gridmap.open_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     names = tuple("(%d,%d)" % cell for cell in cells)
@@ -275,6 +282,7 @@ def build_office_nmdp(gridmap: GridMap, truth: Prm) -> Nmdp:
         p=p,
         labeling=labeling,
         truth=truth,
+        terminal_labels=terminal_labels,
     )
 
 
@@ -328,27 +336,31 @@ def shortest_path_policy(gridmap: GridMap, m: Nmdp) -> PositionalPolicy:
     return PositionalPolicy(probs)
 
 
-def _successors_by_label(m: Nmdp, x: int) -> dict:
-    """{label: the states that some available action at x reaches with that label}."""
-    succ = m._successors.get(x)
-    if succ is None:
-        succ = m._successors[x] = {}
-        for a in m.available[x]:
-            for x_next in np.flatnonzero(m.p[(x, a)]):
-                x_next = int(x_next)
-                succ.setdefault(m.labeling[(x, a, x_next)], set()).add(x_next)
-    return succ
-
-
 def word_realizable(m: Nmdp, w: Word) -> bool:
-    """Whether some trajectory's label word equals w: BFS over (state,
-    matched length) pairs, polynomial in |X|·|A|·|w|."""
-    frontier = {m.x_init}
+    """Whether w can be a trace prefix: some trajectory's label word is w,
+    and no label before w's last ends the episode.  Walks m's label
+    automaton, whose states are the sets of environment states that a word
+    can reach; a terminal label leads to the empty set, which reads nothing."""
+    reach, edges = frozenset((m.x_init,)), m._edges
     for label in w:
-        frontier = {x_next for x in frontier for x_next in _successors_by_label(m, x).get(label, ())}
-        if not frontier:
+        reach = (edges.get(reach) or _compile_edges(m, reach)).get(label)
+        if reach is None:
             return False
     return True
+
+
+def _compile_edges(m: Nmdp, reach: frozenset) -> dict:
+    """Fill and return `m._edges[reach]`: {label: the states that an
+    available action from a state in `reach` enters with that label at
+    positive probability, or the empty set for a terminal label}."""
+    succ = {}
+    for x in reach:
+        for a in m.available[x]:
+            for x_next in np.flatnonzero(m.p[(x, a)]).tolist():
+                succ.setdefault(m.labeling[(x, a, x_next)], set()).add(x_next)
+    edges = m._edges[reach] = {label: frozenset() if label in m.terminal_labels else frozenset(xs)
+                               for label, xs in succ.items()}
+    return edges
 
 
 # -- membership reward machines --------------------------------------------------
@@ -422,6 +434,7 @@ def product(m: Nmdp, h: Prm) -> ProductMdp:
         p=p,
         labeling=labeling,
         truth=m.truth,
+        terminal_labels=m.terminal_labels,
     )
     return ProductMdp(mdp=mdp, reward=reward, pairs=pairs)
 
@@ -434,13 +447,17 @@ class EnvSetup:
     nmdp: Nmdp
     gridmap: GridMap
     n_episode: int
-    terminal_labels: tuple
     seed: int
 
     @property
     def truth(self) -> Prm:
         """The environment's hidden reward machine."""
         return self.nmdp.truth
+
+    @property
+    def terminal_labels(self) -> frozenset:
+        """The labels that end the environment's episodes."""
+        return self.nmdp.terminal_labels
 
 
 def load_env_config(path) -> EnvSetup:
@@ -463,14 +480,8 @@ def load_env_config(path) -> EnvSetup:
     base = path.parent
     gridmap = load_gridmap(base / cfg["map"])
     truth = load_prm(base / cfg["truth_prm"])
-    nmdp = build_office_nmdp(gridmap, truth)
-    return EnvSetup(
-        nmdp=nmdp,
-        gridmap=gridmap,
-        n_episode=n_episode,
-        terminal_labels=tuple(truth.ap.validate_label(parse_label(t)) for t in terminal),
-        seed=seed,
-    )
+    nmdp = build_office_nmdp(gridmap, truth, [parse_label(t) for t in terminal])
+    return EnvSetup(nmdp=nmdp, gridmap=gridmap, n_episode=n_episode, seed=seed)
 
 
 def trace_to_line(trace) -> str:
@@ -510,13 +521,22 @@ def load_traces(path):
 
 def _collect_chunk(args):
     """Episodes from `spawn_states`, on one Stream restarted at each in turn."""
-    m, policy, states, n_episode, terminal_labels = args
+    m, policy, states, n_episode = args
     rng = Stream(np.random.PCG64(0))
     out = []
     for state, inc in states:
         rng.restart(state, inc)
-        out.append(run_episode(m, policy, rng, n_episode, terminal_labels))
+        out.append(run_episode(m, policy, rng, n_episode))
     return out
+
+
+def check_terminal_labels(m: Nmdp, terminal_labels) -> None:
+    """Raise a ValueError unless `terminal_labels` is None or, as a set,
+    m's own: the environment owns its terminal labels, and a learner's
+    copy of them may only repeat them."""
+    if terminal_labels is not None and set(terminal_labels) != m.terminal_labels:
+        raise ValueError("terminal labels %r differ from the environment's %s"
+                         % (terminal_labels, sorted(map(label_str, m.terminal_labels))))
 
 
 def check_count(value, name: str, positive: bool = False) -> None:
@@ -527,7 +547,7 @@ def check_count(value, name: str, positive: bool = False) -> None:
                          % (name, "positive" if positive else "non-negative", value))
 
 
-def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, terminal_labels=(), jobs: int = 1):
+def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, jobs: int = 1):
     """Roll out `episodes` episodes, episode i with the draws of
     `default_rng(SeedSequence(seed).spawn(episodes)[i])`; results are
     deterministic and independent of the number of jobs."""
@@ -537,11 +557,11 @@ def collect_traces(m: Nmdp, policy, episodes: int, seed, n_episode: int, termina
     check_count(jobs, "jobs", positive=True)
     states = spawn_states(seed, episodes)
     if jobs <= 1:
-        return _collect_chunk((m, policy, states, n_episode, terminal_labels))
+        return _collect_chunk((m, policy, states, n_episode))
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = [states[i::jobs] for i in range(jobs)]
-    args = [(m, policy, chunk, n_episode, terminal_labels) for chunk in chunks]
+    args = [(m, policy, chunk, n_episode) for chunk in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_collect_chunk, args))
     out = [None] * episodes

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .alphabet import EPSILON, label_sort_key, word_str
-from .environment import Nmdp, check_count, collect_traces
+from .environment import Nmdp, check_count, check_terminal_labels, collect_traces
 from .machine import Prm
 from .table import ObservationTable, build_hypothesis, repair_on_frozen_data
 
@@ -26,7 +26,7 @@ MAX_EXPERIMENT_LEN = 12
 class PassiveConfig:
     n_check: int
     n_episode: int = 100
-    terminal_labels: tuple = ()
+    terminal_labels: object = None   # when given, must equal the environment's
     seed: int = 0
     jobs: int = 1
 
@@ -101,8 +101,8 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
 
 
 def learn_passive(m: Nmdp, policy, episodes: int, cfg: PassiveConfig) -> PassiveResult:
-    """Roll out `episodes` episodes under the policy, then learn from them."""
-    traces = collect_traces(
-        m, policy, episodes, cfg.seed, cfg.n_episode, cfg.terminal_labels, jobs=cfg.jobs
-    )
+    """Roll out `episodes` episodes under the policy, each ending on m's
+    terminal labels, then learn from them."""
+    check_terminal_labels(m, cfg.terminal_labels)
+    traces = collect_traces(m, policy, episodes, cfg.seed, cfg.n_episode, jobs=cfg.jobs)
     return learn_passive_from_traces(traces, m.ap, cfg, alphabet=m.label_alphabet())

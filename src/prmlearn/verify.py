@@ -59,15 +59,18 @@ def brute_force_word_realizability(
     Every transition emits a symbol (the empty label included), so a
     witness has exactly |w| steps.  Actions and successor states are
     explored in index order, so the returned witness is the
-    lexicographically least one.  With criterion="positive_reward" the
-    trajectory must additionally give the hidden machine a positive
-    probability of positive total reward.
+    lexicographically least one.  An episode ends on a terminal label, so
+    a witness takes a terminal-labelled step only as its last.  With
+    criterion="positive_reward" the trajectory must additionally give the
+    hidden machine a positive probability of positive total reward.
     """
     if criterion not in ("label_only", "positive_reward"):
         raise ValueError("unknown criterion %r" % (criterion,))
     check_count(node_budget, "node_budget")
     for label in w:
         m.ap.validate_label(label)
+    if any(label in m.terminal_labels for label in w[:-1]):
+        return None
 
     # depth-first with an explicit stack, so a word's length is not bounded
     # by the recursion limit: frames[d] yields the (action, successor)

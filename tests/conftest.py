@@ -102,7 +102,8 @@ def probability_vectors(n):
     return st.one_of(deterministic, dyadic, non_dyadic)
 
 
-def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, truth=None, available=None):
+def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, truth=None, available=None,
+                terminal_labels=()):
     """A random NMDP with random transition labels and a row for every
     action at every state; every action is available everywhere unless
     `available` lists the actions of each state.  The reward source
@@ -130,6 +131,7 @@ def random_nmdp(rng, n_states=3, n_actions=2, props=("a",), *, dyadic=False, tru
         p=p,
         labeling=labeling,
         truth=truth,
+        terminal_labels=terminal_labels,
     )
 
 
@@ -156,7 +158,7 @@ def free_nmdp(truth):
     )
 
 
-def two_cell_nmdp(truth):
+def two_cell_nmdp(truth, terminal_labels=()):
     """1x2 grid "Ac": action 0 stays (label empty), action 1 toggles the
     cell, entering the marked cell emits {c}."""
     c = frozenset({"c"})
@@ -180,6 +182,7 @@ def two_cell_nmdp(truth):
         p=p,
         labeling=labeling,
         truth=truth,
+        terminal_labels=terminal_labels,
     )
 
 
@@ -189,10 +192,10 @@ def greedy_action(q, y, x, actions) -> int:
     return max(actions, key=lambda a: (row[a] if row else 0.0, -a))
 
 
-def rollout_greedy(q, m, h, n_episode, rng, terminal_labels=()):
-    """Greedy (explore=0) rollout; returns the trace and the total machine
-    reward collected along it."""
-    terminal = set(terminal_labels)
+def rollout_greedy(q, m, h, n_episode, rng):
+    """Greedy (explore=0) rollout, ending on m's terminal labels; returns
+    the trace and the total machine reward collected along it."""
+    terminal = m.terminal_labels
     x, y, z = m.x_init, h.init, m.truth.init   # z: the truth's state
     trace = []
     total_machine_reward = 0.0

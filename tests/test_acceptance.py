@@ -54,7 +54,6 @@ def test_acceptance_1_passive_reconstruction():
     cfg = PassiveConfig(
         n_check=100,
         n_episode=setup.n_episode,
-        terminal_labels=setup.terminal_labels,
         seed=setup.seed,
     )
     start = time.monotonic()
@@ -104,7 +103,7 @@ def test_acceptance_3_active_deterministic_patrol():
     distances = []
     for seed in range(10):
         cfg = LearnerConfig(n_check=100, n_query=300, n_stop=30, n_episode=50, seed=seed)
-        result = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+        result = learn_active(setup.nmdp, cfg)
         d = encoding_distance(result.hypothesis, setup.truth, max_len=5).distance
         distances.append(d)
         good += d <= 0.05
@@ -125,7 +124,7 @@ def test_acceptance_4_active_stochastic_office():
     splits = []
     for seed in range(10):
         cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=seed)
-        result = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+        result = learn_active(setup.nmdp, cfg)
         try:
             p = result.hypothesis.next_reward_distribution((C,), O).get(1.0, 0.0)
         except ValueError:
@@ -282,10 +281,8 @@ def test_acceptance_8_membership_priming():
         rng = np.random.default_rng(seed)
         q = QTable()
         for _ in range(cfg.n_query):
-            teacher_query(q, setup.nmdp, machine, "membership", cfg, rng, setup.terminal_labels)
-        _, total = rollout_greedy(
-            q, setup.nmdp, machine, cfg.n_episode, rng, setup.terminal_labels
-        )
+            teacher_query(q, setup.nmdp, machine, "membership", cfg, rng)
+        _, total = rollout_greedy(q, setup.nmdp, machine, cfg.n_episode, rng)
         good += total == 2.0
     ok = good >= 8
     report(8, "membership priming", ok, "%d/10 seeds reach reward 2" % good)

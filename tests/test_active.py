@@ -25,7 +25,6 @@ from prmlearn.active import (
     equivalence_query,
     is_counterexample,
     membership_query,
-    statically_unrealizable,
     teacher_query,
 )
 from prmlearn.alphabet import EMPTY_LABEL
@@ -192,9 +191,8 @@ def ref_epsilon_greedy_action(q, y, x, actions, explore, rng):
     return int(top[int(rng.integers(0, len(top)))])
 
 
-def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
+def ref_teacher_query(q, m, h, mode, cfg, rng):
     explore, learn_rate, discount = active.EXPLORE, active.LEARN_RATE, active.DISCOUNT
-    terminal = set(terminal_labels)
     truth = m.truth
     x, y, y_truth = m.x_init, h.init, truth.init
     trace = []
@@ -216,7 +214,7 @@ def ref_teacher_query(q, m, h, mode, cfg, rng, terminal_labels=()):
         )
         trace.append((label, r))
         x, y = x_next, y_next
-        if label in terminal:
+        if label in m.terminal_labels:
             break
     return trace
 
@@ -241,7 +239,7 @@ def partial_prm(rng, n_states, props, rewards):
 
 
 def teacher_cases():
-    """(name, environment, terminal labels, [(mode, machine), ...])."""
+    """(name, environment, [(mode, machine), ...])."""
     patrol = patrol_prm()
     two_cell = two_cell_nmdp(patrol)
     office = load_env_config(OFFICE)
@@ -261,29 +259,29 @@ def teacher_cases():
         available=[[0, 1, 2, 3], [3, 1], [2, 0, 1, 3], [0, 1, 2, 3]],
     )
     return [
-        ("two_cell", two_cell, (), [
+        ("two_cell", two_cell, [
             ("membership", membership_reward_machine(two_cell.ap, (C, EMPTY_LABEL))),
             ("equivalence", patrol),
         ]),
-        ("office", office.nmdp, office.terminal_labels, [
+        ("office", office.nmdp, [
             ("membership", membership_reward_machine(office.nmdp.ap, (C, O))),
             ("equivalence", office.truth),
         ]),
-        ("random", stochastic, (), [
+        ("random", stochastic, [
             ("membership", membership_reward_machine(stochastic.ap, stochastic.label_alphabet()[:2])),
             ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
-        ("successor_rewards", successor_paid, (), [
+        ("successor_rewards", successor_paid, [
             ("membership", successor_reward_prm(rng, 3, props, [0.0, 1.0])),
             ("equivalence", successor_reward_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
         # undefined pairs: membership mode reads the machine reward and
         # raises; equivalence mode only advances the machine
-        ("partial", stochastic, (), [
+        ("partial", stochastic, [
             ("membership", partial),
             ("equivalence", partial),
         ]),
-        ("mixed_actions", mixed, (), [
+        ("mixed_actions", mixed, [
             ("membership", membership_reward_machine(mixed.ap, mixed.label_alphabet()[:2])),
             ("equivalence", random_prm(rng, 4, props, [0.0, 0.5, 1.0])),
         ]),
@@ -294,21 +292,21 @@ def teacher_cases():
 @pytest.mark.parametrize("explore", [0.0, 0.1, 1.0], ids=lambda explore: "sample-%s" % explore)
 def test_teacher_query_matches_reference_loop(explore, monkeypatch):
     monkeypatch.setattr(active, "EXPLORE", explore)
-    for name, m, terminal, machines in teacher_cases():
+    for name, m, machines in teacher_cases():
         for mode, h in machines:
             cfg = config(n_episode=30)
             rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
             q, ref_q = QTable(), RefQTable()
             if mode == "membership" and not h.is_total():
                 with pytest.raises(UndefinedTransitionError):
-                    teacher_query(q, m, h, mode, cfg, rng, terminal)
+                    teacher_query(q, m, h, mode, cfg, rng)
                 with pytest.raises(UndefinedTransitionError):
-                    ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal)
+                    ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
                 continue
             for _ in range(15):
-                trace = teacher_query(q, m, h, mode, cfg, rng, terminal)
-                assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng, terminal), (name, mode)
+                trace = teacher_query(q, m, h, mode, cfg, rng)
+                assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
             for (y, x, a), value in ref_q.values.items():
                 assert q.rows[(y, x)][a] == value, (name, mode, (y, x, a))
@@ -319,14 +317,14 @@ def test_teacher_query_matches_reference_loop(explore, monkeypatch):
 
 @pytest.mark.parametrize("name", ["two_cell", "office"])
 def test_teacher_query_draws_alike_from_a_stream_and_a_generator(name):
-    _, m, terminal, machines = next(case for case in teacher_cases() if case[0] == name)
+    _, m, machines = next(case for case in teacher_cases() if case[0] == name)
     for mode, h in machines:
         cfg = config(n_episode=30)
         stream, rng = Stream(np.random.PCG64(11)), np.random.default_rng(11)
         q, ref_q = QTable(), QTable()
         for _ in range(40):
-            trace = teacher_query(q, m, h, mode, cfg, stream, terminal)
-            assert trace == teacher_query(ref_q, m, h, mode, cfg, rng, terminal), (name, mode)
+            trace = teacher_query(q, m, h, mode, cfg, stream)
+            assert trace == teacher_query(ref_q, m, h, mode, cfg, rng), (name, mode)
         assert q.rows == ref_q.rows, (name, mode)
         assert stream.random() == rng.random()
 
@@ -340,9 +338,9 @@ def test_learn_active_draws_alike_from_a_stream_and_a_generator(env, budget, mon
     # it learns the same machine in the same rounds from the same table
     setup = load_env_config(ASSETS / env)
     cfg = LearnerConfig(seed=4, **budget)
-    result = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+    result = learn_active(setup.nmdp, cfg)
     monkeypatch.setattr(active, "Stream", np.random.Generator)
-    ref = learn_active(setup.nmdp, cfg, setup.terminal_labels)
+    ref = learn_active(setup.nmdp, cfg)
     assert prm_to_text(result.hypothesis) == prm_to_text(ref.hypothesis)
     assert result.report == ref.report and result.report.render() == ref.report.render()
     assert result.table.t == ref.table.t and result.table.s == ref.table.s and result.table.e == ref.table.e
@@ -382,22 +380,24 @@ def test_teacher_query_rejects_unknown_mode():
 
 def test_terminal_labels_cut_episodes():
     truth = patrol_prm()
-    m = two_cell_nmdp(truth)
+    m = two_cell_nmdp(truth, terminal_labels=(C,))
     cfg = config(n_episode=50)
-    trace = teacher_query(
-        QTable(), m, truth, "equivalence", cfg, np.random.default_rng(0), terminal_labels=(C,)
-    )
+    trace = teacher_query(QTable(), m, truth, "equivalence", cfg, np.random.default_rng(0))
     assert trace[-1][0] == C
     assert all(label != C for label, _ in trace[:-1])
 
 
+def test_learn_active_terminal_labels_may_only_repeat_the_environment_s():
+    m = two_cell_nmdp(patrol_prm(), terminal_labels=(C,))
+    cfg = config(n_check=5, n_query=10, n_stop=1, n_episode=5)
+    for wrong in [(), (EMPTY_LABEL,), (C, EMPTY_LABEL), ("c",)]:
+        with pytest.raises(ValueError, match="differ from the environment's"):
+            learn_active(m, cfg, wrong)
+    repeated = learn_active(m, cfg, [C, C])
+    assert prm_to_text(repeated.hypothesis) == prm_to_text(learn_active(m, cfg).hypothesis)
+
+
 # -- membership queries ----------------------------------------------------------------
-
-
-def test_statically_unrealizable():
-    assert statically_unrealizable((C, O), terminal_labels=(C,))
-    assert not statically_unrealizable((C, O), terminal_labels=(O,))
-    assert not statically_unrealizable((C, O), terminal_labels=())
 
 
 def test_membership_query_fills_sample():
@@ -411,15 +411,12 @@ def test_membership_query_fills_sample():
 
 
 def test_membership_query_skips_terminal_interrupted_words():
-    # a terminal label anywhere but last makes the word statically
-    # unrealizable as a trace prefix: no episodes are spent on it
+    # a terminal label anywhere but last makes the word unrealizable as a
+    # trace prefix: no episodes are spent on it
     truth = patrol_prm()
-    m = two_cell_nmdp(truth)
+    m = two_cell_nmdp(truth, terminal_labels=(C,))
     table = ObservationTable(m.ap, m.label_alphabet())
-    episodes = membership_query(
-        table, (C, C), m, QTable(), cfg=config(), rng=np.random.default_rng(0),
-        terminal_labels=(C,),
-    )
+    episodes = membership_query(table, (C, C), m, QTable(), cfg=config(), rng=np.random.default_rng(0))
     assert episodes == 0
     assert table.total_samples() == 0
 
@@ -626,15 +623,14 @@ def test_is_counterexample_memo_matches_fresh_walk(monkeypatch):
     office = load_env_config(OFFICE)
     m = office.nmdp
     cfg = config(n_check=30, n_query=100, n_stop=5, n_episode=office.n_episode, seed=3)
-    result = learn_active(m, cfg, office.terminal_labels)
+    result = learn_active(m, cfg)
     h, table = result.hypothesis, result.table
     monkeypatch.setattr(active, "EXPLORE", 0.5)  # explores enough to meet counterexamples
     rng = np.random.default_rng(4)
     q, steps = QTable(), {}
     verdicts = []
     for _ in range(60):
-        trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode),
-                              rng, office.terminal_labels)
+        trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode), rng)
         table.record(trace)
         verdict = is_counterexample(table, h, trace, cfg.n_check, steps)
         assert verdict == ref_is_counterexample(table, h, trace, cfg.n_check)

@@ -33,6 +33,6 @@ def test_every_learner_step_calls_the_wrapped_step(monkeypatch):
                             lambda *args, original=original: calls.append(1) or original(*args))
     env = load_env_config(PATROL)
     cfg = LearnerConfig(n_check=20, n_query=50, n_stop=3, n_episode=env.n_episode, seed=1)
-    result = learn_active(env.nmdp, cfg, env.terminal_labels)
+    result = learn_active(env.nmdp, cfg)
     assert result.table.total_samples() > 0
     assert len(calls) == result.table.total_samples()

@@ -196,6 +196,14 @@ def test_mq_no_witness(capsys):
     assert "no witness" in capsys.readouterr().out
 
 
+def test_mq_no_witness_past_a_terminal_label(capsys):
+    # office episodes end on o: c;o has a witness, and a word going on after o has none
+    assert run_cli(["mq", "--env", "office", "--word", "c;o"]) == 0
+    assert capsys.readouterr().out.startswith("witness actions: S S\n")
+    assert run_cli(["mq", "--env", "office", "--word", "c;o;~"]) == 0
+    assert capsys.readouterr().out == "no witness\n"
+
+
 @pytest.mark.parametrize("word", ["z", "c&z"])
 def test_mq_rejects_unknown_proposition(capsys, word):
     code = run_cli(["mq", "--env", "office", "--word", word])

@@ -63,9 +63,7 @@ def s_and_e_digests(table) -> tuple:
 
 def test_passive_office_machine_is_pinned(tmp_path):
     env = load_env_config(OFFICE)
-    cfg = PassiveConfig(
-        n_check=40, n_episode=env.n_episode, terminal_labels=env.terminal_labels, seed=7
-    )
+    cfg = PassiveConfig(n_check=40, n_episode=env.n_episode, seed=7)
     result = learn_passive(env.nmdp, uniform_policy(env.nmdp), 300, cfg)
     assert digest(result.hypothesis) == PASSIVE_OFFICE_SHA256
     path = tmp_path / "table.csv"
@@ -78,7 +76,7 @@ def test_active_office_machine_is_pinned(tmp_path):
     # the acceptance-4 budget
     env = load_env_config(OFFICE)
     cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=0)
-    result = learn_active(env.nmdp, cfg, env.terminal_labels)
+    result = learn_active(env.nmdp, cfg)
     assert digest(result.hypothesis) == ACTIVE_OFFICE_SHA256
     assert sha256(result.report.render()) == ACTIVE_OFFICE_REPORT_SHA256
     path = tmp_path / "table.csv"
@@ -89,7 +87,7 @@ def test_active_office_machine_is_pinned(tmp_path):
 
 def test_office_rollouts_are_pinned(tmp_path):
     env = load_env_config(OFFICE)
-    traces = collect_traces(env.nmdp, uniform_policy(env.nmdp), 300, 7, env.n_episode, env.terminal_labels)
+    traces = collect_traces(env.nmdp, uniform_policy(env.nmdp), 300, 7, env.n_episode)
     path = tmp_path / "traces.log"
     save_traces(traces, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OFFICE_ROLLOUTS_SHA256

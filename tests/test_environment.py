@@ -167,6 +167,21 @@ def test_available_action_without_a_row_rejected():
         )
 
 
+def test_available_of_the_wrong_length_rejected():
+    # x1 has no action list: the error comes at construction, not as an
+    # IndexError at the first step into x1
+    with pytest.raises(ValueError, match="actions of all 2 states"):
+        Nmdp(
+            states=("x0", "x1"),
+            x_init=0,
+            actions=("move",),
+            available=[[0]],
+            p={(0, 0): unit_vector(2, 1), (1, 0): unit_vector(2, 0)},
+            labeling={(0, 0, 1): EMPTY_LABEL, (1, 0, 0): EMPTY_LABEL},
+            truth=single_state_zero_prm(("a",)),
+        )
+
+
 @pytest.mark.parametrize("x_init", [-1, 2])
 def test_initial_state_out_of_range_rejected(x_init):
     with pytest.raises(ValueError, match="initial state index out of range"):
@@ -254,7 +269,8 @@ def environment_and_policy(draw):
     m, _, seed = draw(environment_and_actions())
     n_actions = len(m.actions)
     m = dataclasses.replace(
-        m, available=[draw(st.permutations(range(n_actions))) for _ in m.states]
+        m, available=[draw(st.permutations(range(n_actions))) for _ in m.states],
+        terminal_labels=draw(st.sets(st.sampled_from(m.ap.labels()), max_size=2)),
     )
     probs = {}
     for x in range(len(m.states)):
@@ -263,11 +279,10 @@ def environment_and_policy(draw):
         vec = draw(probability_vectors(n_actions))
         order = draw(st.permutations(range(n_actions)))   # dict order is not sorted
         probs[x] = {a: float(vec[a]) for a in order}
-    terminal = draw(st.sets(st.sampled_from(m.ap.labels()), max_size=2))
-    return m, PositionalPolicy(probs), terminal, draw(st.integers(1, 30)), seed
+    return m, PositionalPolicy(probs), draw(st.integers(1, 30)), seed
 
 
-def ref_episode(m, policy, rng, n_episode, terminal_labels):
+def ref_episode(m, policy, rng, n_episode):
     """run_episode as sample_index draws it: the action from the sorted
     actions' probabilities, then the step from the uncompiled rows."""
     truth = m.truth
@@ -278,7 +293,7 @@ def ref_episode(m, policy, rng, n_episode, terminal_labels):
         a = int(actions[sample_index(np.array([dist[a] for a in actions]), rng)])
         x, label, reward, y = ref_step(m, x, a, rng, truth, y)
         trace.append((label, reward))
-        if label in terminal_labels:
+        if label in m.terminal_labels:
             break
     return trace
 
@@ -286,11 +301,11 @@ def ref_episode(m, policy, rng, n_episode, terminal_labels):
 @settings(max_examples=150, deadline=None)
 @given(case=environment_and_policy())
 def test_run_episode_draws_as_sample_index(case):
-    m, policy, terminal, n_episode, seed = case
+    m, policy, n_episode, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):   # later episodes read the rows the first one compiled
-        trace = run_episode(m, policy, rng, n_episode, terminal)
-        assert trace == ref_episode(m, policy, ref_rng, n_episode, terminal)
+        trace = run_episode(m, policy, rng, n_episode)
+        assert trace == ref_episode(m, policy, ref_rng, n_episode)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -341,6 +356,15 @@ def test_transition_labels_use_the_truth_propositions():
         m.ap = Alphabet(["c", "q"])
 
 
+def test_terminal_labels_use_the_truth_propositions():
+    fields = dict(states=("x0",), x_init=0, actions=("loop",), available=[[0]],
+                  p={(0, 0): unit_vector(1, 0)}, labeling={(0, 0, 0): C}, truth=patrol_prm())
+    with pytest.raises(ValueError, match="unknown proposition 'q'"):
+        Nmdp(terminal_labels=[C, frozenset({"q"})], **fields)
+    assert Nmdp(**fields).terminal_labels == frozenset()
+    assert Nmdp(terminal_labels=[C, C], **fields).terminal_labels == frozenset({C})
+
+
 def test_zero_machine_rewards_are_zero():
     m = two_cell_nmdp(single_state_zero_prm(("c",)))
     rng = np.random.default_rng(0)
@@ -350,12 +374,12 @@ def test_zero_machine_rewards_are_zero():
 
 def test_office_delivery_split_monte_carlo():
     grid = parse_gridmap(OFFICE_MAP)
-    m = build_office_nmdp(grid, coffee_prm())
+    m = build_office_nmdp(grid, coffee_prm(), (O, STAR))
     policy = shortest_path_policy(grid, m)
     rng = np.random.default_rng(99)
     hits, n = 0, 10 ** 4
     for _ in range(n):
-        trace = run_episode(m, policy, rng, 20, terminal_labels=(O, STAR))
+        trace = run_episode(m, policy, rng, 20)
         if trace[-1] == (O, 1.0):
             hits += 1
     # 6 sigma at n=1e4 is about 0.018
@@ -422,10 +446,10 @@ def test_trajectory_probability_unavailable_action():
 
 def test_terminal_labels_end_episodes():
     grid = parse_gridmap(OFFICE_MAP)
-    m = build_office_nmdp(grid, coffee_prm())
+    m = build_office_nmdp(grid, coffee_prm(), (O, STAR))
     policy = shortest_path_policy(grid, m)
     rng = np.random.default_rng(1)
-    trace = run_episode(m, policy, rng, 100, terminal_labels=(O, STAR))
+    trace = run_episode(m, policy, rng, 100)
     assert trace[-1][0] in (O, STAR)
     assert all(label not in (O, STAR) for label, _ in trace[:-1])
 
@@ -563,6 +587,12 @@ def test_product_with_trivial_machine_is_isomorphic():
     assert all(r == 0.0 for r in prod.reward.values())
 
 
+def test_product_keeps_the_terminal_labels():
+    m = two_cell_nmdp(patrol_prm(), terminal_labels=(C,))
+    prod = product(m, single_state_zero_prm(("c",)))
+    assert prod.mdp.terminal_labels == m.terminal_labels == frozenset({C})
+
+
 def test_product_rows_sum_to_one():
     rng = np.random.default_rng(11)
     m = random_nmdp(rng, n_states=3, n_actions=2, props=("a",))
@@ -615,6 +645,10 @@ def test_word_realizable():
     assert not word_realizable(m, (C, C))
     # no cell adjacent to the start is adjacent to the coffee cell
     assert not word_realizable(m, (EMPTY_LABEL, C))
+    # an episode ends on o: o may end a word, not go on
+    ended = build_office_nmdp(grid, coffee_prm(), (O, STAR))
+    assert word_realizable(m, (C, O, C)) and word_realizable(ended, (C, O))
+    assert not word_realizable(ended, (C, O, C))
 
 
 def restricted_nmdp(seed):
@@ -639,6 +673,44 @@ def test_word_realizable_matches_the_brute_force_search():
                 assert realizable == (brute_force_word_realizability(m, w) is not None), w
                 outcomes.append(realizable)
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def ref_realizable(m, w) -> bool:
+    """The rule before the label automaton: a word with a terminal label
+    before its last can never be a trace prefix, and otherwise a walk over
+    the sets of states that w's prefixes reach decides."""
+    if any(label in m.terminal_labels for label in w[:-1]):
+        return False
+    frontier = {m.x_init}
+    for label in w:
+        frontier = {int(x_next) for x in frontier for a in m.available[x]
+                    for x_next in np.flatnonzero(m.p[(x, a)]) if m.labeling[(x, a, int(x_next))] == label}
+    return bool(frontier)
+
+
+@st.composite
+def nmdps_with_terminal_labels(draw):
+    """A random NMDP over {a, b} with dyadic (so partly zero) moves, a
+    nonempty subset of the actions available at each state, and up to two
+    of its labels terminal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    available = [sorted(draw(st.sets(st.integers(0, n_actions - 1), min_size=1))) for _ in range(n_states)]
+    labels = Alphabet(("a", "b")).labels()
+    return random_nmdp(rng, n_states, n_actions, props=("a", "b"), dyadic=True, available=available,
+                       terminal_labels=draw(st.sets(st.sampled_from(labels), max_size=2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=nmdps_with_terminal_labels())
+def test_word_realizable_agrees_with_the_old_rule_and_the_oracle(m):
+    # every word up to length 4: the label automaton, the two checks it
+    # replaces, and the brute-force search decide alike
+    for n in range(5):
+        for w in itertools.product(m.ap.labels(), repeat=n):
+            realizable = word_realizable(m, w)
+            assert realizable == ref_realizable(m, w), w
+            assert realizable == (brute_force_word_realizability(m, w, node_budget=10 ** 6) is not None), w
 
 
 def test_free_nmdp_realizes_everything():

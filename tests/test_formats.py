@@ -255,10 +255,10 @@ def learned_machines():
     patrol = load_env_config(ASSETS / "patrol.yaml")
     for seed in (0, 1):
         cfg = LearnerConfig(n_check=200, n_query=500, n_stop=50, n_episode=100, seed=seed)
-        yield learn_active(office.nmdp, cfg, office.terminal_labels).hypothesis
+        yield learn_active(office.nmdp, cfg).hypothesis
         cfg = LearnerConfig(n_check=100, n_query=300, n_stop=30, n_episode=50, seed=seed)
-        yield learn_active(patrol.nmdp, cfg, patrol.terminal_labels).hypothesis
-    cfg = PassiveConfig(n_check=40, n_episode=office.n_episode, terminal_labels=office.terminal_labels, seed=7)
+        yield learn_active(patrol.nmdp, cfg).hypothesis
+    cfg = PassiveConfig(n_check=40, n_episode=office.n_episode, seed=7)
     yield learn_passive(office.nmdp, uniform_policy(office.nmdp), 300, cfg).hypothesis
 
 

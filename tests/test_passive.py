@@ -33,6 +33,19 @@ def test_config_validation():
         PassiveConfig(n_check=10, n_episode=0)
 
 
+def test_passive_terminal_labels_may_only_repeat_the_environment_s():
+    m = two_cell_nmdp(patrol_prm(), terminal_labels=(C,))
+    policy = uniform_policy(m)
+    for wrong in [(), (EMPTY_LABEL,), (C, EMPTY_LABEL)]:
+        with pytest.raises(ValueError, match="differ from the environment's"):
+            learn_passive(m, policy, 20, PassiveConfig(n_check=5, n_episode=5, terminal_labels=wrong))
+    repeated = learn_passive(m, policy, 20, PassiveConfig(n_check=5, n_episode=5, terminal_labels=[C]))
+    bare = learn_passive(m, policy, 20, PassiveConfig(n_check=5, n_episode=5))
+    assert repeated.table.t == bare.table.t
+    # every episode of the bare config stops at the environment's terminal label
+    assert all(word[-1] == C for word in bare.table.t if C in word)
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 2.5, True])
 def test_jobs_must_be_a_positive_integer(jobs):
     m = two_cell_nmdp(patrol_prm())
@@ -133,9 +146,9 @@ def test_episode_order_independence():
 def test_office_reconstruction_small():
     grid = parse_gridmap(OFFICE_MAP)
     truth = coffee_prm()
-    m = build_office_nmdp(grid, truth)
+    m = build_office_nmdp(grid, truth, (O, STAR))
     policy = shortest_path_policy(grid, m)
-    cfg = PassiveConfig(n_check=100, n_episode=100, terminal_labels=(O, STAR), seed=7)
+    cfg = PassiveConfig(n_check=100, n_episode=100, seed=7)
     result = learn_passive(m, policy, episodes=2000, cfg=cfg)
     h = result.hypothesis
     dist = h.next_reward_distribution((C,), O)

@@ -117,6 +117,20 @@ def test_office_blue_line_word():
     assert witness.labels == [C, O]
 
 
+def test_no_witness_goes_on_past_a_terminal_label():
+    # an episode ends on o or *: such a label may end a witness, not go on
+    grid = parse_gridmap(OFFICE_MAP)
+    open_ended = build_office_nmdp(grid, coffee_prm())
+    m = build_office_nmdp(grid, coffee_prm(), (O, STAR))
+    assert brute_force_word_realizability(m, (C, O), node_budget=10 ** 5).labels == [C, O]
+    assert brute_force_reward_distribution(m, (C, O)) == pytest.approx({1.0: 0.9, 0.0: 0.1})
+    for word in [(C, O, EMPTY_LABEL), (C, O, C, O)]:
+        assert brute_force_word_realizability(open_ended, word, node_budget=10 ** 5) is not None
+        assert brute_force_word_realizability(m, word, node_budget=10 ** 5) is None
+        with pytest.raises(UnreachableWordError):
+            brute_force_reward_distribution(m, word)
+
+
 def ref_brute_force_word_realizability(m, w, node_budget):
     """The depth-first search as a recursion of one call per label: the
     lexicographically least witness, or None; raises BudgetExceededError
