@@ -107,16 +107,17 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     trace = []
     for _ in range(cfg.n_episode):
         a = _choose(row, actions, whole, explore, rng)
-        x_next, z, label, r = step(m, x, z, a, rng)
-        h_row, rewards = h_steps[y].get(label) or h.compiled_step(y, label)
+        x_next, z, pair = step(m, x, z, a, rng)
+        label = pair[0]
+        h_row, emits = h_steps[y].get(label) or h.compiled_step(y, label)
         y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
-        target = rewards[y_next] if membership else r
+        target = emits[y_next][1] if membership else pair[1]
         row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)
         actions = available[x_next]
         whole = actions == every
         best_next = max(row_next) if whole else max([row_next[b] for b in actions])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
-        trace.append((label, r))
+        trace.append(pair)
         x, y, row = x_next, y_next, row_next
         if label in terminal:
             break

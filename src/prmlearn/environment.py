@@ -68,6 +68,8 @@ class Nmdp:
             raise ValueError("initial state index out of range")
         if len(self.available) != len(self.states):
             raise ValueError("available must list the actions of all %d states" % len(self.states))
+        if not all(isinstance(label, frozenset) for label in self.terminal_labels):   # "c" would read as {c}
+            raise ValueError("terminal labels must be frozensets of propositions: %r" % (self.terminal_labels,))
         self.terminal_labels = frozenset(map(self.ap.validate_label, self.terminal_labels))
         for x, acts in enumerate(self.available):
             if not acts:
@@ -150,9 +152,9 @@ def uniform_policy(m: Nmdp) -> PositionalPolicy:
 
 def step(m: Nmdp, x: int, y: int, a: int, rng):
     """One step of the environment and its truth from (x, y): returns
-    (x_next, y_next, label, reward).  The environment's successor is drawn
-    as `sample_index(m.p[(x, a)], rng)` would, from the pair's compiled
-    row, then the truth's successor from its compiled step on the label."""
+    (x_next, y_next, pair), the (label, reward) tuple of the truth's edge.
+    The environment's successor is drawn as `sample_index(m.p[(x, a)], rng)`
+    would, from its compiled row, then the truth's from its compiled step."""
     move = (m._moves[x] or _compile_moves(m, x)).get(a)
     if move is None:
         raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
@@ -163,9 +165,9 @@ def step(m: Nmdp, x: int, y: int, a: int, rng):
         x_next = draw_row(row, rng)
         label = label[x_next]
     truth = m.truth
-    row, rewards = truth._steps[y].get(label) or truth.compiled_step(y, label)
+    row, emits = truth._steps[y].get(label) or truth.compiled_step(y, label)
     y_next = row if row.__class__ is int else draw_row(row, rng)
-    return x_next, y_next, label, rewards[y_next]
+    return x_next, y_next, emits[y_next]
 
 
 def _compile_moves(m: Nmdp, x: int) -> dict:
@@ -180,7 +182,7 @@ def _compile_moves(m: Nmdp, x: int) -> dict:
 
 def run_episode(m: Nmdp, policy, rng, n_episode: int):
     """Roll out one episode, up to n_episode steps or a terminal label;
-    returns the trace as [(label, reward), ...]."""
+    returns the trace as [(label, reward), ...], its truth edges' pairs."""
     terminal = m.terminal_labels
     compiled = policy._rows
     x, y = m.x_init, m.truth.init
@@ -188,9 +190,9 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int):
     for _ in range(n_episode):
         actions, row = compiled.get(x) or policy.action_row(x, m)
         a = actions[draw_row(row, rng)]
-        x, y, label, reward = step(m, x, y, a, rng)
-        trace.append((label, reward))
-        if label in terminal:
+        x, y, pair = step(m, x, y, a, rng)
+        trace.append(pair)
+        if pair[0] in terminal:
             break
     return trace
 
@@ -511,9 +513,17 @@ def save_traces(traces, path) -> None:
 
 
 def load_traces(path):
-    """One trace per line; a blank line is an empty trace."""
+    """One trace per line; a blank line is an empty trace.  Equal pairs
+    are one tuple, and a bad line's ValueError names its 1-based number."""
+    shared, traces = {}, []
     with open(path, "r", encoding="utf-8") as fh:
-        return [trace_from_line(line) for line in fh]
+        for number, line in enumerate(fh, 1):
+            try:
+                pairs = trace_from_line(line)
+            except ValueError as err:
+                raise ValueError("line %d: %s" % (number, err)) from None
+            traces.append(list(map(shared.setdefault, pairs, pairs)))
+    return traces
 
 
 # -- parallel trace collection -------------------------------------------------------

@@ -192,8 +192,8 @@ class UnreachableWordError(ValueError):
 
 
 class _UndefinedRewards(dict):
-    """The rewards of an undefined pair: no edges, and reading the reward
-    of any successor raises UndefinedTransitionError."""
+    """The emits of an undefined pair: no edges, and reading the pair of
+    any successor raises UndefinedTransitionError."""
 
     def __init__(self, state: str, label: Label):
         super().__init__()
@@ -318,21 +318,21 @@ class Prm:
         return out
 
     def compiled_step(self, y: int, label: Label) -> tuple:
-        """(row, rewards) of the pair, compiled on first use.  `draw_row(row,
+        """(row, emits) of the pair, compiled on first use.  `draw_row(row,
         rng)` draws the successor as `sample_index(self.successor_vector(y,
-        label), rng)` does, and `rewards[y_next]` is the reward of that edge.
-        An undefined pair without implicit_bottom has an all-zero row, which
-        draws the last state, and rewards that raise
+        label), rng)` does, and `emits[y_next]` is that edge's one (label,
+        reward) tuple.  An undefined pair without implicit_bottom has an
+        all-zero row, which draws the last state, and emits that raise
         UndefinedTransitionError when read."""
         steps = self._steps[y]
         step = steps.get(label)
         if step is None:
             vec = self.successor_vector(y, label)
             if self.defined(y, label):   # an implicit-bottom pair's one edge pays 0
-                rewards = {j: self.rho.get((y, label, j), 0.0) for j in vec.nonzero()[0].tolist()}
+                emits = {j: (label, self.rho.get((y, label, j), 0.0)) for j in vec.nonzero()[0].tolist()}
             else:
-                rewards = _UndefinedRewards(self.states[y], label)
-            step = steps[label] = (sampling_row(vec), rewards)
+                emits = _UndefinedRewards(self.states[y], label)
+            step = steps[label] = (sampling_row(vec), emits)
         return step
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:

@@ -38,9 +38,9 @@ def machine_run(prm, word, rng) -> list:
     drawn as `step` draws the truth's successors."""
     y, run = prm.init, []
     for label in word:
-        row, rewards = prm.compiled_step(y, label)
+        row, emits = prm.compiled_step(y, label)
         y = draw_row(row, rng)
-        run.append((y, rewards[y]))
+        run.append((y, emits[y][1]))
     return run
 
 
@@ -201,7 +201,7 @@ def rollout_greedy(q, m, h, n_episode, rng):
     total_machine_reward = 0.0
     for _ in range(n_episode):
         a = greedy_action(q, y, x, m.available[x])
-        x_next, z, label, r = step(m, x, z, a, rng)
+        x_next, z, (label, r) = step(m, x, z, a, rng)
         y_next = draw_row(h.compiled_step(y, label)[0], rng)
         total_machine_reward += h.edge_reward(y, label, y_next)
         trace.append((label, r))

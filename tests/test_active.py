@@ -525,9 +525,9 @@ def machine_trace(rng, truth, labels, length):
     y, trace = truth.init, []
     for _ in range(length):
         label = labels[int(rng.integers(0, len(labels)))]
-        row, rewards = truth.compiled_step(y, label)
+        row, emits = truth.compiled_step(y, label)
         y = draw_row(row, rng)
-        trace.append((label, rewards[y]))
+        trace.append(emits[y])
     return trace
 
 

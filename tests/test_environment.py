@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -91,13 +92,13 @@ def test_tiny_map_step_labels():
     assert len(m.states) == 2
     east = ACTIONS.index("E")
     rng = np.random.default_rng(0)
-    x_next, y, label, reward = step(m, m.x_init, m.truth.init, east, rng)
+    x_next, y, (label, reward) = step(m, m.x_init, m.truth.init, east, rng)
     assert m.states[x_next] == "(0,1)"
     assert label == C
     assert reward == 1.0  # patrol machine pays for entering the marked cell
     # blocked move: self-loop with the label of the current (empty) cell
     north = ACTIONS.index("N")
-    x_next, _, label, _ = step(m, m.x_init, y, north, rng)
+    x_next, _, (label, _) = step(m, m.x_init, y, north, rng)
     assert x_next == m.x_init
     assert label == EMPTY_LABEL
 
@@ -250,15 +251,18 @@ def environment_and_actions(draw):
 def test_step_draws_as_sample_index(case):
     # deterministic, dyadic and non-dyadic environment and truth rows: the
     # compiled step gives the successor, label and reward of sample_index
-    # on the rows and leaves the Generator in the same state
+    # on the rows and leaves the Generator in the same state; the pair is
+    # the one the truth's edge emits on every step
     m, actions, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     x = ref_x = m.x_init
     y = ref_y = m.truth.init
     for a in actions:
-        x, y, label, reward = step(m, x, y, a, rng)
+        y_prev = y
+        x, y, pair = step(m, x, y, a, rng)
         ref_x, ref_label, ref_reward, ref_y = ref_step(m, ref_x, a, ref_rng, m.truth, ref_y)
-        assert (x, y, label, reward) == (ref_x, ref_y, ref_label, ref_reward)
+        assert (x, y, pair) == (ref_x, ref_y, (ref_label, ref_reward))
+        assert pair is m.truth.compiled_step(y_prev, ref_label)[1][y]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -363,6 +367,16 @@ def test_terminal_labels_use_the_truth_propositions():
         Nmdp(terminal_labels=[C, frozenset({"q"})], **fields)
     assert Nmdp(**fields).terminal_labels == frozenset()
     assert Nmdp(terminal_labels=[C, C], **fields).terminal_labels == frozenset({C})
+
+
+@pytest.mark.parametrize("terminal", ["c", {"c"}, ["c"], [("c",)], [{"c"}]],
+                         ids=["str", "set-of-str", "list-of-str", "tuple-label", "set-label"])
+def test_terminal_labels_must_be_frozensets(terminal):
+    # validate_label takes any iterable of proposition names, so a bare "c"
+    # would read as the label {c}, and a rollout would never stop at {c}
+    with pytest.raises(ValueError, match="terminal labels must be frozensets"):
+        two_cell_nmdp(patrol_prm(), terminal_labels=terminal)
+    assert two_cell_nmdp(patrol_prm(), terminal_labels={C}).terminal_labels == frozenset({C})
 
 
 def test_zero_machine_rewards_are_zero():
@@ -531,6 +545,46 @@ def test_trace_log_round_trip(tmp_path):
     assert trace_from_line(line) == traces[0]
     with pytest.raises(ValueError):
         trace_from_line("c;0;o")
+
+
+def test_load_traces_shares_equal_pairs(tmp_path):
+    # equal (label, reward) pairs load as one tuple, as a collection holds
+    # them, and the traces are those of parsing each line alone
+    path = tmp_path / "traces.log"
+    path.write_text("c;0;o;1\n\nc;0;o;1;c;0.5\no;1\n", encoding="utf-8")
+    loaded = load_traces(path)
+    assert loaded == [trace_from_line(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert loaded == [[(C, 0.0), (O, 1.0)], [], [(C, 0.0), (O, 1.0), (C, 0.5)], [(O, 1.0)]]
+    assert loaded[0][0] is loaded[2][0] and loaded[0][1] is loaded[2][1] is loaded[3][0]
+    assert len({id(pair) for trace in loaded for pair in trace}) == 3
+
+
+@pytest.mark.parametrize("text, number, message", [
+    ("c;0\n\nc;0;o\n", 3, "trace line has an odd number of fields: 'c;0;o\\n'"),
+    ("c;x\n", 1, "reward must be a finite number: 'x'"),
+    ("c;0\nq&&;1\n", 2, "malformed label"),
+], ids=["odd", "reward", "label"])
+def test_load_traces_names_the_line_of_a_malformed_one(text, number, message, tmp_path):
+    path = tmp_path / "traces.log"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape("line %d: %s" % (number, message))):
+        load_traces(path)
+
+
+def test_collected_traces_share_the_truth_s_pairs():
+    # every step on a truth edge appends the one (label, reward) tuple that
+    # edge emits: a warm collection holds at most one pair object per edge
+    # of the truth, not one per step
+    from importlib import resources
+
+    setup = load_env_config(str(resources.files("prmlearn") / "assets" / "office.yaml"))
+    m = setup.nmdp
+    policy = uniform_policy(m)
+    cold = collect_traces(m, policy, 1000, setup.seed, setup.n_episode)
+    warm = collect_traces(m, policy, 1000, setup.seed, setup.n_episode)
+    assert warm == cold
+    assert sum(map(len, warm)) > 100 * len(m.truth.rho)
+    assert len({id(pair) for trace in cold + warm for pair in trace}) <= len(m.truth.rho)
 
 
 # -- membership machines --------------------------------------------------------------

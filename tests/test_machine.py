@@ -337,9 +337,9 @@ def test_sample_run_undefined_transition():
     rho = {(0, frozenset(), 0): 0.0}
     prm = Prm(ap, [0.0], ["y0"], 0, tau, rho)
     # as teacher_query reads the reward of a step
-    row, rewards = prm.compiled_step(0, A)
+    row, emits = prm.compiled_step(0, A)
     with pytest.raises(UndefinedTransitionError):
-        rewards[draw_row(row, np.random.default_rng(0))]
+        emits[draw_row(row, np.random.default_rng(0))]
 
 
 def test_sample_run_coffee_split_monte_carlo(coffee):
@@ -417,18 +417,19 @@ def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
 def test_compiled_step_rewards_by_successor():
     # the edges of one pair pay different rewards; an implicit-bottom pair
     # pays 0 on entering the failure state; reading the reward of an
-    # undefined pair raises
+    # undefined pair raises; each edge's (label, reward) pair is built once
     ap = Alphabet(["a"])
     tau = {(0, A): np.array([0.25, 0.75, 0.0])}
     rho = {(0, A, 0): 2.0, (0, A, 1): 1.0}
     partial = Prm(ap, [0.0], ["y0", "y1", "bot"], 0, tau, rho)
-    assert partial.compiled_step(0, A)[1] == {0: 2.0, 1: 1.0}
+    assert partial.compiled_step(0, A)[1] == {0: (A, 2.0), 1: (A, 1.0)}
+    assert partial.compiled_step(0, A)[1][1] is partial.compiled_step(0, A)[1][1]
     with pytest.raises(UndefinedTransitionError):
         partial.compiled_step(0, EMPTY_LABEL)[1][2]
     with pytest.raises(UndefinedTransitionError):
         partial.edge_reward(0, EMPTY_LABEL, 2)
     total = Prm(ap, [0.0], ["y0", "y1", "bot"], 0, tau, rho, bottom=2, implicit_bottom=True)
-    assert total.compiled_step(1, A)[1] == {2: 0.0}
+    assert total.compiled_step(1, A)[1] == {2: (A, 0.0)}
     assert total.edge_reward(1, A, 2) == 0.0
     assert total.reward_conditional_matrix(2.0, A)[0].tolist() == [0.25, 0.0, 0.0]
     assert total.reward_conditional_matrix(1.0, A)[0].tolist() == [0.0, 0.75, 0.0]
@@ -444,8 +445,9 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
     tau[(0, A)] = np.array([0.5, 0.5 - 1e-10, 0.0])
     prm = Prm(ap, [0.0, 1.0], ["y0", "y1", "y2"], 0, tau, {edge: 1.0 for edge in edges_of(tau)})
     past = 1.0 - 1e-11
-    row, rewards = prm.compiled_step(0, A)
+    row, emits = prm.compiled_step(0, A)
     assert draw_row(row, ScriptedRng([past])) == sample_index(tau[(0, A)], ScriptedRng([past])) == 1
+    assert emits[1] == (A, 1.0)
     assert machine_run(prm, (A,), ScriptedRng([past])) == [(1, 1.0)]
 
 
