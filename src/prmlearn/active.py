@@ -65,25 +65,6 @@ class LearnerConfig:
         check_count(self.seed, "seed")
 
 
-def _choose(row: list, actions, whole: bool, explore: float, rng) -> int:
-    """The epsilon-greedy choice on one row of Q-values; `whole` says that
-    `actions` is every index of the row in order, so the row is read whole."""
-    if explore > 0.0 and rng.random() < explore:
-        return actions[rng.integers(0, len(actions))]
-    values = row if whole else [row[a] for a in actions]
-    best = max(values)
-    ties = values.count(best)
-    if ties == 1:
-        return actions[values.index(best)]
-    # break ties randomly: a fixed tie-break turns a flat Q-table into a
-    # wall-hugging policy and starves exploration.  When every action ties,
-    # as on a fresh row, the tied actions are `actions` itself.
-    if ties == len(values):
-        return actions[rng.integers(0, ties)]
-    top = [a for a, value in zip(actions, values) if value == best]
-    return top[rng.integers(0, ties)]
-
-
 def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
     """One Q-learning episode on the implicit product of m and h.
 
@@ -104,9 +85,27 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
     row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
     actions = available[x]
     whole = actions == every
+    best = None   # the greedy maximum of row over actions, carried from the last update
     trace = []
     for _ in range(cfg.n_episode):
-        a = _choose(row, actions, whole, explore, rng)
+        # epsilon-greedy, reading the row whole when `actions` is every index in order
+        if explore > 0.0 and rng.random() < explore:
+            a = actions[rng.integers(0, len(actions))]
+        else:
+            values = row if whole else [row[b] for b in actions]
+            if best is None:
+                best = max(values)
+            ties = values.count(best)
+            if ties == 1:
+                a = actions[values.index(best)]
+            elif ties == len(values):
+                # break ties randomly: a fixed tie-break turns a flat Q-table into a
+                # wall-hugging policy and starves exploration.  When every action
+                # ties, as on a fresh row, the tied actions are `actions` itself.
+                a = actions[rng.integers(0, ties)]
+            else:
+                top = [b for b, value in zip(actions, values) if value == best]
+                a = top[rng.integers(0, ties)]
         x_next, z, pair = step(m, x, z, a, rng)
         label = pair[0]
         h_row, emits = h_steps[y].get(label) or h.compiled_step(y, label)
@@ -118,6 +117,8 @@ def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng
         best_next = max(row_next) if whole else max([row_next[b] for b in actions])
         row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
         trace.append(pair)
+        # a self-loop's update has just written the next row: its maximum is stale
+        best = None if row_next is row else best_next
         x, y, row = x_next, y_next, row_next
         if label in terminal:
             break
@@ -135,10 +136,15 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
     machine = membership_reward_machine(m.ap, zeta)
     q_m.reset()  # machine shape changes with every query word
     episodes = 0
-    while table.sample_count(zeta) < cfg.n_check and episodes < cfg.n_query:
+    # zeta is not empty, so its sample count is its id's total; an id,
+    # once made, stays, so it is looked up again only until it exists
+    node = table.row(zeta)
+    while table._total(node) < cfg.n_check and episodes < cfg.n_query:
         trace = teacher_query(q_m, m, machine, "membership", cfg, rng)
         table.record(trace)
         episodes += 1
+        if node is None:
+            node = table.row(zeta)
     return episodes
 
 

@@ -35,8 +35,9 @@ def _hoeffding_factor(m_total: int) -> float:
     """sqrt(0.5 ln(2/alpha)) at alpha = 1/M^3: the threshold of two words
     with n and n' samples is this factor times sqrt(1/n) + sqrt(1/n').
     The last M's factor is kept: a sweep or a counterexample check asks
-    for it once per test, at one M."""
-    alpha = 1.0 / m_total ** 3
+    for it once per test, at one M.  M is cubed as an int: a numpy M
+    would wrap past 2^21."""
+    alpha = 1.0 / int(m_total) ** 3
     return math.sqrt(0.5 * math.log(2.0 / alpha))
 
 
@@ -133,9 +134,12 @@ class ObservationTable:
         self._verdicts: dict = {}
         # the last is_closed and is_consistent results until S, E or the counts change
         self._closed = self._consistent = None
+        # row id -> its _preference, which depends on the counts through rank
+        self._preferences: dict = {}
 
     def _counts_changed(self) -> None:
         self._pairs.clear()
+        self._preferences.clear()
         self._columns_changed()
 
     def _columns_changed(self) -> None:
@@ -167,6 +171,7 @@ class ObservationTable:
         trace.  Returns the id of the trace's label word (0 when empty)."""
         if times.__class__ is not int or times < 1:   # a bool is no count, and True == 1
             check_count(times, "times", positive=True)
+            times = int(times)   # a numpy count would make every total numpy's
         if not trace:
             return 0
         self._counts_changed()
@@ -410,8 +415,11 @@ class ObservationTable:
 
     def _preference(self, s: int) -> tuple:
         """Rows stand for their class by rank, highest first, then by length and text."""
-        word = self.word(s)
-        return -self.rank(s), len(word), word_str(word)
+        preference = self._preferences.get(s)
+        if preference is None:
+            word = self.word(s)
+            preference = self._preferences[s] = (-self.rank(s), len(word), word_str(word))
+        return preference
 
     def resolve_to_member(self, w: int) -> int:
         """Map an arbitrary row to a compatible member of S, preferring

@@ -12,6 +12,7 @@ import prmlearn
 from prmlearn import (
     Alphabet,
     LearnerConfig,
+    Nmdp,
     ObservationTable,
     QTable,
     coffee_prm,
@@ -21,14 +22,13 @@ from prmlearn import (
 )
 from prmlearn import active
 from prmlearn.active import (
-    _choose,
     equivalence_query,
     is_counterexample,
     membership_query,
     teacher_query,
 )
 from prmlearn.alphabet import EMPTY_LABEL
-from prmlearn.environment import load_env_config
+from prmlearn.environment import load_env_config, word_realizable
 from prmlearn.machine import (
     Prm,
     Stream,
@@ -97,30 +97,53 @@ def test_qtable_defaults_and_greedy():
     assert q.row(0, 0, 2) == [0.0, 0.0]
 
 
+# The ε-greedy choice sits inside teacher_query's loop.  A one-step
+# episode of choice_nmdp shows it: action k emits the k-th label, and the
+# environment, its truth and the machine draw nothing, so every draw is the
+# choice's.
+
 # (actions, whole): the row read whole, a strict subset of its actions,
 # and every action out of index order
 CHOICES = [([0, 1, 2, 3], True), ([3, 1, 2], False), ([2, 0, 1, 3], False)]
 
 
-def test_epsilon_greedy_breaks_ties_randomly():
+def choice_nmdp(actions):
+    """free_nmdp on two propositions (four labels, four actions), offering
+    only `actions`, in that order, at its initial state."""
+    m = free_nmdp(single_state_zero_prm(("a", "b")))
+    return Nmdp(states=m.states, x_init=0, actions=m.actions, available=[list(actions)] + m.available[1:],
+                p=m.p, labeling=m.labeling, truth=m.truth)
+
+
+def choose(m, row, rng):
+    """The action of a one-step episode on m from a Q row seeded with `row`."""
     q = QTable()
+    q.rows[(0, 0)] = list(row)
+    (label, _), = teacher_query(q, m, m.truth, "equivalence", config(n_episode=1), rng)
+    return m.truth.ap.labels().index(label)
+
+
+def test_epsilon_greedy_breaks_ties_randomly(monkeypatch):
+    monkeypatch.setattr(active, "EXPLORE", 0.0)
     rng = np.random.default_rng(0)
     for actions, whole in CHOICES:
-        picks = {_choose(q.row(0, 0, 4), actions, whole, 0.0, rng) for _ in range(200)}
+        m = choice_nmdp(actions)
+        picks = {choose(m, [0.0] * 4, rng) for _ in range(200)}
         assert picks == set(actions)  # a flat table must not collapse onto one action
 
 
-def test_epsilon_greedy_exploits_a_clear_winner():
-    q = QTable()
-    q.row(0, 0, 4)[2] = 1.0
-    q.row(0, 0, 4)[0] = 5.0  # the best value, but not offered by the subset
+def test_epsilon_greedy_exploits_a_clear_winner(monkeypatch):
+    monkeypatch.setattr(active, "EXPLORE", 0.0)
+    # the best value is at 0, which the subset does not offer
+    row = [5.0, 0.0, 1.0, 0.0]
     rng = np.random.default_rng(0)
     for actions, whole in CHOICES:
-        picks = {_choose(q.row(0, 0, 4), actions, whole, 0.0, rng) for _ in range(50)}
+        m = choice_nmdp(actions)
+        picks = {choose(m, row, rng) for _ in range(50)}
         assert picks == ({0} if 0 in actions else {2})
 
 
-def test_epsilon_greedy_matches_the_reference_draws():
+def test_epsilon_greedy_matches_the_reference_draws(monkeypatch):
     # some actions tie; a row of equal values; a subset of actions whose
     # values tie while the row's others do not
     cases = [([1.0, 0.5, 1.0, 1.0], CHOICES), ([0.25] * 4, CHOICES),
@@ -130,12 +153,43 @@ def test_epsilon_greedy_matches_the_reference_draws():
         for a, value in enumerate(row):
             q.set(0, 0, a, value)
         for actions, whole in choices:
+            m = choice_nmdp(actions)
+            assert (m.available[0] == list(range(4))) == whole
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
             for explore in (0.0, 0.5):
+                monkeypatch.setattr(active, "EXPLORE", explore)
                 for _ in range(100):
-                    assert (_choose(row, actions, whole, explore, rng)
+                    assert (choose(m, row, rng)
                             == ref_epsilon_greedy_action(q, 0, 0, actions, explore, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (row, actions)
+
+
+# (Q row at the start, the second step's action): on two_cell's stay
+# action the first step is a self-loop whose update lowers the row's
+# maximum from 1.0 to 0.95 before the second choice; the second action
+# then wins, or ties with the first
+SELF_LOOPS = [([1.0, 0.99], 1), ([1.0, 0.5 * 1.0 + 0.5 * (0.0 + 0.9 * 1.0)], None)]
+
+
+@pytest.mark.parametrize("row, second", SELF_LOOPS)
+def test_epsilon_greedy_reads_a_self_loop_s_update(row, second, monkeypatch):
+    monkeypatch.setattr(active, "EXPLORE", 0.0)
+    truth = single_state_zero_prm(("c",))
+    m = two_cell_nmdp(truth)
+    for seed in range(20):
+        q, ref_q = QTable(), RefQTable()
+        q.rows[(0, 0)] = list(row)
+        for a, value in enumerate(row):
+            ref_q.set(0, 0, a, value)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        trace = teacher_query(q, m, truth, "equivalence", config(n_episode=2), rng)
+        assert trace == ref_teacher_query(ref_q, m, truth, "equivalence", config(n_episode=2), ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert trace[0] == (EMPTY_LABEL, 0.0)   # stayed: the self-loop
+        if second is not None:
+            assert trace[1][0] == C   # action 1 moves to the marked cell
+        for (y, x), values in q.rows.items():
+            assert values == [ref_q.get(y, x, a) for a in range(2)]
 
 
 # -- teacher episodes ----------------------------------------------------------------
@@ -454,6 +508,65 @@ def test_membership_query_records_every_trace():
     episodes = membership_query(table, (C, C, C), m, QTable(), cfg, np.random.default_rng(0))
     assert episodes == 20  # budget exhausted without reaching n_check
     assert table.num_traces == 20  # but every episode went into the table
+
+
+def ref_membership_query(table, zeta, m, q_m, cfg, rng):
+    """membership_query as it was written, looking zeta's sample count up
+    by word before every episode; returns (episodes, the first episode
+    after which zeta had an id, or None)."""
+    if not zeta or not word_realizable(m, zeta):
+        return 0, None
+    machine = membership_reward_machine(m.ap, zeta)
+    q_m.reset()
+    episodes, realized = 0, None
+    while table.sample_count(zeta) < cfg.n_check and episodes < cfg.n_query:
+        table.record(teacher_query(q_m, m, machine, "membership", cfg, rng))
+        episodes += 1
+        if realized is None and table.row(zeta) is not None:
+            realized = episodes
+    return episodes, realized
+
+
+def table_contents(table):
+    return table.t, table.s, table.e, table.num_traces, table.total_samples(), table._parent
+
+
+# (environment, zeta, budget, whether S holds zeta before the query)
+STOPS = {
+    "unrecorded-state": ("two_cell", (C, EMPTY_LABEL), dict(n_check=20, n_query=200, n_episode=5), True),
+    "realized-mid-query": ("office", (C, O), dict(n_check=10, n_query=300, n_episode=15), False),
+    "exhausted": ("two_cell", (C, C, C), dict(n_check=10 ** 9, n_query=20, n_episode=3), False),
+    "exhausted-unrecorded-state": ("two_cell", (C, C, C), dict(n_check=10 ** 9, n_query=20, n_episode=3), True),
+}
+
+
+@pytest.mark.parametrize("case", list(STOPS))
+def test_membership_query_stops_as_on_the_sample_count(case):
+    env, zeta, budget, in_s = STOPS[case]
+    m = two_cell_nmdp(patrol_prm()) if env == "two_cell" else load_env_config(OFFICE).nmdp
+    cfg = config(**budget)
+    for seed in range(3):
+        table, ref_table = (ObservationTable(m.ap, m.label_alphabet()) for _ in range(2))
+        # an earlier query's traces, which do not realize zeta
+        for t in (table, ref_table):
+            t.record([(EMPTY_LABEL, 0.0)])
+            if in_s:
+                t.add_state(zeta)
+        assert (table.row(zeta) is not None) == in_s and table.sample_count(zeta) == 0
+        q, ref_q = QTable(), QTable()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        episodes = membership_query(table, zeta, m, q, cfg, rng)
+        ref_episodes, realized = ref_membership_query(ref_table, zeta, m, ref_q, cfg, ref_rng)
+        assert episodes == ref_episodes
+        assert table_contents(table) == table_contents(ref_table)
+        assert q.rows == ref_q.rows
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if case.startswith("exhausted"):
+            assert episodes == cfg.n_query and table.sample_count(zeta) < cfg.n_check
+        else:
+            assert table.sample_count(zeta) >= cfg.n_check
+        if case == "realized-mid-query":
+            assert realized > 1
 
 
 # -- counterexample detection ------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
 from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
-from prmlearn.machine import prm_from_text
+from prmlearn.machine import prm_from_text, prm_to_text
 from prmlearn.table import (
     CSV_COLUMNS,
     TableNotReadyError,
@@ -281,6 +281,23 @@ def test_record_rejects_times_that_are_not_positive_ints(times):
     assert table.is_closed() == (True, None)
 
 
+def test_numpy_counts_are_stored_as_ints_past_the_cube_s_wrap():
+    # 6e6 samples: M^3 wraps in int64 past M = 2^21
+    table = make_table()
+    table.record([(C, 1.0)] * 3, np.int64(2_000_000))
+    assert type(table.num_traces) is int and type(table.total_samples()) is int
+    assert_counts_are_positive_int_dicts(table)
+    m_total = table.total_samples()
+    factor = math.sqrt(0.5 * math.log(2.0 / (1.0 / m_total ** 3)))
+    for m in (np.int64(m_total), m_total):
+        _hoeffding_factor.cache_clear()
+        assert _hoeffding_factor(m) == factor
+        assert hoeffding_threshold(100, 400, m) == factor * (math.sqrt(1.0 / 100) + math.sqrt(1.0 / 400))
+        assert diff(freq_fn({(C,): {0.0: 100}, (O,): {1.0: 100}}), (C,), (O,), m)
+    assert is_counterexample(table, prm_from_text(
+        "ap: c,o\ngamma: 0,1\ninit: q0\nq0 --c/0--> q0 : 1.0"), [(C, 1.0)], n_check=1) == (C,)
+
+
 def assert_counts_are_positive_int_dicts(table):
     """Every word's counts are a plain dict of positive int counts: the
     sweeps' sqrt(1/n) needs n > 0."""
@@ -440,6 +457,76 @@ def test_rank_and_representative():
     # even over the word itself
     table.add_state((EMPTY_LABEL,))
     assert table.resolve_to_member(table.row((EMPTY_LABEL,))) == table.row((C,))
+
+
+def replayed(table, traces):
+    """A fresh table with `traces` recorded and then table's S and E added
+    in their order: the table's counts, S and E with no cache behind them."""
+    fresh = ObservationTable(table.ap, table.alphabet)
+    for trace in traces:
+        fresh.record(trace)
+    for s in table.s[1:]:
+        fresh.add_state(table.word(s))
+    for e in table.e[1:]:
+        fresh.add_experiment(e)
+    return fresh
+
+
+def representatives(table):
+    """{row word: the word of the member it resolves to} over S and its extensions."""
+    rows = set(table.s) | {table._child[(s, label)] for s in table.s for label in table.alphabet
+                           if (s, label) in table._child}
+    return {table.word(w): table.word(table.resolve_to_member(w)) for w in rows}
+
+
+def test_row_preferences_follow_new_counts():
+    table = make_table(alphabet=[EMPTY_LABEL, C, O])
+    traces = [[(C, 0.0), (C, 0.0)]] * 5 + [[(EMPTY_LABEL, 0.0), (C, 0.0)]] * 3
+    for trace in traces:
+        table.record(trace)
+    table.add_state((C,))
+    table.add_state((EMPTY_LABEL,))
+    c, empty = table.row((C,)), table.row((EMPTY_LABEL,))
+    # compatible rows sharing the column ε: the higher rank stands for both
+    assert (table.rank(c), table.rank(empty)) == (5, 3)
+    assert table.resolve_to_member(empty) == table.resolve_to_member(c) == c
+    before = prm_to_text(build_hypothesis(table, n_check=1))
+    more = [[(EMPTY_LABEL, 0.0), (O, 0.0)]] * 4
+    for trace in more:
+        table.record(trace)
+    assert (table.rank(c), table.rank(empty)) == (5, 7)
+    assert table.resolve_to_member(c) == table.resolve_to_member(empty) == empty
+    fresh = replayed(table, traces + more)
+    assert representatives(table) == representatives(fresh)
+    after = prm_to_text(build_hypothesis(table, n_check=1))
+    assert after == prm_to_text(build_hypothesis(fresh, n_check=1)) and after != before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_representatives_and_hypotheses_match_a_fresh_table_after_each_batch(seed):
+    rng = np.random.default_rng(seed)
+    labels = [EMPTY_LABEL, C, O]
+    table = make_table(alphabet=labels)
+    for label in labels:
+        table.add_state((label,))
+    traces, reordered = [], False
+    for _ in range(4):
+        # each batch favours other labels, so other rows gain extensions
+        weights = rng.dirichlet([0.5] * 3)
+        batch = [[(labels[int(rng.choice(3, p=weights))], float(rng.integers(0, 2)))
+                  for _ in range(int(rng.integers(1, 5)))] for _ in range(int(rng.integers(20, 80)))]
+        order = sorted(table.s, key=table._preference)
+        for trace in batch:
+            table.record(trace)
+        traces += batch
+        reordered |= sorted(table.s, key=table._preference) != order
+        repair_on_frozen_data(table)
+        fresh = replayed(table, traces)
+        assert ([fresh.word(s) for s in fresh.s], fresh.e) == ([table.word(s) for s in table.s], table.e)
+        assert representatives(table) == representatives(fresh)
+        assert (prm_to_text(build_hypothesis(table, n_check=10))
+                == prm_to_text(build_hypothesis(fresh, n_check=10)))
+    assert reordered
 
 
 # -- row sweeps against the full column loops ------------------------------------------
