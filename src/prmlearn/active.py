@@ -15,7 +15,7 @@ import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
 from .environment import (
-    Nmdp, check_count, check_terminal_labels, membership_reward_machine, step, word_realizable,
+    Nmdp, check_count, check_terminal_labels, fill_step, membership_reward_machine, step, word_realizable,
 )
 # sample_index and diff_against_distribution are unused here; the benchmark
 # tracer wraps them as active.sample_index and active.diff_against_distribution
@@ -65,64 +65,72 @@ class LearnerConfig:
         check_count(self.seed, "seed")
 
 
-def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
-    """One Q-learning episode on the implicit product of m and h.
-
-    In membership mode the update target uses the machine reward; in
-    equivalence mode it uses the environment reward, and the machine is
-    only advanced.  Returns the trace of (environment label, environment
-    reward) pairs; q is updated in place.  The episode ends after n_episode
-    steps or on one of m's terminal labels."""
+def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
+    """Q-learning episodes on the implicit product of m and h, one per
+    `next()`, which returns the episode's trace of (environment label,
+    environment reward) pairs and updates q in place.  In membership mode
+    the update target uses the machine reward; in equivalence mode it uses
+    the environment reward, and the machine is only advanced.  An episode
+    ends after n_episode steps or on one of m's terminal labels.  The mode
+    is checked at the call; nothing is drawn before an episode is asked for."""
     if mode not in ("membership", "equivalence"):
         raise ValueError("unknown query mode %r" % (mode,))
-    terminal = m.terminal_labels
-    available, width = m.available, len(m.actions)
+    return _episodes(q, m, h, mode == "membership", cfg, rng)
+
+
+def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
+    terminal, labels = m._terminal, m._labels   # by label index, as step numbers them
+    available, width, rows = m.available, len(m.actions), q.rows
     every = list(range(width))   # the actions of a state whose Q row is read whole
-    membership = mode == "membership"
-    explore, learn_rate, discount = EXPLORE, LEARN_RATE, DISCOUNT
-    h_steps, rows = h._steps, q.rows   # read directly; compiled or created on a miss
-    x, y, z = m.x_init, h.init, m.truth.init   # z: the truth's state
-    row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
-    actions = available[x]
-    whole = actions == every
-    best = None   # the greedy maximum of row over actions, carried from the last update
-    trace = []
-    for _ in range(cfg.n_episode):
-        # epsilon-greedy, reading the row whole when `actions` is every index in order
-        if explore > 0.0 and rng.random() < explore:
-            a = actions[rng.integers(0, len(actions))]
-        else:
-            values = row if whole else [row[b] for b in actions]
-            if best is None:
-                best = max(values)
-            ties = values.count(best)
-            if ties == 1:
-                a = actions[values.index(best)]
-            elif ties == len(values):
-                # break ties randomly: a fixed tie-break turns a flat Q-table into a
-                # wall-hugging policy and starves exploration.  When every action
-                # ties, as on a fresh row, the tied actions are `actions` itself.
-                a = actions[rng.integers(0, ties)]
+    explore, learn_rate, discount, n_episode = EXPLORE, LEARN_RATE, DISCOUNT, cfg.n_episode
+    h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index)
+    x_init, y_init, z_init = m.x_init, h.init, m.truth.init   # z: the truth's state
+    whole_init = available[x_init] == every
+    while True:
+        x, y, z = x_init, y_init, z_init
+        row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
+        actions, whole = available[x], whole_init
+        best, trace = None, []   # best: the greedy maximum of row over actions, carried from the last update
+        for _ in range(n_episode):
+            # epsilon-greedy, reading the row whole when `actions` is every index in order
+            if explore > 0.0 and rng.random() < explore:
+                a = actions[rng.integers(0, len(actions))]
             else:
-                top = [b for b, value in zip(actions, values) if value == best]
-                a = top[rng.integers(0, ties)]
-        x_next, z, pair = step(m, x, z, a, rng)
-        label = pair[0]
-        h_row, emits = h_steps[y].get(label) or h.compiled_step(y, label)
-        y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
-        target = emits[y_next][1] if membership else pair[1]
-        row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)
-        actions = available[x_next]
-        whole = actions == every
-        best_next = max(row_next) if whole else max([row_next[b] for b in actions])
-        row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
-        trace.append(pair)
-        # a self-loop's update has just written the next row: its maximum is stale
-        best = None if row_next is row else best_next
-        x, y, row = x_next, y_next, row_next
-        if label in terminal:
-            break
-    return trace
+                values = row if whole else [row[b] for b in actions]
+                if best is None:
+                    best = max(values)
+                ties = values.count(best)
+                if ties == 1:
+                    a = actions[values.index(best)]
+                elif ties == len(values):
+                    # break ties randomly: a fixed tie-break turns a flat Q-table into a
+                    # wall-hugging policy and starves exploration.  When every action
+                    # ties, as on a fresh row, the tied actions are `actions` itself.
+                    a = actions[rng.integers(0, ties)]
+                else:
+                    top = [b for b, value in zip(actions, values) if value == best]
+                    a = top[rng.integers(0, ties)]
+            x_next, z, pair, i = step(m, x, z, a, rng)
+            h_row, emits = h_steps[y][i] or fill_step(h_steps, h, labels, y, i)
+            y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
+            target = emits[y_next][1] if membership else pair[1]
+            row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)
+            actions = available[x_next]
+            whole = actions == every
+            best_next = max(row_next) if whole else max([row_next[b] for b in actions])
+            row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
+            trace.append(pair)
+            # a self-loop's update has just written the next row: its maximum is stale
+            best = None if row_next is row else best_next
+            x, y, row = x_next, y_next, row_next
+            if terminal[i]:
+                break
+        yield trace
+
+
+def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
+    """One episode's trace, `next(teacher_episodes(...))`; the learner draws from one generator per query."""
+    return next(teacher_episodes(q, m, h, mode, cfg, rng))
 
 
 def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
@@ -133,15 +141,14 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
         # provably not a trace prefix of any episode: priming would burn
         # the whole n_query budget for nothing
         return 0
-    machine = membership_reward_machine(m.ap, zeta)
     q_m.reset()  # machine shape changes with every query word
+    teacher = teacher_episodes(q_m, m, membership_reward_machine(m.ap, zeta), "membership", cfg, rng)
     episodes = 0
     # zeta is not empty, so its sample count is its id's total; an id,
     # once made, stays, so it is looked up again only until it exists
     node = table.row(zeta)
     while table._total(node) < cfg.n_check and episodes < cfg.n_query:
-        trace = teacher_query(q_m, m, machine, "membership", cfg, rng)
-        table.record(trace)
+        table.record(next(teacher))
         episodes += 1
         if node is None:
             node = table.row(zeta)
@@ -214,16 +221,14 @@ def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis:
     """Run equivalence-mode teacher episodes against the hypothesis until a
     counterexample appears or n_stop episodes elapse.  Returns
     (counterexample word or None, episodes run)."""
-    episodes = 0
+    teacher = teacher_episodes(q_h, m, hypothesis, "equivalence", cfg, rng)
     steps = {}  # is_counterexample's memo of hypothesis steps
-    while episodes < cfg.n_stop:
-        trace = teacher_query(q_h, m, hypothesis, "equivalence", cfg, rng)
+    for episodes, trace in zip(range(1, cfg.n_stop + 1), teacher):   # range first: none drawn past n_stop
         table.record(trace)
-        episodes += 1
         ce = is_counterexample(table, hypothesis, trace, cfg.n_check, steps)
         if ce is not None:
             return ce, episodes
-    return None, episodes
+    return None, cfg.n_stop
 
 
 @dataclass

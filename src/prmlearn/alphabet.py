@@ -47,6 +47,7 @@ class Alphabet:
                 raise ValueError("invalid proposition name: %r" % (p,))
         self.props = props
         self._index = {p: i for i, p in enumerate(props)}
+        self._labels = None   # labels(), built on first use
 
     def __len__(self) -> int:
         return len(self.props)
@@ -64,18 +65,19 @@ class Alphabet:
         return label
 
     def labels(self) -> list:
-        """All of 2^AP in canonical order.  Errors out past LABELS_CAP labels."""
+        """A new list of all of 2^AP in canonical order.  Errors out past
+        LABELS_CAP labels."""
         n = 2 ** len(self.props)
         if n > LABELS_CAP:
             raise ValueError(
                 "enumeration of 2^AP needs %d labels, exceeding the cap of %d" % (n, LABELS_CAP)
             )
-        out = [EMPTY_LABEL]
-        for k in range(1, len(self.props) + 1):
-            for combo in combinations(self.props, k):
-                out.append(frozenset(combo))
-        out.sort(key=label_sort_key)
-        return out
+        if self._labels is None:
+            out = [EMPTY_LABEL]
+            for k in range(1, len(self.props) + 1):
+                out.extend(map(frozenset, combinations(self.props, k)))
+            self._labels = sorted(out, key=label_sort_key)
+        return list(self._labels)
 
 
 def label_sort_key(label: Label):

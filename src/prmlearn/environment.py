@@ -52,10 +52,18 @@ class Nmdp:
     truth: Prm              # the hidden reward machine; total
     # the labels that end an episode: a rollout stops right after one
     terminal_labels: frozenset = frozenset()
-    # state -> {action: (sampling_row of the successor vector, the label of
-    # a deterministic row, else {successor: label})} over the actions
-    # available there, filled by step on the state's first step.  An Nmdp
-    # is not changed after construction.
+    # Built afresh by __post_init__, so a dataclasses.replace copy has its
+    # own: _labels is label_alphabet(), whose places number the labels;
+    # _index maps a label to its number and _terminal flags the numbers that
+    # end an episode.  step fills _truth_steps[z][i], the truth's compiled
+    # step from z on label i, and on x's first step _moves[x]: {action:
+    # (sampling_row of the successor vector, the label index of a
+    # deterministic row, else {successor: label index})}.  An Nmdp is not
+    # changed after construction.
+    _labels: list = field(default=None, init=False, repr=False, compare=False)
+    _index: dict = field(default=None, init=False, repr=False, compare=False)
+    _terminal: list = field(default=None, init=False, repr=False, compare=False)
+    _truth_steps: list = field(default=None, init=False, repr=False, compare=False)
     _moves: list = field(default=None, init=False, repr=False, compare=False)
     # the label automaton: a set of states a word can reach -> {label: the
     # set it reaches next}, filled by word_realizable on first use
@@ -78,7 +86,6 @@ class Nmdp:
                 raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
             if any((x, a) not in self.p for a in acts):
                 raise ValueError("state %r has an available action without a transition row" % (self.states[x],))
-        self._moves = [None] * len(self.states)
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
             if not is_distribution(vec):
@@ -88,6 +95,11 @@ class Nmdp:
                 if (x, a, int(j)) not in self.labeling:
                     raise ValueError("missing label for transition (%d, %d, %d)" % (x, a, int(j)))
                 self.ap.validate_label(self.labeling[(x, a, int(j))])
+        self._labels = sorted(set(self.labeling.values()), key=label_sort_key)
+        self._index = {label: i for i, label in enumerate(self._labels)}
+        self._terminal = [label in self.terminal_labels for label in self._labels]
+        self._truth_steps = [[None] * len(self._labels) for _ in self.truth.states]
+        self._moves = [None] * len(self.states)
 
     @property
     def ap(self) -> Alphabet:
@@ -95,8 +107,8 @@ class Nmdp:
         return self.truth.ap
 
     def label_alphabet(self) -> list:
-        """Labels that actually occur on transitions, in canonical order."""
-        return sorted(set(self.labeling.values()), key=label_sort_key)
+        """Labels that occur on transitions, in canonical order: `step`'s label index reads this list."""
+        return list(self._labels)
 
 
 @dataclass
@@ -152,22 +164,28 @@ def uniform_policy(m: Nmdp) -> PositionalPolicy:
 
 def step(m: Nmdp, x: int, y: int, a: int, rng):
     """One step of the environment and its truth from (x, y): returns
-    (x_next, y_next, pair), the (label, reward) tuple of the truth's edge.
+    (x_next, y_next, pair, index), where pair is the (label, reward) tuple
+    of the truth's edge and index is the label's in `m.label_alphabet()`.
     The environment's successor is drawn as `sample_index(m.p[(x, a)], rng)`
     would, from its compiled row, then the truth's from its compiled step."""
     move = (m._moves[x] or _compile_moves(m, x)).get(a)
     if move is None:
         raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
-    row, label = move
+    row, i = move
     if row.__class__ is int:
         x_next = row
     else:
         x_next = draw_row(row, rng)
-        label = label[x_next]
-    truth = m.truth
-    row, emits = truth._steps[y].get(label) or truth.compiled_step(y, label)
+        i = i[x_next]
+    row, emits = m._truth_steps[y][i] or fill_step(m._truth_steps, m.truth, m._labels, y, i)
     y_next = row if row.__class__ is int else draw_row(row, rng)
-    return x_next, y_next, emits[y_next]
+    return x_next, y_next, emits[y_next], i
+
+
+def fill_step(steps: list, prm: Prm, labels: list, y: int, i: int) -> tuple:
+    """Fill and return `steps[y][i]`, prm's compiled step on labels[i]."""
+    step = steps[y][i] = prm.compiled_step(y, labels[i])
+    return step
 
 
 def _compile_moves(m: Nmdp, x: int) -> dict:
@@ -175,24 +193,24 @@ def _compile_moves(m: Nmdp, x: int) -> dict:
     moves = m._moves[x] = {}
     for a in m.available[x]:
         row = sampling_row(m.p[(x, a)])
-        labels = {j: m.labeling[(x, a, j)] for j in np.flatnonzero(m.p[(x, a)]).tolist()}
-        moves[a] = (row, labels[row] if row.__class__ is int else labels)
+        index = {j: m._index[m.labeling[(x, a, j)]] for j in np.flatnonzero(m.p[(x, a)]).tolist()}
+        moves[a] = (row, index[row] if row.__class__ is int else index)
     return moves
 
 
 def run_episode(m: Nmdp, policy, rng, n_episode: int):
-    """Roll out one episode, up to n_episode steps or a terminal label;
-    returns the trace as [(label, reward), ...], its truth edges' pairs."""
-    terminal = m.terminal_labels
+    """Roll out one episode, up to n_episode steps or a terminal label, told
+    by its index; returns the trace as [(label, reward), ...], the truth's pairs."""
+    terminal = m._terminal
     compiled = policy._rows
     x, y = m.x_init, m.truth.init
     trace = []
     for _ in range(n_episode):
         actions, row = compiled.get(x) or policy.action_row(x, m)
         a = actions[draw_row(row, rng)]
-        x, y, pair = step(m, x, y, a, rng)
+        x, y, pair, i = step(m, x, y, a, rng)
         trace.append(pair)
-        if pair[0] in terminal:
+        if terminal[i]:
             break
     return trace
 

@@ -514,37 +514,37 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     order = [start]
     seen = {start}
     edges = {}  # (state, label) -> list of (prob, next_state) or None for bottom
+    class_edges = {}  # class -> {label: its edge}, shared by the class's states of every reward
     queue = [start]
     while queue:
         state = queue.pop(0)
-        _, cls_idx = state
-        for label in table.alphabet:
-            donors = [u for u in classes[cls_idx] if table._total(child.get((u, label))) > 0]
-            if not donors:
-                edges[(state, label)] = None
-                continue
-            u = min(donors, key=lambda v: (-table._total(child[(v, label)]),) + table._preference(v))
-            if (table._total(u) if u else table.num_traces) < n_check:   # ε counts every trace
-                edges[(state, label)] = None
-                continue
-            # pool the counts of every class member: the rows were merged as
-            # statistically indistinguishable, so their extensions estimate
-            # the same distribution
-            counter = {}
-            for donor in donors:
-                for gamma, count in counts[child[(donor, label)]].items():
-                    counter[gamma] = counter.get(gamma, 0) + count
-            total = sum(counter.values())
-            next_cls = assign[table.resolve_to_member(child[(u, label)])]
-            outs = []
-            for gamma in sorted(counter):
-                nxt = (float(gamma), next_cls)
-                outs.append((counter[gamma] / total, nxt))
+        cls_edges = class_edges.get(state[1])
+        if cls_edges is None:
+            cls_edges = class_edges[state[1]] = dict.fromkeys(table.alphabet)
+            for label in table.alphabet:
+                donors = [u for u in classes[state[1]] if table._total(child.get((u, label))) > 0]
+                if not donors:
+                    continue
+                u = min(donors, key=lambda v: (-table._total(child[(v, label)]),) + table._preference(v))
+                if (table._total(u) if u else table.num_traces) < n_check:   # ε counts every trace
+                    continue
+                # pool the counts of every class member: the rows were merged as
+                # statistically indistinguishable, so their extensions estimate
+                # the same distribution
+                counter = {}
+                for donor in donors:
+                    for gamma, count in counts[child[(donor, label)]].items():
+                        counter[gamma] = counter.get(gamma, 0) + count
+                total = sum(counter.values())
+                next_cls = assign[table.resolve_to_member(child[(u, label)])]
+                cls_edges[label] = [(counter[g] / total, (float(g), next_cls)) for g in sorted(counter)]
+        for label, outs in cls_edges.items():
+            edges[(state, label)] = outs
+            for _, nxt in outs or ():
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
                     queue.append(nxt)
-            edges[(state, label)] = outs
 
     names = ["q%d" % i for i in range(len(order))]
     index = {state: i for i, state in enumerate(order)}

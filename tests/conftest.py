@@ -201,7 +201,8 @@ def rollout_greedy(q, m, h, n_episode, rng):
     total_machine_reward = 0.0
     for _ in range(n_episode):
         a = greedy_action(q, y, x, m.available[x])
-        x_next, z, (label, r) = step(m, x, z, a, rng)
+        x_next, z, (label, r), i = step(m, x, z, a, rng)
+        assert m.label_alphabet()[i] == label   # step numbers the label by its place there
         y_next = draw_row(h.compiled_step(y, label)[0], rng)
         total_machine_reward += h.edge_reward(y, label, y_next)
         trace.append((label, r))

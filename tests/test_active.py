@@ -25,6 +25,7 @@ from prmlearn.active import (
     equivalence_query,
     is_counterexample,
     membership_query,
+    teacher_episodes,
     teacher_query,
 )
 from prmlearn.alphabet import EMPTY_LABEL
@@ -430,6 +431,66 @@ def test_teacher_query_rejects_unknown_mode():
     m = two_cell_nmdp(patrol_prm())
     with pytest.raises(ValueError):
         teacher_query(QTable(), m, patrol_prm(), "oracle", config(), np.random.default_rng(0))
+
+
+def test_teacher_episodes_rejects_unknown_mode_at_the_call():
+    # a generator runs nothing before its first next(): the mode is checked
+    # by the plain function that returns it
+    m = two_cell_nmdp(patrol_prm())
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown query mode 'oracle'"):
+        teacher_episodes(QTable(), m, patrol_prm(), "oracle", config(), rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("explore", [0.0, 0.1], ids=lambda explore: "explore-%s" % explore)
+def test_teacher_episodes_match_the_reference_loop(explore, monkeypatch):
+    # k episodes of one generator are k reference episodes on a shared Q
+    # table and rng: the same traces, Q rows and draws; the set-up the
+    # generator keeps across episodes changes nothing
+    monkeypatch.setattr(active, "EXPLORE", explore)
+    for name, m, machines in teacher_cases():
+        for mode, h in machines:
+            cfg = config(n_episode=30)
+            rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+            q, ref_q = QTable(), RefQTable()
+            episodes = teacher_episodes(q, m, h, mode, cfg, rng)
+            if mode == "membership" and not h.is_total():
+                with pytest.raises(UndefinedTransitionError):
+                    next(episodes)
+                with pytest.raises(UndefinedTransitionError):
+                    ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
+                continue
+            for k in range(25):
+                trace = next(episodes)
+                assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode, k)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode, k)
+            for (y, x, a), value in ref_q.values.items():
+                assert q.rows[(y, x)][a] == value, (name, mode, (y, x, a))
+            for (y, x), row in q.rows.items():
+                for a, value in enumerate(row):
+                    assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
+
+
+@pytest.mark.parametrize("mode", ["membership", "equivalence"])
+def test_teacher_episodes_draw_nothing_past_the_last_episode_asked_for(mode):
+    # breaking out after an episode leaves the rng where the reference loop
+    # left it: the generator does not start the next episode
+    for name, m, machines in teacher_cases():
+        h = dict(machines)[mode]
+        if not h.is_total():
+            continue
+        cfg = config(n_episode=30)
+        for k in (1, 2, 7):
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            q, ref_q = QTable(), RefQTable()
+            for trace in teacher_episodes(q, m, h, mode, cfg, rng):
+                assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng)
+                k -= 1
+                if k == 0:
+                    break
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
 
 
 def test_terminal_labels_cut_episodes():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -21,6 +22,52 @@ def patrol_env(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# -- pinned outputs -----------------------------------------------------------------
+#
+# The sha256 of the files and stdout of commands whose output a speed
+# change must leave byte-identical.  The commands run in a scratch
+# directory with relative file names, so stdout names no absolute path.
+
+LEARN_ACTIVE_PINS = {
+    "stdout": "cf80464caa13645ab406e13ac9b92bdd5353bad98665e3a87b16a0c01e91cd0b",
+    "active.prm": "a625e114ca566bcc3cf06e99fd847382eb31d29d62517680370b45af7f25cb4f",
+    "report.txt": "984d0b9751758af84c80e5e7d07b59a91ec88428a02bed657897fc61567a10b0",
+    "eval-encoding": "88c9d713f7420f87aa2eb2411b21bf762251fa094fcd7eff052e0726288564c6",
+}
+SIMULATE_PINS = {
+    "stdout": "6ad29ee8f796ef1dad5e273c0ca8f642ba50edbe82f827491d373973c771e301",
+    "traces.log": "4022dc3776390584a9134b9092f08b65f9a1adcf873715140ef59b8e44963b74",
+}
+
+
+def test_learn_active_and_eval_encoding_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # the acceptance-4 budget on seed 1, then its machine against the office truth
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["learn-active", "--env", "office", "--budget", "200,500,50,100", "--seed", "1",
+                    "--out", "active.prm", "--report", "report.txt"])
+    assert code == 0
+    digests = {"stdout": sha256(capsys.readouterr().out.encode("utf-8"))}
+    digests.update((name, sha256((tmp_path / name).read_bytes())) for name in ("active.prm", "report.txt"))
+    code = run_cli(["eval-encoding", "--hypothesis", "active.prm", "--truth", ASSETS / "coffee_truth.prm",
+                    "--max-len", "3"])
+    assert code == 0
+    digests["eval-encoding"] = sha256(capsys.readouterr().out.encode("utf-8"))
+    assert digests == LEARN_ACTIVE_PINS
+
+
+def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["simulate", "--env", "office", "--episodes", "200", "--seed", "3", "--out", "traces.log"])
+    assert code == 0
+    digests = {"stdout": sha256(capsys.readouterr().out.encode("utf-8")),
+               "traces.log": sha256((tmp_path / "traces.log").read_bytes())}
+    assert digests == SIMULATE_PINS
 
 
 # -- simulate ---------------------------------------------------------------------

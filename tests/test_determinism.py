@@ -22,16 +22,25 @@ truth's coffee draw interleaves there with the action draws.  The S and
 E digests are of `word_str` of each member of S and of E, in order, one
 a line, while S still held words rather than their ids, so a change to
 the closedness and consistency witnesses or to the order in which they
-grow the table fails even where the machine stays the same.
+grow the table fails even where the machine stays the same.  The
+stochastic digests are of the machine, report and table of an active run
+on a fixed `random_nmdp` whose moves and truth are stochastic and whose
+one terminal label ends episodes, taken while the environment's moves
+still carried labels rather than their indices: office's moves are
+deterministic and never draw a successor.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 import prmlearn
 from prmlearn import LearnerConfig, PassiveConfig, learn_active, learn_passive, prm_to_text
 from prmlearn.alphabet import word_str
 from prmlearn.environment import collect_traces, load_env_config, save_traces, uniform_policy
+
+from conftest import random_nmdp, random_prm
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
@@ -45,6 +54,9 @@ PASSIVE_OFFICE_E_SHA256 = "795447d5ab7c04515295c210a1ca720e083cda163ad0e012bab4f
 ACTIVE_OFFICE_S_SHA256 = "3cb82b9382722c3fb1890a786297f657e208acc29596d9bcdcea8cf7322ea6fb"
 ACTIVE_OFFICE_E_SHA256 = "0f072b4daf81e8b8db6784d78f54e655058b19522c47b945b59d02f41d4cbaab"
 OFFICE_ROLLOUTS_SHA256 = "54113c392a0773fda4f2764d842d741020d0350cc09ea7cee88202e2c8cf1501"
+ACTIVE_STOCHASTIC_SHA256 = "e1731e2bf2fc4d0b0a07b5084f7211138e49dff4686002c97b00c7139583b9d3"
+ACTIVE_STOCHASTIC_REPORT_SHA256 = "e993387fd68d77a1ec65d134988e424eb2bcd82344580e2309c871188bf8257a"
+ACTIVE_STOCHASTIC_TABLE_SHA256 = "1f569132a0a1c52141d30ecc1dede92003032f8a0ddd69c070f6e47b65bb3224"
 
 
 def digest(prm) -> str:
@@ -91,3 +103,19 @@ def test_office_rollouts_are_pinned(tmp_path):
     path = tmp_path / "traces.log"
     save_traces(traces, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OFFICE_ROLLOUTS_SHA256
+
+
+def test_active_stochastic_machine_is_pinned(tmp_path):
+    # every move and truth row is stochastic, and a&b ends episodes
+    props = ("a", "b")
+    rng = np.random.default_rng(1)
+    truth = random_prm(rng, 2, props, [0.0, 1.0])
+    m = random_nmdp(rng, n_states=4, n_actions=2, props=props, truth=truth,
+                    terminal_labels=(frozenset(props),))
+    cfg = LearnerConfig(n_check=30, n_query=100, n_stop=5, n_episode=15, seed=3)
+    result = learn_active(m, cfg)
+    assert digest(result.hypothesis) == ACTIVE_STOCHASTIC_SHA256
+    assert sha256(result.report.render()) == ACTIVE_STOCHASTIC_REPORT_SHA256
+    path = tmp_path / "table.csv"
+    result.table.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ACTIVE_STOCHASTIC_TABLE_SHA256

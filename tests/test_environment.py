@@ -92,15 +92,16 @@ def test_tiny_map_step_labels():
     assert len(m.states) == 2
     east = ACTIONS.index("E")
     rng = np.random.default_rng(0)
-    x_next, y, (label, reward) = step(m, m.x_init, m.truth.init, east, rng)
+    assert m.label_alphabet() == [EMPTY_LABEL, C]
+    x_next, y, (label, reward), i = step(m, m.x_init, m.truth.init, east, rng)
     assert m.states[x_next] == "(0,1)"
-    assert label == C
+    assert label == C and i == 1
     assert reward == 1.0  # patrol machine pays for entering the marked cell
     # blocked move: self-loop with the label of the current (empty) cell
     north = ACTIONS.index("N")
-    x_next, _, (label, _) = step(m, m.x_init, y, north, rng)
+    x_next, _, (label, _), i = step(m, m.x_init, y, north, rng)
     assert x_next == m.x_init
-    assert label == EMPTY_LABEL
+    assert label == EMPTY_LABEL and i == 0
 
 
 def test_unavailable_action_rejected():
@@ -252,16 +253,17 @@ def test_step_draws_as_sample_index(case):
     # deterministic, dyadic and non-dyadic environment and truth rows: the
     # compiled step gives the successor, label and reward of sample_index
     # on the rows and leaves the Generator in the same state; the pair is
-    # the one the truth's edge emits on every step
+    # the one the truth's edge emits on every step, and the index is its
+    # label's place in label_alphabet()
     m, actions, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     x = ref_x = m.x_init
     y = ref_y = m.truth.init
     for a in actions:
         y_prev = y
-        x, y, pair = step(m, x, y, a, rng)
+        x, y, pair, i = step(m, x, y, a, rng)
         ref_x, ref_label, ref_reward, ref_y = ref_step(m, ref_x, a, ref_rng, m.truth, ref_y)
-        assert (x, y, pair) == (ref_x, ref_y, (ref_label, ref_reward))
+        assert (x, y, pair, i) == (ref_x, ref_y, (ref_label, ref_reward), m.label_alphabet().index(ref_label))
         assert pair is m.truth.compiled_step(y_prev, ref_label)[1][y]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -311,6 +313,48 @@ def test_run_episode_draws_as_sample_index(case):
         trace = run_episode(m, policy, rng, n_episode)
         assert trace == ref_episode(m, policy, ref_rng, n_episode)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_states=st.integers(2, 4), n_actions=st.integers(1, 3),
+       steps=st.integers(1, 40))
+def test_step_numbers_the_labels_of_stochastic_moves(seed, n_states, n_actions, steps):
+    # every move row and every truth row is stochastic, so each step draws
+    # its successor and reads the label index of the successor drawn
+    rng = np.random.default_rng(seed)
+    props = ("a", "b")
+    m = random_nmdp(rng, n_states=n_states, n_actions=n_actions, props=props,
+                    truth=random_prm(rng, 3, props, [0.0, 0.5, 1.0]))
+    labels = m.label_alphabet()
+    actions = rng.integers(0, n_actions, size=steps).tolist()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = ref_x = m.x_init
+    y = ref_y = m.truth.init
+    for a in actions:
+        x, y, pair, i = step(m, x, y, a, rng)
+        ref_x, ref_label, ref_reward, ref_y = ref_step(m, ref_x, a, ref_rng, m.truth, ref_y)
+        assert (x, y, pair) == (ref_x, ref_y, (ref_label, ref_reward))
+        assert i == labels.index(pair[0])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert all(not isinstance(move[0], int) for moves in m._moves if moves for move in moves.values())
+
+
+def test_a_replaced_copy_has_its_own_label_caches():
+    # an environment that has stepped, copied with new terminal labels: the
+    # copy builds its own caches and stops at its terminal label, and the
+    # original, which has none, does not
+    m = two_cell_nmdp(patrol_prm())
+    always_move = PositionalPolicy({0: {1: 1.0}, 1: {1: 1.0}})   # labels c, ε, c, ...
+    rng = np.random.default_rng(0)
+    assert len(run_episode(m, always_move, rng, 6)) == 6
+    copy = dataclasses.replace(m, terminal_labels={C})
+    for name in ("_labels", "_index", "_terminal", "_truth_steps", "_moves"):
+        assert getattr(copy, name) is not getattr(m, name), name
+    assert copy._moves == [None, None] and m._moves != [None, None]
+    assert copy._terminal == [False, True] and m._terminal == [False, False]
+    assert run_episode(copy, always_move, rng, 6) == [(C, 1.0)]
+    assert len(run_episode(m, always_move, rng, 6)) == 6
+    assert [label for label, _ in run_episode(copy, uniform_policy(copy), rng, 50)][-1] == C
 
 
 def test_unavailable_action_rejected_after_other_steps():

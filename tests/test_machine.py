@@ -29,6 +29,7 @@ from prmlearn.machine import (
     unit_vector,
 )
 from prmlearn.alphabet import label_str
+from prmlearn.environment import ACTIONS, build_office_nmdp, parse_gridmap, step
 
 from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm
 
@@ -452,7 +453,16 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
 
 
 def test_sample_successor_rows_are_compiled_lazily(coffee):
+    # an environment keeps its truth's compiled steps by (truth state, label
+    # index), each filled through compiled_step on its first step
+    m = build_office_nmdp(parse_gridmap("Ac"), coffee)
     assert coffee._steps == [{} for _ in coffee.states]
+    assert m._truth_steps == [[None, None] for _ in coffee.states] and m.label_alphabet() == [EMPTY_LABEL, C]
+    _, _, (label, _), i = step(m, m.x_init, 0, ACTIONS.index("E"), np.random.default_rng(0))
+    assert (label, i) == (C, 1)
+    assert [(y, label) for y, steps in enumerate(coffee._steps) for label in steps] == [(0, C)]
+    assert [(y, j) for y, steps in enumerate(m._truth_steps) for j, hit in enumerate(steps) if hit] == [(0, 1)]
+    assert m._truth_steps[0][1] is coffee.compiled_step(0, C)
     draw_row(coffee.compiled_step(0, C)[0], np.random.default_rng(0))
     assert [(y, label) for y, steps in enumerate(coffee._steps) for label in steps] == [(0, C)]
 
