@@ -80,16 +80,17 @@ def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, 
 
 def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
     terminal, labels = m._terminal, m._labels   # by label index, as step numbers them
-    available, width, rows = m.available, len(m.actions), q.rows
-    every = list(range(width))   # the actions of a state whose Q row is read whole
+    available, width = m.available, len(m.actions)
+    every = list(range(width))
+    wholes = [actions == every for actions in available]   # whether a state's Q row is read whole
     explore, learn_rate, discount, n_episode = EXPLORE, LEARN_RATE, DISCOUNT, cfg.n_episode
     h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index)
+    q_rows = [[None] * len(available) for _ in h.states]   # q's rows by (state, environment state)
     x_init, y_init, z_init = m.x_init, h.init, m.truth.init   # z: the truth's state
-    whole_init = available[x_init] == every
+    row_init = q_rows[y_init][x_init] = q.row(y_init, x_init, width)
     while True:
-        x, y, z = x_init, y_init, z_init
-        row = q.row(y, x, width)  # the Q-values of (y, x), read and updated in place
-        actions, whole = available[x], whole_init
+        x, y, z, row = x_init, y_init, z_init, row_init   # row: the Q-values of (y, x), updated in place
+        actions, whole = available[x], wholes[x]
         best, trace = None, []   # best: the greedy maximum of row over actions, carried from the last update
         for _ in range(n_episode):
             # epsilon-greedy, reading the row whole when `actions` is every index in order
@@ -114,9 +115,10 @@ def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, 
             h_row, emits = h_steps[y][i] or fill_step(h_steps, h, labels, y, i)
             y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
             target = emits[y_next][1] if membership else pair[1]
-            row_next = rows.get((y_next, x_next)) or q.row(y_next, x_next, width)
-            actions = available[x_next]
-            whole = actions == every
+            row_next = q_rows[y_next][x_next]
+            if row_next is None:
+                row_next = q_rows[y_next][x_next] = q.row(y_next, x_next, width)
+            actions, whole = available[x_next], wholes[x_next]
             best_next = max(row_next) if whole else max([row_next[b] for b in actions])
             row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
             trace.append(pair)
@@ -171,10 +173,10 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
     not tested: its one gap is n/n - p*n/(p*n) = 0, so the Hoeffding
     test `_differ` would say False.
 
-    `steps` memoises `h.advance` by (bytes of the state vector, label),
-    and the initial vector and its bytes under None; a caller checking
-    many traces against one hypothesis passes the same dict to every
-    call."""
+    `steps` memoises `h.advance` by the id of the word it ends, falling
+    back on (bytes of the state vector, label), and keeps the initial
+    vector and its bytes under None; a caller checking many traces of one
+    table against one hypothesis passes the same dict to every call."""
     if steps is None:
         steps = {}
     factor = _hoeffding_factor(max(table.total_samples(), 1))
@@ -183,24 +185,25 @@ def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, step
         vec = h.initial_vector()
         start = steps[None] = (vec, vec.tobytes())
     vec, key = start
-    child, counts = table._child, table._counts
+    child, counts, sizes = table._child, table._counts, table._n
     node = 0
     for k, (label, _) in enumerate(trace):
         node = child.get((node, label))
-        freq = None if node is None else counts[node]
-        if freq is None:
-            return None   # no samples here or at any later prefix
-        n = sum(freq.values())   # the prefix's sample count
+        n = 0 if node is None else sizes[node]   # the prefix's sample count
         if n < n_check and (n == 0 or factor * math.sqrt(1.0 / n) >= 1.0):
             return None
-        hit = steps.get((key, label))
+        hit = steps.get(node)
         if hit is None:
-            nxt, expected = h.advance(vec, label)
-            absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
-            # the prediction's reward when it holds just one, else None
-            single = next(iter(expected)) if len(expected) == 1 else None
-            hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, single, absorbed)
+            hit = steps.get((key, label))
+            if hit is None:
+                nxt, expected = h.advance(vec, label)
+                absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
+                # the prediction's reward when it holds just one, else None
+                single = next(iter(expected)) if len(expected) == 1 else None
+                hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, single, absorbed)
+            steps[node] = hit
         vec, key, expected, single, absorbed = hit
+        freq = counts[node]
         if absorbed:
             if n >= n_check:
                 return tuple(label for label, _ in trace[:k + 1])

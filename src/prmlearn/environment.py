@@ -7,6 +7,7 @@ label history, through a ground-truth reward machine (the truth) that
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, Stream, draw_row, load_prm, sampling_row, spawn_states, unit_vector
+from .machine import PROB_TOL, Prm, Stream, _last_rise, draw_row, load_prm, sampling_row, spawn_states, unit_vector
 # sample_index is unused here; the benchmark tracer wraps it as environment.sample_index
 from .machine import sample_index  # noqa: F401
 
@@ -88,13 +89,20 @@ class Nmdp:
                 raise ValueError("state %r has an available action without a transition row" % (self.states[x],))
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
+            if vec.shape != (len(self.states),):
+                raise ValueError("transition row at (%d, %d) has shape %s, not (%d,)"
+                                 % (x, a, vec.shape, len(self.states)))
             if not is_distribution(vec):
                 raise ValueError("bad transition distribution at (%d, %d)" % (x, a))
             self.p[(x, a)] = vec
             for j in np.flatnonzero(vec):
-                if (x, a, int(j)) not in self.labeling:
+                label = self.labeling.get((x, a, int(j)))
+                if label is None:
                     raise ValueError("missing label for transition (%d, %d, %d)" % (x, a, int(j)))
-                self.ap.validate_label(self.labeling[(x, a, int(j))])
+                if not isinstance(label, frozenset):   # "c" would read as {c}
+                    raise ValueError("transition (%d, %d, %d) has label %r, not a frozenset of propositions"
+                                     % (x, a, int(j), label))
+                self.ap.validate_label(label)
         self._labels = sorted(set(self.labeling.values()), key=label_sort_key)
         self._index = {label: i for i, label in enumerate(self._labels)}
         self._terminal = [label in self.terminal_labels for label in self._labels]
@@ -207,7 +215,10 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int):
     trace = []
     for _ in range(n_episode):
         actions, row = compiled.get(x) or policy.action_row(x, m)
-        a = actions[draw_row(row, rng)]
+        if row.__class__ is not int:   # row = draw_row(row, rng), inline
+            k = bisect_right(row, rng.random())
+            row = k if k < len(row) else _last_rise(row)
+        a = actions[row]
         x, y, pair, i = step(m, x, y, a, rng)
         trace.append(pair)
         if terminal[i]:

@@ -117,6 +117,7 @@ class ObservationTable:
         self._child: dict = {}            # (parent id, label) -> id
         self._parent: list = [None]       # id -> its (parent id, label) key in _child
         self._counts: list = [None]       # id -> the word's {reward: positive int count}, or None
+        self._n: list = [0]               # id -> the sum of its counts, 0 without counts (ε's too)
         # E as a trie beside its list, which marks membership too: a node is
         # [its word's index into E or None, {label: child node}], root ε's.
         self._e_trie: list = [0, {}]
@@ -136,6 +137,7 @@ class ObservationTable:
         self._closed = self._consistent = None
         # row id -> its _preference, which depends on the counts through rank
         self._preferences: dict = {}
+        self._names: dict = {}   # row id -> its (length, text), which no change alters
 
     def _counts_changed(self) -> None:
         self._pairs.clear()
@@ -155,6 +157,7 @@ class ObservationTable:
         new = self._child[key] = len(self._parent)
         self._parent.append(key)
         self._counts.append(None)
+        self._n.append(0)
         return new
 
     def _node(self, word: Word) -> int:
@@ -176,7 +179,7 @@ class ObservationTable:
             return 0
         self._counts_changed()
         self.num_traces += times
-        child, counts, rewards = self._child, self._counts, self.rewards
+        child, counts, rewards, n = self._child, self._counts, self.rewards, self._n
         node = 0
         for label, reward in trace:
             nxt = child.get((node, label))
@@ -193,6 +196,7 @@ class ObservationTable:
                 rewards.add(reward)
             else:
                 counter[reward] = count + times
+            n[nxt] += times
             node = nxt
         self._total_samples += len(trace) * times
         return node
@@ -227,8 +231,8 @@ class ObservationTable:
 
     def sampled_words(self, n: int) -> list:
         """The words of t with at least n samples, in t's order; builds no other."""
-        return [self.word(i) for i, c in enumerate(self._counts)
-                if c is not None and sum(c.values()) >= n]
+        least = max(n, 1)
+        return [self.word(i) for i, k in enumerate(self._n) if k >= least]
 
     def freq(self, word: Word) -> dict:
         """A copy of `word`'s {reward: count}: empty for a word without counts."""
@@ -240,8 +244,7 @@ class ObservationTable:
 
     def _total(self, node) -> int:
         """The sample count of the word whose id is `node`; 0 for None."""
-        counter = None if node is None else self._counts[node]
-        return 0 if counter is None else sum(counter.values())
+        return 0 if node is None else self._n[node]
 
     def sample_count(self, word: Word) -> int:
         """How often `word` was a trace prefix; ε counts every trace."""
@@ -305,14 +308,12 @@ class ObservationTable:
         cols = self._cols.get(s)
         if cols is None:
             hits = []   # (i, id of s.E[i], its sample count)
-            child, counts = self._child, self._counts
+            child, n = self._child, self._n
             stack = [(self._e_trie, s)]
             while stack:
                 (i, kids), node = stack.pop()
-                if i is not None:
-                    counter = counts[node]
-                    if counter is not None:
-                        hits.append((i, node, sum(counter.values())))
+                if i is not None and n[node]:
+                    hits.append((i, node, n[node]))
                 for label, sub in kids.items():
                     nxt = child.get((node, label))
                     if nxt is not None:
@@ -330,9 +331,10 @@ class ObservationTable:
     def _first_difference(self, s: int, s_prime: int):
         """The first index i in E order at which s.E[i] and s_prime.E[i]
         differ by the test `diff` runs, or None."""
-        cols, cols_prime = self._columns(s)[1], self._columns(s_prime)[1]
-        factor = _hoeffding_factor(max(self._total_samples, 1))
-        pairs, counts = self._pairs, self._counts
+        memo = self._cols
+        cols = (memo.get(s) or self._columns(s))[1]
+        cols_prime = (memo.get(s_prime) or self._columns(s_prime))[1]
+        pairs, counts, n, factor = self._pairs, self._counts, self._n, None
         if len(cols_prime) < len(cols):
             cols, cols_prime = cols_prime, cols
         for i, a in cols.items():
@@ -342,8 +344,8 @@ class ObservationTable:
             key = (a, b) if a < b else (b, a)
             differ = pairs.get(key)
             if differ is None:
-                f, g = counts[a], counts[b]
-                differ = pairs[key] = _differ(f, sum(f.values()), g, sum(g.values()), factor)
+                factor = factor or _hoeffding_factor(max(self._total_samples, 1))
+                differ = pairs[key] = _differ(counts[a], n[a], counts[b], n[b], factor)
             if differ:
                 return i
         return None
@@ -417,8 +419,11 @@ class ObservationTable:
         """Rows stand for their class by rank, highest first, then by length and text."""
         preference = self._preferences.get(s)
         if preference is None:
-            word = self.word(s)
-            preference = self._preferences[s] = (-self.rank(s), len(word), word_str(word))
+            name = self._names.get(s)
+            if name is None:
+                word = self.word(s)
+                name = self._names[s] = (len(word), word_str(word))
+            preference = self._preferences[s] = (-self.rank(s),) + name
         return preference
 
     def resolve_to_member(self, w: int) -> int:
@@ -455,9 +460,8 @@ class ObservationTable:
                 for i in sorted(ids, key=text.__getitem__):
                     counter = self._counts[i]
                     if counter is not None:
-                        sample = sum(counter.values())
                         for reward in sorted(counter):
-                            writer.writerow([text[i], format_reward(reward), counter[reward], sample])
+                            writer.writerow([text[i], format_reward(reward), counter[reward], self._n[i]])
 
 
 class TableNotReadyError(ValueError):

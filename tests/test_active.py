@@ -493,6 +493,31 @@ def test_teacher_episodes_draw_nothing_past_the_last_episode_asked_for(mode):
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
 
 
+@pytest.mark.parametrize("name", ["office", "mixed_actions"])
+def test_teacher_keeps_q_rows_across_equivalence_queries_of_one_shape(name, monkeypatch):
+    # learn_active keeps q_h across equivalence queries whose hypotheses
+    # have as many states: the second query's generator reads and updates
+    # the very lists of q.rows that the first one left, and both queries
+    # give the reference episodes on one shared reference table
+    monkeypatch.setattr(active, "EXPLORE", 0.1)
+    _, m, _ = next(case for case in teacher_cases() if case[0] == name)
+    machine_rng = np.random.default_rng(8)
+    machines = [random_prm(machine_rng, 3, m.ap.props, [0.0, 0.5, 1.0]) for _ in range(2)]
+    cfg = config(n_episode=30)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    q, ref_q = QTable(), RefQTable()
+    kept = {}
+    for h in machines:
+        for _, trace in zip(range(20), teacher_episodes(q, m, h, "equivalence", cfg, rng)):
+            assert trace == ref_teacher_query(ref_q, m, h, "equivalence", cfg, ref_rng), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+        assert all(q.rows[key] is row for key, row in kept.items()), name
+        assert all(q.rows[(y, x)][a] == value for (y, x, a), value in ref_q.values.items()), name
+        assert all(value == ref_q.get(y, x, a) for (y, x), row in q.rows.items() for a, value in enumerate(row))
+        kept = dict(q.rows)
+    assert len(kept) > 1
+
+
 def test_terminal_labels_cut_episodes():
     truth = patrol_prm()
     m = two_cell_nmdp(truth, terminal_labels=(C,))

@@ -169,6 +169,34 @@ def test_available_action_without_a_row_rejected():
         )
 
 
+@pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0], [[1.0, 0.0]]], ids=["long", "short", "2-d"])
+def test_transition_rows_hold_one_entry_per_state(row):
+    # a 3-entry row over 2 states once built, and the first step that
+    # drew its third entry raised a bare IndexError in run_episode
+    with pytest.raises(ValueError, match=re.escape("transition row at (0, 0) has shape")):
+        Nmdp(
+            states=("x0", "x1"),
+            x_init=0,
+            actions=("go",),
+            available=[[0], [0]],
+            p={(0, 0): row, (1, 0): unit_vector(2, 1)},
+            labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): EMPTY_LABEL, (0, 0, 2): EMPTY_LABEL,
+                      (1, 0, 1): EMPTY_LABEL},
+            truth=single_state_zero_prm(("a",)),
+        )
+
+
+@pytest.mark.parametrize("label", ["c", ("c",)], ids=["str", "tuple"])
+def test_transition_labels_must_be_frozensets(label):
+    # validate_label takes any iterable of proposition names, so a bare "c"
+    # once built, label_alphabet() listed "c" as a label, and the first
+    # step raised a KeyError from the truth
+    fields = dict(states=("x0",), x_init=0, actions=("loop",), available=[[0]],
+                  p={(0, 0): unit_vector(1, 0)}, truth=patrol_prm())
+    with pytest.raises(ValueError, match=re.escape("transition (0, 0, 0) has label %r, not a frozenset" % (label,))):
+        Nmdp(labeling={(0, 0, 0): label}, **fields)
+
+
 def test_available_of_the_wrong_length_rejected():
     # x1 has no action list: the error comes at construction, not as an
     # IndexError at the first step into x1
@@ -313,6 +341,35 @@ def test_run_episode_draws_as_sample_index(case):
         trace = run_episode(m, policy, rng, n_episode)
         assert trace == ref_episode(m, policy, ref_rng, n_episode)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class Draws:
+    """An rng whose `random()` returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_run_episode_draws_past_a_policy_row_that_sums_to_just_below_1():
+    # the cumulative row is [0.5, 1 - 2^-40, 1 - 2^-40]: a draw at or above
+    # its end takes a, the last action whose probability is positive, never
+    # the trailing b; every move is deterministic, so only the policy draws
+    ap = Alphabet(["a", "b"])
+    a, b = frozenset({"a"}), frozenset({"b"})
+    m = Nmdp(states=("x0",), x_init=0, actions=("e", "a", "b"), available=[[0, 1, 2]],
+             p={(0, k): unit_vector(1, 0) for k in range(3)},
+             labeling={(0, 0, 0): EMPTY_LABEL, (0, 1, 0): a, (0, 2, 0): b},
+             truth=single_state_zero_prm(ap.props))
+    policy = PositionalPolicy({0: {2: 0.0, 1: 0.5 - 2.0 ** -40, 0: 0.5}})
+    draws = [1.0 - 2.0 ** -53, 0.0, 0.5, 1.0 - 2.0 ** -41, 1.0 - 2.0 ** -40, 0.25]
+    rng, ref_rng = Draws(draws), Draws(draws)
+    trace = run_episode(m, policy, rng, len(draws))
+    assert [label for label, _ in trace] == [a, EMPTY_LABEL, a, a, a, EMPTY_LABEL]
+    assert trace == ref_episode(m, policy, ref_rng, len(draws))
+    assert rng.values == ref_rng.values == []
 
 
 @settings(max_examples=100, deadline=None)

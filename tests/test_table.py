@@ -4,18 +4,23 @@ import os
 import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmlearn import Alphabet, ObservationTable, build_hypothesis, diff, hoeffding_threshold
+from prmlearn import Alphabet, ObservationTable, PassiveConfig, build_hypothesis, diff, hoeffding_threshold
+from prmlearn import passive
+import prmlearn
 from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
+from prmlearn.environment import collect_traces, load_env_config, uniform_policy
 from prmlearn.machine import prm_from_text, prm_to_text
 from prmlearn.table import (
     CSV_COLUMNS,
+    REPAIR_MAX_STEPS,
     TableNotReadyError,
     _differ,
     _hoeffding_factor,
@@ -25,6 +30,7 @@ from prmlearn.table import (
 
 from conftest import C, O, random_prm, ref_is_counterexample
 
+OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 A = frozenset({"a"})
 B = frozenset({"b"})
 
@@ -384,6 +390,33 @@ def test_record_times_gives_the_table_of_k_records(recorded):
         assert table_state(one) == table_state(many)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("record"), st.lists(st.tuples(st.sampled_from([EMPTY_LABEL, C, O]),
+                                                    st.sampled_from([0.0, 1.0])), max_size=5),
+              st.integers(1, 4)),
+    st.tuples(st.just("state"), st.lists(st.sampled_from([EMPTY_LABEL, C, O]), min_size=1, max_size=4).map(tuple)),
+), max_size=14), n=st.integers(0, 6))
+def test_kept_sample_counts_are_the_sums_of_the_counts(ops, n):
+    # every read of a word's sample count against a reference that adds
+    # its counts up; add_state gives a word that was never recorded an id
+    # without counts, which a later record may fill
+    table = make_table()
+    for op in ops:
+        if op[0] == "record":
+            table.record(op[1], op[2])
+        elif not table.freq(op[1]):
+            table.add_state(op[1])
+        for node, counter in enumerate(table._counts):
+            assert table._n[node] == (0 if counter is None else sum(counter.values()))
+        for word in map(table.word, range(len(table._counts))):
+            total = sum(table.freq(word).values())
+            assert table.total(word) == total
+            assert table.sample_count(word) == (total if word else table.num_traces)
+        assert table.sampled_words(n) == [w for w, counter in table.t.items() if sum(counter.values()) >= n]
+    assert csv_bytes(ObservationTable.to_csv, table) == csv_bytes(write_csv_by_t, table)
+
+
 # -- compatibility / closedness / consistency -----------------------------------------
 
 
@@ -681,6 +714,184 @@ def test_row_sweeps_match_full_column_loops_at_small_sample_totals(traces, state
     for word in experiments:
         table.add_experiment(word)
     sweep(table)
+
+
+# -- the verdict path against the one that added the counts up -------------------------
+#
+# The row tests as they were written before each word kept its sample
+# count: every read adds a word's counts up, and a row test asks
+# `_columns` for both rows' columns and takes the Hoeffding factor before
+# it looks at a single word pair.
+
+
+class RefVerdictTable(ObservationTable):
+    def _total(self, node):
+        counter = None if node is None else self._counts[node]
+        return 0 if counter is None else sum(counter.values())
+
+    def _columns(self, s):
+        cols = self._cols.get(s)
+        if cols is None:
+            hits = []
+            child, counts = self._child, self._counts
+            stack = [(self._e_trie, s)]
+            while stack:
+                (i, kids), node = stack.pop()
+                if i is not None:
+                    counter = counts[node]
+                    if counter is not None:
+                        hits.append((i, node, sum(counter.values())))
+                for label, sub in kids.items():
+                    nxt = child.get((node, label))
+                    if nxt is not None:
+                        stack.append((sub, nxt))
+            hits.sort()
+            factor = _hoeffding_factor(max(self._total_samples, 1))
+            cols = self._cols[s] = (
+                {i for i, _, _ in hits},
+                {i: node for i, node, n in hits if factor * math.sqrt(1.0 / n) < 1.0},
+            )
+        return cols
+
+    def _first_difference(self, s, s_prime):
+        cols, cols_prime = self._columns(s)[1], self._columns(s_prime)[1]
+        factor = _hoeffding_factor(max(self._total_samples, 1))
+        pairs, counts = self._pairs, self._counts
+        if len(cols_prime) < len(cols):
+            cols, cols_prime = cols_prime, cols
+        for i, a in cols.items():
+            b = cols_prime.get(i)
+            if b is None:
+                continue
+            key = (a, b) if a < b else (b, a)
+            differ = pairs.get(key)
+            if differ is None:
+                f, g = counts[a], counts[b]
+                differ = pairs[key] = _differ(f, sum(f.values()), g, sum(g.values()), factor)
+            if differ:
+                return i
+        return None
+
+    def compatible_rows(self, s, s_prime):
+        key = (s, s_prime) if s < s_prime else (s_prime, s)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._first_difference(s, s_prime) is None
+        return verdict
+
+    def _closedness(self):
+        for s in self.s:
+            for label in self.alphabet:
+                extended = self._child.get((s, label))
+                if extended is None or not self.row_has_data(extended):
+                    continue
+                covered = any(
+                    self.compatible_rows(extended, s_prime)
+                    and (s_prime == extended or self.rows_share_evidence(extended, s_prime))
+                    for s_prime in self.s
+                )
+                if not covered:
+                    return False, (self.word(s), label)
+        return True, None
+
+    def _consistency(self):
+        for i, s in enumerate(self.s):
+            for s_prime in self.s[i + 1:]:
+                if not self.compatible_rows(s, s_prime):
+                    continue
+                for label in self.alphabet:
+                    left, right = self._child.get((s, label)), self._child.get((s_prime, label))
+                    if left is None or right is None or self.compatible_rows(left, right):
+                        continue
+                    first = self._first_difference(left, right)
+                    return False, (self.word(s), self.word(s_prime), label, self.e[first])
+        return True, None
+
+    def _preference(self, s):
+        preference = self._preferences.get(s)
+        if preference is None:
+            word = self.word(s)
+            preference = self._preferences[s] = (-self.rank(s), len(word), word_str(word))
+        return preference
+
+
+def assert_row_verdicts_agree(table, ref):
+    """Both tables hold the same words under the same ids: every pair of
+    rows of S and S.alphabet gets the same verdict and first difference."""
+    assert table._parent == ref._parent and table.s == ref.s and table.e == ref.e
+    ids = set(table.s) | {table._child[(s, label)] for s in table.s for label in table.alphabet
+                          if (s, label) in table._child}
+    for u in ids:
+        for v in ids:
+            assert table.compatible_rows(u, v) == ref.compatible_rows(u, v), (u, v)
+            assert table._first_difference(u, v) == ref._first_difference(u, v), (u, v)
+
+
+def assert_verdict_paths_agree(table, ref, n_check):
+    """The closedness and consistency witnesses of a repair on frozen data,
+    step by step, the row verdicts before and after it, and the hypothesis."""
+    assert_row_verdicts_agree(table, ref)
+    for _ in range(REPAIR_MAX_STEPS):
+        closed = table.is_closed()
+        assert closed == ref.is_closed()
+        if not closed[0]:
+            s, label = closed[1]
+            table.add_state(s + (label,))
+            ref.add_state(s + (label,))
+            continue
+        consistent = table.is_consistent()
+        assert consistent == ref.is_consistent()
+        if not consistent[0]:
+            _, _, label, e = consistent[1]
+            table.add_experiment((label,) + e)
+            ref.add_experiment((label,) + e)
+            continue
+        break
+    assert_row_verdicts_agree(table, ref)
+    assert prm_to_text(build_hypothesis(table, n_check)) == prm_to_text(build_hypothesis(ref, n_check))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.one_of(sweep_ops, st.tuples(st.just("pad"), st.sampled_from([10 ** 2, 10 ** 4]))),
+                    max_size=14))
+@example(ops=[("record", ([(C, 1.0)], 30)), ("record", ([(O, 0.0)], 30)), ("sweep",), ("pad", 100), ("sweep",)])
+def test_verdict_path_matches_the_one_that_added_the_counts_up(ops):
+    # a pad raises the sample total M, and with it the Hoeffding factor,
+    # between two sweeps: in the example, rows c and o differ at M = 60
+    # and not at M = 160
+    table, ref = make_table(alphabet=SWEEP_LABELS), RefVerdictTable(Alphabet(("c", "o")), SWEEP_LABELS)
+    for op in ops:
+        for t in (table, ref):
+            if op[0] == "record":
+                t.record(*op[1])
+            elif op[0] == "pad":
+                t.record([(PAD_LABEL, 0.0)], op[1])
+            elif op[0] == "state":
+                t.add_state(op[1])
+            elif op[0] == "experiment":
+                t.add_experiment(op[1])
+        if op[0] == "sweep":
+            assert_row_verdicts_agree(table, ref)
+            assert (table.is_closed(), table.is_consistent()) == (ref.is_closed(), ref.is_consistent())
+    assert_verdict_paths_agree(table, ref, n_check=5)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_verdict_path_matches_the_one_that_added_the_counts_up_on_office_tables(seed, monkeypatch):
+    # learn_passive_from_traces's table on 10^3 uniform office episodes,
+    # as it stands before its repair on frozen data
+    env = load_env_config(OFFICE)
+    traces = collect_traces(env.nmdp, uniform_policy(env.nmdp), 1000, seed, env.n_episode)
+    tables = []
+    monkeypatch.setattr(passive, "repair_on_frozen_data", tables.append)
+    monkeypatch.setattr(passive, "build_hypothesis", lambda table, n_check: None)
+    for table_class in (ObservationTable, RefVerdictTable):
+        monkeypatch.setattr(passive, "ObservationTable", table_class)
+        passive.learn_passive_from_traces(traces, env.nmdp.ap, PassiveConfig(n_check=100),
+                                          env.nmdp.label_alphabet())
+    table, ref = tables
+    assert type(ref) is RefVerdictTable and len(table.s) > 10
+    assert_verdict_paths_agree(table, ref, n_check=100)
 
 
 table_rewards = st.sampled_from([0.0, 1.0, 0.5, -2.0, 3.25])
