@@ -8,7 +8,6 @@ trace prefixes that contradict it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +16,10 @@ from .alphabet import EPSILON, Word, label_str, word_str
 from .environment import (
     Nmdp, check_count, check_terminal_labels, fill_step, membership_reward_machine, step, word_realizable,
 )
-# sample_index and diff_against_distribution are unused here; the benchmark
-# tracer wraps them as active.sample_index and active.diff_against_distribution
+# sample_index and diff_against_distribution are unused here; the benchmark tracer wraps
+# them, and is_counterexample, which equivalence_query calls through this module's global
 from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
-from .table import (  # noqa: F401
-    ObservationTable, _differ, _hoeffding_factor, build_hypothesis, diff_against_distribution,
-)
+from .table import ObservationTable, build_hypothesis, diff_against_distribution, is_counterexample  # noqa: F401
 
 
 class QTable:
@@ -79,7 +76,8 @@ def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, 
 
 
 def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
-    terminal, labels = m._terminal, m._labels   # by label index, as step numbers them
+    labels = m.label_alphabet()   # by label index, as step numbers them
+    terminal = [label in m.terminal_labels for label in labels]
     available, width = m.available, len(m.actions)
     every = list(range(width))
     wholes = [actions == every for actions in available]   # whether a state's Q row is read whole
@@ -149,74 +147,12 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
     # zeta is not empty, so its sample count is its id's total; an id,
     # once made, stays, so it is looked up again only until it exists
     node = table.row(zeta)
-    while table._total(node) < cfg.n_check and episodes < cfg.n_query:
+    while table.samples(node) < cfg.n_check and episodes < cfg.n_query:
         table.record(next(teacher))
         episodes += 1
         if node is None:
             node = table.row(zeta)
     return episodes
-
-
-def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, steps=None):
-    """Returns the offending prefix word, or None.
-
-    A prefix is a counterexample when (a) it is fully absorbed by the
-    failure state despite being sampled at least n_check times, or (b)
-    its empirical reward distribution is statistically different from
-    the hypothesis prediction at that prefix.
-
-    The walk follows the trace's word ids and stops at the first prefix
-    below n_check (at least 1) samples with none or with
-    factor * sqrt(1/n) >= 1: no later prefix has more samples, so none
-    reaches n_check, and its threshold of at least 1 exceeds every gap.
-    A prefix whose counts and prediction hold one and the same reward is
-    not tested: its one gap is n/n - p*n/(p*n) = 0, so the Hoeffding
-    test `_differ` would say False.
-
-    `steps` memoises `h.advance` by the id of the word it ends, falling
-    back on (bytes of the state vector, label), and keeps the initial
-    vector and its bytes under None; a caller checking many traces of one
-    table against one hypothesis passes the same dict to every call."""
-    if steps is None:
-        steps = {}
-    factor = _hoeffding_factor(max(table.total_samples(), 1))
-    start = steps.get(None)
-    if start is None:
-        vec = h.initial_vector()
-        start = steps[None] = (vec, vec.tobytes())
-    vec, key = start
-    child, counts, sizes = table._child, table._counts, table._n
-    node = 0
-    for k, (label, _) in enumerate(trace):
-        node = child.get((node, label))
-        n = 0 if node is None else sizes[node]   # the prefix's sample count
-        if n < n_check and (n == 0 or factor * math.sqrt(1.0 / n) >= 1.0):
-            return None
-        hit = steps.get(node)
-        if hit is None:
-            hit = steps.get((key, label))
-            if hit is None:
-                nxt, expected = h.advance(vec, label)
-                absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
-                # the prediction's reward when it holds just one, else None
-                single = next(iter(expected)) if len(expected) == 1 else None
-                hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, single, absorbed)
-            steps[node] = hit
-        vec, key, expected, single, absorbed = hit
-        freq = counts[node]
-        if absorbed:
-            if n >= n_check:
-                return tuple(label for label, _ in trace[:k + 1])
-            continue
-        if len(freq) == 1 and single in freq:
-            continue
-        if expected:
-            # the prediction scaled to the prefix's n samples
-            scaled = {gamma: p * n for gamma, p in expected.items()}
-            n_prime = sum(scaled.values())
-            if n_prime and _differ(freq, n, scaled, n_prime, factor):
-                return tuple(label for label, _ in trace[:k + 1])
-    return None
 
 
 def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis: Prm,

@@ -25,7 +25,7 @@ from .alphabet import (
     parse_label,
     parse_reward,
 )
-from .machine import PROB_TOL, Prm, Stream, _last_rise, draw_row, load_prm, sampling_row, spawn_states, unit_vector
+from .machine import PROB_TOL, Prm, Stream, draw_row, last_rise, load_prm, sampling_row, spawn_states, unit_vector
 # sample_index is unused here; the benchmark tracer wraps it as environment.sample_index
 from .machine import sample_index  # noqa: F401
 
@@ -87,6 +87,7 @@ class Nmdp:
                 raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
             if any((x, a) not in self.p for a in acts):
                 raise ValueError("state %r has an available action without a transition row" % (self.states[x],))
+        labels = set()   # the labels of positive-probability transitions, checked as they are met
         for (x, a), vec in self.p.items():
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (len(self.states),):
@@ -102,8 +103,8 @@ class Nmdp:
                 if not isinstance(label, frozenset):   # "c" would read as {c}
                     raise ValueError("transition (%d, %d, %d) has label %r, not a frozenset of propositions"
                                      % (x, a, int(j), label))
-                self.ap.validate_label(label)
-        self._labels = sorted(set(self.labeling.values()), key=label_sort_key)
+                labels.add(self.ap.validate_label(label))
+        self._labels = sorted(labels, key=label_sort_key)
         self._index = {label: i for i, label in enumerate(self._labels)}
         self._terminal = [label in self.terminal_labels for label in self._labels]
         self._truth_steps = [[None] * len(self._labels) for _ in self.truth.states]
@@ -115,7 +116,7 @@ class Nmdp:
         return self.truth.ap
 
     def label_alphabet(self) -> list:
-        """Labels that occur on transitions, in canonical order: `step`'s label index reads this list."""
+        """Labels of positive-probability transitions, in canonical order: `step`'s label index reads this list."""
         return list(self._labels)
 
 
@@ -217,7 +218,7 @@ def run_episode(m: Nmdp, policy, rng, n_episode: int):
         actions, row = compiled.get(x) or policy.action_row(x, m)
         if row.__class__ is not int:   # row = draw_row(row, rng), inline
             k = bisect_right(row, rng.random())
-            row = k if k < len(row) else _last_rise(row)
+            row = k if k < len(row) else last_rise(row)
         a = actions[row]
         x, y, pair, i = step(m, x, y, a, rng)
         trace.append(pair)

@@ -32,7 +32,7 @@ from .alphabet import (
 PROB_TOL = 1e-9
 
 
-def _last_rise(cum) -> int:
+def last_rise(cum) -> int:
     """The index a draw past the end of the cumulative row `cum` takes:
     the last one whose cumulative probability rises, so that a row summing
     to just under 1 never gives a trailing index of probability 0; the
@@ -51,7 +51,7 @@ def sample_index(vec: np.ndarray, rng) -> int:
         return j
     cum = np.cumsum(vec)
     k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return k if k < len(vec) else _last_rise(cum)
+    return k if k < len(vec) else last_rise(cum)
 
 
 def sampling_row(vec: np.ndarray):
@@ -70,7 +70,7 @@ def draw_row(row, rng) -> int:
     if row.__class__ is int:
         return row
     k = bisect_right(row, rng.random())
-    return k if k < len(row) else _last_rise(row)
+    return k if k < len(row) else last_rise(row)
 
 
 STREAM_BLOCK = 1024   # the most raw 64-bit outputs a Stream takes from its bit generator at a time

@@ -86,6 +86,68 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     return _differ(freq, n, expected, n_prime, _hoeffding_factor(m_total))
 
 
+def is_counterexample(table: ObservationTable, h: Prm, trace, n_check: int, steps=None):
+    """Returns the offending prefix word, or None.
+
+    A prefix is a counterexample when (a) it is fully absorbed by the
+    failure state despite being sampled at least n_check times, or (b)
+    its empirical reward distribution is statistically different from
+    the hypothesis prediction at that prefix.
+
+    The walk follows the trace's word ids and stops at the first prefix
+    below n_check (at least 1) samples with none or with
+    factor * sqrt(1/n) >= 1: no later prefix has more samples, so none
+    reaches n_check, and its threshold of at least 1 exceeds every gap.
+    A prefix whose counts and prediction hold one and the same reward is
+    not tested: its one gap is n/n - p*n/(p*n) = 0, so the Hoeffding
+    test `_differ` would say False.
+
+    `steps` memoises `h.advance` by the id of the word it ends, falling
+    back on (bytes of the state vector, label), and keeps the initial
+    vector and its bytes under None; a caller checking many traces of one
+    table against one hypothesis passes the same dict to every call."""
+    if steps is None:
+        steps = {}
+    factor = _hoeffding_factor(max(table.total_samples(), 1))
+    start = steps.get(None)
+    if start is None:
+        vec = h.initial_vector()
+        start = steps[None] = (vec, vec.tobytes())
+    vec, key = start
+    child, counts, sizes = table._child, table._counts, table._n
+    node = 0
+    for k, (label, _) in enumerate(trace):
+        node = child.get((node, label))
+        n = 0 if node is None else sizes[node]   # the prefix's sample count
+        if n < n_check and (n == 0 or factor * math.sqrt(1.0 / n) >= 1.0):
+            return None
+        hit = steps.get(node)
+        if hit is None:
+            hit = steps.get((key, label))
+            if hit is None:
+                nxt, expected = h.advance(vec, label)
+                absorbed = h.bottom is not None and nxt[h.bottom] >= 1.0 - 1e-12
+                # the prediction's reward when it holds just one, else None
+                single = next(iter(expected)) if len(expected) == 1 else None
+                hit = steps[(key, label)] = (nxt, nxt.tobytes(), expected, single, absorbed)
+            steps[node] = hit
+        vec, key, expected, single, absorbed = hit
+        freq = counts[node]
+        if absorbed:
+            if n >= n_check:
+                return tuple(label for label, _ in trace[:k + 1])
+            continue
+        if len(freq) == 1 and single in freq:
+            continue
+        if expected:
+            # the prediction scaled to the prefix's n samples
+            scaled = {gamma: p * n for gamma, p in expected.items()}
+            n_prime = sum(scaled.values())
+            if n_prime and _differ(freq, n, scaled, n_prime, factor):
+                return tuple(label for label, _ in trace[:k + 1])
+    return None
+
+
 CSV_COLUMNS = ("word", "reward", "count", "sample")
 REPAIR_MAX_STEPS = 10_000
 
@@ -240,9 +302,9 @@ class ObservationTable:
         return {} if node is None or self._counts[node] is None else dict(self._counts[node])
 
     def total(self, word: Word) -> int:
-        return self._total(self.row(word))
+        return self.samples(self.row(word))
 
-    def _total(self, node) -> int:
+    def samples(self, node) -> int:
         """The sample count of the word whose id is `node`; 0 for None."""
         return 0 if node is None else self._n[node]
 
@@ -413,7 +475,7 @@ class ObservationTable:
     # -- representatives ------------------------------------------------------
 
     def rank(self, s: int) -> int:
-        return sum(self._total(self._child.get((s, label))) for label in self.alphabet)
+        return sum(self.samples(self._child.get((s, label))) for label in self.alphabet)
 
     def _preference(self, s: int) -> tuple:
         """Rows stand for their class by rank, highest first, then by length and text."""
@@ -526,11 +588,11 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
         if cls_edges is None:
             cls_edges = class_edges[state[1]] = dict.fromkeys(table.alphabet)
             for label in table.alphabet:
-                donors = [u for u in classes[state[1]] if table._total(child.get((u, label))) > 0]
+                donors = [u for u in classes[state[1]] if table.samples(child.get((u, label))) > 0]
                 if not donors:
                     continue
-                u = min(donors, key=lambda v: (-table._total(child[(v, label)]),) + table._preference(v))
-                if (table._total(u) if u else table.num_traces) < n_check:   # ε counts every trace
+                u = min(donors, key=lambda v: (-table.samples(child[(v, label)]),) + table._preference(v))
+                if (table.samples(u) if u else table.num_traces) < n_check:   # ε counts every trace
                     continue
                 # pool the counts of every class member: the rows were merged as
                 # statistically indistinguishable, so their extensions estimate

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prmlearn
+import prmlearn.table
 
 from prmlearn import (
     Alphabet,
@@ -751,15 +752,18 @@ def test_is_counterexample_stop_matches_full_walk(seed, monkeypatch):
                     {edge: r for edge, r in truth.rho.items() if edge[:2] not in dropped},
                     bottom=n, implicit_bottom=True)
     machines = [truth, random_prm(rng, 3, props, [0.0, 0.5, 1.0]), absorbing, build_hypothesis(table, 5)]
-    tests = []
-    monkeypatch.setattr(active, "_differ", lambda *args: tests.append(args) or _differ(*args))
+    # every Hoeffding test, the reference's too; `tests` keeps those run inside is_counterexample
+    differ_calls, tests = [], []
+    monkeypatch.setattr(prmlearn.table, "_differ", lambda *args: differ_calls.append(args) or _differ(*args))
     ref_tests = []
     verdicts = set()   # (machine index, whether a counterexample was found)
     for i, h in enumerate(machines):
         for n_check in (1, 5, 40, 400):
             steps = {}
             for trace in traces[:100] + [machine_trace(rng, truth, labels, 12) for _ in range(20)]:
+                start = len(differ_calls)
                 verdict = is_counterexample(table, h, trace, n_check, steps)
+                tests += differ_calls[start:]
                 assert verdict == ref_is_counterexample(table, h, trace, n_check, ref_tests)
                 verdicts.add((i, verdict is not None))
     assert {(1, True), (2, True), (3, False)} <= verdicts, verdicts
@@ -788,12 +792,15 @@ def test_is_counterexample_skips_only_one_reward_paid_as_predicted(paid, predict
     traces = [machine_trace(rng, truth, labels, int(rng.integers(1, 9))) for _ in range(400)]
     for trace in traces:
         table.record(trace)
-    tests = []
-    monkeypatch.setattr(active, "_differ", lambda *args: tests.append(args) or _differ(*args))
+    # every Hoeffding test, the reference's too; `tests` keeps those run inside is_counterexample
+    differ_calls, tests = [], []
+    monkeypatch.setattr(prmlearn.table, "_differ", lambda *args: differ_calls.append(args) or _differ(*args))
     for h in (successor_reward_prm(rng, 3, props, [predicted]), random_prm(rng, 3, props, [predicted])):
         steps, ref_tests = {}, []
         for trace in traces[:100]:
+            start = len(differ_calls)
             verdict = is_counterexample(table, h, trace, 40, steps)
+            tests += differ_calls[start:]
             assert verdict == ref_is_counterexample(table, h, trace, 40, ref_tests)
             assert (verdict is None) == (paid == predicted)
         assert ref_tests   # the reference tests prefixes the check skips

@@ -36,3 +36,22 @@ def test_every_learner_step_calls_the_wrapped_step(monkeypatch):
     result = learn_active(env.nmdp, cfg)
     assert result.table.total_samples() > 0
     assert len(calls) == result.table.total_samples()
+
+
+def test_learner_checks_counterexamples_and_asks_queries_through_active(monkeypatch):
+    # the bench counts active.is_counterexample and active.membership_query
+    # calls by wrapping those globals: a call that bypasses them reads 0
+    calls = {"is_counterexample": 0, "membership_query": 0}
+    for name in calls:
+        original = getattr(active, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(active, name, counted)
+    env = load_env_config(PATROL)
+    cfg = LearnerConfig(n_check=20, n_query=50, n_stop=3, n_episode=env.n_episode, seed=1)
+    report = learn_active(env.nmdp, cfg).report
+    assert calls["is_counterexample"] == report.total_equivalence_episodes > 0
+    assert calls["membership_query"] > 0

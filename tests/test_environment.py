@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from prmlearn import (
     Alphabet,
     EMPTY_LABEL,
+    LearnerConfig,
     Trajectory,
     brute_force_word_realizability,
     build_office_nmdp,
     coffee_prm,
     collect_traces,
+    learn_active,
     load_env_config,
     membership_reward_machine,
     parse_gridmap,
@@ -195,6 +197,25 @@ def test_transition_labels_must_be_frozensets(label):
                   p={(0, 0): unit_vector(1, 0)}, truth=patrol_prm())
     with pytest.raises(ValueError, match=re.escape("transition (0, 0, 0) has label %r, not a frozenset" % (label,))):
         Nmdp(labeling={(0, 0, 0): label}, **fields)
+
+
+def test_label_alphabet_holds_only_labels_of_positive_probability_transitions():
+    # the zero-probability transitions carry a bare "c" and {q}, a
+    # proposition outside the truth's: neither can be emitted, so neither
+    # is a label of the environment or of the table an active learner makes
+    m = Nmdp(
+        states=("x0", "x1"),
+        x_init=0,
+        actions=("stay",),
+        available=[[0], [0]],
+        p={(0, 0): unit_vector(2, 0), (1, 0): unit_vector(2, 1)},
+        labeling={(0, 0, 0): EMPTY_LABEL, (0, 0, 1): "c",
+                  (1, 0, 1): EMPTY_LABEL, (1, 0, 0): frozenset({"q"})},
+        truth=patrol_prm(),
+    )
+    assert m.label_alphabet() == [EMPTY_LABEL]
+    result = learn_active(m, LearnerConfig(n_check=5, n_query=5, n_stop=2, n_episode=3))
+    assert result.table.alphabet == [EMPTY_LABEL]
 
 
 def test_available_of_the_wrong_length_rejected():

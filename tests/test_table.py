@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from prmlearn import Alphabet, ObservationTable, PassiveConfig, build_hypothesis, diff, hoeffding_threshold
 from prmlearn import passive
 import prmlearn
-from prmlearn.active import is_counterexample
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
 from prmlearn.environment import collect_traces, load_env_config, uniform_policy
 from prmlearn.machine import prm_from_text, prm_to_text
@@ -25,6 +24,7 @@ from prmlearn.table import (
     _differ,
     _hoeffding_factor,
     diff_against_distribution,
+    is_counterexample,
     repair_on_frozen_data,
 )
 
@@ -725,7 +725,7 @@ def test_row_sweeps_match_full_column_loops_at_small_sample_totals(traces, state
 
 
 class RefVerdictTable(ObservationTable):
-    def _total(self, node):
+    def samples(self, node):
         counter = None if node is None else self._counts[node]
         return 0 if counter is None else sum(counter.values())
 
@@ -986,7 +986,7 @@ def assert_counts_shrink_along_words(table):
         if table._counts[node] is None:
             continue
         parent = table._parent[node][0]
-        assert 1 <= table._total(node) <= (table._total(parent) if parent else table.num_traces)
+        assert 1 <= table.samples(node) <= (table.samples(parent) if parent else table.num_traces)
         while parent:
             assert table._counts[parent] is not None
             parent = table._parent[parent][0]
