@@ -23,19 +23,13 @@ from .table import ObservationTable, build_hypothesis, diff_against_distribution
 
 
 class QTable:
-    """Action values of (machine state, environment state, action), stored
-    as one list of floats per (machine state, environment state) indexed
-    by action; unseen entries read as 0."""
+    """Action values of (machine state, environment state, action) on one
+    environment: `rows[y][x]` holds the values of the actions of
+    `m.available[x]`, in that order, and is None until (y, x) is visited;
+    a visited row starts as zeros."""
 
     def __init__(self):
-        self.rows = {}
-
-    def row(self, y: int, x: int, width: int) -> list:
-        """The values of (y, x), created as `width` zeros."""
-        row = self.rows.get((y, x))
-        if row is None:
-            row = self.rows[(y, x)] = [0.0] * width
-        return row
+        self.rows = []
 
     def reset(self) -> None:
         self.rows.clear()
@@ -78,51 +72,44 @@ def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, 
 def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
     labels = m.label_alphabet()   # by label index, as step numbers them
     terminal = [label in m.terminal_labels for label in labels]
-    available, width = m.available, len(m.actions)
-    every = list(range(width))
-    wholes = [actions == every for actions in available]   # whether a state's Q row is read whole
+    available, rows = m.available, q.rows
     explore, learn_rate, discount, n_episode = EXPLORE, LEARN_RATE, DISCOUNT, cfg.n_episode
     h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index)
-    q_rows = [[None] * len(available) for _ in h.states]   # q's rows by (state, environment state)
+    rows.extend([None] * len(available) for _ in range(len(rows), len(h.states)))
     x_init, y_init, z_init = m.x_init, h.init, m.truth.init   # z: the truth's state
-    row_init = q_rows[y_init][x_init] = q.row(y_init, x_init, width)
     while True:
-        x, y, z, row = x_init, y_init, z_init, row_init   # row: the Q-values of (y, x), updated in place
-        actions, whole = available[x], wholes[x]
-        best, trace = None, []   # best: the greedy maximum of row over actions, carried from the last update
+        x, y, z, actions = x_init, y_init, z_init, available[x_init]
+        row = rows[y][x] = rows[y][x] or [0.0] * len(actions)   # the Q-values of (y, x), updated in place
+        best, trace = None, []   # best: the greedy maximum of row, carried from the last update
         for _ in range(n_episode):
-            # epsilon-greedy, reading the row whole when `actions` is every index in order
+            # epsilon-greedy on k, the position of the action in `actions` and in row
             if explore > 0.0 and rng.random() < explore:
-                a = actions[rng.integers(0, len(actions))]
+                k = rng.integers(0, len(row))
             else:
-                values = row if whole else [row[b] for b in actions]
                 if best is None:
-                    best = max(values)
-                ties = values.count(best)
+                    best = max(row)
+                ties = row.count(best)
                 if ties == 1:
-                    a = actions[values.index(best)]
-                elif ties == len(values):
+                    k = row.index(best)
+                elif ties == len(row):
                     # break ties randomly: a fixed tie-break turns a flat Q-table into a
-                    # wall-hugging policy and starves exploration.  When every action
-                    # ties, as on a fresh row, the tied actions are `actions` itself.
-                    a = actions[rng.integers(0, ties)]
+                    # wall-hugging policy and starves exploration
+                    k = rng.integers(0, ties)
                 else:
-                    top = [b for b, value in zip(actions, values) if value == best]
-                    a = top[rng.integers(0, ties)]
-            x_next, z, pair, i = step(m, x, z, a, rng)
+                    k = [j for j, value in enumerate(row) if value == best][rng.integers(0, ties)]
+            x_next, z, pair, i = step(m, x, z, actions[k], rng)
             h_row, emits = h_steps[y][i] or fill_step(h_steps, h, labels, y, i)
             y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
             target = emits[y_next][1] if membership else pair[1]
-            row_next = q_rows[y_next][x_next]
+            row_next = rows[y_next][x_next]
             if row_next is None:
-                row_next = q_rows[y_next][x_next] = q.row(y_next, x_next, width)
-            actions, whole = available[x_next], wholes[x_next]
-            best_next = max(row_next) if whole else max([row_next[b] for b in actions])
-            row[a] = (1.0 - learn_rate) * row[a] + learn_rate * (target + discount * best_next)
+                row_next = rows[y_next][x_next] = [0.0] * len(available[x_next])
+            best_next = max(row_next)
+            row[k] = (1.0 - learn_rate) * row[k] + learn_rate * (target + discount * best_next)
             trace.append(pair)
             # a self-loop's update has just written the next row: its maximum is stale
             best = None if row_next is row else best_next
-            x, y, row = x_next, y_next, row_next
+            x, y, row, actions = x_next, y_next, row_next, available[x_next]
             if terminal[i]:
                 break
         yield trace

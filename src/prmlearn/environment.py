@@ -85,6 +85,8 @@ class Nmdp:
                 raise ValueError("state %r has no available actions" % (self.states[x],))
             if any(not 0 <= a < len(self.actions) for a in acts):
                 raise ValueError("state %r lists an action index outside the actions" % (self.states[x],))
+            if len(set(acts)) < len(acts):
+                raise ValueError("state %r lists an action twice" % (self.states[x],))
             if any((x, a) not in self.p for a in acts):
                 raise ValueError("state %r has an available action without a transition row" % (self.states[x],))
         labels = set()   # the labels of positive-probability transitions, checked as they are met
@@ -142,6 +144,9 @@ class PositionalPolicy:
 
     def __init__(self, action_probs: dict):
         self.action_probs = dict(action_probs)
+        for x, dist in self.action_probs.items():
+            if not is_distribution(np.array(list(dist.values()), dtype=float)):
+                raise ValueError("the action probabilities at state %r are not a distribution" % (x,))
         # state -> (its actions sorted, sampling_row of their probabilities),
         # filled by action_row on first use
         self._rows = {}

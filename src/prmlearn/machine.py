@@ -235,8 +235,6 @@ class Prm:
         # first use: membership queries build a machine per word and read
         # few of its labels.  A machine is not changed after construction.
         self._views = {}
-        # state -> {label: compiled_step of the pair}, filled on first use
-        self._steps = [{} for _ in self.states]
 
         n = len(self.states)
         if "" in self.states:
@@ -318,22 +316,19 @@ class Prm:
         return out
 
     def compiled_step(self, y: int, label: Label) -> tuple:
-        """(row, emits) of the pair, compiled on first use.  `draw_row(row,
-        rng)` draws the successor as `sample_index(self.successor_vector(y,
-        label), rng)` does, and `emits[y_next]` is that edge's one (label,
-        reward) tuple.  An undefined pair without implicit_bottom has an
-        all-zero row, which draws the last state, and emits that raise
-        UndefinedTransitionError when read."""
-        steps = self._steps[y]
-        step = steps.get(label)
-        if step is None:
-            vec = self.successor_vector(y, label)
-            if self.defined(y, label):   # an implicit-bottom pair's one edge pays 0
-                emits = {j: (label, self.rho.get((y, label, j), 0.0)) for j in vec.nonzero()[0].tolist()}
-            else:
-                emits = _UndefinedRewards(self.states[y], label)
-            step = steps[label] = (sampling_row(vec), emits)
-        return step
+        """(row, emits) of the pair, compiled afresh on every call: callers
+        keep the result.  `draw_row(row, rng)` draws the successor as
+        `sample_index(self.successor_vector(y, label), rng)` does, and
+        `emits[y_next]` is that edge's one (label, reward) tuple.  An
+        undefined pair without implicit_bottom has an all-zero row, which
+        draws the last state, and emits that raise UndefinedTransitionError
+        when read."""
+        vec = self.successor_vector(y, label)
+        if self.defined(y, label):   # an implicit-bottom pair's one edge pays 0
+            emits = {j: (label, self.rho.get((y, label, j), 0.0)) for j in vec.nonzero()[0].tolist()}
+        else:
+            emits = _UndefinedRewards(self.states[y], label)
+        return sampling_row(vec), emits
 
     def edge_reward(self, y: int, label: Label, y_next: int) -> float:
         reward = self.rho.get((y, label, y_next))

@@ -41,8 +41,6 @@ class PassiveConfig:
 class PassiveReport:
     episodes: int = 0
     dropped_suffixes: int = 0
-    n_s: int = 0
-    n_e: int = 0
     notes: list = field(default_factory=list)
 
 
@@ -95,7 +93,6 @@ def learn_passive_from_traces(traces, ap, cfg: PassiveConfig, alphabet=None) -> 
         table.add_state(w)
 
     repair_on_frozen_data(table)
-    report.n_s, report.n_e = len(table.s), len(table.e)
     hypothesis = build_hypothesis(table, cfg.n_check)
     return PassiveResult(table=table, hypothesis=hypothesis, report=report)
 

@@ -186,10 +186,22 @@ def two_cell_nmdp(truth, terminal_labels=()):
     )
 
 
-def greedy_action(q, y, x, actions) -> int:
-    """The best action of (y, x) in the Q-table; the lowest index wins ties."""
-    row = q.rows.get((y, x))
-    return max(actions, key=lambda a: (row[a] if row else 0.0, -a))
+def q_value(q, m, y, x, a) -> float:
+    """The Q-value of (y, x, a) in a QTable on m, read at a's position in
+    `m.available[x]`; an unvisited row reads as zeros."""
+    row = q.rows[y][x] if y < len(q.rows) else None
+    return row[m.available[x].index(a)] if row else 0.0
+
+
+def q_values(q, m) -> dict:
+    """{(y, x, a): value} over the visited rows of a QTable on m."""
+    return {(y, x, m.available[x][k]): value for y, xs in enumerate(q.rows)
+            for x, row in enumerate(xs) if row for k, value in enumerate(row)}
+
+
+def greedy_action(q, m, y, x) -> int:
+    """The best action available at x in the Q-table at (y, x); the lowest index wins ties."""
+    return max(m.available[x], key=lambda a: (q_value(q, m, y, x, a), -a))
 
 
 def rollout_greedy(q, m, h, n_episode, rng):
@@ -200,7 +212,7 @@ def rollout_greedy(q, m, h, n_episode, rng):
     trace = []
     total_machine_reward = 0.0
     for _ in range(n_episode):
-        a = greedy_action(q, y, x, m.available[x])
+        a = greedy_action(q, m, y, x)
         x_next, z, (label, r), i = step(m, x, z, a, rng)
         assert m.label_alphabet()[i] == label   # step numbers the label by its place there
         y_next = draw_row(h.compiled_step(y, label)[0], rng)

@@ -47,6 +47,8 @@ from conftest import (
     O,
     free_nmdp,
     greedy_action,
+    q_value,
+    q_values,
     random_nmdp,
     random_prm,
     ref_is_counterexample,
@@ -87,16 +89,22 @@ def test_config_validation(kw):
 
 
 def test_qtable_defaults_and_greedy():
+    # rows[y][x] holds the values of the actions of m.available[x], in that order
+    m = choice_nmdp([3, 1, 2])
     q = QTable()
-    assert greedy_action(q, 0, 0, [1, 0]) == 0  # a missing row reads as zeros: lowest index
-    assert q.row(0, 0, 2) == [0.0, 0.0]
-    q.row(0, 0, 2)[1] = 2.5
-    assert q.rows == {(0, 0): [0.0, 2.5]}
-    assert greedy_action(q, 0, 0, [0, 1]) == 1
-    q.row(0, 0, 2)[0] = 2.5
-    assert greedy_action(q, 0, 0, [1, 0]) == 0  # ties go to the lowest index
+    assert greedy_action(q, m, 0, 0) == 1  # a missing row reads as zeros: lowest index
+    q.rows.append([[0.0, 0.0, 2.5]] + [None] * (len(m.states) - 1))
+    assert q_value(q, m, 0, 0, 2) == 2.5 and q_value(q, m, 0, 0, 3) == 0.0
+    assert greedy_action(q, m, 0, 0) == 2
+    q.rows[0][0][0] = 2.5   # action 3
+    assert greedy_action(q, m, 0, 0) == 2  # ties go to the lowest index
     q.reset()
-    assert q.row(0, 0, 2) == [0.0, 0.0]
+    assert q.rows == [] and greedy_action(q, m, 0, 0) == 1
+    # the teacher lays out a row per (machine state, environment state), made on its first visit
+    teacher_query(q, m, m.truth, "equivalence", config(n_episode=5), np.random.default_rng(0))
+    assert len(q.rows) == m.truth.n_states() and all(len(xs) == len(m.states) for xs in q.rows)
+    assert q.rows[0][0] is not None
+    assert all(row is None or len(row) == len(m.available[x]) for xs in q.rows for x, row in enumerate(xs))
 
 
 # The ε-greedy choice sits inside teacher_query's loop.  A one-step
@@ -104,9 +112,9 @@ def test_qtable_defaults_and_greedy():
 # environment, its truth and the machine draw nothing, so every draw is the
 # choice's.
 
-# (actions, whole): the row read whole, a strict subset of its actions,
-# and every action out of index order
-CHOICES = [([0, 1, 2, 3], True), ([3, 1, 2], False), ([2, 0, 1, 3], False)]
+# every action in index order, a strict subset of the actions, and every
+# action out of index order: a row's positions are not always its actions
+CHOICES = [[0, 1, 2, 3], [3, 1, 2], [2, 0, 1, 3]]
 
 
 def choice_nmdp(actions):
@@ -118,9 +126,10 @@ def choice_nmdp(actions):
 
 
 def choose(m, row, rng):
-    """The action of a one-step episode on m from a Q row seeded with `row`."""
+    """The action of a one-step episode on m from a Q row seeded with
+    `row`, the values of the four actions by index."""
     q = QTable()
-    q.rows[(0, 0)] = list(row)
+    q.rows.append([[row[a] for a in m.available[0]]] + [None] * (len(m.states) - 1))
     (label, _), = teacher_query(q, m, m.truth, "equivalence", config(n_episode=1), rng)
     return m.truth.ap.labels().index(label)
 
@@ -128,7 +137,7 @@ def choose(m, row, rng):
 def test_epsilon_greedy_breaks_ties_randomly(monkeypatch):
     monkeypatch.setattr(active, "EXPLORE", 0.0)
     rng = np.random.default_rng(0)
-    for actions, whole in CHOICES:
+    for actions in CHOICES:
         m = choice_nmdp(actions)
         picks = {choose(m, [0.0] * 4, rng) for _ in range(200)}
         assert picks == set(actions)  # a flat table must not collapse onto one action
@@ -139,7 +148,7 @@ def test_epsilon_greedy_exploits_a_clear_winner(monkeypatch):
     # the best value is at 0, which the subset does not offer
     row = [5.0, 0.0, 1.0, 0.0]
     rng = np.random.default_rng(0)
-    for actions, whole in CHOICES:
+    for actions in CHOICES:
         m = choice_nmdp(actions)
         picks = {choose(m, row, rng) for _ in range(50)}
         assert picks == ({0} if 0 in actions else {2})
@@ -149,14 +158,13 @@ def test_epsilon_greedy_matches_the_reference_draws(monkeypatch):
     # some actions tie; a row of equal values; a subset of actions whose
     # values tie while the row's others do not
     cases = [([1.0, 0.5, 1.0, 1.0], CHOICES), ([0.25] * 4, CHOICES),
-             ([1.0, 0.5, 1.0, 1.0], [([3, 0], False), ([2, 3, 0], False)])]
+             ([1.0, 0.5, 1.0, 1.0], [[3, 0], [2, 3, 0]])]
     for row, choices in cases:
         q = RefQTable()
         for a, value in enumerate(row):
             q.set(0, 0, a, value)
-        for actions, whole in choices:
+        for actions in choices:
             m = choice_nmdp(actions)
-            assert (m.available[0] == list(range(4))) == whole
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
             for explore in (0.0, 0.5):
                 monkeypatch.setattr(active, "EXPLORE", explore)
@@ -180,7 +188,7 @@ def test_epsilon_greedy_reads_a_self_loop_s_update(row, second, monkeypatch):
     m = two_cell_nmdp(truth)
     for seed in range(20):
         q, ref_q = QTable(), RefQTable()
-        q.rows[(0, 0)] = list(row)
+        q.rows.append([list(row), None])
         for a, value in enumerate(row):
             ref_q.set(0, 0, a, value)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -190,8 +198,8 @@ def test_epsilon_greedy_reads_a_self_loop_s_update(row, second, monkeypatch):
         assert trace[0] == (EMPTY_LABEL, 0.0)   # stayed: the self-loop
         if second is not None:
             assert trace[1][0] == C   # action 1 moves to the marked cell
-        for (y, x), values in q.rows.items():
-            assert values == [ref_q.get(y, x, a) for a in range(2)]
+        for (y, x, a), value in q_values(q, m).items():
+            assert value == ref_q.get(y, x, a)
 
 
 # -- teacher episodes ----------------------------------------------------------------
@@ -212,10 +220,10 @@ def test_q_update_arithmetic(monkeypatch):
     (label, _reward), = trace
     expected = 0.5 if label == C else 0.0
     visited = (0, 0, 1 if label == C else 0)   # action 1 enters the marked cell
-    assert q.row(0, 0, 2)[visited[2]] == expected
+    assert q.rows[0][0][m.available[0].index(visited[2])] == expected
     for y, x, a in itertools.product(range(2), range(2), range(2)):
         if (y, x, a) != visited:
-            assert q.row(y, x, 2)[a] == 0.0
+            assert q_value(q, m, y, x, a) == 0.0
 
 
 # The teacher episode as it was written before the Q-table stored rows and
@@ -309,7 +317,7 @@ def teacher_cases():
     )
     partial = partial_prm(rng, 3, props, [0.0, 1.0])
     # x1 offers a strict subset of the actions and x2 all of them out of
-    # index order: their Q rows are not read whole
+    # index order: their Q rows' positions are not their actions
     mixed = random_nmdp(
         rng, n_states=4, n_actions=4, props=props, truth=random_prm(rng, 3, props, [0.0, 1.0]),
         available=[[0, 1, 2, 3], [3, 1], [2, 0, 1, 3], [0, 1, 2, 3]],
@@ -365,10 +373,9 @@ def test_teacher_query_matches_reference_loop(explore, monkeypatch):
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
             for (y, x, a), value in ref_q.values.items():
-                assert q.rows[(y, x)][a] == value, (name, mode, (y, x, a))
-            for (y, x), row in q.rows.items():
-                for a, value in enumerate(row):
-                    assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
+                assert q.rows[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
+            for (y, x, a), value in q_values(q, m).items():
+                assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
 
 
 @pytest.mark.parametrize("name", ["two_cell", "office"])
@@ -468,10 +475,50 @@ def test_teacher_episodes_match_the_reference_loop(explore, monkeypatch):
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode, k)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode, k)
             for (y, x, a), value in ref_q.values.items():
-                assert q.rows[(y, x)][a] == value, (name, mode, (y, x, a))
-            for (y, x), row in q.rows.items():
-                for a, value in enumerate(row):
-                    assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
+                assert q.rows[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
+            for (y, x, a), value in q_values(q, m).items():
+                assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
+
+
+@st.composite
+def shuffled_action_environments(draw):
+    """A random environment whose states offer random non-empty subsets of
+    its actions in random orders, so that a Q row's positions are not its
+    actions, with a membership machine on a word of its labels and a
+    random machine."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    available = [list(draw(st.permutations(range(n_actions)))[:draw(st.integers(1, n_actions))])
+                 for _ in range(n_states)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    props = ("a", "b")
+    terminal = draw(st.sets(st.sampled_from(Alphabet(props).labels()), max_size=1))
+    m = random_nmdp(rng, n_states=n_states, n_actions=n_actions, props=props,
+                    truth=random_prm(rng, draw(st.integers(1, 3)), props, [0.0, 1.0]),
+                    available=available, terminal_labels=terminal)
+    word = tuple(draw(st.lists(st.sampled_from(m.label_alphabet()), min_size=1, max_size=3)))
+    machines = [("membership", membership_reward_machine(m.ap, word)),
+                ("equivalence", random_prm(rng, draw(st.integers(1, 4)), props, [0.0, 0.5, 1.0]))]
+    return m, machines, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shuffled_action_environments())
+def test_teacher_episodes_match_the_reference_loop_on_shuffled_actions(case):
+    m, machines, seed = case
+    cfg = config(n_episode=15)
+    for mode, h in machines:
+        for explore in (0.0, 0.1):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            q, ref_q = QTable(), RefQTable()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(active, "EXPLORE", explore)
+                for _, trace in zip(range(6), teacher_episodes(q, m, h, mode, cfg, rng)):
+                    assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (mode, explore)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (mode, explore)
+            for (y, x, a), value in ref_q.values.items():
+                assert q.rows[y][x][m.available[x].index(a)] == value, (mode, explore, (y, x, a))
+            for (y, x, a), value in q_values(q, m).items():
+                assert value == ref_q.get(y, x, a), (mode, explore, (y, x, a))
 
 
 @pytest.mark.parametrize("mode", ["membership", "equivalence"])
@@ -512,10 +559,11 @@ def test_teacher_keeps_q_rows_across_equivalence_queries_of_one_shape(name, monk
         for _, trace in zip(range(20), teacher_episodes(q, m, h, "equivalence", cfg, rng)):
             assert trace == ref_teacher_query(ref_q, m, h, "equivalence", cfg, ref_rng), name
         assert rng.bit_generator.state == ref_rng.bit_generator.state, name
-        assert all(q.rows[key] is row for key, row in kept.items()), name
-        assert all(q.rows[(y, x)][a] == value for (y, x, a), value in ref_q.values.items()), name
-        assert all(value == ref_q.get(y, x, a) for (y, x), row in q.rows.items() for a, value in enumerate(row))
-        kept = dict(q.rows)
+        assert all(q.rows[y][x] is row for (y, x), row in kept.items()), name
+        assert all(q.rows[y][x][m.available[x].index(a)] == value
+                   for (y, x, a), value in ref_q.values.items()), name
+        assert all(value == ref_q.get(y, x, a) for (y, x, a), value in q_values(q, m).items()), name
+        kept = {(y, x): row for y, xs in enumerate(q.rows) for x, row in enumerate(xs) if row}
     assert len(kept) > 1
 
 

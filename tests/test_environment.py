@@ -171,6 +171,22 @@ def test_available_action_without_a_row_rejected():
         )
 
 
+def test_an_action_listed_twice_rejected():
+    # a uniform policy would give the repeated action two shares and leave
+    # the state's probabilities summing to 2/3
+    m = random_nmdp(np.random.default_rng(0), n_states=2, n_actions=2)
+    with pytest.raises(ValueError, match="state 'x0' lists an action twice"):
+        dataclasses.replace(m, available=[[0, 0, 1], [1]])
+
+
+@pytest.mark.parametrize("probs", [{0: 0.25, 1: 0.25}, {0: 1.5, 1: -0.5}, {0: np.nan, 1: 1.0}, {}],
+                         ids=["short", "negative", "nan", "empty"])
+def test_policy_action_probabilities_must_be_a_distribution(probs):
+    # a short row would draw its last action with the missing mass
+    with pytest.raises(ValueError, match="action probabilities at state 1 are not a distribution"):
+        PositionalPolicy({0: {0: 1.0}, 1: probs})
+
+
 @pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0], [[1.0, 0.0]]], ids=["long", "short", "2-d"])
 def test_transition_rows_hold_one_entry_per_state(row):
     # a 3-entry row over 2 states once built, and the first step that
@@ -301,19 +317,20 @@ def environment_and_actions(draw):
 def test_step_draws_as_sample_index(case):
     # deterministic, dyadic and non-dyadic environment and truth rows: the
     # compiled step gives the successor, label and reward of sample_index
-    # on the rows and leaves the Generator in the same state; the pair is
-    # the one the truth's edge emits on every step, and the index is its
+    # on the rows and leaves the Generator in the same state; every step on
+    # one truth edge gives the same pair object, and the index is its
     # label's place in label_alphabet()
     m, actions, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     x = ref_x = m.x_init
     y = ref_y = m.truth.init
+    pairs = {}   # (y_prev, label, y) -> the pair its first step gave
     for a in actions:
         y_prev = y
         x, y, pair, i = step(m, x, y, a, rng)
         ref_x, ref_label, ref_reward, ref_y = ref_step(m, ref_x, a, ref_rng, m.truth, ref_y)
         assert (x, y, pair, i) == (ref_x, ref_y, (ref_label, ref_reward), m.label_alphabet().index(ref_label))
-        assert pair is m.truth.compiled_step(y_prev, ref_label)[1][y]
+        assert pair is pairs.setdefault((y_prev, ref_label, y), pair)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

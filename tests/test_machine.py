@@ -418,13 +418,12 @@ def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
 def test_compiled_step_rewards_by_successor():
     # the edges of one pair pay different rewards; an implicit-bottom pair
     # pays 0 on entering the failure state; reading the reward of an
-    # undefined pair raises; each edge's (label, reward) pair is built once
+    # undefined pair raises
     ap = Alphabet(["a"])
     tau = {(0, A): np.array([0.25, 0.75, 0.0])}
     rho = {(0, A, 0): 2.0, (0, A, 1): 1.0}
     partial = Prm(ap, [0.0], ["y0", "y1", "bot"], 0, tau, rho)
     assert partial.compiled_step(0, A)[1] == {0: (A, 2.0), 1: (A, 1.0)}
-    assert partial.compiled_step(0, A)[1][1] is partial.compiled_step(0, A)[1][1]
     with pytest.raises(UndefinedTransitionError):
         partial.compiled_step(0, EMPTY_LABEL)[1][2]
     with pytest.raises(UndefinedTransitionError):
@@ -456,15 +455,11 @@ def test_sample_successor_rows_are_compiled_lazily(coffee):
     # an environment keeps its truth's compiled steps by (truth state, label
     # index), each filled through compiled_step on its first step
     m = build_office_nmdp(parse_gridmap("Ac"), coffee)
-    assert coffee._steps == [{} for _ in coffee.states]
     assert m._truth_steps == [[None, None] for _ in coffee.states] and m.label_alphabet() == [EMPTY_LABEL, C]
     _, _, (label, _), i = step(m, m.x_init, 0, ACTIONS.index("E"), np.random.default_rng(0))
     assert (label, i) == (C, 1)
-    assert [(y, label) for y, steps in enumerate(coffee._steps) for label in steps] == [(0, C)]
     assert [(y, j) for y, steps in enumerate(m._truth_steps) for j, hit in enumerate(steps) if hit] == [(0, 1)]
-    assert m._truth_steps[0][1] is coffee.compiled_step(0, C)
-    draw_row(coffee.compiled_step(0, C)[0], np.random.default_rng(0))
-    assert [(y, label) for y, steps in enumerate(coffee._steps) for label in steps] == [(0, C)]
+    assert m._truth_steps[0][1] == coffee.compiled_step(0, C)
 
 
 # integers(low, low + k) for these k: 1 draws nothing, 2 to 7 rarely
