@@ -49,9 +49,6 @@ class Alphabet:
         self._index = {p: i for i, p in enumerate(props)}
         self._labels = None   # labels(), built on first use
 
-    def __len__(self) -> int:
-        return len(self.props)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.props == other.props
 

@@ -152,15 +152,18 @@ class PositionalPolicy:
         self._rows = {}
 
     def action_row(self, x: int, m: Nmdp) -> tuple:
-        """(actions, row): `actions[draw_row(row, rng)]` draws the action at
-        x as `sample_index` on the sorted actions' probabilities would.  A
-        missing state gives its first available action and no draw."""
+        """(actions, row): `actions[draw_row(row, rng)]` draws x's action as `sample_index`
+        on the sorted actions' probabilities would; a missing x gives its first available
+        action, with no draw, and an action not in m.available[x] raises UnavailableActionError."""
         compiled = self._rows.get(x)
         if compiled is None:
             dist = self.action_probs.get(x)
             if dist is None:
                 return (int(m.available[x][0]),), 0
             actions = tuple(int(a) for a in sorted(dist))
+            for a in actions:
+                if a not in m.available[x]:
+                    raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
             compiled = self._rows[x] = (actions, sampling_row(np.array([dist[a] for a in actions])))
         return compiled
 

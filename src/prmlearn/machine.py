@@ -231,9 +231,8 @@ class Prm:
         self.rho = {edge: float(r) for edge, r in rho.items()}
         self.bottom = bottom
         self.implicit_bottom = implicit_bottom
-        # label -> (H(label), {gamma: H(gamma, label)}), filled by _view on
-        # first use: membership queries build a machine per word and read
-        # few of its labels.  A machine is not changed after construction.
+        # label -> its _view, built on first use: membership queries build a machine
+        # per word and read few of its labels.  A machine is not changed after construction.
         self._views = {}
 
         n = len(self.states)
@@ -341,51 +340,48 @@ class Prm:
     # -- matrix semantics --------------------------------------------------
 
     def _view(self, label: Label) -> tuple:
-        """(H(label), {gamma: H(gamma, label)}), built once per label and
-        read-only."""
+        """(stack, slots) of the label, built once and read-only: stack is one
+        array of shape (1 + |gamma|, n, n) whose slot 0 is H(label) and slot
+        1 + k is H(gamma[k], label), and slots are its slices in that order,
+        taken once the stack is frozen (a slice taken before stays writeable)."""
         view = self._views.get(label)
         if view is not None:
             return view
         self.ap.validate_label(label)
         n = len(self.states)
-        mat = np.zeros((n, n))
-        for y in range(n):
-            mat[y] = self.successor_vector(y, label)
+        stack = np.zeros((1 + len(self.gamma), n, n))
+        stack[0] = [self.successor_vector(y, label) for y in range(n)]
         # H(gamma, label)[y, y'] = tau(y, label, y')·[sigma(y, label, y') = gamma]; an
         # implicit-bottom row's one edge pays 0
-        cond = {gamma: np.zeros((n, n)) for gamma in self.gamma}
-        ys, js = mat.nonzero()
+        ys, js = stack[0].nonzero()
         for y, j in zip(ys.tolist(), js.tolist()):
-            cond[self.rho.get((y, label, j), 0.0)][y, j] = mat[y, j]
-        for out in cond.values():
-            out.flags.writeable = False
-        mat.flags.writeable = False
-        view = self._views[label] = (mat, cond)
+            stack[1 + self.gamma.index(self.rho.get((y, label, j), 0.0)), y, j] = stack[0, y, j]
+        stack.flags.writeable = False
+        view = self._views[label] = (stack, tuple(stack))
         return view
 
     def label_matrix(self, label: Label) -> np.ndarray:
-        return self._view(label)[0]
+        """H(label): slot 0 of the label's read-only stack."""
+        return self._view(label)[1][0]
 
     def reward_conditional_matrix(self, gamma: float, label: Label) -> np.ndarray:
+        """H(gamma, label): slot 1 + k of the label's read-only stack, where gamma is self.gamma[k]."""
         gamma = float(gamma)
         if gamma not in self.gamma:
             raise ValueError("reward %r is not in gamma %r" % (gamma, self.gamma))
-        return self._view(label)[1][gamma]
+        return self._view(label)[1][1 + self.gamma.index(gamma)]
 
     def advance(self, vec: np.ndarray, label: Label) -> tuple:
         """Read `label` from the state distribution `vec`: returns vec·H(label)
         and the normalized distribution of the reward emitted, which is
-        empty when `vec` has no mass that can read the label."""
-        mat, cond = self._view(label)
-        nxt = vec @ mat
-        denom = float(nxt.sum())
-        dist = {}
-        if denom > 0.0:
-            for gamma, cmat in cond.items():
-                mass = float((vec @ cmat).sum())
-                if mass > 0.0:
-                    dist[gamma] = mass / denom
-        return nxt, dist
+        empty when `vec` has no mass that can read the label.  One product,
+        vec @ stack, gives vec·H(label) and each vec·H(gamma, label) as rows,
+        and one row reduction the denominator and each reward's mass."""
+        out = vec @ self._view(label)[0]
+        denom, *masses = out.sum(axis=1).tolist()
+        if not denom > 0.0:
+            return out[0], {}
+        return out[0], {gamma: mass / denom for gamma, mass in zip(self.gamma, masses) if mass > 0.0}
 
     def reward_matrix(self, gamma: float) -> np.ndarray:
         n = len(self.states)
@@ -409,7 +405,7 @@ class Prm:
         O(k·n²) where `word_matrix` multiplies n×n matrices."""
         vec = self.initial_vector()
         for label in word:
-            vec = vec @ self._view(label)[0]
+            vec = vec @ self._view(label)[1][0]
         return vec
 
     def reward_sequence_probability(self, rewards) -> float:

@@ -42,6 +42,8 @@ def _hoeffding_factor(m_total: int) -> float:
 
 
 def hoeffding_threshold(n: int, n_prime: int, m_total: int) -> float:
+    for value, name in ((n, "n"), (n_prime, "n_prime"), (m_total, "m_total")):
+        check_count(value, name, positive=True)
     return _hoeffding_factor(m_total) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
 
 
@@ -64,7 +66,8 @@ def diff(f, s: Word, s_prime: Word, m_total: int) -> bool:
     """Statistical difference of the reward distributions of two words.
 
     `f` maps words to frequency maps (reward -> count).  False whenever
-    either word has no samples."""
+    either word has no samples; an m_total below 1 raises a ValueError."""
+    check_count(m_total, "m_total", positive=True)
     freq, freq_prime = f(s), f(s_prime)
     n, n_prime = sum(freq.values()), sum(freq_prime.values())
     if n == 0 or n_prime == 0:
@@ -76,6 +79,7 @@ def diff_against_distribution(freq, dist: dict, m_total: int) -> bool:
     """Hoeffding test of an empirical frequency map against an expected
     distribution scaled to the same sample size: `diff` of the map and
     {reward: p * n}."""
+    check_count(m_total, "m_total", positive=True)
     n = sum(freq.values())
     if n == 0:
         return False

@@ -187,6 +187,15 @@ def test_policy_action_probabilities_must_be_a_distribution(probs):
         PositionalPolicy({0: {0: 1.0}, 1: probs})
 
 
+def test_policy_action_the_state_does_not_offer_fails_before_any_draw():
+    # the row is checked when it compiles, before its first draw, so no seed's draw can miss action 7
+    m = two_cell_nmdp(patrol_prm())
+    for seed in range(10):
+        policy = PositionalPolicy({m.x_init: {0: 0.5, 7: 0.5}})
+        with pytest.raises(UnavailableActionError, match="action 7 unavailable at state 'left'"):
+            run_episode(m, policy, np.random.default_rng(seed), 1)
+
+
 @pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0], [[1.0, 0.0]]], ids=["long", "short", "2-d"])
 def test_transition_rows_hold_one_entry_per_state(row):
     # a 3-entry row over 2 states once built, and the first step that

@@ -31,7 +31,9 @@ from prmlearn.machine import (
 from prmlearn.alphabet import label_str
 from prmlearn.environment import ACTIONS, build_office_nmdp, parse_gridmap, step
 
-from conftest import C, O, STAR, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm
+from conftest import (
+    C, O, STAR, dyadic_vector, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm,
+)
 
 A = frozenset({"a"})
 
@@ -232,6 +234,16 @@ def test_label_matrices_cached_lazily_and_read_only(coffee):
         coffee.reward_conditional_matrix(0.0, C)[0, 0] = 1.0
     with pytest.raises(ValueError):
         coffee.label_matrix(frozenset({"zzz"}))
+    # H(C) and every H(gamma, C) are slices of one read-only buffer; slices
+    # that do not overlap each other share memory only with that buffer
+    stack = mat.base
+    assert stack.shape == (1 + len(coffee.gamma), 5, 5)
+    conditionals = [coffee.reward_conditional_matrix(gamma, C) for gamma in coffee.gamma]
+    for out in [mat] + conditionals:
+        assert out.base is stack and np.shares_memory(stack, out)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[...] = 0.0
 
 
 def test_reward_conditional_matrix_filters(coffee):
@@ -288,6 +300,53 @@ def test_next_reward_distribution_unreachable():
     prm = Prm(ap, [0.0], ["y0"], 0, tau, rho)
     with pytest.raises(UnreachableWordError):
         prm.next_reward_distribution((), A)
+
+
+def reference_advance(prm, vec, label) -> tuple:
+    """`advance` one matrix at a time, on fresh copies of H(label) and each
+    H(gamma, label)."""
+    nxt = vec @ prm.label_matrix(label).copy()
+    denom = float(nxt.sum())
+    dist = {}
+    if denom > 0.0:
+        for gamma in prm.gamma:
+            mass = float((vec @ prm.reward_conditional_matrix(gamma, label).copy()).sum())
+            if mass > 0.0:
+                dist[gamma] = mass / denom
+    return nxt, dist
+
+
+ADVANCE_REWARDS = ([1.0], [0.0, 1.0], [0.0, 0.5, 2.5], [-1.0, 0.0, 0.25, 3.0])
+
+
+def test_advance_is_the_per_matrix_formula_bit_for_bit():
+    """One product over the stacked matrices gives every row and mass bit
+    for bit as a product per matrix: on total machines and on partial ones
+    with a bottom, with and without implicit_bottom, from unit and mixed
+    vectors."""
+    rng = np.random.default_rng(33)
+    for n in range(1, 42):
+        for dyadic in (False, True):
+            rewards = ADVANCE_REWARDS[(n + dyadic) % len(ADVANCE_REWARDS)]
+            base = random_prm(rng, n, ["a", "b"], rewards, dyadic=dyadic)
+            machines = [base]
+            for implicit_bottom in (False, True):
+                # about a third of the pairs left undefined, the last state the bottom
+                kept = {key for key in base.tau if rng.random() < 0.7}
+                rho = {edge: r for edge, r in base.rho.items() if edge[:2] in kept}
+                machines.append(Prm(base.ap, base.gamma, base.states, base.init,
+                                    {key: base.tau[key] for key in kept}, rho,
+                                    bottom=n - 1, implicit_bottom=implicit_bottom))
+            mixed = rng.random(n) + 1e-3
+            vectors = [unit_vector(n, int(rng.integers(0, n))), unit_vector(n, n - 1),
+                       dyadic_vector(rng, n), mixed / mixed.sum()]
+            for prm in machines:
+                for label in prm.ap.labels():
+                    for vec in vectors:
+                        nxt, dist = prm.advance(vec, label)
+                        ref_nxt, ref_dist = reference_advance(prm, vec, label)
+                        assert nxt.tobytes() == ref_nxt.tobytes()
+                        assert dist == ref_dist and list(dist) == list(ref_dist)
 
 
 # Fixed before looking at any result: the matrix chain rounds differently

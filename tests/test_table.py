@@ -126,6 +126,25 @@ def test_sparse_words_never_differ():
     assert skipped and differed
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0, 100, 200), "n"), ((100, -1, 200), "n_prime"), ((100, 100, 0), "m_total"), ((100, 100, -5), "m_total"),
+])
+def test_hoeffding_threshold_rejects_a_count_below_one(args, name):
+    with pytest.raises(ValueError, match="^%s must be a positive integer" % name):
+        hoeffding_threshold(*args)
+
+
+@pytest.mark.parametrize("m_total", [0, -3])
+def test_diff_rejects_a_sample_total_below_one(m_total):
+    # rejected before the words are read, so also when either has no samples
+    for f in (freq_fn({"s": {1.0: 100}, "t": {0.0: 100}}), freq_fn({})):
+        with pytest.raises(ValueError, match="^m_total must be a positive integer"):
+            diff(f, "s", "t", m_total)
+    for freq in (Counter({1.0: 100}), Counter()):
+        with pytest.raises(ValueError, match="^m_total must be a positive integer"):
+            diff_against_distribution(freq, {0.0: 1.0}, m_total)
+
+
 def test_diff_against_distribution():
     freq = Counter({1.0: 100})
     assert diff_against_distribution(freq, {0.0: 1.0}, 200) is True
