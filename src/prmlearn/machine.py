@@ -231,8 +231,9 @@ class Prm:
         self.rho = {edge: float(r) for edge, r in rho.items()}
         self.bottom = bottom
         self.implicit_bottom = implicit_bottom
-        # label -> its _view, built on first use: membership queries build a machine
-        # per word and read few of its labels.  A machine is not changed after construction.
+        # label -> its _view and tuple of labels -> advance_labels' stack, built on first use:
+        # membership queries build a machine per word and read few of its labels.  A machine
+        # is not changed after construction.
         self._views = {}
 
         n = len(self.states)
@@ -378,10 +379,29 @@ class Prm:
         vec @ stack, gives vec·H(label) and each vec·H(gamma, label) as rows,
         and one row reduction the denominator and each reward's mass."""
         out = vec @ self._view(label)[0]
-        denom, *masses = out.sum(axis=1).tolist()
+        return out[0], self._distribution(out.sum(axis=1).tolist(), 0)
+
+    def advance_labels(self, vec: np.ndarray, labels) -> list:
+        """`advance` over each of `labels` with one product, vec @ one read-only
+        array of the labels' `_view` stacks in order, built once per tuple of
+        labels.  Per label: (vec·H(label), the reward distribution, the
+        denominator vec·H(label)·1), each bit for bit as `advance` gives it."""
+        stack = self._views.get(tuple(labels))
+        if stack is None:
+            stack = np.concatenate([self._view(label)[0] for label in labels] or [np.zeros((0,) + vec.shape * 2)])
+            stack.flags.writeable = False
+            self._views[tuple(labels)] = stack
+        out = vec @ stack
+        sums = out.sum(axis=1).tolist()
+        return [(out[k], self._distribution(sums, k), sums[k]) for k in range(0, len(sums), 1 + len(self.gamma))]
+
+    def _distribution(self, sums: list, k: int) -> dict:
+        """The reward distribution from the row sums of vec @ a label's stack:
+        sums[k] is the denominator, and each reward's mass follows it."""
+        denom, masses = sums[k], sums[k + 1:k + 1 + len(self.gamma)]
         if not denom > 0.0:
-            return out[0], {}
-        return out[0], {gamma: mass / denom for gamma, mass in zip(self.gamma, masses) if mass > 0.0}
+            return {}
+        return {gamma: mass / denom for gamma, mass in zip(self.gamma, masses) if mass > 0.0}
 
     def reward_matrix(self, gamma: float) -> np.ndarray:
         n = len(self.states)

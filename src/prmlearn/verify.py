@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphabet import Word, label_sort_key, word_str
+from .alphabet import Word, label_sort_key, label_str, word_str
 from .environment import Nmdp, Trajectory, check_count
 from .machine import Prm, UnreachableWordError
 
@@ -169,16 +169,23 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     distributions of h and truth over all truth-realizable words of
     length at most max_len.  Words whose probability mass in h is fully
     absorbed by the failure state (or vanishes) count as distance 1 and
-    are counted in `bottom_count`.
+    are counted in `bottom_count`.  Raises ValueError before the walk when
+    a label the truth reads uses a proposition h's alphabet lacks.
 
     Words are checked in breadth-first order, labels in index order;
     `worst_word` is the first word that reaches the distance.  The walk
     goes layer by layer over distinct belief pairs (truth state vector,
     hypothesis state vector), carrying the number of words that reach
     each pair and the first of them, so its cost grows with the number of
-    distinct pairs per layer, not with the |labels|^max_len words."""
+    distinct pairs per layer, not with the |labels|^max_len words.  Each
+    pair is expanded once, over every label: one `advance_labels` product
+    for the truth and, if the truth reads some label there, one for h."""
     check_count(max_len, "max_len")
     labels = sorted(set(l for _, l in truth.tau), key=label_sort_key)
+    for label in labels:
+        if not label <= set(h.ap.props):
+            raise ValueError("the truth's label %s uses a proposition the hypothesis's propositions lack"
+                             % label_str(label))
     pair_ids, pairs = {}, []   # bytes of both vectors -> pair id -> vectors
 
     def intern(tvec, hvec) -> int:
@@ -189,27 +196,24 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
             pairs.append((tvec, hvec))
         return pair
 
-    # (pair, label index) -> (successor pair, distance, absorbed), or None
+    # pair -> by label index: (successor pair, distance, absorbed), or None
     # when the truth cannot read the label
-    steps = {}
+    rows = {}
 
-    def step(pair, i):
-        key = (pair, i)
-        if key in steps:
-            return steps[key]
+    def expand(pair) -> list:
         tvec, hvec = pairs[pair]
-        tnext, truth_dist = truth.advance(tvec, labels[i])
-        if not truth_dist:
-            steps[key] = None
-            return None
-        hnext, h_dist = h.advance(hvec, labels[i])
-        live = float(hnext.sum())
-        if h.bottom is not None:
-            live -= float(hnext[h.bottom])
-        absorbed = live <= 1e-15
-        value = 1.0 if absorbed else total_variation(h_dist, truth_dist)
-        out = steps[key] = (intern(tnext, hnext), value, absorbed)
-        return out
+        truth_reads = truth.advance_labels(tvec, labels)
+        h_reads = h.advance_labels(hvec, labels) if any(dist for _, dist, _ in truth_reads) else ()
+        row = rows[pair] = [None] * len(labels)
+        for i, ((tnext, truth_dist, _), (hnext, h_dist, live)) in enumerate(zip(truth_reads, h_reads)):
+            if not truth_dist:
+                continue
+            if h.bottom is not None:
+                live -= float(hnext[h.bottom])
+            absorbed = live <= 1e-15
+            value = 1.0 if absorbed else total_variation(h_dist, truth_dist)
+            row[i] = (intern(tnext, hnext), value, absorbed)
+        return row
 
     root = intern(truth.initial_vector(), h.initial_vector())
 
@@ -222,8 +226,8 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
         layers.append(tuple(layer))
         nxt = {}
         for pair, (count, first) in layer.items():
-            for i in range(len(labels)):
-                out = step(pair, i)
+            row = rows.get(pair)
+            for i, out in enumerate(expand(pair) if row is None else row):
                 if out is None:
                     continue
                 succ, value, absorbed = out
@@ -248,30 +252,26 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     report.worst_word = word(report.worst_word)
     report.first_bottom_word = word(report.first_bottom_word)
     if report.bottom_count:
-        report._list_bottom = lambda: _bottom_words(layers, steps, labels, root)
+        report._list_bottom = lambda: _bottom_words(layers, rows, labels, root)
     return report
 
 
-def _bottom_words(layers, steps, labels, root) -> list:
+def _bottom_words(layers, rows, labels, root) -> list:
     """Every absorbed word in breadth-first order, walking only prefixes
     whose pair can still reach an absorbed step within the length bound."""
     # alive[d]: pairs at depth d with an absorbed step at some depth > d
     alive = [set() for _ in range(len(layers) + 1)]
     for d in range(len(layers) - 1, -1, -1):
         for pair in layers[d]:
-            for i in range(len(labels)):
-                out = steps.get((pair, i))
-                if out is not None and (out[2] or out[0] in alive[d + 1]):
-                    alive[d].add(pair)
-                    break
+            if any(out is not None and (out[2] or out[0] in alive[d + 1]) for out in rows[pair]):
+                alive[d].add(pair)
     words = []
     frontier = [((), root)] if root in alive[0] else []
     for d in range(len(layers)):
         later = alive[d + 1]
         nxt = []
         for prefix, pair in frontier:
-            for i, label in enumerate(labels):
-                out = steps.get((pair, i))
+            for label, out in zip(labels, rows[pair]):
                 if out is None:
                     continue
                 succ, _, absorbed = out

@@ -212,6 +212,19 @@ def test_eval_encoding_reports_bottom_words(tmp_path, capsys):
     ]
 
 
+def test_eval_encoding_rejects_a_hypothesis_without_the_truths_propositions(tmp_path, capsys):
+    # the patrol truth reads {c}; this hypothesis's alphabet is {a}
+    other = tmp_path / "other.prm"
+    other.write_text("ap: a\ngamma: 0,1\ninit: q0\nq0 --a/1--> q0 : 1.0\nq0 --ε/0--> q0 : 1.0\n",
+                     encoding="utf-8")
+    code = run_cli(["eval-encoding", "--hypothesis", other, "--truth", ASSETS / "patrol_truth.prm", "--max-len", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the truth's label c uses a proposition the hypothesis's propositions lack" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_eval_encoding_long_words_on_office(capsys):
     truth = ASSETS / "coffee_truth.prm"
     code = run_cli(["eval-encoding", "--hypothesis", truth, "--truth", truth, "--max-len", "50"])

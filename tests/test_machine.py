@@ -349,6 +349,45 @@ def test_advance_is_the_per_matrix_formula_bit_for_bit():
                         assert dist == ref_dist and list(dist) == list(ref_dist)
 
 
+def test_advance_labels_is_advance_bit_for_bit():
+    """One product over every label's stack gives, per label, the vector and
+    the distribution `advance` gives bit for bit, and a denominator equal to
+    the vector's sum: on `random_prm` machines and on partial and bottom
+    machines, dyadic and not, including vectors that cannot read a label.
+    The concatenated stack is read-only and built once per tuple of labels."""
+    from test_verify import random_machine
+
+    rng = np.random.default_rng(34)
+    empties = 0
+    for trial in range(240):
+        dyadic = bool(trial % 2)
+        if trial % 3 == 0:
+            n = int(rng.integers(1, 30))
+            prm = random_prm(rng, n, ["a", "b", "c"][:1 + trial % 3], ADVANCE_REWARDS[trial % 4], dyadic=dyadic)
+        else:
+            prm = random_machine(rng, "partial" if trial % 3 == 1 else "bottom", dyadic=dyadic)
+            n = prm.n_states()
+        labels = prm.ap.labels()
+        labels = [labels[i] for i in rng.permutation(len(labels))[:int(rng.integers(1, len(labels) + 1))]]
+        mixed = rng.random(n) + 1e-3
+        for vec in (unit_vector(n, int(rng.integers(0, n))), dyadic_vector(rng, n), mixed / mixed.sum()):
+            readings = prm.advance_labels(vec, labels)
+            assert len(readings) == len(labels)
+            for label, (nxt, dist, mass) in zip(labels, readings):
+                ref_nxt, ref_dist = prm.advance(vec, label)
+                assert nxt.tobytes() == ref_nxt.tobytes()
+                assert dist == ref_dist and list(dist) == list(ref_dist)
+                assert mass == float(ref_nxt.sum())
+                empties += not dist
+        stack = prm._views[tuple(labels)]
+        assert not stack.flags.writeable
+        assert stack.shape == (len(labels) * (1 + len(prm.gamma)), n, n)
+        prm.advance_labels(prm.initial_vector(), labels)
+        assert prm._views[tuple(labels)] is stack
+    assert empties > 0   # some vectors could not read some label
+    assert single_state_zero_prm().advance_labels(np.ones(1), []) == []
+
+
 # Fixed before looking at any result: the matrix chain rounds differently
 # from the vector chain, by a few ulps on these small machines.
 CHAIN_TOL = 1e-12

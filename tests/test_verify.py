@@ -298,6 +298,34 @@ def test_encoding_distance_rejects_negative_max_len():
     assert encoding_distance(truth, truth, max_len=0).words_checked == 0
 
 
+def test_encoding_distance_rejects_a_hypothesis_without_the_truths_propositions():
+    truth = random_prm(np.random.default_rng(5), 2, ["a", "b"], [0.0, 1.0])
+    h = prm_from_text("ap: a\ngamma: 0,1\ninit: q0\nq0 --a/1--> q0 : 1.0\nq0 --ε/0--> q0 : 1.0\n")
+    with pytest.raises(ValueError, match="the truth's label b uses a proposition the hypothesis's propositions lack"):
+        encoding_distance(h, truth, max_len=0)   # before the walk, which would check no word
+
+
+def test_encoding_distance_makes_one_product_per_machine_per_pair():
+    """The office walk at length 5 reaches 4 distinct belief pairs: one
+    `advance_labels` product each for the truth and the copy, no `advance`."""
+    truth = load_env_config(OFFICE).truth
+    copy = prm_from_text(prm_to_text(truth))
+    calls = {"truth": 0, "copy": 0}
+    for name, prm in (("truth", truth), ("copy", copy)):
+        def counted(vec, labels, name=name, batched=prm.advance_labels):
+            calls[name] += 1
+            return batched(vec, labels)
+
+        def unused(vec, label):
+            raise AssertionError("advance called")
+
+        prm.advance_labels, prm.advance = counted, unused
+    report = encoding_distance(copy, truth, max_len=5)
+    assert calls == {"truth": 4, "copy": 4}
+    assert report.words_checked == 37448
+    assert report.distance <= 1e-12
+
+
 def test_encoding_distance_counts_bottom_words():
     truth = patrol_prm()
     # reads only {c}, and only from q0: every word but {c} itself is absorbed
