@@ -160,6 +160,8 @@ def spawn_states(seed, n: int) -> list:
     which is mixed in as a uint32 array over the children (the hash
     constants do not depend on the data)."""
     seed = int(seed)
+    if seed < 0:
+        raise ValueError("seed %d is negative: SeedSequence takes a non-negative integer" % seed)
     words = [seed >> 32 * k & _MASK32 for k in range((seed.bit_length() + 31) // 32 or 1)]
     entropy = words + [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
@@ -381,19 +383,21 @@ class Prm:
         out = vec @ self._view(label)[0]
         return out[0], self._distribution(out.sum(axis=1).tolist(), 0)
 
-    def advance_labels(self, vec: np.ndarray, labels) -> list:
-        """`advance` over each of `labels` with one product, vec @ one read-only
-        array of the labels' `_view` stacks in order, built once per tuple of
-        labels.  Per label: (vec·H(label), the reward distribution, the
-        denominator vec·H(label)·1), each bit for bit as `advance` gives it."""
-        stack = self._views.get(tuple(labels))
+    def advance_labels(self, vec: np.ndarray, labels) -> tuple:
+        """Read each of `labels` from `vec` with one product, vec @ one
+        read-only array of the labels' `_view` stacks in order, built once
+        per tuple of labels.  Returns the product and its row sums as a list:
+        label i's rows start at i·(1 + |gamma|), vec·H(label) and then each
+        vec·H(gamma, label) in `gamma` order, each bit for bit as `advance`
+        computes it."""
+        labels = tuple(labels)
+        stack = self._views.get(labels)
         if stack is None:
             stack = np.concatenate([self._view(label)[0] for label in labels] or [np.zeros((0,) + vec.shape * 2)])
             stack.flags.writeable = False
-            self._views[tuple(labels)] = stack
+            self._views[labels] = stack
         out = vec @ stack
-        sums = out.sum(axis=1).tolist()
-        return [(out[k], self._distribution(sums, k), sums[k]) for k in range(0, len(sums), 1 + len(self.gamma))]
+        return out, out.sum(axis=1).tolist()
 
     def _distribution(self, sums: list, k: int) -> dict:
         """The reward distribution from the row sums of vec @ a label's stack:

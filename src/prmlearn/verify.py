@@ -177,9 +177,11 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     goes layer by layer over distinct belief pairs (truth state vector,
     hypothesis state vector), carrying the number of words that reach
     each pair and the first of them, so its cost grows with the number of
-    distinct pairs per layer, not with the |labels|^max_len words.  Each
-    pair is expanded once, over every label: one `advance_labels` product
-    for the truth and, if the truth reads some label there, one for h."""
+    distinct pairs per layer, not with the |labels|^max_len words, and it
+    stops at the first empty layer.  Each pair is expanded once, over every
+    label: one `advance_labels` product for the truth and, if the truth
+    reads some label there, one for h; each label's successor pair, h's
+    live mass and the distance are read from their rows and row sums."""
     check_count(max_len, "max_len")
     labels = sorted(set(l for _, l in truth.tau), key=label_sort_key)
     for label in labels:
@@ -196,23 +198,49 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
             pairs.append((tvec, hvec))
         return pair
 
+    # per reward of either machine, its row in a label's block of h's and
+    # of the truth's product (0 when that machine lacks it)
+    tw, hw = 1 + len(truth.gamma), 1 + len(h.gamma)
+    offsets = [(1 + h.gamma.index(g) if g in h.gamma else 0, 1 + truth.gamma.index(g) if g in truth.gamma else 0)
+               for g in sorted(set(h.gamma) | set(truth.gamma))]
     # pair -> by label index: (successor pair, distance, absorbed), or None
     # when the truth cannot read the label
     rows = {}
 
     def expand(pair) -> list:
         tvec, hvec = pairs[pair]
-        truth_reads = truth.advance_labels(tvec, labels)
-        h_reads = h.advance_labels(hvec, labels) if any(dist for _, dist, _ in truth_reads) else ()
+        tout, tsums = truth.advance_labels(tvec, labels)
+        # the truth reads a label when its reward distribution is not empty:
+        # mass in the label's row and in one of its rewards' rows
+        reads = [(i, t) for i, t in enumerate(range(0, len(tsums), tw))
+                 if tsums[t] > 0.0 and max(tsums[t + 1:t + tw]) > 0.0]
         row = rows[pair] = [None] * len(labels)
-        for i, ((tnext, truth_dist, _), (hnext, h_dist, live)) in enumerate(zip(truth_reads, h_reads)):
-            if not truth_dist:
-                continue
+        if not reads:
+            return row
+        hout, hsums = h.advance_labels(hvec, labels)
+        for i, t in reads:
+            k = i * hw
+            live = hsums[k]
             if h.bottom is not None:
-                live -= float(hnext[h.bottom])
+                live -= float(hout[k, h.bottom])
             absorbed = live <= 1e-15
-            value = 1.0 if absorbed else total_variation(h_dist, truth_dist)
-            row[i] = (intern(tnext, hnext), value, absorbed)
+            if absorbed:
+                value = 1.0
+            else:
+                # both denominators are positive and every mass is not
+                # negative, so mass / denominator is 0.0 just where the
+                # reward's probability is absent
+                gaps = []
+                for hj, tj in offsets:
+                    gap = abs((hsums[k + hj] / hsums[k] if hj else 0.0) - (tsums[t + tj] / tsums[t] if tj else 0.0))
+                    if gap:
+                        gaps.append(gap)
+                # two gaps sum alike in any order; more are summed in the
+                # order `total_variation` takes its rewards
+                value = 0.5 * sum(gaps) if len(gaps) <= 2 else total_variation(
+                    {g: m / hsums[k] for g, m in zip(h.gamma, hsums[k + 1:k + hw]) if m > 0.0},
+                    {g: m / tsums[t] for g, m in zip(truth.gamma, tsums[t + 1:t + tw]) if m > 0.0})
+            row[i] = (intern(tout[t], hout[k]), value, absorbed)
         return row
 
     root = intern(truth.initial_vector(), h.initial_vector())
@@ -223,6 +251,8 @@ def encoding_distance(h: Prm, truth: Prm, max_len: int) -> EncodingReport:
     # order is the order of the first words
     layer = {root: [1, ()]}
     for _ in range(max_len):
+        if not layer:
+            break
         layers.append(tuple(layer))
         nxt = {}
         for pair, (count, first) in layer.items():

@@ -27,7 +27,11 @@ stochastic digests are of the machine, report and table of an active run
 on a fixed `random_nmdp` whose moves and truth are stochastic and whose
 one terminal label ends episodes, taken while the environment's moves
 still carried labels rather than their indices: office's moves are
-deterministic and never draw a successor.
+deterministic and never draw a successor.  The encoding digest is of
+every `encoding_distance` report field over a fixed corpus of random
+machine pairs, taken while each label's distributions were still dicts
+compared by `total_variation`, so a change to the walk's arithmetic or
+order fails here.
 """
 
 import hashlib
@@ -36,7 +40,9 @@ from pathlib import Path
 import numpy as np
 
 import prmlearn
-from prmlearn import LearnerConfig, PassiveConfig, learn_active, learn_passive, prm_to_text
+import prmlearn.verify
+from prmlearn import LearnerConfig, PassiveConfig, encoding_distance, learn_active, learn_passive, prm_to_text
+from prmlearn.machine import prm_from_text
 from prmlearn.alphabet import word_str
 from prmlearn.environment import collect_traces, load_env_config, save_traces, uniform_policy
 
@@ -57,6 +63,7 @@ OFFICE_ROLLOUTS_SHA256 = "54113c392a0773fda4f2764d842d741020d0350cc09ea7cee88202
 ACTIVE_STOCHASTIC_SHA256 = "e1731e2bf2fc4d0b0a07b5084f7211138e49dff4686002c97b00c7139583b9d3"
 ACTIVE_STOCHASTIC_REPORT_SHA256 = "e993387fd68d77a1ec65d134988e424eb2bcd82344580e2309c871188bf8257a"
 ACTIVE_STOCHASTIC_TABLE_SHA256 = "1f569132a0a1c52141d30ecc1dede92003032f8a0ddd69c070f6e47b65bb3224"
+ENCODING_SHA256 = "2008827d2ef34ded0c259f37624abc9a46a8102ab8a30c39a59db38d6d16b492"
 
 
 def digest(prm) -> str:
@@ -119,3 +126,46 @@ def test_active_stochastic_machine_is_pinned(tmp_path):
     path = tmp_path / "table.csv"
     result.table.to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACTIVE_STOCHASTIC_TABLE_SHA256
+
+
+def encoding_corpus():
+    """(h, truth, max_len): `random_machine` truths of every kind, dyadic
+    and not, each against a random machine, a perturbed copy of itself or
+    itself, at max_len 0-5; then office against its text copy at 5."""
+    from test_verify import perturbed, random_machine
+
+    kinds = ("total", "partial", "bottom")
+    rng = np.random.default_rng(35)
+    for trial in range(216):
+        dyadic = bool(trial // 3 % 2)
+        truth = random_machine(rng, kinds[trial % 3], dyadic=dyadic)
+        other = random_machine(rng, kinds[int(rng.integers(0, 3))], dyadic=dyadic)
+        h = (other, perturbed(rng, truth), truth)[trial // 6 % 3]
+        yield h, truth, trial // 18 % 6
+    truth = load_env_config(OFFICE).truth
+    yield prm_from_text(prm_to_text(truth)), truth, 5
+
+
+def test_encoding_distance_reports_are_pinned(monkeypatch):
+    """Every report field, words by `word_str`, so the digest does not
+    depend on the hash seed.  Some label of the corpus differs in three
+    rewards, where the order of summing the gaps can matter."""
+    widest = []
+
+    def counted(p, q, tv=prmlearn.verify.total_variation):
+        widest.append(sum(p.get(k, 0.0) != q.get(k, 0.0) for k in set(p) | set(q)))
+        return tv(p, q)
+
+    monkeypatch.setattr(prmlearn.verify, "total_variation", counted)
+
+    def text(word):
+        return "-" if word is None else word_str(word)
+
+    lines = []
+    for h, truth, max_len in encoding_corpus():
+        report = encoding_distance(h, truth, max_len)
+        lines.append(" ".join([report.distance.hex(), str(report.words_checked), str(report.bottom_count),
+                               text(report.worst_word), text(report.first_bottom_word)]
+                              + [text(w) for w in report.bottom_words]))
+    assert sha256("\n".join(lines)) == ENCODING_SHA256
+    assert max(widest) >= 3

@@ -657,6 +657,14 @@ def test_spawn_states_are_the_states_of_spawned_pcg64(seed, n):
     assert spawn_states(seed, n) == expected
 
 
+@pytest.mark.parametrize("seed", [-1, -2**32, -2**64 - 5])
+def test_spawn_states_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.SeedSequence(seed)
+    with pytest.raises(ValueError, match="seed %d is negative" % seed):
+        spawn_states(seed, 2)
+
+
 @pytest.mark.parametrize("episodes", [2.5, True, -1, "3", None])
 def test_collect_traces_rejects_bad_episode_counts(episodes):
     m = two_cell_nmdp(patrol_prm())

@@ -350,11 +350,13 @@ def test_advance_is_the_per_matrix_formula_bit_for_bit():
 
 
 def test_advance_labels_is_advance_bit_for_bit():
-    """One product over every label's stack gives, per label, the vector and
-    the distribution `advance` gives bit for bit, and a denominator equal to
-    the vector's sum: on `random_prm` machines and on partial and bottom
-    machines, dyadic and not, including vectors that cannot read a label.
-    The concatenated stack is read-only and built once per tuple of labels."""
+    """One product over every label's stack: each label's block of rows
+    starts with the vector `advance` gives, bit for bit, and its row sums
+    give `advance`'s distribution (the denominator first, then each
+    reward's mass in `gamma` order), on `random_prm` machines and on
+    partial and bottom machines, dyadic and not, including vectors that
+    cannot read a label.  The concatenated stack is read-only and built
+    once per tuple of labels."""
     from test_verify import random_machine
 
     rng = np.random.default_rng(34)
@@ -369,23 +371,37 @@ def test_advance_labels_is_advance_bit_for_bit():
             n = prm.n_states()
         labels = prm.ap.labels()
         labels = [labels[i] for i in rng.permutation(len(labels))[:int(rng.integers(1, len(labels) + 1))]]
+        width = 1 + len(prm.gamma)
         mixed = rng.random(n) + 1e-3
         for vec in (unit_vector(n, int(rng.integers(0, n))), dyadic_vector(rng, n), mixed / mixed.sum()):
-            readings = prm.advance_labels(vec, labels)
-            assert len(readings) == len(labels)
-            for label, (nxt, dist, mass) in zip(labels, readings):
+            out, sums = prm.advance_labels(vec, labels)
+            assert out.shape == (len(labels) * width, n) and len(sums) == len(labels) * width
+            assert sums == out.sum(axis=1).tolist()
+            for i, label in enumerate(labels):
                 ref_nxt, ref_dist = prm.advance(vec, label)
-                assert nxt.tobytes() == ref_nxt.tobytes()
+                denom, masses = sums[i * width], sums[i * width + 1:(i + 1) * width]
+                dist = {g: m / denom for g, m in zip(prm.gamma, masses) if m > 0.0} if denom > 0.0 else {}
+                assert out[i * width].tobytes() == ref_nxt.tobytes()
                 assert dist == ref_dist and list(dist) == list(ref_dist)
-                assert mass == float(ref_nxt.sum())
+                assert denom == float(ref_nxt.sum())
                 empties += not dist
         stack = prm._views[tuple(labels)]
         assert not stack.flags.writeable
-        assert stack.shape == (len(labels) * (1 + len(prm.gamma)), n, n)
+        assert stack.shape == (len(labels) * width, n, n)
         prm.advance_labels(prm.initial_vector(), labels)
         assert prm._views[tuple(labels)] is stack
     assert empties > 0   # some vectors could not read some label
-    assert single_state_zero_prm().advance_labels(np.ones(1), []) == []
+    out, sums = single_state_zero_prm().advance_labels(np.ones(1), [])
+    assert out.shape == (0, 1) and sums == []
+
+
+def test_advance_labels_reads_a_generator_as_the_equal_list():
+    prm = coffee_prm()
+    labels = prm.ap.labels()
+    out, sums = prm.advance_labels(prm.initial_vector(), (label for label in labels))
+    ref_out, ref_sums = prm.advance_labels(prm.initial_vector(), labels)
+    assert out.tobytes() == ref_out.tobytes() and sums == ref_sums
+    assert prm._views[tuple(labels)].shape[0] == len(labels) * (1 + len(prm.gamma))
 
 
 # Fixed before looking at any result: the matrix chain rounds differently

@@ -326,6 +326,16 @@ def test_encoding_distance_makes_one_product_per_machine_per_pair():
     assert report.distance <= 1e-12
 
 
+def test_encoding_distance_stops_at_the_first_empty_layer():
+    """The truth reads only <a>, so every layer after the first is empty: a
+    bound of 10**12 checks the one word, as a bound of 1 does."""
+    truth = prm_from_text("ap: a\ngamma: 0,1\ninit: q0\nq0 --a/1--> q1 : 1.0\n")
+    h = prm_from_text("ap: a\ngamma: 0,1\ninit: q0\nq0 --a/0--> q0 : 0.5\nq0 --a/1--> q1 : 0.5\n")
+    short, long = encoding_distance(h, truth, max_len=1), encoding_distance(h, truth, max_len=10**12)
+    assert (long.distance, long.worst_word, long.words_checked) == (0.5, (frozenset({"a"}),), 1)
+    assert long == short and long.bottom_words == short.bottom_words == []
+
+
 def test_encoding_distance_counts_bottom_words():
     truth = patrol_prm()
     # reads only {c}, and only from q0: every word but {c} itself is absorbed
@@ -396,14 +406,14 @@ def reference_encoding_distance(h: Prm, truth: Prm, max_len: int) -> dict:
     return out
 
 
-def random_machine(rng, kind: str, *, dyadic: bool) -> Prm:
+def random_machine(rng, kind: str, *, dyadic: bool, rewards=(0.0, 1.0, 2.0)) -> Prm:
     """A small random machine over {a, b}: `total`, `partial` (each pair
     defined with probability 0.7) or `bottom` (partial, each edge paying a
     reward of the state it enters, undefined pairs absorbed by an implicit
-    failure state)."""
+    failure state).  Each edge pays one of `rewards`."""
     ap = Alphabet(["a", "b"])
     n = int(rng.integers(1, 4)) + (kind == "bottom")
-    rewards = [0.0, 1.0, 2.0]
+    rewards = list(rewards)
     tau, rho = {}, {}
     for y in range(n):
         for label in ap.labels():
@@ -444,14 +454,16 @@ KINDS = st.sampled_from(["total", "partial", "bottom"])
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), h_kind=KINDS, truth_kind=KINDS,
-       max_len=st.integers(0, 4), h_from=st.sampled_from(["random", "perturbed", "same"]))
-def test_encoding_distance_matches_word_walk(seed, h_kind, truth_kind, max_len, h_from):
+       max_len=st.integers(0, 4), h_from=st.sampled_from(["random", "perturbed", "same"]),
+       h_rewards=st.sampled_from([(0.0, 1.0, 2.0), (0.0, 0.5, 2.0), (1.0, 3.0), (0.5, 1.0, 2.0, 4.0)]))
+def test_encoding_distance_matches_word_walk(seed, h_kind, truth_kind, max_len, h_from, h_rewards):
     # dyadic probabilities keep every product exact, so the word walk's
-    # matrix-matrix chains and the pair walk's vector chains agree bit for bit
+    # matrix-matrix chains and the pair walk's vector chains agree bit for
+    # bit; a random h may pay other rewards, matched to the truth's by value
     rng = np.random.default_rng(seed)
     truth = random_machine(rng, truth_kind, dyadic=True)
     if h_from == "random":
-        h = random_machine(rng, h_kind, dyadic=True)
+        h = random_machine(rng, h_kind, dyadic=True, rewards=h_rewards)
     else:
         h = truth if h_from == "same" else perturbed(rng, truth)
     report = encoding_distance(h, truth, max_len)
