@@ -40,8 +40,8 @@ from .environment import (
     shortest_path_policy,
     uniform_policy,
 )
-from .table import ObservationTable, build_hypothesis, diff, hoeffding_threshold
-from .active import ActiveResult, LearnerConfig, QTable, learn_active
+from .table import ObservationTable, build_hypothesis, diff
+from .active import ActiveResult, LearnerConfig, learn_active
 from .passive import PassiveConfig, PassiveResult, learn_passive, learn_passive_from_traces
 from .verify import (
     BudgetExceededError,

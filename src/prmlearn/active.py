@@ -20,19 +20,7 @@ from .environment import (
 # them, and is_counterexample, which equivalence_query calls through this module's global
 from .machine import Prm, Stream, draw_row, sample_index  # noqa: F401
 from .table import ObservationTable, build_hypothesis, diff_against_distribution, is_counterexample  # noqa: F401
-
-
-class QTable:
-    """Action values of (machine state, environment state, action) on one
-    environment: `rows[y][x]` holds the values of the actions of
-    `m.available[x]`, in that order, and is None until (y, x) is visited;
-    a visited row starts as zeros."""
-
-    def __init__(self):
-        self.rows = []
-
-    def reset(self) -> None:
-        self.rows.clear()
+from .table import repair_step
 
 
 MAX_ROUNDS = 500
@@ -56,10 +44,12 @@ class LearnerConfig:
         check_count(self.seed, "seed")
 
 
-def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
+def teacher_episodes(q: list, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
     """Q-learning episodes on the implicit product of m and h, one per
     `next()`, which returns the episode's trace of (environment label,
-    environment reward) pairs and updates q in place.  In membership mode
+    environment reward) pairs and updates q in place: `q[y][x]` holds the
+    values at machine state y of the actions of `m.available[x]`, in that
+    order; it is None until visited and starts at zeros.  In membership mode
     the update target uses the machine reward; in equivalence mode it uses
     the environment reward, and the machine is only advanced.  An episode
     ends after n_episode steps or on one of m's terminal labels.  The mode
@@ -69,10 +59,10 @@ def teacher_episodes(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, 
     return _episodes(q, m, h, mode == "membership", cfg, rng)
 
 
-def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
+def _episodes(rows: list, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, rng):
     labels = m.label_alphabet()   # by label index, as step numbers them
     terminal = [label in m.terminal_labels for label in labels]
-    available, rows = m.available, q.rows
+    available = m.available
     explore, learn_rate, discount, n_episode = EXPLORE, LEARN_RATE, DISCOUNT, cfg.n_episode
     h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index)
     rows.extend([None] * len(available) for _ in range(len(rows), len(h.states)))
@@ -115,12 +105,12 @@ def _episodes(q: QTable, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig, 
         yield trace
 
 
-def teacher_query(q: QTable, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
+def teacher_query(q: list, m: Nmdp, h: Prm, mode: str, cfg: LearnerConfig, rng):
     """One episode's trace, `next(teacher_episodes(...))`; the learner draws from one generator per query."""
     return next(teacher_episodes(q, m, h, mode, cfg, rng))
 
 
-def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
+def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: list,
                      cfg: LearnerConfig, rng) -> int:
     """Prime the RL teacher toward realizing `zeta`; every episode trace is
     recorded.  Returns the number of episodes run."""
@@ -128,7 +118,7 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
         # provably not a trace prefix of any episode: priming would burn
         # the whole n_query budget for nothing
         return 0
-    q_m.reset()  # machine shape changes with every query word
+    q_m.clear()  # machine shape changes with every query word
     teacher = teacher_episodes(q_m, m, membership_reward_machine(m.ap, zeta), "membership", cfg, rng)
     episodes = 0
     # zeta is not empty, so its sample count is its id's total; an id,
@@ -142,7 +132,7 @@ def membership_query(table: ObservationTable, zeta: Word, m: Nmdp, q_m: QTable,
     return episodes
 
 
-def equivalence_query(table: ObservationTable, m: Nmdp, q_h: QTable, hypothesis: Prm,
+def equivalence_query(table: ObservationTable, m: Nmdp, q_h: list, hypothesis: Prm,
                       cfg: LearnerConfig, rng):
     """Run equivalence-mode teacher episodes against the hypothesis until a
     counterexample appears or n_stop episodes elapse.  Returns
@@ -220,7 +210,7 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=None) -> ActiveRes
     rng = Stream(np.random.PCG64(cfg.seed))   # the draws of default_rng(cfg.seed)
     alphabet = m.label_alphabet()
     table = ObservationTable(m.ap, alphabet)
-    q_m, q_h = QTable(), QTable()
+    q_m, q_h = [], []   # the teacher's Q-values, as teacher_episodes lays them out
     report = ActiveReport()
     hypothesis = None
     last_shape = None
@@ -249,21 +239,12 @@ def learn_active(m: Nmdp, cfg: LearnerConfig, terminal_labels=None) -> ActiveRes
         membership_episodes = 0
         for _ in range(MAX_REPAIRS_PER_ROUND):
             membership_episodes += fill_table()
-            consistent, witness = table.is_consistent()
-            if not consistent:
-                _, _, label, e = witness
-                table.add_experiment((label,) + e)
-                continue
-            closed, witness = table.is_closed()
-            if not closed:
-                s, label = witness
-                table.add_state(s + (label,))
-                continue
-            break
+            if not repair_step(table):
+                break
 
         hypothesis = build_hypothesis(table, cfg.n_check)
         if hypothesis.n_states() != last_shape:
-            q_h.reset()
+            q_h.clear()
             last_shape = hypothesis.n_states()
         ce, eq_episodes = equivalence_query(table, m, q_h, hypothesis, cfg, rng)
         report.rounds.append(

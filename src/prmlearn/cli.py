@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -148,8 +149,9 @@ def cmd_eval_encoding(args) -> int:
     report = encoding_distance(hypothesis, truth, args.max_len)
     print(report.distance)
     if report.bottom_count:
-        print("%d words fully absorbed by the failure state, e.g. %s"
-              % (report.bottom_count, word_str(report.first_bottom_word)))
+        # a Decimal prints every digit of a count that int -> str would refuse
+        print("%s words fully absorbed by the failure state, e.g. %s"
+              % (Decimal(report.bottom_count), word_str(report.first_bottom_word)))
     return 0
 
 

@@ -44,14 +44,9 @@ def last_rise(cum) -> int:
 
 
 def sample_index(vec: np.ndarray, rng) -> int:
-    """Draw an index from a probability vector; deterministic rows skip
-    the rng entirely (much faster than rng.choice on small vectors)."""
-    j = int(np.argmax(vec))
-    if vec[j] >= 1.0:
-        return j
-    cum = np.cumsum(vec)
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return k if k < len(vec) else last_rise(cum)
+    """Draw an index from a probability vector, `draw_row` on its
+    `sampling_row`; a deterministic row skips the rng entirely."""
+    return draw_row(sampling_row(vec), rng)
 
 
 def sampling_row(vec: np.ndarray):
@@ -65,8 +60,8 @@ def sampling_row(vec: np.ndarray):
 
 
 def draw_row(row, rng) -> int:
-    """`sample_index` on a compiled row: the same index and the same draws
-    (bisect_right on the cumulative list is searchsorted side="right")."""
+    """Draw an index from a compiled row: bisect_right on the cumulative
+    list, which picks what numpy's searchsorted side="right" picks."""
     if row.__class__ is int:
         return row
     k = bisect_right(row, rng.random())

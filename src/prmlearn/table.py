@@ -41,12 +41,6 @@ def _hoeffding_factor(m_total: int) -> float:
     return math.sqrt(0.5 * math.log(2.0 / alpha))
 
 
-def hoeffding_threshold(n: int, n_prime: int, m_total: int) -> float:
-    for value, name in ((n, "n"), (n_prime, "n_prime"), (m_total, "m_total")):
-        check_count(value, name, positive=True)
-    return _hoeffding_factor(m_total) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
-
-
 def _differ(f, n, g, m, factor: float) -> bool:
     """The Hoeffding test on two frequency maps (reward -> count) with
     n > 0 and m > 0 samples, m possibly a float: some reward's gap
@@ -305,16 +299,13 @@ class ObservationTable:
         node = self.row(word)
         return {} if node is None or self._counts[node] is None else dict(self._counts[node])
 
-    def total(self, word: Word) -> int:
-        return self.samples(self.row(word))
-
     def samples(self, node) -> int:
         """The sample count of the word whose id is `node`; 0 for None."""
         return 0 if node is None else self._n[node]
 
     def sample_count(self, word: Word) -> int:
         """How often `word` was a trace prefix; ε counts every trace."""
-        return self.total(word) if word else self.num_traces
+        return self.samples(self.row(word)) if word else self.num_traces
 
     def total_samples(self) -> int:
         return self._total_samples
@@ -655,19 +646,25 @@ def build_hypothesis(table: ObservationTable, n_check: int) -> Prm:
     )
 
 
+def repair_step(table: ObservationTable) -> bool:
+    """One repair without new samples, consistency first: add the column
+    of an inconsistency to E, or else an unclosed witness row to S.  False
+    when the table is closed and consistent."""
+    consistent, witness = table.is_consistent()
+    if not consistent:
+        _, _, label, e = witness
+        table.add_experiment((label,) + e)
+        return True
+    closed, witness = table.is_closed()
+    if not closed:
+        s, label = witness
+        table.add_state(s + (label,))
+    return not closed
+
+
 def repair_on_frozen_data(table: ObservationTable) -> None:
-    """Alternate closedness and consistency repairs without new samples
-    until the table is closed and consistent."""
+    """Repair without new samples until the table is closed and consistent."""
     for _ in range(REPAIR_MAX_STEPS):
-        closed, witness = table.is_closed()
-        if not closed:
-            s, label = witness
-            table.add_state(s + (label,))
-            continue
-        consistent, witness = table.is_consistent()
-        if not consistent:
-            _, _, label, e = witness
-            table.add_experiment((label,) + e)
-            continue
-        return
+        if not repair_step(table):
+            return
     raise RuntimeError("table repair did not terminate within %d steps" % (REPAIR_MAX_STEPS,))

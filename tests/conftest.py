@@ -14,7 +14,7 @@ from prmlearn import (
 )
 from prmlearn.alphabet import label_sort_key, label_str, word_str
 from prmlearn.environment import step
-from prmlearn.machine import draw_row, unit_vector
+from prmlearn.machine import draw_row, last_rise, unit_vector
 from prmlearn.passive import MAX_EXPERIMENT_LEN, MAX_STATES
 from prmlearn.table import ObservationTable, build_hypothesis, diff_against_distribution, repair_on_frozen_data
 
@@ -42,6 +42,20 @@ def machine_run(prm, word, rng) -> list:
         y = draw_row(row, rng)
         run.append((y, emits[y][1]))
     return run
+
+
+def ref_sample_index(vec: np.ndarray, rng) -> int:
+    """The draw of an index from a probability vector, written on numpy: a
+    row whose argmax is at least 1 draws nothing; else searchsorted
+    side="right" on the cumulative row, and a draw past its end takes
+    `last_rise`.  The compiled draw (`draw_row` on a `sampling_row`) must
+    give the same index from the same draws."""
+    j = int(np.argmax(vec))
+    if vec[j] >= 1.0:
+        return j
+    cum = np.cumsum(vec)
+    k = int(np.searchsorted(cum, rng.random(), side="right"))
+    return k if k < len(vec) else last_rise(cum)
 
 
 def single_state_zero_prm(props=("a",)):
@@ -187,15 +201,15 @@ def two_cell_nmdp(truth, terminal_labels=()):
 
 
 def q_value(q, m, y, x, a) -> float:
-    """The Q-value of (y, x, a) in a QTable on m, read at a's position in
-    `m.available[x]`; an unvisited row reads as zeros."""
-    row = q.rows[y][x] if y < len(q.rows) else None
+    """The Q-value of (y, x, a) in the teacher's Q-values `q` on m, read
+    at a's position in `m.available[x]`; an unvisited row reads as zeros."""
+    row = q[y][x] if y < len(q) else None
     return row[m.available[x].index(a)] if row else 0.0
 
 
 def q_values(q, m) -> dict:
-    """{(y, x, a): value} over the visited rows of a QTable on m."""
-    return {(y, x, m.available[x][k]): value for y, xs in enumerate(q.rows)
+    """{(y, x, a): value} over the visited rows of the Q-values `q` on m."""
+    return {(y, x, m.available[x][k]): value for y, xs in enumerate(q)
             for x, row in enumerate(xs) if row for k, value in enumerate(row)}
 
 

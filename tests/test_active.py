@@ -15,7 +15,6 @@ from prmlearn import (
     LearnerConfig,
     Nmdp,
     ObservationTable,
-    QTable,
     coffee_prm,
     learn_active,
     membership_reward_machine,
@@ -38,7 +37,6 @@ from prmlearn.machine import (
     draw_row,
     prm_from_text,
     prm_to_text,
-    sample_index,
 )
 from prmlearn.table import _differ, build_hypothesis, repair_on_frozen_data
 
@@ -52,6 +50,7 @@ from conftest import (
     random_nmdp,
     random_prm,
     ref_is_counterexample,
+    ref_sample_index,
     rollout_greedy,
     single_state_zero_prm,
     successor_rewards,
@@ -89,22 +88,22 @@ def test_config_validation(kw):
 
 
 def test_qtable_defaults_and_greedy():
-    # rows[y][x] holds the values of the actions of m.available[x], in that order
+    # q[y][x] holds the values of the actions of m.available[x], in that order
     m = choice_nmdp([3, 1, 2])
-    q = QTable()
+    q = []
     assert greedy_action(q, m, 0, 0) == 1  # a missing row reads as zeros: lowest index
-    q.rows.append([[0.0, 0.0, 2.5]] + [None] * (len(m.states) - 1))
+    q.append([[0.0, 0.0, 2.5]] + [None] * (len(m.states) - 1))
     assert q_value(q, m, 0, 0, 2) == 2.5 and q_value(q, m, 0, 0, 3) == 0.0
     assert greedy_action(q, m, 0, 0) == 2
-    q.rows[0][0][0] = 2.5   # action 3
+    q[0][0][0] = 2.5   # action 3
     assert greedy_action(q, m, 0, 0) == 2  # ties go to the lowest index
-    q.reset()
-    assert q.rows == [] and greedy_action(q, m, 0, 0) == 1
+    q.clear()
+    assert q == [] and greedy_action(q, m, 0, 0) == 1
     # the teacher lays out a row per (machine state, environment state), made on its first visit
     teacher_query(q, m, m.truth, "equivalence", config(n_episode=5), np.random.default_rng(0))
-    assert len(q.rows) == m.truth.n_states() and all(len(xs) == len(m.states) for xs in q.rows)
-    assert q.rows[0][0] is not None
-    assert all(row is None or len(row) == len(m.available[x]) for xs in q.rows for x, row in enumerate(xs))
+    assert len(q) == m.truth.n_states() and all(len(xs) == len(m.states) for xs in q)
+    assert q[0][0] is not None
+    assert all(row is None or len(row) == len(m.available[x]) for xs in q for x, row in enumerate(xs))
 
 
 # The ε-greedy choice sits inside teacher_query's loop.  A one-step
@@ -128,8 +127,8 @@ def choice_nmdp(actions):
 def choose(m, row, rng):
     """The action of a one-step episode on m from a Q row seeded with
     `row`, the values of the four actions by index."""
-    q = QTable()
-    q.rows.append([[row[a] for a in m.available[0]]] + [None] * (len(m.states) - 1))
+    q = []
+    q.append([[row[a] for a in m.available[0]]] + [None] * (len(m.states) - 1))
     (label, _), = teacher_query(q, m, m.truth, "equivalence", config(n_episode=1), rng)
     return m.truth.ap.labels().index(label)
 
@@ -160,7 +159,7 @@ def test_epsilon_greedy_matches_the_reference_draws(monkeypatch):
     cases = [([1.0, 0.5, 1.0, 1.0], CHOICES), ([0.25] * 4, CHOICES),
              ([1.0, 0.5, 1.0, 1.0], [[3, 0], [2, 3, 0]])]
     for row, choices in cases:
-        q = RefQTable()
+        q = RefQValues()
         for a, value in enumerate(row):
             q.set(0, 0, a, value)
         for actions in choices:
@@ -187,8 +186,8 @@ def test_epsilon_greedy_reads_a_self_loop_s_update(row, second, monkeypatch):
     truth = single_state_zero_prm(("c",))
     m = two_cell_nmdp(truth)
     for seed in range(20):
-        q, ref_q = QTable(), RefQTable()
-        q.rows.append([list(row), None])
+        q, ref_q = [], RefQValues()
+        q.append([list(row), None])
         for a, value in enumerate(row):
             ref_q.set(0, 0, a, value)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -213,14 +212,14 @@ def test_q_update_arithmetic(monkeypatch):
     truth = patrol_prm()
     m = two_cell_nmdp(truth)
     machine = membership_reward_machine(m.ap, (C,))
-    q = QTable()
+    q = []
     cfg = config(n_episode=1)
     rng = np.random.default_rng(1)
     trace = teacher_query(q, m, machine, "membership", cfg, rng)
     (label, _reward), = trace
     expected = 0.5 if label == C else 0.0
     visited = (0, 0, 1 if label == C else 0)   # action 1 enters the marked cell
-    assert q.rows[0][0][m.available[0].index(visited[2])] == expected
+    assert q[0][0][m.available[0].index(visited[2])] == expected
     for y, x, a in itertools.product(range(2), range(2), range(2)):
         if (y, x, a) != visited:
             assert q_value(q, m, y, x, a) == 0.0
@@ -228,10 +227,10 @@ def test_q_update_arithmetic(monkeypatch):
 
 # The teacher episode as it was written before the Q-table stored rows and
 # the environment and machines sampled from compiled rows: a dict keyed by
-# (y, x, a), and sample_index on every successor vector.
+# (y, x, a), and ref_sample_index on every successor vector.
 
 
-class RefQTable:
+class RefQValues:
     def __init__(self):
         self.values = {}
 
@@ -263,12 +262,12 @@ def ref_teacher_query(q, m, h, mode, cfg, rng):
     for _ in range(cfg.n_episode):
         actions = m.available[x]
         a = ref_epsilon_greedy_action(q, y, x, actions, explore, rng)
-        x_next = sample_index(m.p[(x, a)], rng)
+        x_next = ref_sample_index(m.p[(x, a)], rng)
         label = m.labeling[(x, a, x_next)]
-        y_truth_next = sample_index(truth.successor_vector(y_truth, label), rng)
+        y_truth_next = ref_sample_index(truth.successor_vector(y_truth, label), rng)
         r = truth.edge_reward(y_truth, label, y_truth_next)
         y_truth = y_truth_next
-        y_next = sample_index(h.successor_vector(y, label), rng)
+        y_next = ref_sample_index(h.successor_vector(y, label), rng)
         target = h.edge_reward(y, label, y_next) if mode == "membership" else r
         best_next = q.best(y_next, x_next, m.available[x_next])
         q.set(
@@ -360,7 +359,7 @@ def test_teacher_query_matches_reference_loop(explore, monkeypatch):
         for mode, h in machines:
             cfg = config(n_episode=30)
             rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-            q, ref_q = QTable(), RefQTable()
+            q, ref_q = [], RefQValues()
             if mode == "membership" and not h.is_total():
                 with pytest.raises(UndefinedTransitionError):
                     teacher_query(q, m, h, mode, cfg, rng)
@@ -373,7 +372,7 @@ def test_teacher_query_matches_reference_loop(explore, monkeypatch):
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode)
             for (y, x, a), value in ref_q.values.items():
-                assert q.rows[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
+                assert q[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
             for (y, x, a), value in q_values(q, m).items():
                 assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
 
@@ -384,11 +383,11 @@ def test_teacher_query_draws_alike_from_a_stream_and_a_generator(name):
     for mode, h in machines:
         cfg = config(n_episode=30)
         stream, rng = Stream(np.random.PCG64(11)), np.random.default_rng(11)
-        q, ref_q = QTable(), QTable()
+        q, ref_q = [], []
         for _ in range(40):
             trace = teacher_query(q, m, h, mode, cfg, stream)
             assert trace == teacher_query(ref_q, m, h, mode, cfg, rng), (name, mode)
-        assert q.rows == ref_q.rows, (name, mode)
+        assert q == ref_q, (name, mode)
         assert stream.random() == rng.random()
 
 
@@ -414,7 +413,7 @@ def test_teacher_query_records_environment_rewards():
     m = two_cell_nmdp(truth)
     machine = membership_reward_machine(m.ap, (C, EMPTY_LABEL))
     cfg = config(n_episode=5)
-    trace = teacher_query(QTable(), m, machine, "membership", cfg, np.random.default_rng(2))
+    trace = teacher_query([], m, machine, "membership", cfg, np.random.default_rng(2))
     assert len(trace) == 5
     for label, reward in trace:
         assert label in (C, EMPTY_LABEL)
@@ -425,7 +424,7 @@ def test_teacher_query_equivalence_mode_uses_env_reward(monkeypatch):
     monkeypatch.setattr(active, "EXPLORE", 0.2)
     truth = patrol_prm()
     m = two_cell_nmdp(truth)
-    q = QTable()
+    q = []
     cfg = config(n_episode=50)
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -438,7 +437,7 @@ def test_teacher_query_equivalence_mode_uses_env_reward(monkeypatch):
 def test_teacher_query_rejects_unknown_mode():
     m = two_cell_nmdp(patrol_prm())
     with pytest.raises(ValueError):
-        teacher_query(QTable(), m, patrol_prm(), "oracle", config(), np.random.default_rng(0))
+        teacher_query([], m, patrol_prm(), "oracle", config(), np.random.default_rng(0))
 
 
 def test_teacher_episodes_rejects_unknown_mode_at_the_call():
@@ -447,7 +446,7 @@ def test_teacher_episodes_rejects_unknown_mode_at_the_call():
     m = two_cell_nmdp(patrol_prm())
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="unknown query mode 'oracle'"):
-        teacher_episodes(QTable(), m, patrol_prm(), "oracle", config(), rng)
+        teacher_episodes([], m, patrol_prm(), "oracle", config(), rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -461,7 +460,7 @@ def test_teacher_episodes_match_the_reference_loop(explore, monkeypatch):
         for mode, h in machines:
             cfg = config(n_episode=30)
             rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-            q, ref_q = QTable(), RefQTable()
+            q, ref_q = [], RefQValues()
             episodes = teacher_episodes(q, m, h, mode, cfg, rng)
             if mode == "membership" and not h.is_total():
                 with pytest.raises(UndefinedTransitionError):
@@ -475,7 +474,7 @@ def test_teacher_episodes_match_the_reference_loop(explore, monkeypatch):
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (name, mode, k)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, mode, k)
             for (y, x, a), value in ref_q.values.items():
-                assert q.rows[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
+                assert q[y][x][m.available[x].index(a)] == value, (name, mode, (y, x, a))
             for (y, x, a), value in q_values(q, m).items():
                 assert value == ref_q.get(y, x, a), (name, mode, (y, x, a))
 
@@ -509,14 +508,14 @@ def test_teacher_episodes_match_the_reference_loop_on_shuffled_actions(case):
     for mode, h in machines:
         for explore in (0.0, 0.1):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            q, ref_q = QTable(), RefQTable()
+            q, ref_q = [], RefQValues()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(active, "EXPLORE", explore)
                 for _, trace in zip(range(6), teacher_episodes(q, m, h, mode, cfg, rng)):
                     assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng), (mode, explore)
             assert rng.bit_generator.state == ref_rng.bit_generator.state, (mode, explore)
             for (y, x, a), value in ref_q.values.items():
-                assert q.rows[y][x][m.available[x].index(a)] == value, (mode, explore, (y, x, a))
+                assert q[y][x][m.available[x].index(a)] == value, (mode, explore, (y, x, a))
             for (y, x, a), value in q_values(q, m).items():
                 assert value == ref_q.get(y, x, a), (mode, explore, (y, x, a))
 
@@ -532,7 +531,7 @@ def test_teacher_episodes_draw_nothing_past_the_last_episode_asked_for(mode):
         cfg = config(n_episode=30)
         for k in (1, 2, 7):
             rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-            q, ref_q = QTable(), RefQTable()
+            q, ref_q = [], RefQValues()
             for trace in teacher_episodes(q, m, h, mode, cfg, rng):
                 assert trace == ref_teacher_query(ref_q, m, h, mode, cfg, ref_rng)
                 k -= 1
@@ -545,7 +544,7 @@ def test_teacher_episodes_draw_nothing_past_the_last_episode_asked_for(mode):
 def test_teacher_keeps_q_rows_across_equivalence_queries_of_one_shape(name, monkeypatch):
     # learn_active keeps q_h across equivalence queries whose hypotheses
     # have as many states: the second query's generator reads and updates
-    # the very lists of q.rows that the first one left, and both queries
+    # the very lists of q that the first one left, and both queries
     # give the reference episodes on one shared reference table
     monkeypatch.setattr(active, "EXPLORE", 0.1)
     _, m, _ = next(case for case in teacher_cases() if case[0] == name)
@@ -553,17 +552,17 @@ def test_teacher_keeps_q_rows_across_equivalence_queries_of_one_shape(name, monk
     machines = [random_prm(machine_rng, 3, m.ap.props, [0.0, 0.5, 1.0]) for _ in range(2)]
     cfg = config(n_episode=30)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    q, ref_q = QTable(), RefQTable()
+    q, ref_q = [], RefQValues()
     kept = {}
     for h in machines:
         for _, trace in zip(range(20), teacher_episodes(q, m, h, "equivalence", cfg, rng)):
             assert trace == ref_teacher_query(ref_q, m, h, "equivalence", cfg, ref_rng), name
         assert rng.bit_generator.state == ref_rng.bit_generator.state, name
-        assert all(q.rows[y][x] is row for (y, x), row in kept.items()), name
-        assert all(q.rows[y][x][m.available[x].index(a)] == value
+        assert all(q[y][x] is row for (y, x), row in kept.items()), name
+        assert all(q[y][x][m.available[x].index(a)] == value
                    for (y, x, a), value in ref_q.values.items()), name
         assert all(value == ref_q.get(y, x, a) for (y, x, a), value in q_values(q, m).items()), name
-        kept = {(y, x): row for y, xs in enumerate(q.rows) for x, row in enumerate(xs) if row}
+        kept = {(y, x): row for y, xs in enumerate(q) for x, row in enumerate(xs) if row}
     assert len(kept) > 1
 
 
@@ -571,7 +570,7 @@ def test_terminal_labels_cut_episodes():
     truth = patrol_prm()
     m = two_cell_nmdp(truth, terminal_labels=(C,))
     cfg = config(n_episode=50)
-    trace = teacher_query(QTable(), m, truth, "equivalence", cfg, np.random.default_rng(0))
+    trace = teacher_query([], m, truth, "equivalence", cfg, np.random.default_rng(0))
     assert trace[-1][0] == C
     assert all(label != C for label, _ in trace[:-1])
 
@@ -594,7 +593,7 @@ def test_membership_query_fills_sample():
     m = two_cell_nmdp(truth)
     table = ObservationTable(m.ap, m.label_alphabet())
     cfg = config(n_check=20, n_query=200, n_episode=5)
-    episodes = membership_query(table, (C, EMPTY_LABEL), m, QTable(), cfg, np.random.default_rng(0))
+    episodes = membership_query(table, (C, EMPTY_LABEL), m, [], cfg, np.random.default_rng(0))
     assert table.sample_count((C, EMPTY_LABEL)) >= cfg.n_check
     assert 0 < episodes <= cfg.n_query
 
@@ -605,7 +604,7 @@ def test_membership_query_skips_terminal_interrupted_words():
     truth = patrol_prm()
     m = two_cell_nmdp(truth, terminal_labels=(C,))
     table = ObservationTable(m.ap, m.label_alphabet())
-    episodes = membership_query(table, (C, C), m, QTable(), cfg=config(), rng=np.random.default_rng(0))
+    episodes = membership_query(table, (C, C), m, [], cfg=config(), rng=np.random.default_rng(0))
     assert episodes == 0
     assert table.total_samples() == 0
 
@@ -630,7 +629,7 @@ def test_membership_query_realizability_prefilter():
         labeling={(0, 0, 0): EMPTY_LABEL},
         truth=truth,
     )
-    episodes = membership_query(table, (C,), only_empty, QTable(), cfg, np.random.default_rng(0))
+    episodes = membership_query(table, (C,), only_empty, [], cfg, np.random.default_rng(0))
     assert episodes == 0
     assert table.sample_count((C,)) == 0
 
@@ -640,7 +639,7 @@ def test_membership_query_records_every_trace():
     m = two_cell_nmdp(truth)
     table = ObservationTable(m.ap, m.label_alphabet())
     cfg = config(n_check=10 ** 9, n_query=20, n_episode=3)
-    episodes = membership_query(table, (C, C, C), m, QTable(), cfg, np.random.default_rng(0))
+    episodes = membership_query(table, (C, C, C), m, [], cfg, np.random.default_rng(0))
     assert episodes == 20  # budget exhausted without reaching n_check
     assert table.num_traces == 20  # but every episode went into the table
 
@@ -652,7 +651,7 @@ def ref_membership_query(table, zeta, m, q_m, cfg, rng):
     if not zeta or not word_realizable(m, zeta):
         return 0, None
     machine = membership_reward_machine(m.ap, zeta)
-    q_m.reset()
+    q_m.clear()
     episodes, realized = 0, None
     while table.sample_count(zeta) < cfg.n_check and episodes < cfg.n_query:
         table.record(teacher_query(q_m, m, machine, "membership", cfg, rng))
@@ -688,13 +687,13 @@ def test_membership_query_stops_as_on_the_sample_count(case):
             if in_s:
                 t.add_state(zeta)
         assert (table.row(zeta) is not None) == in_s and table.sample_count(zeta) == 0
-        q, ref_q = QTable(), QTable()
+        q, ref_q = [], []
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         episodes = membership_query(table, zeta, m, q, cfg, rng)
         ref_episodes, realized = ref_membership_query(ref_table, zeta, m, ref_q, cfg, ref_rng)
         assert episodes == ref_episodes
         assert table_contents(table) == table_contents(ref_table)
-        assert q.rows == ref_q.rows
+        assert q == ref_q
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if case.startswith("exhausted"):
             assert episodes == cfg.n_query and table.sample_count(zeta) < cfg.n_check
@@ -881,7 +880,7 @@ def test_is_counterexample_memo_matches_fresh_walk(monkeypatch):
     h, table = result.hypothesis, result.table
     monkeypatch.setattr(active, "EXPLORE", 0.5)  # explores enough to meet counterexamples
     rng = np.random.default_rng(4)
-    q, steps = QTable(), {}
+    q, steps = [], {}
     verdicts = []
     for _ in range(60):
         trace = teacher_query(q, m, h, "equivalence", config(n_episode=office.n_episode), rng)
@@ -979,11 +978,11 @@ def test_equivalence_query_flags_wrong_hypothesis():
     rng = np.random.default_rng(2)
     # pre-populate the table with real data
     for _ in range(100):
-        teacher_query(QTable(), m, truth, "equivalence", cfg, rng)
+        teacher_query([], m, truth, "equivalence", cfg, rng)
     for _ in range(100):
-        table.record(teacher_query(QTable(), m, truth, "equivalence", cfg, rng))
+        table.record(teacher_query([], m, truth, "equivalence", cfg, rng))
     # an all-zero hypothesis contradicts the patrol rewards
     wrong = build_simple_hypothesis({0.0: 1.0})
-    ce, episodes = equivalence_query(table, m, QTable(), wrong, cfg, rng)
+    ce, episodes = equivalence_query(table, m, [], wrong, cfg, rng)
     assert ce is not None
     assert episodes <= cfg.n_stop

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import prmlearn.cli
 from prmlearn.cli import main
+from prmlearn.verify import EncodingReport
+
+from conftest import C
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "prmlearn" / "assets"
 
@@ -209,6 +213,22 @@ def test_eval_encoding_reports_bottom_words(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "1.0",
         "14 words fully absorbed by the failure state, e.g. ε",
+    ]
+
+
+@pytest.mark.parametrize("digits", [4300, 5001])
+def test_eval_encoding_prints_every_digit_of_a_long_bottom_count(digits, monkeypatch, capsys):
+    # int -> str refuses more than 4300 digits by default; a count of 5001
+    # digits, as a long enough walk reaches, still prints in full
+    count = 10 ** (digits - 1) + 7
+    report = EncodingReport(1.0, (C,), words_checked=count, bottom_count=count, first_bottom_word=(C,))
+    monkeypatch.setattr(prmlearn.cli, "encoding_distance", lambda h, truth, max_len: report)
+    truth = ASSETS / "patrol_truth.prm"
+    code = run_cli(["eval-encoding", "--hypothesis", truth, "--truth", truth, "--max-len", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "1.0",
+        "1%s7 words fully absorbed by the failure state, e.g. c" % ("0" * (digits - 2)),
     ]
 
 

@@ -31,7 +31,11 @@ deterministic and never draw a successor.  The encoding digest is of
 every `encoding_distance` report field over a fixed corpus of random
 machine pairs, taken while each label's distributions were still dicts
 compared by `total_variation`, so a change to the walk's arithmetic or
-order fails here.
+order fails here.  The learner digest is of both learners' machines and
+the active run's report on twenty random `free_nmdp` tasks, taken while
+each learner still had its own repair loop; on some of them the active
+machine depends on whether a repair mends consistency or closedness
+first, so a change to the order of repairs fails here.
 """
 
 import hashlib
@@ -46,7 +50,7 @@ from prmlearn.machine import prm_from_text
 from prmlearn.alphabet import word_str
 from prmlearn.environment import collect_traces, load_env_config, save_traces, uniform_policy
 
-from conftest import random_nmdp, random_prm
+from conftest import free_nmdp, random_nmdp, random_prm
 
 OFFICE = Path(prmlearn.__file__).resolve().parent / "assets" / "office.yaml"
 
@@ -64,6 +68,7 @@ ACTIVE_STOCHASTIC_SHA256 = "e1731e2bf2fc4d0b0a07b5084f7211138e49dff4686002c97b00
 ACTIVE_STOCHASTIC_REPORT_SHA256 = "e993387fd68d77a1ec65d134988e424eb2bcd82344580e2309c871188bf8257a"
 ACTIVE_STOCHASTIC_TABLE_SHA256 = "1f569132a0a1c52141d30ecc1dede92003032f8a0ddd69c070f6e47b65bb3224"
 ENCODING_SHA256 = "2008827d2ef34ded0c259f37624abc9a46a8102ab8a30c39a59db38d6d16b492"
+LEARNERS_SHA256 = "00fd40d3c59024fd2f16ac8cff9c1753296e3a91a8e55268f416f574ef944f4c"
 
 
 def digest(prm) -> str:
@@ -169,3 +174,25 @@ def test_encoding_distance_reports_are_pinned(monkeypatch):
                               + [text(w) for w in report.bottom_words]))
     assert sha256("\n".join(lines)) == ENCODING_SHA256
     assert max(widest) >= 3
+
+
+def learner_corpus():
+    """Twenty `free_nmdp` tasks on `random_prm` truths of 1-3 states, one
+    or two propositions, two or three rewards, dyadic and not."""
+    rng = np.random.default_rng(36)
+    for trial in range(20):
+        props = ("a", "b") if trial % 4 == 3 else ("a",)
+        rewards = (0.0, 1.0, 2.0)[:2 + trial % 2]
+        truth = random_prm(rng, 1 + trial % 3, props, rewards, dyadic=bool(trial // 2 % 2))
+        yield trial, free_nmdp(truth)
+
+
+def test_learners_on_random_tasks_are_pinned():
+    """The active machine and report and the passive machine of every
+    task of the corpus, under one digest."""
+    parts = []
+    for trial, m in learner_corpus():
+        active = learn_active(m, LearnerConfig(n_check=8, n_query=100, n_stop=6, n_episode=5, seed=trial))
+        passive = learn_passive(m, uniform_policy(m), 300, PassiveConfig(n_check=8, n_episode=5, seed=trial))
+        parts += [prm_to_text(active.hypothesis), active.report.render(), prm_to_text(passive.hypothesis)]
+    assert sha256("\n".join(parts)) == LEARNERS_SHA256

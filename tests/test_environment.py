@@ -39,11 +39,11 @@ from prmlearn.environment import (
     trace_to_line,
     word_realizable,
 )
-from prmlearn.machine import Prm, sample_index, spawn_states, unit_vector
+from prmlearn.machine import Prm, spawn_states, unit_vector
 
 from conftest import (
     C, O, STAR, edges_of, free_nmdp, machine_run, probability_vectors, random_nmdp, random_prm,
-    single_state_zero_prm, two_cell_nmdp,
+    ref_sample_index, single_state_zero_prm, two_cell_nmdp,
 )
 
 OFFICE_MAP = """\
@@ -273,13 +273,13 @@ def test_initial_state_out_of_range_rejected(x_init):
 
 
 def ref_step(m, x, a, rng, truth, y):
-    """One step as sample_index draws it from the uncompiled rows: the
+    """One step as ref_sample_index draws it from the uncompiled rows: the
     environment's successor, then the truth machine's."""
     if a not in m.available[x]:
         raise UnavailableActionError("action %r unavailable" % (a,))
-    x_next = sample_index(m.p[(x, a)], rng)
+    x_next = ref_sample_index(m.p[(x, a)], rng)
     label = m.labeling[(x, a, x_next)]
-    y_next = sample_index(truth.successor_vector(y, label), rng)
+    y_next = ref_sample_index(truth.successor_vector(y, label), rng)
     return x_next, label, truth.edge_reward(y, label, y_next), y_next
 
 
@@ -325,7 +325,7 @@ def environment_and_actions(draw):
 @given(case=environment_and_actions())
 def test_step_draws_as_sample_index(case):
     # deterministic, dyadic and non-dyadic environment and truth rows: the
-    # compiled step gives the successor, label and reward of sample_index
+    # compiled step gives the successor, label and reward of ref_sample_index
     # on the rows and leaves the Generator in the same state; every step on
     # one truth edge gives the same pair object, and the index is its
     # label's place in label_alphabet()
@@ -364,14 +364,14 @@ def environment_and_policy(draw):
 
 
 def ref_episode(m, policy, rng, n_episode):
-    """run_episode as sample_index draws it: the action from the sorted
+    """run_episode as ref_sample_index draws it: the action from the sorted
     actions' probabilities, then the step from the uncompiled rows."""
     truth = m.truth
     x, y, trace = m.x_init, truth.init, []
     for _ in range(n_episode):
         dist = policy.action_probs.get(x, {m.available[x][0]: 1.0})
         actions = sorted(dist)
-        a = int(actions[sample_index(np.array([dist[a] for a in actions]), rng)])
+        a = int(actions[ref_sample_index(np.array([dist[a] for a in actions]), rng)])
         x, label, reward, y = ref_step(m, x, a, rng, truth, y)
         trace.append((label, reward))
         if label in m.terminal_labels:

@@ -32,7 +32,8 @@ from prmlearn.alphabet import label_str
 from prmlearn.environment import ACTIONS, build_office_nmdp, parse_gridmap, step
 
 from conftest import (
-    C, O, STAR, dyadic_vector, edges_of, machine_run, probability_vectors, random_prm, single_state_zero_prm,
+    C, O, STAR, dyadic_vector, edges_of, machine_run, probability_vectors, random_prm, ref_sample_index,
+    single_state_zero_prm,
 )
 
 A = frozenset({"a"})
@@ -496,12 +497,12 @@ def machine_and_queries(draw):
 def test_sample_successor_draws_as_sample_index(case):
     # deterministic, dyadic and non-dyadic rows, all-zero rows of undefined
     # pairs and e_bottom rows of implicit-bottom pairs: the compiled row
-    # gives the index sample_index gives and leaves the Generator in the
+    # gives the index ref_sample_index gives and leaves the Generator in the
     # same state
     prm, queries, seed = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for y, label in queries:
-        expected = sample_index(prm.successor_vector(y, label), ref_rng)
+        expected = ref_sample_index(prm.successor_vector(y, label), ref_rng)
         assert draw_row(prm.compiled_step(y, label)[0], rng) == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -525,8 +526,10 @@ def test_compiled_row_breaks_ties_as_searchsorted(vec, u):
     cum = np.cumsum(vec).tolist()
     short = vec * (1.0 - 1e-10)
     for value in cum + [u, float(np.cumsum(short)[-1])]:
-        assert draw_row(row, ScriptedRng([value])) == sample_index(vec, ScriptedRng([value]))
-        assert draw_row(sampling_row(short), ScriptedRng([value])) == sample_index(short, ScriptedRng([value]))
+        expected = ref_sample_index(vec, ScriptedRng([value]))
+        assert draw_row(row, ScriptedRng([value])) == sample_index(vec, ScriptedRng([value])) == expected
+        expected = ref_sample_index(short, ScriptedRng([value]))
+        assert draw_row(sampling_row(short), ScriptedRng([value])) == sample_index(short, ScriptedRng([value])) == expected
 
 
 def test_compiled_step_rewards_by_successor():
@@ -560,7 +563,7 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
     prm = Prm(ap, [0.0, 1.0], ["y0", "y1", "y2"], 0, tau, {edge: 1.0 for edge in edges_of(tau)})
     past = 1.0 - 1e-11
     row, emits = prm.compiled_step(0, A)
-    assert draw_row(row, ScriptedRng([past])) == sample_index(tau[(0, A)], ScriptedRng([past])) == 1
+    assert draw_row(row, ScriptedRng([past])) == ref_sample_index(tau[(0, A)], ScriptedRng([past])) == 1
     assert emits[1] == (A, 1.0)
     assert machine_run(prm, (A,), ScriptedRng([past])) == [(1, 1.0)]
 

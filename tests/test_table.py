@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prmlearn import Alphabet, ObservationTable, PassiveConfig, build_hypothesis, diff, hoeffding_threshold
+from prmlearn import Alphabet, ObservationTable, PassiveConfig, build_hypothesis, diff
 from prmlearn import passive
 import prmlearn
 from prmlearn.alphabet import EPSILON, EMPTY_LABEL, format_reward, word_str
@@ -26,6 +26,7 @@ from prmlearn.table import (
     diff_against_distribution,
     is_counterexample,
     repair_on_frozen_data,
+    repair_step,
 )
 
 from conftest import C, O, random_prm, ref_is_counterexample
@@ -47,12 +48,22 @@ def freq_fn(mapping):
 # -- the Hoeffding test ----------------------------------------------------------
 
 
+def threshold_written_out(n, n_prime, m_total):
+    """The threshold as the paper states it: sqrt(0.5 ln(2/alpha)) times
+    sqrt(1/n) + sqrt(1/n'), at alpha = 1/M^3."""
+    alpha = 1.0 / m_total ** 3
+    return math.sqrt(0.5 * math.log(2.0 / alpha)) * (math.sqrt(1.0 / n) + math.sqrt(1.0 / n_prime))
+
+
 def test_threshold_value_m200():
-    # alpha = 1/200^3; threshold = sqrt(0.5 ln(2/alpha)) (sqrt(1/100)+sqrt(1/100))
-    t = hoeffding_threshold(100, 100, 200)
+    # alpha = 1/200^3; threshold = sqrt(0.5 ln(2/alpha)) (sqrt(1/100)+sqrt(1/100)) = 0.57599
+    t = threshold_written_out(100, 100, 200)
     assert abs(t - 0.576) <= 1e-3
-    expected = math.sqrt(0.5 * math.log(2 * 200 ** 3)) * 0.2
-    assert t == pytest.approx(expected)
+    assert t == pytest.approx(math.sqrt(0.5 * math.log(2 * 200 ** 3)) * 0.2)
+    # two words of 100 samples each differ exactly when a reward's shares are further apart
+    for gap in (0.575, t - 1e-6, t + 1e-6, 0.577):
+        f = freq_fn({"s": {1.0: 100 * gap, 0.0: 100 - 100 * gap}, "t": {0.0: 100}})
+        assert diff(f, "s", "t", 200) is (gap > t), gap
 
 
 def test_diff_worked_examples():
@@ -126,14 +137,6 @@ def test_sparse_words_never_differ():
     assert skipped and differed
 
 
-@pytest.mark.parametrize("args, name", [
-    ((0, 100, 200), "n"), ((100, -1, 200), "n_prime"), ((100, 100, 0), "m_total"), ((100, 100, -5), "m_total"),
-])
-def test_hoeffding_threshold_rejects_a_count_below_one(args, name):
-    with pytest.raises(ValueError, match="^%s must be a positive integer" % name):
-        hoeffding_threshold(*args)
-
-
 @pytest.mark.parametrize("m_total", [0, -3])
 def test_diff_rejects_a_sample_total_below_one(m_total):
     # rejected before the words are read, so also when either has no samples
@@ -177,7 +180,7 @@ def test_diff_is_the_hoeffding_test_written_out(f_s, f_t, m_total):
     if n == 0 or n_prime == 0:
         expected = False
     else:
-        threshold = hoeffding_threshold(n, n_prime, m_total)
+        threshold = threshold_written_out(n, n_prime, m_total)
         expected = any(abs(f_s.get(g, 0) / n - f_t.get(g, 0) / n_prime) > threshold
                        for g in set(f_s) | set(f_t))
     lookup = {"s": f_s, "t": f_t}
@@ -229,7 +232,7 @@ def test_freq_and_t_hand_out_copies():
         t.record([(C, 0.0)])
     table.freq((C,))[0.0] = 0
     table.t[(C,)][1.0] = 7
-    assert table.total((C,)) == 1
+    assert table.sample_count((C,)) == 1
     assert table.freq((C,)) == {0.0: 1}
     assert table.t == {(C,): {0.0: 1}}
     # the edits reach none of the table's tests: S = {ε} covers no row of c
@@ -284,7 +287,7 @@ def test_is_counterexample_walk_matches_word_lookups(recorded, query, seed):
 def test_untracked_words_read_empty():
     table = make_table()
     assert table.freq((C, C, C)) == Counter()
-    assert table.total((C,)) == 0
+    assert table.sample_count((C,)) == 0
 
 
 def test_freq_of_a_word_without_counts_is_a_new_dict():
@@ -292,7 +295,7 @@ def test_freq_of_a_word_without_counts_is_a_new_dict():
     table.add_state((O,))   # an id without counts
     for word in [(C,), (O,)]:
         table.freq(word)[1.0] = 5
-        assert table.freq(word) == {} and table.total(word) == 0
+        assert table.freq(word) == {} and table.sample_count(word) == 0
     assert make_table().freq((C,)) == {}
 
 
@@ -317,7 +320,6 @@ def test_numpy_counts_are_stored_as_ints_past_the_cube_s_wrap():
     for m in (np.int64(m_total), m_total):
         _hoeffding_factor.cache_clear()
         assert _hoeffding_factor(m) == factor
-        assert hoeffding_threshold(100, 400, m) == factor * (math.sqrt(1.0 / 100) + math.sqrt(1.0 / 400))
         assert diff(freq_fn({(C,): {0.0: 100}, (O,): {1.0: 100}}), (C,), (O,), m)
     assert is_counterexample(table, prm_from_text(
         "ap: c,o\ngamma: 0,1\ninit: q0\nq0 --c/0--> q0 : 1.0"), [(C, 1.0)], n_check=1) == (C,)
@@ -430,7 +432,7 @@ def test_kept_sample_counts_are_the_sums_of_the_counts(ops, n):
             assert table._n[node] == (0 if counter is None else sum(counter.values()))
         for word in map(table.word, range(len(table._counts))):
             total = sum(table.freq(word).values())
-            assert table.total(word) == total
+            assert table.samples(table.row(word)) == total
             assert table.sample_count(word) == (total if word else table.num_traces)
         assert table.sampled_words(n) == [w for w, counter in table.t.items() if sum(counter.values()) >= n]
     assert csv_bytes(ObservationTable.to_csv, table) == csv_bytes(write_csv_by_t, table)
@@ -484,6 +486,33 @@ def test_consistency_witness_adds_column():
     assert {s, s_prime} == {EPSILON, (EMPTY_LABEL,)}
     assert label == C
     assert e == EPSILON
+
+
+def test_repair_step_adds_an_inconsistent_column_before_an_unclosed_row():
+    # the table of test_consistency_witness_adds_column: rows eps and (eps)
+    # are compatible while their c-extensions differ, and the row (eps).c,
+    # unlike the row (eps), is covered by no member of S
+    table = make_table(alphabet=[EMPTY_LABEL, C])
+    table.add_state((EMPTY_LABEL,))
+    for _ in range(300):
+        table.record([(EMPTY_LABEL, 0.0), (C, 1.0)])
+        table.record([(C, 0.0)])
+    assert table.is_consistent() == (False, (EPSILON, (EMPTY_LABEL,), C, EPSILON))
+    assert table.is_closed() == (False, ((EMPTY_LABEL,), C))
+    assert repair_step(table) is True
+    assert [table.word(s) for s in table.s] == [EPSILON, (EMPTY_LABEL,)]
+    assert table.e == [EPSILON, (C,)]
+    assert repair_step(table) is True
+    assert [table.word(s) for s in table.s] == [EPSILON, (EMPTY_LABEL,), (EMPTY_LABEL, C)]
+    assert table.e == [EPSILON, (C,)]
+    # closed and consistent: False, and S and E stay as they are
+    assert table.is_consistent() == table.is_closed() == (True, None)
+    for _ in range(2):
+        assert repair_step(table) is False
+        assert [table.word(s) for s in table.s] == [EPSILON, (EMPTY_LABEL,), (EMPTY_LABEL, C)]
+        assert table.e == [EPSILON, (C,)]
+    fresh = make_table()
+    assert repair_step(fresh) is False and fresh.s == [0] and fresh.e == [EPSILON]
 
 
 def test_rank_and_representative():
@@ -593,11 +622,11 @@ def ref_compatible_rows(table, s, s_prime):
 
 
 def ref_rows_share_evidence(table, s, s_prime):
-    return any(table.total(s + e) > 0 and table.total(s_prime + e) > 0 for e in table.e)
+    return any(table.freq(s + e) and table.freq(s_prime + e) for e in table.e)
 
 
 def ref_row_has_data(table, s):
-    return any(table.total(s + e) > 0 for e in table.e)
+    return any(table.freq(s + e) for e in table.e)
 
 
 def ref_is_closed(table):
