@@ -14,7 +14,7 @@ import numpy as np
 
 from .alphabet import EPSILON, Word, label_str, word_str
 from .environment import (
-    Nmdp, check_count, check_terminal_labels, fill_step, membership_reward_machine, step, word_realizable,
+    Nmdp, check_count, check_terminal_labels, membership_reward_machine, step, word_realizable,
 )
 # sample_index and diff_against_distribution are unused here; the benchmark tracer wraps
 # them, and is_counterexample, which equivalence_query calls through this module's global
@@ -64,7 +64,7 @@ def _episodes(rows: list, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig,
     terminal = [label in m.terminal_labels for label in labels]
     available = m.available
     explore, learn_rate, discount, n_episode = EXPLORE, LEARN_RATE, DISCOUNT, cfg.n_episode
-    h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index)
+    h_steps = [[None] * len(labels) for _ in h.states]   # h's compiled steps by (state, label index), filled on use
     rows.extend([None] * len(available) for _ in range(len(rows), len(h.states)))
     x_init, y_init, z_init = m.x_init, h.init, m.truth.init   # z: the truth's state
     while True:
@@ -88,7 +88,10 @@ def _episodes(rows: list, m: Nmdp, h: Prm, membership: bool, cfg: LearnerConfig,
                 else:
                     k = [j for j, value in enumerate(row) if value == best][rng.integers(0, ties)]
             x_next, z, pair, i = step(m, x, z, actions[k], rng)
-            h_row, emits = h_steps[y][i] or fill_step(h_steps, h, labels, y, i)
+            h_step = h_steps[y][i]
+            if h_step is None:
+                h_step = h_steps[y][i] = h.compiled_step(y, labels[i])
+            h_row, emits = h_step
             y_next = h_row if h_row.__class__ is int else draw_row(h_row, rng)
             target = emits[y_next][1] if membership else pair[1]
             row_next = rows[y_next][x_next]

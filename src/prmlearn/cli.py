@@ -116,6 +116,8 @@ def cmd_learn_passive(args) -> int:
         result.table.to_csv(args.table)
     print("learned %d-state machine from %d traces; wrote %s"
           % (result.hypothesis.n_states(), result.report.episodes, args.out))
+    for note in result.report.notes:
+        print(note)
     return 0
 
 

@@ -53,16 +53,13 @@ class Nmdp:
     truth: Prm              # the hidden reward machine; total
     # the labels that end an episode: a rollout stops right after one
     terminal_labels: frozenset = frozenset()
-    # Built afresh by __post_init__, so a dataclasses.replace copy has its
-    # own: _labels is label_alphabet(), whose places number the labels;
-    # _index maps a label to its number and _terminal flags the numbers that
-    # end an episode.  step fills _truth_steps[z][i], the truth's compiled
-    # step from z on label i, and on x's first step _moves[x]: {action:
-    # (sampling_row of the successor vector, the label index of a
-    # deterministic row, else {successor: label index})}.  An Nmdp is not
-    # changed after construction.
+    # Built by __post_init__, so a dataclasses.replace copy has its own, and
+    # only read by step: _labels is label_alphabet(), whose places number
+    # the labels, and _terminal flags the numbers that end an episode;
+    # _truth_steps[z][i] is the truth's compiled step from z on label i, and
+    # _moves[x] is {action: (sampling_row of the successor vector, the label
+    # index of a deterministic row, else {successor: label index})}.
     _labels: list = field(default=None, init=False, repr=False, compare=False)
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
     _terminal: list = field(default=None, init=False, repr=False, compare=False)
     _truth_steps: list = field(default=None, init=False, repr=False, compare=False)
     _moves: list = field(default=None, init=False, repr=False, compare=False)
@@ -107,10 +104,16 @@ class Nmdp:
                                      % (x, a, int(j), label))
                 labels.add(self.ap.validate_label(label))
         self._labels = sorted(labels, key=label_sort_key)
-        self._index = {label: i for i, label in enumerate(self._labels)}
+        index = {label: i for i, label in enumerate(self._labels)}
         self._terminal = [label in self.terminal_labels for label in self._labels]
-        self._truth_steps = [[None] * len(self._labels) for _ in self.truth.states]
-        self._moves = [None] * len(self.states)
+        self._truth_steps = [[self.truth.compiled_step(z, label) for label in self._labels]
+                             for z in range(self.truth.n_states())]
+        self._moves = [{} for _ in self.states]
+        for x, moves in enumerate(self._moves):
+            for a in self.available[x]:
+                row = sampling_row(self.p[(x, a)])
+                label_of = {j: index[self.labeling[(x, a, j)]] for j in np.flatnonzero(self.p[(x, a)]).tolist()}
+                moves[a] = (row, label_of[row] if row.__class__ is int else label_of)
 
     @property
     def ap(self) -> Alphabet:
@@ -185,7 +188,7 @@ def step(m: Nmdp, x: int, y: int, a: int, rng):
     of the truth's edge and index is the label's in `m.label_alphabet()`.
     The environment's successor is drawn as `sample_index(m.p[(x, a)], rng)`
     would, from its compiled row, then the truth's from its compiled step."""
-    move = (m._moves[x] or _compile_moves(m, x)).get(a)
+    move = m._moves[x].get(a)
     if move is None:
         raise UnavailableActionError("action %r unavailable at state %r" % (a, m.states[x]))
     row, i = move
@@ -194,25 +197,9 @@ def step(m: Nmdp, x: int, y: int, a: int, rng):
     else:
         x_next = draw_row(row, rng)
         i = i[x_next]
-    row, emits = m._truth_steps[y][i] or fill_step(m._truth_steps, m.truth, m._labels, y, i)
+    row, emits = m._truth_steps[y][i]
     y_next = row if row.__class__ is int else draw_row(row, rng)
     return x_next, y_next, emits[y_next], i
-
-
-def fill_step(steps: list, prm: Prm, labels: list, y: int, i: int) -> tuple:
-    """Fill and return `steps[y][i]`, prm's compiled step on labels[i]."""
-    step = steps[y][i] = prm.compiled_step(y, labels[i])
-    return step
-
-
-def _compile_moves(m: Nmdp, x: int) -> dict:
-    """Fill and return `m._moves[x]`, the move of each action available at x."""
-    moves = m._moves[x] = {}
-    for a in m.available[x]:
-        row = sampling_row(m.p[(x, a)])
-        index = {j: m._index[m.labeling[(x, a, j)]] for j in np.flatnonzero(m.p[(x, a)]).tolist()}
-        moves[a] = (row, index[row] if row.__class__ is int else index)
-    return moves
 
 
 def run_episode(m: Nmdp, policy, rng, n_episode: int):

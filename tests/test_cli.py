@@ -9,6 +9,8 @@ import pytest
 
 import prmlearn.cli
 from prmlearn.cli import main
+from prmlearn.environment import ACTIONS, PositionalPolicy, collect_traces, load_env_config, save_traces, uniform_policy
+from prmlearn.passive import PassiveConfig, learn_passive
 from prmlearn.verify import EncodingReport
 
 from conftest import C
@@ -133,6 +135,20 @@ def test_learn_passive_reports_every_logged_episode(patrol_env, tmp_path, capsys
                     "--n-check", "1", "--out", tmp_path / "learned.prm"])
     assert code == 0
     assert "from 7 traces" in capsys.readouterr().out
+
+
+def test_learn_passive_prints_where_state_seeding_stopped(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("prmlearn.passive.MAX_STATES", 2)
+    env = load_env_config(ASSETS / "office.yaml")
+    cfg = PassiveConfig(n_check=5, n_episode=env.n_episode, seed=env.seed)
+    result = learn_passive(env.nmdp, uniform_policy(env.nmdp), 300, cfg)
+    assert result.report.notes == ["state seeding stopped at max_states=2"]
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["learn-passive", "--env", "office", "--policy", "uniform", "--episodes", "300",
+                    "--n-check", "5", "--out", "learned.prm"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("learned ") and out[1:] == ["state seeding stopped at max_states=2"]
 
 
 @pytest.mark.parametrize("log", ["", "\n\n"], ids=["empty-log", "blank-lines"])
@@ -334,6 +350,39 @@ def test_unknown_policy_file(patrol_env, tmp_path, capsys):
     code = run_cli(["simulate", "--env", patrol_env, "--policy", "no-such-policy",
                     "--episodes", "1", "--out", tmp_path / "x.log"])
     assert code == 1
+
+
+def test_simulate_policy_file_rolls_out_its_positional_policy(tmp_path, monkeypatch, capsys):
+    # start, then coffee below it, then the office below that; (1,1) is
+    # never visited, and every other state falls back to its first action
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "policy.yaml").write_text('"(3,3)": S\n"(4,3)": S\n"(1,1)": E\n', encoding="utf-8")
+    code = run_cli(["simulate", "--env", "office", "--policy", "policy.yaml", "--episodes", "20",
+                    "--seed", "3", "--out", "traces.log"])
+    assert code == 0
+    env = load_env_config(ASSETS / "office.yaml")
+    policy = PositionalPolicy({env.nmdp.states.index(state): {ACTIONS.index(action): 1.0}
+                               for state, action in (("(3,3)", "S"), ("(4,3)", "S"), ("(1,1)", "E"))})
+    save_traces(collect_traces(env.nmdp, policy, 20, 3, env.n_episode), tmp_path / "expected.log")
+    assert (tmp_path / "traces.log").read_bytes() == (tmp_path / "expected.log").read_bytes()
+    assert "wrote 20 traces" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"(0,0)": E\n', "policy names unknown state '(0,0)'"),   # a wall, not a state
+    ('"(3,3)": X\n', "policy names unknown action 'X'"),
+    ('"(3,3)": 1\n', "policy names unknown action 1"),
+    ("- E\n", "a policy file must map state names to action names"),
+    ("", "a policy file must map state names to action names"),
+], ids=["unknown-state", "unknown-action", "non-string-action", "list", "empty-file"])
+def test_simulate_rejects_a_bad_policy_file(tmp_path, capsys, text, message):
+    policy = tmp_path / "policy.yaml"
+    policy.write_text(text, encoding="utf-8")
+    code = run_cli(["simulate", "--env", "office", "--policy", policy, "--episodes", "1",
+                    "--out", tmp_path / "x.log"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]
+    assert not (tmp_path / "x.log").exists()
 
 
 @pytest.mark.parametrize(

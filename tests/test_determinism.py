@@ -27,7 +27,11 @@ stochastic digests are of the machine, report and table of an active run
 on a fixed `random_nmdp` whose moves and truth are stochastic and whose
 one terminal label ends episodes, taken while the environment's moves
 still carried labels rather than their indices: office's moves are
-deterministic and never draw a successor.  The encoding digest is of
+deterministic and never draw a successor.  The stochastic rollout digest
+is of `save_traces` of uniform-policy episodes on that environment, taken
+while its moves and its truth's steps were still compiled on first use,
+so a change to how a stochastic move row is compiled or drawn fails here
+even where the active run stays the same.  The encoding digest is of
 every `encoding_distance` report field over a fixed corpus of random
 machine pairs, taken while each label's distributions were still dicts
 compared by `total_variation`, so a change to the walk's arithmetic or
@@ -67,6 +71,7 @@ OFFICE_ROLLOUTS_SHA256 = "54113c392a0773fda4f2764d842d741020d0350cc09ea7cee88202
 ACTIVE_STOCHASTIC_SHA256 = "e1731e2bf2fc4d0b0a07b5084f7211138e49dff4686002c97b00c7139583b9d3"
 ACTIVE_STOCHASTIC_REPORT_SHA256 = "e993387fd68d77a1ec65d134988e424eb2bcd82344580e2309c871188bf8257a"
 ACTIVE_STOCHASTIC_TABLE_SHA256 = "1f569132a0a1c52141d30ecc1dede92003032f8a0ddd69c070f6e47b65bb3224"
+STOCHASTIC_ROLLOUTS_SHA256 = "42890f124f26eb14b8a0aa5836fa182d47445c278c7777473812442bb4ff97ff"
 ENCODING_SHA256 = "2008827d2ef34ded0c259f37624abc9a46a8102ab8a30c39a59db38d6d16b492"
 LEARNERS_SHA256 = "00fd40d3c59024fd2f16ac8cff9c1753296e3a91a8e55268f416f574ef944f4c"
 
@@ -117,15 +122,26 @@ def test_office_rollouts_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == OFFICE_ROLLOUTS_SHA256
 
 
-def test_active_stochastic_machine_is_pinned(tmp_path):
-    # every move and truth row is stochastic, and a&b ends episodes
+def stochastic_nmdp():
+    """A fixed `random_nmdp` whose every move and truth row is stochastic, and whose label a&b ends episodes."""
     props = ("a", "b")
     rng = np.random.default_rng(1)
     truth = random_prm(rng, 2, props, [0.0, 1.0])
-    m = random_nmdp(rng, n_states=4, n_actions=2, props=props, truth=truth,
-                    terminal_labels=(frozenset(props),))
+    return random_nmdp(rng, n_states=4, n_actions=2, props=props, truth=truth,
+                       terminal_labels=(frozenset(props),))
+
+
+def test_stochastic_rollouts_are_pinned(tmp_path):
+    m = stochastic_nmdp()
+    traces = collect_traces(m, uniform_policy(m), 200, 7, 15)
+    path = tmp_path / "traces.log"
+    save_traces(traces, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STOCHASTIC_ROLLOUTS_SHA256
+
+
+def test_active_stochastic_machine_is_pinned(tmp_path):
     cfg = LearnerConfig(n_check=30, n_query=100, n_stop=5, n_episode=15, seed=3)
-    result = learn_active(m, cfg)
+    result = learn_active(stochastic_nmdp(), cfg)
     assert digest(result.hypothesis) == ACTIVE_STOCHASTIC_SHA256
     assert sha256(result.report.render()) == ACTIVE_STOCHASTIC_REPORT_SHA256
     path = tmp_path / "table.csv"

@@ -444,17 +444,24 @@ def test_step_numbers_the_labels_of_stochastic_moves(seed, n_states, n_actions, 
 
 
 def test_a_replaced_copy_has_its_own_label_caches():
-    # an environment that has stepped, copied with new terminal labels: the
-    # copy builds its own caches and stops at its terminal label, and the
-    # original, which has none, does not
+    # an environment is compiled when it is built: a move for every
+    # available action and the truth's step for every state and label, which
+    # stepping only reads; a copy with new terminal labels builds its own
+    # tables and stops at its terminal label, and the original, which has
+    # none, does not
     m = two_cell_nmdp(patrol_prm())
     always_move = PositionalPolicy({0: {1: 1.0}, 1: {1: 1.0}})   # labels c, ε, c, ...
     rng = np.random.default_rng(0)
+    built = repr((m._moves, m._truth_steps))
     assert len(run_episode(m, always_move, rng, 6)) == 6
+    assert repr((m._moves, m._truth_steps)) == built
     copy = dataclasses.replace(m, terminal_labels={C})
-    for name in ("_labels", "_index", "_terminal", "_truth_steps", "_moves"):
+    for env in (m, copy):
+        assert [sorted(moves) for moves in env._moves] == env.available
+        assert env._truth_steps == [[env.truth.compiled_step(z, label) for label in env.label_alphabet()]
+                                    for z in range(env.truth.n_states())]
+    for name in ("_labels", "_terminal", "_truth_steps", "_moves"):
         assert getattr(copy, name) is not getattr(m, name), name
-    assert copy._moves == [None, None] and m._moves != [None, None]
     assert copy._terminal == [False, True] and m._terminal == [False, False]
     assert run_episode(copy, always_move, rng, 6) == [(C, 1.0)]
     assert len(run_episode(m, always_move, rng, 6)) == 6

@@ -568,15 +568,15 @@ def test_draw_past_a_short_row_reads_a_defined_edge():
     assert machine_run(prm, (A,), ScriptedRng([past])) == [(1, 1.0)]
 
 
-def test_sample_successor_rows_are_compiled_lazily(coffee):
+def test_sample_successor_rows_are_compiled_at_construction(coffee):
     # an environment keeps its truth's compiled steps by (truth state, label
-    # index), each filled through compiled_step on its first step
+    # index), each built through compiled_step before the first step
     m = build_office_nmdp(parse_gridmap("Ac"), coffee)
-    assert m._truth_steps == [[None, None] for _ in coffee.states] and m.label_alphabet() == [EMPTY_LABEL, C]
+    assert m.label_alphabet() == [EMPTY_LABEL, C]
+    assert m._truth_steps == [[coffee.compiled_step(y, label) for label in (EMPTY_LABEL, C)]
+                              for y in range(coffee.n_states())]
     _, _, (label, _), i = step(m, m.x_init, 0, ACTIONS.index("E"), np.random.default_rng(0))
     assert (label, i) == (C, 1)
-    assert [(y, j) for y, steps in enumerate(m._truth_steps) for j, hit in enumerate(steps) if hit] == [(0, 1)]
-    assert m._truth_steps[0][1] == coffee.compiled_step(0, C)
 
 
 # integers(low, low + k) for these k: 1 draws nothing, 2 to 7 rarely
